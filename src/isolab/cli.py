@@ -78,17 +78,23 @@ def _load_family(args):
         raise _UsageError(f"malformed --params JSON: {exc}") from exc
     if not isinstance(params, dict):
         raise _UsageError("--params must be a JSON object")
-    if args.family == "user-polynomial":
-        path = params.pop("file", None)
-        if path is not None:
-            with open(path) as fh:
-                obj = json.load(fh)
-            return family_from_json_obj(obj)
-        return catalog("user-polynomial", **params)
+    path = params.pop("file", None) if args.family == "user-polynomial" else None
     try:
+        if path is not None:
+            return family_from_json_obj(_read_json_file(path))
         return catalog(args.family, **params)
     except TypeError as exc:
         raise _UsageError(f"bad parameters for {args.family}: {exc}") from exc
+
+
+def _read_json_file(path):
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise _UsageError(f"cannot read polynomial file: {exc}") from exc
+    except ValueError as exc:  # malformed JSON or text encoding
+        raise _UsageError(f"malformed polynomial file {path}: {exc}") from exc
 
 
 def _emit(args, payload):

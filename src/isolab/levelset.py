@@ -80,12 +80,24 @@ def _project_batch(fam, s, points, tol=None, accept=None, max_iter=40):
     target_phase = float(np.arccos(np.clip(s, -1.0, 1.0))) / g
     X = _normalize_rows(np.array(points, dtype=np.float64))
     ok = np.ones(X.shape[0], dtype=bool)
+    # A tol below the float64 spacing of V near s can never be met; a row
+    # whose |V - s| stops shrinking once it is acceptable has reached that
+    # floor and is settled at its better previous iterate.
+    settled = np.zeros(X.shape[0], dtype=bool)
+    prev_err = np.full(X.shape[0], np.inf)
+    prev_X = X.copy()
     for _ in range(max_iter):
         v = np.atleast_1d(poly.value(X))
-        live = ok & (np.abs(v - s) > tol)
+        err = np.abs(v - s)
+        stall = ok & ~settled & (err >= prev_err) & (prev_err <= accept)
+        X[stall] = prev_X[stall]
+        settled |= stall
+        live = ok & ~settled & (err > tol)
         if not live.any():
             break
         idx = np.flatnonzero(live)
+        prev_err[idx] = err[idx]
+        prev_X[idx] = X[idx]
         Xl = X[idx]
         vl = v[idx]
         grad = poly.gradient(Xl)

@@ -30,7 +30,7 @@ from .errors import (InputContractError, NearFocalPoleError, PoleIsFocalError,
                      SamplingError)
 from .levelset import (SurfacePoint, _frames_batch, _normalize_rows,
                        _project_batch, spherical_gradient, surface_point)
-from .shape import PrincipalSpectrum, arccot, spectrum_at
+from .shape import PrincipalSpectrum, _shape_matrix, arccot, spectrum_at
 from .sphere import SpherePoint
 
 NEWTON_TOL = 1e-11
@@ -116,29 +116,40 @@ def _tangential_residual(fam, p, X, xi):
     return proj
 
 
-def _normals_batch(fam, X):
-    """Unit normals (toward increasing V) without the frame QR."""
-    W = spherical_gradient(fam, X)
-    return W / np.linalg.norm(W, axis=1, keepdims=True)
-
-
 def _retract(fam, s, X, tol=1e-15, accept=1e-11):
     out, ok = _project_batch(fam, s, X, tol=tol, accept=accept)
     return out, ok
 
 
+def _newton_jacobian(fam, p, X, xi, frames):
+    """Jacobian of the tangential residual in the tangent frame at each row of
+    X: the Riemannian Hessian of the height function l_p on M_s,
+
+        J = -<p, x> I + <p, xi> A,
+
+    with A the shape operator, batched over rows (Absil, Mahony and
+    Sepulchre, Optimization Algorithms on Matrix Manifolds, 2008).  One
+    Hessian-bank evaluation per batch."""
+    poly = fam.polynomial
+    vals = np.atleast_1d(poly.value(X))
+    wn = np.linalg.norm(poly.gradient(X) - fam.g * vals[:, None] * X, axis=1)
+    shape_op = _shape_matrix(fam.g, frames, poly.hessian(X), vals, wn)
+    return (-(X @ p)[:, None, None] * np.eye(frames.shape[1])
+            + np.einsum("bd,d->b", xi, p)[:, None, None] * shape_op)
+
+
 def _newton_multistart(fam, s, p, starts, tol=NEWTON_TOL, max_iter=40):
     """Drive each start to a zero of the tangential residual on M_s.
 
-    Newton in the chart spanned by the frame at the current iterate, with a
-    finite-difference Jacobian and a pseudoinverse step (so the same solver
-    also walks onto critical manifolds when the pole is focal and the
-    Jacobian is singular).  Returns (solutions, residual_norms, diagnostics).
+    Newton in the chart spanned by the frame at the current iterate, with
+    the exact Jacobian of `_newton_jacobian` and a pseudoinverse step (so
+    the same solver also walks onto critical manifolds when the pole is
+    focal and the Jacobian is singular), each move retracted to the level.
+    The Jacobian only steers: a start counts as converged by its residual
+    alone.  Returns (solutions, residual_norms, diagnostics).
     """
     X = np.array(starts, dtype=np.float64)
-    n = fam.hypersurface_dim
     active = np.ones(X.shape[0], dtype=bool)
-    h = _H_JACOBIAN
     for _ in range(max_iter):
         xi, frames = _frames_batch(fam, X)
         q = _tangential_residual(fam, p, X, xi)
@@ -149,17 +160,7 @@ def _newton_multistart(fam, s, p, starts, tol=NEWTON_TOL, max_iter=40):
         idx = np.flatnonzero(active)
         Xa = X[idx]
         Ta = frames[idx]
-        b = len(idx)
-        jac = np.empty((b, n, n))
-        for j in range(n):
-            step = h * Ta[:, j, :]
-            plus, okp = _retract(fam, s, _normalize_rows(Xa + step))
-            minus, okm = _retract(fam, s, _normalize_rows(Xa - step))
-            qp = _tangential_residual(fam, p, plus, _normals_batch(fam, plus))
-            qm = _tangential_residual(fam, p, minus, _normals_batch(fam, minus))
-            gp = np.einsum("bnd,bd->bn", Ta, qp)
-            gm = np.einsum("bnd,bd->bn", Ta, qm)
-            jac[:, :, j] = (gp - gm) / (2 * h)
+        jac = _newton_jacobian(fam, p, Xa, xi[idx], Ta)
         g0 = np.einsum("bnd,bd->bn", Ta, q[idx])
         delta = -np.einsum("bij,bj->bi", np.linalg.pinv(jac, rcond=1e-12), g0)
         norms = np.linalg.norm(delta, axis=1)
@@ -183,19 +184,17 @@ def _dedup(fam, X, rnorm, radius=DEDUP_RADIUS):
     """Merge solutions within geodesic `radius`, keeping the best residual."""
     if len(X) == 0:
         return X
-    order = np.argsort(rnorm)
-    kept = []
-    for i in order:
-        xi_ = X[i]
-        dup = False
-        for k in kept:
-            ang = float(np.arccos(np.clip(xi_ @ k, -1.0, 1.0)))
-            if ang < radius:
-                dup = True
-                break
-        if not dup:
-            kept.append(xi_)
-    return np.array(kept)
+    ordered = X[np.argsort(rnorm)]
+    near = np.arccos(np.clip(ordered @ ordered.T, -1.0, 1.0)) < radius
+    # greedy in residual order: a row survives unless an earlier survivor
+    # lies within the radius
+    keep = np.zeros(len(ordered), dtype=bool)
+    covered = np.zeros(len(ordered), dtype=bool)
+    for i in range(len(ordered)):
+        if not covered[i]:
+            keep[i] = True
+            covered |= near[i]
+    return ordered[keep]
 
 
 def _hessian_stencil(fam, s, p, X):
@@ -397,6 +396,19 @@ def _draw_pole(fam, rng, margin=_POLE_MARGIN):
     raise SamplingError("could not draw a non-focal pole")
 
 
+def _reject_pole(report, rejected, reason, num_poles):
+    """Count one rejected pole under `reason`.  Once 100 * num_poles + 1000
+    poles are rejected the report gives up with SamplingError, naming the
+    count for each reason, instead of drawing poles forever."""
+    report.rejected_poles += 1
+    rejected[reason] += 1
+    if report.rejected_poles >= 100 * num_poles + 1000:
+        counts = ", ".join(f"{k}: {v}" for k, v in rejected.items())
+        raise SamplingError(
+            f"rejected {report.rejected_poles} poles before certifying "
+            f"{num_poles} ({counts})")
+
+
 def _match_sets(a, b):
     """Greedy geodesic matching; returns worst pair distance or inf."""
     if len(a) != len(b):
@@ -430,17 +442,22 @@ def tightness_report(fam, s, num_poles=100, seed=0) -> TightnessReport:
         expected_count=fam.betti_sum_hypersurface, seed=seed)
     rng = np.random.default_rng(np.random.SeedSequence((int(seed), 0x7161)))
     done = 0
+    rejected = {"near-focal index": 0, "focal pole": 0, "t at 0 or pi": 0}
     while done < num_poles:
         pole = _draw_pole(fam, rng)
         try:
-            newton_pts = critical_points_newton(fam, s, pole, seed=seed + done)
+            # the closed-form route first: a rejected pole skips the Newton solve
             circle_pts = normal_circle_critical_points(fam, s, pole)
-        except (NearFocalPoleError, PoleIsFocalError):
-            report.rejected_poles += 1
+            newton_pts = critical_points_newton(fam, s, pole, seed=seed + done)
+        except NearFocalPoleError:
+            _reject_pole(report, rejected, "near-focal index", num_poles)
+            continue
+        except PoleIsFocalError:
+            _reject_pole(report, rejected, "focal pole", num_poles)
             continue
         ts = [cp.t for cp in newton_pts + circle_pts]
         if any(t > np.pi - _T_GUARD or t < _T_GUARD for t in ts):
-            report.rejected_poles += 1
+            _reject_pole(report, rejected, "t at 0 or pi", num_poles)
             continue
         done += 1
         match = _match_sets(newton_pts, circle_pts)
@@ -685,12 +702,13 @@ def focal_tautness_report(fam, side, num_poles=50, seed=0,
         starts_per_pole = 24 * fam.g
     rng = np.random.default_rng(np.random.SeedSequence((int(seed), 0xF0CA)))
     done = 0
+    rejected = {"focal pole": 0}
     while done < num_poles:
         pole = _draw_pole(fam, rng)
         try:
             eta, circle = _focal_circle_points(fam, side, pole)
         except PoleIsFocalError:
-            report.rejected_poles += 1
+            _reject_pole(report, rejected, "focal pole", num_poles)
             continue
         done += 1
         raw = rng.normal(size=(starts_per_pole, fam.ambient_dim))

@@ -59,9 +59,17 @@ def shape_operator(sp: SurfacePoint):
     frame = np.asarray(sp.tangent_vectors)
     hess = fam.polynomial.hessian(x)
     val = float(fam.polynomial.value(x))
-    n = frame.shape[0]
-    a = -(frame @ hess @ frame.T - fam.g * val * np.eye(n)) / wn
-    return 0.5 * (a + a.T)
+    return _shape_matrix(fam.g, frame, hess, np.asarray(val), np.asarray(wn))
+
+
+def _shape_matrix(g, frames, hess, vals, wn):
+    """The shape-operator formula of the module docstring, symmetrized, from
+    tangent frames (..., n, D), ambient Hessians (..., D, D), values F and
+    gradient norms |grad_S V| (...); leading axes batch."""
+    eye = np.eye(frames.shape[-2])
+    a = -(frames @ hess @ np.swapaxes(frames, -1, -2)
+          - g * vals[..., None, None] * eye) / wn[..., None, None]
+    return 0.5 * (a + np.swapaxes(a, -1, -2))
 
 
 def principal_curvatures(matrix, cluster_tol=_DEFAULT_CLUSTER_TOL) -> PrincipalSpectrum:

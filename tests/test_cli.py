@@ -125,3 +125,28 @@ def test_console_entry_point_runs():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["pass"] is True
+
+
+def assert_usage_error(capsys, *args):
+    assert run_cli(*args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_missing_polynomial_file_is_usage_error(tmp_path, capsys):
+    assert_usage_error(capsys, "tight", "--family", "user-polynomial",
+                       "--params",
+                       json.dumps({"file": str(tmp_path / "missing.json")}))
+
+
+def test_malformed_polynomial_file_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text('{"terms": [1,')
+    assert_usage_error(capsys, "tight", "--family", "user-polynomial",
+                       "--params", json.dumps({"file": str(path)}))
+
+
+def test_unknown_user_polynomial_parameter_is_usage_error(capsys):
+    assert_usage_error(capsys, "tight", "--family", "user-polynomial",
+                       "--params", '{"bogus": 1}')

@@ -6,6 +6,7 @@ import pytest
 from isolab import (SpherePoint, StartAtFocalError, project_to_level,
                     sample_points, spherical_gradient, surface_point)
 from isolab.levelset import _project_batch
+from isolab.polynomial import CMPolynomial
 
 
 def test_gradient_norm_identity(all_families):
@@ -126,3 +127,23 @@ def test_surface_point_level_mismatch(fam_clifford):
     x = SpherePoint(np.array([0.5, 0.5, 0.5, 0.5]))  # V = 0
     with pytest.raises(InputContractError):
         surface_point(fam_clifford, x, level=0.7)
+
+
+def test_project_batch_settles_at_the_float_floor(fam_nomizu, monkeypatch):
+    # tol 1e-16 lies below the float64 spacing of V near s; rows settle at
+    # the floor instead of spinning through every iteration
+    calls = []
+    value = CMPolynomial.value
+
+    def counting_value(self, x):
+        calls.append(1)
+        return value(self, x)
+
+    monkeypatch.setattr(CMPolynomial, "value", counting_value)
+    raw = np.random.default_rng(11).normal(size=(200, fam_nomizu.ambient_dim))
+    out, ok = _project_batch(fam_nomizu, 0.3, raw, tol=1e-16, accept=1e-9,
+                             max_iter=40)
+    assert len(calls) < 40 + 1
+    monkeypatch.undo()
+    assert ok.all()
+    assert np.abs(fam_nomizu.polynomial.value(out) - 0.3).max() <= 1e-15

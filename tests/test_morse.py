@@ -3,12 +3,16 @@
 import numpy as np
 import pytest
 
-from isolab import (InputContractError, PoleIsFocalError, SpherePoint,
-                    critical_points_newton, focal_tautness_report,
+from isolab import (InputContractError, PoleIsFocalError, SamplingError,
+                    SpherePoint, critical_points_newton, focal_tautness_report,
                     index_via_focal_count, normal_circle_critical_points,
                     sample_points, spherical_distance, tightness_report,
                     totally_focal_probe)
+from isolab import morse
+from isolab.levelset import (_frames_batch, _normalize_rows, _project_batch,
+                             spherical_gradient)
 from isolab.morse import project_to_level_focal
+from isolab.polynomial import CMPolynomial
 from isolab.shape import spectrum_at
 
 
@@ -221,6 +225,7 @@ def test_focal_pole_critical_set_is_continuum(fam_clifford):
                                          starts[ok])
     unique = _dedup(fam_clifford, sols, rnorm)
     assert len(unique) > 8  # a circle of solutions, not 2g isolated points
+    assert np.array_equal(unique, dedup_loop(sols, rnorm))
     cps = _classify(fam_clifford, 0.3, pole.coords, unique,
                     degenerate_threshold=_DEGENERATE_PROBE)
     assert all(cp.degenerate for cp in cps)
@@ -232,3 +237,90 @@ def test_index_histogram_matches_betti_numbers(fam_cartan, fam_nomizu):
     assert rep3.index_histogram == {0: 3, 1: 6, 2: 6, 3: 3}
     rep4 = tightness_report(fam_nomizu, 0.3, num_poles=2, seed=14)
     assert rep4.index_histogram == {0: 2, 1: 4, 2: 4, 3: 4, 4: 2}
+
+
+def dedup_loop(X, rnorm, radius=morse.DEDUP_RADIUS):
+    """Reference for `_dedup`: greedy merge in residual order, one pair at
+    a time."""
+    kept = []
+    for i in np.argsort(rnorm):
+        if all(float(np.arccos(np.clip(X[i] @ k, -1.0, 1.0))) >= radius
+               for k in kept):
+            kept.append(X[i])
+    return np.array(kept)
+
+
+def fd_newton_jacobian(fam, s, p, X, frames, h=1e-6):
+    """Reference for `_newton_jacobian`: central differences of the
+    tangential residual along each frame vector, with retraction to M_s."""
+    def residual_in_frame(Y):
+        xi = spherical_gradient(fam, Y)
+        xi /= np.linalg.norm(xi, axis=1, keepdims=True)
+        q = morse._tangential_residual(fam, p, Y, xi)
+        return np.einsum("bnd,bd->bn", frames, q)
+
+    n = frames.shape[1]
+    jac = np.empty((len(X), n, n))
+    for j in range(n):
+        step = h * frames[:, j, :]
+        plus, okp = _project_batch(fam, s, _normalize_rows(X + step),
+                                   tol=1e-15, accept=1e-11)
+        minus, okm = _project_batch(fam, s, _normalize_rows(X - step),
+                                    tol=1e-15, accept=1e-11)
+        assert okp.all() and okm.all()
+        jac[:, :, j] = (residual_in_frame(plus)
+                        - residual_in_frame(minus)) / (2 * h)
+    return jac
+
+
+def test_exact_newton_jacobian_matches_finite_differences(
+        fam_clifford, fam_cartan, fam_nomizu):
+    rng = np.random.default_rng(21)
+    for fam, s in ((fam_clifford, 0.3), (fam_cartan, 0.2), (fam_nomizu, 0.3)):
+        X = np.array([sp.x.coords for sp in sample_points(fam, s, 8, seed=22)])
+        p = rng.normal(size=fam.ambient_dim)
+        p /= np.linalg.norm(p)
+        xi, frames = _frames_batch(fam, X)
+        # random level points are far from critical for a random pole
+        assert np.abs(morse._tangential_residual(fam, p, X, xi)).max() > 1e-2
+        exact = morse._newton_jacobian(fam, p, X, xi, frames)
+        oracle = fd_newton_jacobian(fam, s, p, X, frames)
+        scale = np.linalg.norm(oracle, axis=(1, 2))
+        err = np.linalg.norm(exact - oracle, axis=(1, 2))
+        assert (err <= 1e-5 * scale).all(), (fam.label, (err / scale).max())
+
+
+def test_hessian_stencil_never_uses_the_hessian_bank(fam_nomizu, monkeypatch):
+    # index route one must stay a finite difference of the height function,
+    # independent of the shape operator that drives index route two
+    pole = SpherePoint(np.random.default_rng(23).normal(size=6))
+    X = np.array([sp.x.coords for sp in
+                  normal_circle_critical_points(fam_nomizu, 0.3, pole,
+                                                classify=False)])
+    calls = []
+    hessian = CMPolynomial.hessian
+
+    def counting_hessian(self, x):
+        calls.append(1)
+        return hessian(self, x)
+
+    monkeypatch.setattr(CMPolynomial, "hessian", counting_hessian)
+    hessians, ts = morse._hessian_stencil(fam_nomizu, 0.3, pole.coords, X)
+    assert calls == []
+    assert np.isfinite(hessians).all() and len(ts) == len(X)
+
+
+def test_pole_loops_give_up_after_the_rejection_budget(fam_clifford,
+                                                       monkeypatch):
+    def focal(*args, **kwargs):
+        raise PoleIsFocalError("every pole rejected")
+
+    monkeypatch.setattr(morse, "normal_circle_critical_points", focal)
+    monkeypatch.setattr(morse, "_focal_circle_points", focal)
+    with pytest.raises(SamplingError, match=r"rejected 1100 poles .*"
+                       r"near-focal index: 0, focal pole: 1100, "
+                       r"t at 0 or pi: 0"):
+        tightness_report(fam_clifford, 0.3, num_poles=1, seed=24)
+    with pytest.raises(SamplingError, match=r"rejected 1200 poles .*"
+                       r"focal pole: 1200"):
+        focal_tautness_report(fam_clifford, 1, num_poles=2, seed=24)
