@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Benchmark the compiled kernels against the numpy fallback.
+"""Time the polynomial evaluation kernel.
 
 Measures the two workloads that dominate the package: single/batch term-list
 evaluation (the Newton and classification inner loops) and the residual
@@ -18,13 +18,7 @@ import numpy as np
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
-from isolab import catalog  # noqa: E402
-from isolab import _kernels_py  # noqa: E402
-
-try:
-    from isolab import _kernels as _compiled
-except ImportError:
-    _compiled = None
+from isolab import _kernels_py, catalog, verify_munzner  # noqa: E402
 
 
 def time_call(fn, repeats):
@@ -38,59 +32,24 @@ def bench(quick=False):
     fam = catalog("nomizu-quartic", n=2)
     poly = fam.polynomial
     rng = np.random.default_rng(0)
-    grad_bank = poly._gradient_bank()
-    backends = [("python", _kernels_py)]
-    if _compiled is not None:
-        backends.append(("compiled", _compiled))
-    else:
-        print("compiled kernels not built; run "
-              "`python setup.py build_ext --inplace` to compare")
+    c, e, o = poly._gradient_bank()
 
     sizes = [1, 100, 10_000] if not quick else [1, 100]
-    print(f"{'workload':<28} " + "  ".join(f"{name:>10}" for name, _ in backends))
+    print(f"{'workload':<28} {'python':>10}")
     for n in sizes:
         X = np.ascontiguousarray(rng.normal(size=(n, poly.ambient_dim)))
         repeats = max(3, min(2000, 20_000 // n))
-        row = []
-        for _name, impl in backends:
-            dt = time_call(lambda impl=impl: impl.eval_terms(poly.coeffs,
-                                                             poly.exps, X),
-                           repeats)
-            row.append(dt)
-        print(f"{'value, N=%-6d' % n:<28} "
-              + "  ".join(f"{dt * 1e6:>8.1f}us" for dt in row))
-        row = []
-        for _name, impl in backends:
-            c, e, o = grad_bank
-            dt = time_call(lambda impl=impl, c=c, e=e, o=o:
-                           impl.eval_bank(c, e, o, X), repeats)
-            row.append(dt)
-        print(f"{'gradient bank, N=%-6d' % n:<28} "
-              + "  ".join(f"{dt * 1e6:>8.1f}us" for dt in row))
+        dt = time_call(lambda: _kernels_py.eval_terms(poly.coeffs, poly.exps, X),
+                       repeats)
+        print(f"{'value, N=%-6d' % n:<28} {dt * 1e6:>8.1f}us")
+        dt = time_call(lambda: _kernels_py.eval_bank(c, e, o, X), repeats)
+        print(f"{'gradient bank, N=%-6d' % n:<28} {dt * 1e6:>8.1f}us")
 
     # end-to-end residual sweep through the public path
-    import os
     n_sweep = 2000 if quick else 10_000
-    from isolab import verify_munzner
-    for name, _impl in backends:
-        if name == "python":
-            os.environ["ISOLAB_PURE_PYTHON"] = "1"
-        else:
-            os.environ.pop("ISOLAB_PURE_PYTHON", None)
-        # backend selection happens at import, so re-exec for a clean measure
-        import subprocess
-        code = (
-            "import time, isolab\n"
-            "fam = isolab.catalog('nomizu-quartic', n=2)\n"
-            "t0 = time.perf_counter()\n"
-            f"isolab.verify_munzner(fam, num_points={n_sweep})\n"
-            "print(f'{time.perf_counter() - t0:.3f}')\n")
-        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                             text=True, env=dict(os.environ,
-                                                 PYTHONPATH=str(pathlib.Path(
-                                                     __file__).resolve().parents[1] / "src")))
-        print(f"residual sweep ({n_sweep} pts), {name}: {out.stdout.strip()} s")
-    os.environ.pop("ISOLAB_PURE_PYTHON", None)
+    t0 = time.perf_counter()
+    verify_munzner(fam, num_points=n_sweep)
+    print(f"residual sweep ({n_sweep} pts): {time.perf_counter() - t0:.3f} s")
 
 
 if __name__ == "__main__":

@@ -7,7 +7,7 @@ of spherical distance functions (tightness of the hypersurfaces, tautness of
 the focal submanifolds).
 """
 
-from .backend import backend_name
+from ._kernels_py import backend_name
 from .errors import (ClusteringError, ConvergenceError, FamilyIntegrityError,
                      FamilyRejectedError, FocalCrossingError,
                      FocalDegeneracyError, InputContractError, IsolabError,

@@ -1,12 +1,25 @@
-"""Pure-numpy kernels for term-list polynomial evaluation.
+"""Numpy kernels for term-list polynomial evaluation.
 
-This is the fallback backend; `isolab._kernels` (Cython) implements the same
-two functions.  Both operate on the packed representation used by
-:mod:`isolab.polynomial`: coefficients ``(T,)`` float64, exponents ``(T, D)``
-int64, points ``(N, D)`` float64.
+The hot path of the whole package: evaluating term-list polynomials (value,
+gradient bank, Hessian bank) at one or many points.  Both functions take the
+packed representation used by :mod:`isolab.polynomial`: coefficients
+``(T,)`` float64, exponents ``(T, D)`` int64, and either one point ``(D,)``
+or a batch of points ``(N, D)``.
 """
 
 import numpy as np
+
+
+def backend_name():
+    """Name of the kernel implementation: 'python' (numpy) is the only one."""
+    return "python"
+
+
+def _as_rows(points):
+    # (N, D) contiguous float64 rows, and whether a single point was given
+    points = np.ascontiguousarray(points, dtype=np.float64)
+    single = points.ndim == 1
+    return (points[None, :] if single else points), single
 
 
 def _monomials(exps, points):
@@ -26,8 +39,11 @@ def _monomials(exps, points):
 
 
 def eval_terms(coeffs, exps, points):
-    """Evaluate one term-list polynomial at each row of `points`."""
-    return _monomials(exps, points) @ coeffs
+    """Evaluate one term-list polynomial at each row of `points` (a float
+    for a single point)."""
+    rows, single = _as_rows(points)
+    out = _monomials(exps, rows) @ coeffs
+    return float(out[0]) if single else out
 
 
 def eval_bank(coeffs, exps, offsets, points):
@@ -36,7 +52,8 @@ def eval_bank(coeffs, exps, offsets, points):
     `offsets` has length P+1; polynomial p owns terms
     ``offsets[p]:offsets[p+1]``.  Segments must be non-empty (the packer
     inserts an explicit zero term for vanishing derivatives).  Returns
-    ``(N, P)``.
+    ``(N, P)``, or ``(P,)`` for a single point.
     """
-    weighted = _monomials(exps, points) * coeffs
-    return np.add.reduceat(weighted, offsets[:-1], axis=1)
+    rows, single = _as_rows(points)
+    out = np.add.reduceat(_monomials(exps, rows) * coeffs, offsets[:-1], axis=1)
+    return out[0] if single else out

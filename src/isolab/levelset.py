@@ -244,6 +244,8 @@ def sample_points(fam: IsoparametricFamily, s, count, seed) -> list[SurfacePoint
     """Deterministic sample of framed points on the level V = s: ambient
     Gaussians pushed to the sphere, then projected; failed projections are
     retried with fresh draws, up to a budget of 10x count."""
+    if not -1.0 <= s <= 1.0:  # also rejects NaN
+        raise InputContractError(f"levels live in [-1, 1], got {s!r}")
     if count < 1:
         raise InputContractError("count must be at least 1")
     rng = np.random.default_rng(np.random.SeedSequence((int(seed), 0xA11CE)))

@@ -112,13 +112,12 @@ class TightnessReport:
 
 def _tangential_residual(fam, p, X, xi):
     """Component of p orthogonal to both x and the normal, rowwise."""
-    proj = p[None, :] - (X @ p)[:, None] * X - np.einsum("ij,j->i", xi, p)[:, None] * xi
-    return proj
+    return (p[None, :] - (X @ p)[:, None] * X
+            - np.einsum("ij,j->i", xi, p)[:, None] * xi)
 
 
 def _retract(fam, s, X, tol=1e-15, accept=1e-11):
-    out, ok = _project_batch(fam, s, X, tol=tol, accept=accept)
-    return out, ok
+    return _project_batch(fam, s, X, tol=tol, accept=accept)
 
 
 def _newton_jacobian(fam, p, X, xi, frames):
@@ -138,42 +137,61 @@ def _newton_jacobian(fam, p, X, xi, frames):
             + np.einsum("bd,d->b", xi, p)[:, None, None] * shape_op)
 
 
-def _newton_multistart(fam, s, p, starts, tol=NEWTON_TOL, max_iter=40):
-    """Drive each start to a zero of the tangential residual on M_s.
+def _chart_step(fam, level, X, chart, jac, resid):
+    """One Newton step per row in the chart spanned by the rows of
+    chart[b]: pseudoinverse of the Jacobian (so singular Jacobians on
+    critical manifolds still give a step), length capped at 0.4, the move
+    retracted to the level.  Returns (moved rows, ok)."""
+    g0 = np.einsum("bnd,bd->bn", chart, resid)
+    delta = -np.einsum("bij,bj->bi", np.linalg.pinv(jac, rcond=1e-12), g0)
+    norms = np.linalg.norm(delta, axis=1)
+    delta *= np.where(norms > 0.4, 0.4 / np.maximum(norms, 0.4), 1.0)[:, None]
+    moved = X + np.einsum("bi,bid->bd", delta, chart)
+    return _retract(fam, level, _normalize_rows(moved))
 
-    Newton in the chart spanned by the frame at the current iterate, with
-    the exact Jacobian of `_newton_jacobian` and a pseudoinverse step (so
-    the same solver also walks onto critical manifolds when the pole is
-    focal and the Jacobian is singular), each move retracted to the level.
-    The Jacobian only steers: a start counts as converged by its residual
-    alone.  Returns (solutions, residual_norms, diagnostics).
-    """
-    X = np.array(starts, dtype=np.float64)
+
+def _masked_newton(X, residual, step, tol, max_iter):
+    """Masked Newton loop, updating the rows of X in place.
+
+    `residual(X)` returns (residual norms, state) for all rows;
+    `step(idx, state)` returns (moved rows, ok) for the rows idx still above
+    `tol`.  A row whose move fails has lost the level and leaves the loop.
+    Returns the residual norms at the final X."""
     active = np.ones(X.shape[0], dtype=bool)
     for _ in range(max_iter):
-        xi, frames = _frames_batch(fam, X)
-        q = _tangential_residual(fam, p, X, xi)
-        rnorm = np.abs(q).max(axis=1)
+        rnorm, state = residual(X)
         active &= rnorm > tol
         if not active.any():
             break
         idx = np.flatnonzero(active)
-        Xa = X[idx]
-        Ta = frames[idx]
-        jac = _newton_jacobian(fam, p, Xa, xi[idx], Ta)
-        g0 = np.einsum("bnd,bd->bn", Ta, q[idx])
-        delta = -np.einsum("bij,bj->bi", np.linalg.pinv(jac, rcond=1e-12), g0)
-        norms = np.linalg.norm(delta, axis=1)
-        cap = 0.4
-        scale = np.where(norms > cap, cap / np.maximum(norms, cap), 1.0)
-        delta *= scale[:, None]
-        moved = Xa + np.einsum("bi,bid->bd", delta, Ta)
-        moved, okmv = _retract(fam, s, _normalize_rows(moved))
-        X[idx[okmv]] = moved[okmv]
-        active[idx[~okmv]] = False  # lost the level: discard this start
-    xi, _ = _frames_batch(fam, X)
-    q = _tangential_residual(fam, p, X, xi)
-    rnorm = np.abs(q).max(axis=1)
+        moved, ok = step(idx, state)
+        X[idx[ok]] = moved[ok]
+        active[idx[~ok]] = False
+    return residual(X)[0]
+
+
+def _newton_multistart(fam, s, p, starts, tol=NEWTON_TOL, max_iter=40):
+    """Drive each start to a zero of the tangential residual on M_s.
+
+    Newton in the chart spanned by the frame at the current iterate, with
+    the exact Jacobian of `_newton_jacobian` (so the same solver also walks
+    onto critical manifolds when the pole is focal), each move retracted to
+    the level.  The Jacobian only steers: a start counts as converged by its
+    residual alone.  Returns (solutions, residual_norms, diagnostics).
+    """
+    X = np.array(starts, dtype=np.float64)
+
+    def residual(X):
+        xi, frames = _frames_batch(fam, X)
+        q = _tangential_residual(fam, p, X, xi)
+        return np.abs(q).max(axis=1), (xi, frames, q)
+
+    def step(idx, state):
+        xi, frames, q = state
+        jac = _newton_jacobian(fam, p, X[idx], xi[idx], frames[idx])
+        return _chart_step(fam, s, X[idx], frames[idx], jac, q[idx])
+
+    rnorm = _masked_newton(X, residual, step, tol, max_iter)
     converged = rnorm <= tol
     diag = {"starts": int(X.shape[0]), "converged": int(converged.sum()),
             "discarded": int((~converged).sum())}
@@ -197,54 +215,48 @@ def _dedup(fam, X, rnorm, radius=DEDUP_RADIUS):
     return ordered[keep]
 
 
+def _chart_hessians(fam, level, p, X, charts, accept):
+    """Finite-difference Hessians of the height function <p, .> at each row
+    of X (assumed critical) in the chart spanned by the rows of charts[k].
+
+    Every point's moves X +/- h t_i and X +/- h t_i +/- h t_j are retracted
+    to the level in one batch, to machine tolerance because the second difference
+    divides by h^2 = 1e-8.  At a critical point the chart curvature terms
+    vanish with the gradient, so the Hessian is chart-invariant.  Returns
+    (M, k, k).
+    """
+    m, k, d = charts.shape
+    h = _H_HESSIAN
+    iu, ju = np.triu_indices(k, 1)
+    step = h * charts
+    plus, minus = X[:, None, :] + step, X[:, None, :] - step
+    singles = np.stack([plus, minus], axis=2).reshape(m, 2 * k, d)
+    pairs = np.stack([plus[:, iu] + step[:, ju], plus[:, iu] - step[:, ju],
+                      minus[:, iu] + step[:, ju], minus[:, iu] - step[:, ju]],
+                     axis=2).reshape(m, 4 * len(iu), d)
+    moves = np.concatenate([singles, pairs], axis=1).reshape(-1, d)
+    moved, _ = _retract(fam, level, _normalize_rows(moves), tol=1e-16,
+                        accept=accept)
+    ell = (moved @ p).reshape(m, -1)
+    quad = ell[:, 2 * k:].reshape(m, len(iu), 4)
+    hessians = np.empty((m, k, k))
+    hessians[:, range(k), range(k)] = (
+        ell[:, 0:2 * k:2] - 2 * (X @ p)[:, None] + ell[:, 1:2 * k:2]) / h ** 2
+    hessians[:, iu, ju] = hessians[:, ju, iu] = (
+        quad[..., 0] - quad[..., 1] - quad[..., 2] + quad[..., 3]) / (4 * h ** 2)
+    return hessians
+
+
 def _hessian_stencil(fam, s, p, X):
     """Finite-difference Hessians of the height function l_p on M_s at each
-    row of X (assumed critical), in the local tangent chart.
-
-    Returns (hessians (M, n, n), t values (M,)).  The chart is the frame at
-    the point with moves retracted back to the level; at a critical point
-    the chart curvature terms vanish with the gradient, so the Hessian is
-    chart-invariant.  Retraction is run to machine tolerance because the
-    second difference divides by h^2 = 1e-8.
-    """
-    m = X.shape[0]
-    n = fam.hypersurface_dim
-    h = _H_HESSIAN
-    xi, frames = _frames_batch(fam, X)
-    moves = []
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    for k in range(m):
-        t_ = frames[k]
-        for i in range(n):
-            moves.append(X[k] + h * t_[i])
-            moves.append(X[k] - h * t_[i])
-        for i, j in pairs:
-            moves.append(X[k] + h * t_[i] + h * t_[j])
-            moves.append(X[k] + h * t_[i] - h * t_[j])
-            moves.append(X[k] - h * t_[i] + h * t_[j])
-            moves.append(X[k] - h * t_[i] - h * t_[j])
-    moved, _ = _retract(fam, s, _normalize_rows(np.array(moves)),
-                        tol=1e-16, accept=1e-9)
-    ell = moved @ p
-    ell0 = X @ p
-    per = 2 * n + 4 * len(pairs)
-    hessians = np.empty((m, n, n))
-    for k in range(m):
-        seg = ell[k * per:(k + 1) * per]
-        hmat = np.empty((n, n))
-        for i in range(n):
-            hmat[i, i] = (seg[2 * i] - 2 * ell0[k] + seg[2 * i + 1]) / h ** 2
-        base = 2 * n
-        for w, (i, j) in enumerate(pairs):
-            v = (seg[base + 4 * w] - seg[base + 4 * w + 1]
-                 - seg[base + 4 * w + 2] + seg[base + 4 * w + 3]) / (4 * h ** 2)
-            hmat[i, j] = hmat[j, i] = v
-        hessians[k] = hmat
-    ts = np.arccos(np.clip(ell0, -1.0, 1.0))
-    return hessians, ts
+    row of X (assumed critical), in the tangent frame chart of
+    `_frames_batch`.  Returns (hessians (M, n, n), t values (M,))."""
+    _xi, frames = _frames_batch(fam, X)
+    hessians = _chart_hessians(fam, s, p, X, frames, accept=1e-9)
+    return hessians, np.arccos(np.clip(X @ p, -1.0, 1.0))
 
 
-def _classify(fam, s, p, X, spectra=None, degenerate_threshold=_DEGENERATE_REPORT):
+def _classify(fam, s, p, X, degenerate_threshold=_DEGENERATE_REPORT):
     """Build CriticalPoint records for each row of X (critical for d_p)."""
     if len(X) == 0:
         return []
@@ -263,9 +275,8 @@ def _classify(fam, s, p, X, spectra=None, degenerate_threshold=_DEGENERATE_REPOR
                       or min_abs < degenerate_threshold * max_abs)
         index_h = int(np.sum(eig < 0))
         sp = surface_point(fam, SpherePoint(X[k]), level=s)
-        spec = spectra[k] if spectra is not None else spectrum_at(sp)
         try:
-            index_f = index_via_focal_count(SpherePoint(p), sp, spec)
+            index_f = index_via_focal_count(SpherePoint(p), sp, spectrum_at(sp))
         except NearFocalPoleError:
             index_f = None
             degenerate = True
@@ -336,6 +347,27 @@ def critical_points_newton(fam, s, pole: SpherePoint, num_starts=None, seed=0,
                      degenerate_threshold=degenerate_threshold)
 
 
+def _normal_circle(fam, pole: SpherePoint, offsets):
+    """The normal great circle cos(tau) p + sin(tau) eta through the pole.
+
+    Along it V is cos(g psi) with psi = psi0 - tau, so V takes the value
+    cos(offset) at the arc positions tau = psi0 - (offset + 2 pi j) / g.
+    Returns (eta, sorted distinct tau in (-pi, pi] over all offsets); the
+    offsets are +/-arccos s for the level s and 0 or pi for the focal sheets.
+    """
+    w = spherical_gradient(fam, pole)
+    wn = float(np.linalg.norm(w))
+    if wn < 1e-8:
+        raise PoleIsFocalError("the pole lies on the focal set")
+    g = fam.g
+    v0 = float(fam.polynomial.value(pole.coords))
+    psi0 = float(np.arccos(np.clip(v0, -1.0, 1.0))) / g
+    taus = [psi0 - (offset + 2 * np.pi * j) / g
+            for j in range(-g - 1, g + 2) for offset in offsets]
+    taus = [tau for tau in taus if -np.pi < tau <= np.pi]
+    return w / wn, sorted(set(np.round(taus, 14)))
+
+
 def normal_circle_critical_points(fam, s, pole: SpherePoint, classify=True):
     """Critical points of d_pole on M_s from the normal great circle through
     the pole.
@@ -348,22 +380,8 @@ def normal_circle_critical_points(fam, s, pole: SpherePoint, classify=True):
     if not -1.0 < s < 1.0:
         raise InputContractError("levels of hypersurfaces live in (-1, 1)")
     p = pole.coords
-    w = spherical_gradient(fam, pole)
-    wn = float(np.linalg.norm(w))
-    if wn < 1e-8:
-        raise PoleIsFocalError("the pole lies on the focal set")
-    eta = w / wn
-    g = fam.g
-    v0 = float(fam.polynomial.value(p))
-    psi0 = float(np.arccos(np.clip(v0, -1.0, 1.0))) / g
     beta = float(np.arccos(np.clip(s, -1.0, 1.0)))
-    taus = []
-    for j in range(-g - 1, g + 2):
-        for sgn in (1.0, -1.0):
-            tau = psi0 - (sgn * beta + 2 * np.pi * j) / g
-            if -np.pi < tau <= np.pi:
-                taus.append(tau)
-    taus = sorted(set(np.round(taus, 14)))
+    eta, taus = _normal_circle(fam, pole, (beta, -beta))
     pts = []
     for tau in taus:
         x = np.cos(tau) * p + np.sin(tau) * eta
@@ -409,23 +427,23 @@ def _reject_pole(report, rejected, reason, num_poles):
             f"{num_poles} ({counts})")
 
 
-def _match_sets(a, b):
-    """Greedy geodesic matching; returns worst pair distance or inf."""
-    if len(a) != len(b):
+def _match_distance(A, B):
+    """Greedy geodesic matching of two point sets: each row of A in turn
+    takes the nearest unused row of B.  Returns the worst matched distance,
+    or inf when the counts differ.  Distances are 2 arcsin(|a - b| / 2),
+    which resolves nearly equal points to roundoff (arccos <a, b> cannot
+    resolve below sqrt(2 eps))."""
+    if len(A) != len(B):
         return float("inf")
-    used = [False] * len(b)
+    B = np.asarray(B, dtype=np.float64)
+    used = np.zeros(len(B), dtype=bool)
     worst = 0.0
-    for pa in a:
-        best, best_j = None, None
-        for j, pb in enumerate(b):
-            if used[j]:
-                continue
-            d = float(np.arccos(np.clip(pa.location.coords @ pb.location.coords,
-                                        -1.0, 1.0)))
-            if best is None or d < best:
-                best, best_j = d, j
-        used[best_j] = True
-        worst = max(worst, best)
+    for a in A:
+        dist = 2 * np.arcsin(np.minimum(np.linalg.norm(B - a, axis=1) / 2, 1.0))
+        dist[used] = np.inf
+        j = int(np.argmin(dist))
+        used[j] = True
+        worst = max(worst, float(dist[j]))
     return worst
 
 
@@ -442,16 +460,13 @@ def tightness_report(fam, s, num_poles=100, seed=0) -> TightnessReport:
         expected_count=fam.betti_sum_hypersurface, seed=seed)
     rng = np.random.default_rng(np.random.SeedSequence((int(seed), 0x7161)))
     done = 0
-    rejected = {"near-focal index": 0, "focal pole": 0, "t at 0 or pi": 0}
+    rejected = {"focal pole": 0, "t at 0 or pi": 0}
     while done < num_poles:
         pole = _draw_pole(fam, rng)
         try:
             # the closed-form route first: a rejected pole skips the Newton solve
             circle_pts = normal_circle_critical_points(fam, s, pole)
             newton_pts = critical_points_newton(fam, s, pole, seed=seed + done)
-        except NearFocalPoleError:
-            _reject_pole(report, rejected, "near-focal index", num_poles)
-            continue
         except PoleIsFocalError:
             _reject_pole(report, rejected, "focal pole", num_poles)
             continue
@@ -460,7 +475,8 @@ def tightness_report(fam, s, num_poles=100, seed=0) -> TightnessReport:
             _reject_pole(report, rejected, "t at 0 or pi", num_poles)
             continue
         done += 1
-        match = _match_sets(newton_pts, circle_pts)
+        match = _match_distance([cp.location.coords for cp in newton_pts],
+                                [cp.location.coords for cp in circle_pts])
         level_res = max(
             abs(float(fam.polynomial.value(cp.location.coords)) - s)
             for cp in newton_pts + circle_pts)
@@ -532,6 +548,14 @@ def _focal_tangent_projector(fam, Y):
     return proj, dims
 
 
+def _focal_chart(fam, Y, d_foc):
+    """Tangent projectors of the focal submanifold at the rows of Y, and
+    chart bases from their top-d_foc eigenvectors: ((B, D, D), (B, d_foc, D))."""
+    proj, _ = _focal_tangent_projector(fam, Y)
+    _w, v = np.linalg.eigh(proj)
+    return proj, np.swapaxes(v[:, :, -d_foc:], 1, 2)
+
+
 def _focal_newton(fam, side, p, starts, tol=1e-13, max_iter=48, polish=2):
     """Newton multistart for critical points of d_p on the focal submanifold
     V = side: zeros of the projection of p onto the (smoothly varying)
@@ -542,7 +566,7 @@ def _focal_newton(fam, side, p, starts, tol=1e-13, max_iter=48, polish=2):
     the residual tolerance alone leaves position error up to tol/|J|, and
     the polish pushes positions to the evaluation-noise floor instead."""
     Y = np.array(starts, dtype=np.float64)
-    proj, dims = _focal_tangent_projector(fam, Y)
+    _proj, dims = _focal_tangent_projector(fam, Y)
     d_foc = int(dims[0])
     if not np.all(dims == d_foc):
         raise SamplingError(f"focal tangent ranks disagree: {sorted(set(dims))}")
@@ -551,13 +575,14 @@ def _focal_newton(fam, side, p, starts, tol=1e-13, max_iter=48, polish=2):
         return Y, np.zeros(Y.shape[0]), 0
     h = _H_JACOBIAN
 
-    def step(idx):
+    def residual(Y):
+        proj, _ = _focal_tangent_projector(fam, Y)
+        return np.linalg.norm(np.einsum("bij,j->bi", proj, p), axis=1), None
+
+    def step(idx, _state):
         Ya = Y[idx]
-        proj_a, _ = _focal_tangent_projector(fam, Ya)
+        proj_a, chart = _focal_chart(fam, Ya, d_foc)
         q = np.einsum("bij,j->bi", proj_a, p)
-        # chart basis: top-d_foc eigenvectors of the projector at the iterate
-        w, v = np.linalg.eigh(proj_a)
-        chart = np.swapaxes(v[:, :, -d_foc:], 1, 2)  # (b, d_foc, D)
         jac = np.empty((len(idx), d_foc, d_foc))
         for j in range(d_foc):
             delta_x = h * chart[:, j, :]
@@ -568,61 +593,24 @@ def _focal_newton(fam, side, p, starts, tol=1e-13, max_iter=48, polish=2):
             qp = np.einsum("bnd,bde,e->bn", chart, prj_p, p)
             qm = np.einsum("bnd,bde,e->bn", chart, prj_m, p)
             jac[:, :, j] = (qp - qm) / (2 * h)
-        g0 = np.einsum("bnd,bd->bn", chart, q)
-        delta = -np.einsum("bij,bj->bi", np.linalg.pinv(jac, rcond=1e-12), g0)
-        norms = np.linalg.norm(delta, axis=1)
-        cap = 0.4
-        delta *= np.where(norms > cap, cap / np.maximum(norms, cap), 1.0)[:, None]
-        moved = Ya + np.einsum("bi,bid->bd", delta, chart)
-        moved, okm = _retract(fam, float(side), _normalize_rows(moved))
-        Y[idx[okm]] = moved[okm]
-        return idx[okm]
+        return _chart_step(fam, float(side), Ya, chart, jac, q)
 
-    active = np.ones(Y.shape[0], dtype=bool)
-    for _ in range(max_iter):
-        proj, _dims = _focal_tangent_projector(fam, Y)
-        q = np.einsum("bij,j->bi", proj, p)
-        rnorm = np.linalg.norm(q, axis=1)
-        active &= rnorm > tol
-        if not active.any():
-            break
-        idx = np.flatnonzero(active)
-        kept = step(idx)
-        dropped = np.setdiff1d(idx, kept)
-        active[dropped] = False
-    proj, _ = _focal_tangent_projector(fam, Y)
-    q = np.einsum("bij,j->bi", proj, p)
-    rnorm = np.linalg.norm(q, axis=1)
-    conv = rnorm <= tol
+    conv = _masked_newton(Y, residual, step, tol, max_iter) <= tol
     conv_idx = np.flatnonzero(conv)
     for _ in range(polish):
         if len(conv_idx):
-            step(conv_idx)
-    proj, _ = _focal_tangent_projector(fam, Y)
-    q = np.einsum("bij,j->bi", proj, p)
-    rnorm = np.linalg.norm(q, axis=1)
+            moved, ok = step(conv_idx, None)
+            Y[conv_idx[ok]] = moved[ok]
+    rnorm, _ = residual(Y)
     return Y[conv], rnorm[conv], d_foc
 
 
 def _focal_circle_points(fam, side, pole):
     """The g points where the normal great circle through the pole meets the
-    focal submanifold V = side, in closed form from the cosine profile."""
+    focal submanifold V = side, in closed form from the cosine profile.
+    Returns (eta, points (g, D))."""
     p = pole.coords
-    w = spherical_gradient(fam, pole)
-    wn = float(np.linalg.norm(w))
-    if wn < 1e-8:
-        raise PoleIsFocalError("the pole lies on the focal set")
-    eta = w / wn
-    g = fam.g
-    v0 = float(fam.polynomial.value(p))
-    psi0 = float(np.arccos(np.clip(v0, -1.0, 1.0))) / g
-    shift = 0.0 if side > 0 else np.pi / g
-    taus = []
-    for j in range(-g - 1, g + 2):
-        tau = psi0 - shift - 2 * np.pi * j / g
-        if -np.pi < tau <= np.pi:
-            taus.append(tau)
-    taus = sorted(set(np.round(taus, 14)))
+    eta, taus = _normal_circle(fam, pole, (0.0,) if side > 0 else (np.pi,))
     out = []
     for tau in taus:
         x = np.cos(tau) * p + np.sin(tau) * eta
@@ -637,42 +625,17 @@ def _focal_circle_points(fam, side, pole):
                 break
             tau -= slope / curv
             x = np.cos(tau) * p + np.sin(tau) * eta
-        out.append((tau, x))
-    return eta, out
+        out.append(x)
+    return eta, np.array(out)
 
 
 def _focal_index(fam, side, p, Y, d_foc):
     """Height-function Hessian index in the focal chart at each row of Y."""
     if d_foc == 0:
         return [0] * len(Y), [1.0] * len(Y)
-    proj, _ = _focal_tangent_projector(fam, Y)
-    w, v = np.linalg.eigh(proj)
-    chart = np.swapaxes(v[:, :, -d_foc:], 1, 2)
-    h = _H_HESSIAN
+    _proj, chart = _focal_chart(fam, Y, d_foc)
     indices, margins = [], []
-    pairs = [(i, j) for i in range(d_foc) for j in range(i + 1, d_foc)]
-    for k in range(Y.shape[0]):
-        moves = []
-        for i in range(d_foc):
-            moves.append(Y[k] + h * chart[k, i])
-            moves.append(Y[k] - h * chart[k, i])
-        for i, j in pairs:
-            moves.append(Y[k] + h * chart[k, i] + h * chart[k, j])
-            moves.append(Y[k] + h * chart[k, i] - h * chart[k, j])
-            moves.append(Y[k] - h * chart[k, i] + h * chart[k, j])
-            moves.append(Y[k] - h * chart[k, i] - h * chart[k, j])
-        moved, _ = _retract(fam, float(side), _normalize_rows(np.array(moves)),
-                            tol=1e-16, accept=1e-8)
-        ell = moved @ p
-        ell0 = float(Y[k] @ p)
-        hmat = np.empty((d_foc, d_foc))
-        for i in range(d_foc):
-            hmat[i, i] = (ell[2 * i] - 2 * ell0 + ell[2 * i + 1]) / h ** 2
-        base = 2 * d_foc
-        for widx, (i, j) in enumerate(pairs):
-            val = (ell[base + 4 * widx] - ell[base + 4 * widx + 1]
-                   - ell[base + 4 * widx + 2] + ell[base + 4 * widx + 3]) / (4 * h ** 2)
-            hmat[i, j] = hmat[j, i] = val
+    for hmat in _chart_hessians(fam, float(side), p, Y, chart, accept=1e-8):
         eig = np.linalg.eigvalsh(hmat)
         indices.append(int(np.sum(eig > 0)))  # index of d_p = #pos of Hess l_p
         abs_eig = np.abs(eig)
@@ -706,33 +669,20 @@ def focal_tautness_report(fam, side, num_poles=50, seed=0,
     while done < num_poles:
         pole = _draw_pole(fam, rng)
         try:
-            eta, circle = _focal_circle_points(fam, side, pole)
+            eta, circle_x = _focal_circle_points(fam, side, pole)
         except PoleIsFocalError:
             _reject_pole(report, rejected, "focal pole", num_poles)
             continue
         done += 1
         raw = rng.normal(size=(starts_per_pole, fam.ambient_dim))
         starts, ok = _project_batch(fam, float(side), raw)
-        starts = starts[ok]
-        sols, rnorm, d_foc = _focal_newton(fam, side, pole.coords, starts)
+        sols, rnorm, d_foc = _focal_newton(fam, side, pole.coords, starts[ok])
         unique = _dedup(fam, sols, rnorm)
-        circle_x = np.array([x for _tau, x in circle])
         # collinearity: independently found points must lie in span{p, eta}
         plane = np.stack([pole.coords, eta])
-        colin = 0.0
-        for row in unique:
-            res = row - plane.T @ (plane @ row)
-            colin = max(colin, float(np.linalg.norm(res)))
-        match = float("inf")
-        if len(unique) == len(circle_x):
-            match = 0.0
-            used = [False] * len(circle_x)
-            for row in unique:
-                dists = [np.arccos(np.clip(row @ c, -1, 1)) if not used[j]
-                         else np.inf for j, c in enumerate(circle_x)]
-                j = int(np.argmin(dists))
-                used[j] = True
-                match = max(match, float(dists[j]))
+        colin = max((float(np.linalg.norm(row - plane.T @ (plane @ row)))
+                     for row in unique), default=0.0)
+        match = _match_distance(unique, circle_x)
         indices, margins = _focal_index(fam, side, pole.coords, circle_x, d_foc)
         level_res = max(abs(abs(float(fam.polynomial.value(c))) - 1.0)
                         for c in circle_x)

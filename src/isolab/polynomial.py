@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import backend
+from . import _kernels_py as kernels
 from .errors import InputContractError
 
 
@@ -169,17 +169,17 @@ class CMPolynomial:
 
     def value(self, x):
         x = self._check_points(x)
-        return backend.eval_terms(self.coeffs, self.exps, x)
+        return kernels.eval_terms(self.coeffs, self.exps, x)
 
     def gradient(self, x):
         x = self._check_points(x)
         c, e, o = self._gradient_bank()
-        return backend.eval_bank(c, e, o, x)
+        return kernels.eval_bank(c, e, o, x)
 
     def hessian(self, x):
         x = self._check_points(x)
         c, e, o = self._hessian_bank()
-        flat = backend.eval_bank(c, e, o, x)
+        flat = kernels.eval_bank(c, e, o, x)
         d = self.ambient_dim
         iu = np.triu_indices(d)
         if flat.ndim == 1:
@@ -195,7 +195,7 @@ class CMPolynomial:
     def laplacian(self, x):
         x = self._check_points(x)
         c, e, o = self._laplacian_bank()
-        return backend.eval_bank(c, e, o, x).sum(axis=-1)
+        return kernels.eval_bank(c, e, o, x).sum(axis=-1)
 
 
 # -- dict arithmetic used to assemble catalog polynomials -------------------

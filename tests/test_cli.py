@@ -4,6 +4,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from isolab import catalog, family_to_json_obj
 from isolab.cli import main
 
@@ -150,3 +152,12 @@ def test_malformed_polynomial_file_is_usage_error(tmp_path, capsys):
 def test_unknown_user_polynomial_parameter_is_usage_error(capsys):
     assert_usage_error(capsys, "tight", "--family", "user-polynomial",
                        "--params", '{"bogus": 1}')
+
+
+@pytest.mark.parametrize("level", ["nan", "inf", "2"])
+@pytest.mark.parametrize("command", ["spectrum", "focal", "export-curves",
+                                     "export-mesh"])
+def test_level_outside_the_sphere_is_usage_error(tmp_path, capsys, command,
+                                                 level):
+    assert_usage_error(capsys, command, "--family", "cartan-cubic",
+                       "--level", level, "--out", str(tmp_path / "out"))

@@ -318,9 +318,85 @@ def test_pole_loops_give_up_after_the_rejection_budget(fam_clifford,
     monkeypatch.setattr(morse, "normal_circle_critical_points", focal)
     monkeypatch.setattr(morse, "_focal_circle_points", focal)
     with pytest.raises(SamplingError, match=r"rejected 1100 poles .*"
-                       r"near-focal index: 0, focal pole: 1100, "
-                       r"t at 0 or pi: 0"):
+                       r"\(focal pole: 1100, t at 0 or pi: 0\)"):
         tightness_report(fam_clifford, 0.3, num_poles=1, seed=24)
     with pytest.raises(SamplingError, match=r"rejected 1200 poles .*"
                        r"focal pole: 1200"):
         focal_tautness_report(fam_clifford, 1, num_poles=2, seed=24)
+
+
+def test_match_distance_resolves_nearly_equal_points():
+    rng = np.random.default_rng(31)
+    A = _normalize_rows(rng.normal(size=(4, 6)))
+    w = rng.normal(size=6)
+    w -= (w @ A[2]) * A[2]
+    w /= np.linalg.norm(w)
+    B = A[[3, 2, 0, 1]].copy()
+    B[1] = np.cos(1e-12) * A[2] + np.sin(1e-12) * w
+    assert abs(morse._match_distance(A, B) - 1e-12) <= 1e-15
+    assert morse._match_distance(A, A) == 0.0
+    assert morse._match_distance(A, B[:3]) == float("inf")
+
+
+def loop_chart_hessians(fam, level, p, X, charts, accept):
+    # the moves built one by one, the Hessians assembled entry by entry
+    m, k, _ = charts.shape
+    h = morse._H_HESSIAN
+    pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
+    moves = []
+    for r in range(m):
+        t = charts[r]
+        for i in range(k):
+            moves += [X[r] + h * t[i], X[r] - h * t[i]]
+        for i, j in pairs:
+            moves += [X[r] + h * t[i] + h * t[j], X[r] + h * t[i] - h * t[j],
+                      X[r] - h * t[i] + h * t[j], X[r] - h * t[i] - h * t[j]]
+    moved, _ = _project_batch(fam, level, _normalize_rows(np.array(moves)),
+                              tol=1e-16, accept=accept)
+    ell, ell0 = moved @ p, X @ p
+    per = 2 * k + 4 * len(pairs)
+    out = np.empty((m, k, k))
+    for r in range(m):
+        e = ell[r * per:(r + 1) * per]
+        for i in range(k):
+            out[r, i, i] = (e[2 * i] - 2 * ell0[r] + e[2 * i + 1]) / h ** 2
+        for w, (i, j) in enumerate(pairs):
+            q = e[2 * k + 4 * w:2 * k + 4 * w + 4]
+            out[r, i, j] = out[r, j, i] = \
+                (q[0] - q[1] - q[2] + q[3]) / (4 * h ** 2)
+    return out
+
+
+def test_chart_hessians_match_entrywise_loop(fam_cartan, fam_nomizu):
+    for fam, s in ((fam_cartan, 0.2), (fam_nomizu, 0.3)):
+        pole = morse._draw_pole(fam, np.random.default_rng(41))
+        X = np.array([sp.x.coords for sp in normal_circle_critical_points(
+            fam, s, pole, classify=False)])
+        _xi, frames = _frames_batch(fam, X)
+        hessians, _ts = morse._hessian_stencil(fam, s, pole.coords, X)
+        # same moves, same retraction batch: bit for bit
+        assert np.array_equal(hessians, loop_chart_hessians(
+            fam, s, pole.coords, X, frames, accept=1e-9)), fam.label
+
+
+def test_focal_index_matches_per_point_loop(fam_cartan, fam_nomizu):
+    for fam in (fam_cartan, fam_nomizu):
+        pole = morse._draw_pole(fam, np.random.default_rng(37))
+        for side in (1, -1):
+            _eta, Y = morse._focal_circle_points(fam, side, pole)
+            _proj, dims = morse._focal_tangent_projector(fam, Y)
+            d_foc = int(dims[0])
+            indices, margins = morse._focal_index(fam, side, pole.coords, Y,
+                                                  d_foc)
+            _proj, chart = morse._focal_chart(fam, Y, d_foc)
+            want_i, want_m = [], []
+            for k in range(len(Y)):  # one retraction batch per point
+                eig = np.linalg.eigvalsh(loop_chart_hessians(
+                    fam, side, pole.coords, Y[k:k + 1], chart[k:k + 1],
+                    accept=1e-8)[0])
+                want_i.append(int(np.sum(eig > 0)))
+                want_m.append(np.abs(eig).min() / np.abs(eig).max())
+            assert indices == want_i, (fam.label, side)
+            # regrouping the retraction batch moves last bits only
+            assert np.allclose(margins, want_m, rtol=1e-6, atol=0), \
+                (fam.label, side, margins, want_m)
