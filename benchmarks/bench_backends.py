@@ -2,9 +2,9 @@
 """Time the polynomial evaluation kernel.
 
 Measures the two workloads that dominate the package: single/batch term-list
-evaluation (the Newton and classification inner loops) and the residual
-sweep of the defining identities (value + gradient bank + Laplacian bank at
-10^4 points).
+evaluation (the value, the gradient bank and the third-derivative bank of the
+Newton and classification inner loops) and the residual sweep of the defining
+identities (value + gradient bank + Laplacian bank at 10^4 points).
 
     python benchmarks/bench_backends.py [--quick]
 """
@@ -32,7 +32,7 @@ def bench(quick=False):
     fam = catalog("nomizu-quartic", n=2)
     poly = fam.polynomial
     rng = np.random.default_rng(0)
-    c, e, o = poly._gradient_bank()
+    banks = [(kind, poly._bank(kind)) for kind in ("gradient", "third")]
 
     sizes = [1, 100, 10_000] if not quick else [1, 100]
     print(f"{'workload':<28} {'python':>10}")
@@ -42,8 +42,9 @@ def bench(quick=False):
         dt = time_call(lambda: _kernels_py.eval_terms(poly.coeffs, poly.exps, X),
                        repeats)
         print(f"{'value, N=%-6d' % n:<28} {dt * 1e6:>8.1f}us")
-        dt = time_call(lambda: _kernels_py.eval_bank(c, e, o, X), repeats)
-        print(f"{'gradient bank, N=%-6d' % n:<28} {dt * 1e6:>8.1f}us")
+        for kind, bank in banks:
+            dt = time_call(lambda: _kernels_py.eval_bank(*bank, X), repeats)
+            print(f"{'%s bank, N=%-6d' % (kind, n):<28} {dt * 1e6:>8.1f}us")
 
     # end-to-end residual sweep through the public path
     n_sweep = 2000 if quick else 10_000

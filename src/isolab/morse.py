@@ -35,7 +35,6 @@ from .sphere import SpherePoint
 
 NEWTON_TOL = 1e-11
 DEDUP_RADIUS = 1e-6
-_H_JACOBIAN = 1e-6
 _H_HESSIAN = 1e-4
 _DEGENERATE_REPORT = 1e-6   # flag threshold in reports
 _DEGENERATE_PROBE = 1e-4    # threshold used by the totally-focal probe
@@ -116,10 +115,6 @@ def _tangential_residual(fam, p, X, xi):
             - np.einsum("ij,j->i", xi, p)[:, None] * xi)
 
 
-def _retract(fam, s, X, tol=1e-15, accept=1e-11):
-    return _project_batch(fam, s, X, tol=tol, accept=accept)
-
-
 def _newton_jacobian(fam, p, X, xi, frames):
     """Jacobian of the tangential residual in the tangent frame at each row of
     X: the Riemannian Hessian of the height function l_p on M_s,
@@ -147,7 +142,8 @@ def _chart_step(fam, level, X, chart, jac, resid):
     norms = np.linalg.norm(delta, axis=1)
     delta *= np.where(norms > 0.4, 0.4 / np.maximum(norms, 0.4), 1.0)[:, None]
     moved = X + np.einsum("bi,bid->bd", delta, chart)
-    return _retract(fam, level, _normalize_rows(moved))
+    return _project_batch(fam, level, _normalize_rows(moved), tol=1e-15,
+                          accept=1e-11)
 
 
 def _masked_newton(X, residual, step, tol, max_iter):
@@ -235,8 +231,8 @@ def _chart_hessians(fam, level, p, X, charts, accept):
                       minus[:, iu] + step[:, ju], minus[:, iu] - step[:, ju]],
                      axis=2).reshape(m, 4 * len(iu), d)
     moves = np.concatenate([singles, pairs], axis=1).reshape(-1, d)
-    moved, _ = _retract(fam, level, _normalize_rows(moves), tol=1e-16,
-                        accept=accept)
+    moved, _ = _project_batch(fam, level, _normalize_rows(moves), tol=1e-16,
+                              accept=accept)
     ell = (moved @ p).reshape(m, -1)
     quad = ell[:, 2 * k:].reshape(m, len(iu), 4)
     hessians = np.empty((m, k, k))
@@ -548,18 +544,42 @@ def _focal_tangent_projector(fam, Y):
     return proj, dims
 
 
-def _focal_chart(fam, Y, d_foc):
-    """Tangent projectors of the focal submanifold at the rows of Y, and
-    chart bases from their top-d_foc eigenvectors: ((B, D, D), (B, d_foc, D))."""
-    proj, _ = _focal_tangent_projector(fam, Y)
+def _focal_chart(proj, d_foc):
+    """Chart bases (B, d_foc, D) of the focal tangent spaces: the top-d_foc
+    eigenvectors of the tangent projectors `proj` (B, D, D)."""
     _w, v = np.linalg.eigh(proj)
-    return proj, np.swapaxes(v[:, :, -d_foc:], 1, 2)
+    return np.swapaxes(v[:, :, -d_foc:], 1, 2)
+
+
+def _focal_jacobian(fam, side, p, Y, chart, q):
+    """The exact Jacobian of `_focal_newton` at the rows of Y, in the chart
+    rows `chart` (B, d_foc, D), given q = P(y) p.  One third-derivative bank
+    call per batch."""
+    py = Y @ p
+    normal = p[None, :] - py[:, None] * Y - q
+    third = fam.polynomial.hessian_along(Y, normal)
+    return (-py[:, None, None] * np.eye(chart.shape[1]) + side / fam.g ** 2
+            * np.einsum("bid,bde,bje->bij", chart, third, chart))
 
 
 def _focal_newton(fam, side, p, starts, tol=1e-13, max_iter=48, polish=2):
     """Newton multistart for critical points of d_p on the focal submanifold
-    V = side: zeros of the projection of p onto the (smoothly varying)
-    tangent spaces, with retraction back to the focal level.
+    M = {V = side}: zeros of the projection P(y) p of p onto the tangent
+    spaces, each move retracted back to the focal level.
+
+    The Jacobian (`_focal_jacobian`) in the chart of orthonormal rows u_i of
+    T_yM is exact, the Riemannian Hessian <II(u_i, u_j), p> of the height
+    function on M:
+
+        J_ij = -<p, y> delta_ij + (side / g^2) D^3F(y)[u_i, u_j, p_N],
+
+    with p_N = p - <p, y> y - P(y) p the sphere-normal part of p.  The first
+    term is the sphere's.  The second is M's second fundamental form in the
+    sphere: along M the spherical gradient of V vanishes and its Hessian is
+    -side g^2 on the normal space, so differentiating Hess V(v, nu) = 0
+    along M gives <II(u, v), nu> = (side / g^2) nabla^3 V(u, v, nu), and at
+    critical points of V that covariant derivative is D^3F on vectors
+    orthogonal to y.  Each step reuses the residual's projectors.
 
     After the masked iteration, every converged point gets `polish`
     unconditional extra steps: along nearly degenerate Hessian directions
@@ -573,36 +593,27 @@ def _focal_newton(fam, side, p, starts, tol=1e-13, max_iter=48, polish=2):
     if d_foc == 0:
         # the focal set is a point; every projected start already solves it
         return Y, np.zeros(Y.shape[0]), 0
-    h = _H_JACOBIAN
 
     def residual(Y):
         proj, _ = _focal_tangent_projector(fam, Y)
-        return np.linalg.norm(np.einsum("bij,j->bi", proj, p), axis=1), None
+        q = np.einsum("bij,j->bi", proj, p)
+        return np.linalg.norm(q, axis=1), (proj, q)
 
-    def step(idx, _state):
-        Ya = Y[idx]
-        proj_a, chart = _focal_chart(fam, Ya, d_foc)
-        q = np.einsum("bij,j->bi", proj_a, p)
-        jac = np.empty((len(idx), d_foc, d_foc))
-        for j in range(d_foc):
-            delta_x = h * chart[:, j, :]
-            plus, _ = _retract(fam, float(side), _normalize_rows(Ya + delta_x))
-            minus, _ = _retract(fam, float(side), _normalize_rows(Ya - delta_x))
-            prj_p, _ = _focal_tangent_projector(fam, plus)
-            prj_m, _ = _focal_tangent_projector(fam, minus)
-            qp = np.einsum("bnd,bde,e->bn", chart, prj_p, p)
-            qm = np.einsum("bnd,bde,e->bn", chart, prj_m, p)
-            jac[:, :, j] = (qp - qm) / (2 * h)
+    def move(Ya, proj, q):
+        chart = _focal_chart(proj, d_foc)
+        jac = _focal_jacobian(fam, side, p, Ya, chart, q)
         return _chart_step(fam, float(side), Ya, chart, jac, q)
 
-    conv = _masked_newton(Y, residual, step, tol, max_iter) <= tol
-    conv_idx = np.flatnonzero(conv)
+    def step(idx, state):
+        proj, q = state
+        return move(Y[idx], proj[idx], q[idx])
+
+    sols = Y[_masked_newton(Y, residual, step, tol, max_iter) <= tol]
     for _ in range(polish):
-        if len(conv_idx):
-            moved, ok = step(conv_idx, None)
-            Y[conv_idx[ok]] = moved[ok]
-    rnorm, _ = residual(Y)
-    return Y[conv], rnorm[conv], d_foc
+        if len(sols):
+            moved, ok = move(sols, *residual(sols)[1])
+            sols[ok] = moved[ok]
+    return sols, residual(sols)[0], d_foc
 
 
 def _focal_circle_points(fam, side, pole):
@@ -633,7 +644,8 @@ def _focal_index(fam, side, p, Y, d_foc):
     """Height-function Hessian index in the focal chart at each row of Y."""
     if d_foc == 0:
         return [0] * len(Y), [1.0] * len(Y)
-    _proj, chart = _focal_chart(fam, Y, d_foc)
+    proj, _ = _focal_tangent_projector(fam, Y)
+    chart = _focal_chart(proj, d_foc)
     indices, margins = [], []
     for hmat in _chart_hessians(fam, float(side), p, Y, chart, accept=1e-8):
         eig = np.linalg.eigvalsh(hmat)

@@ -42,8 +42,7 @@ class CMPolynomial:
     symbolic derivative term lists on first use.
     """
 
-    __slots__ = ("ambient_dim", "degree", "coeffs", "exps", "_grad_bank",
-                 "_hess_bank", "_lap_bank")
+    __slots__ = ("ambient_dim", "degree", "coeffs", "exps", "_banks")
 
     def __init__(self, ambient_dim, degree, terms):
         ambient_dim = int(ambient_dim)
@@ -60,9 +59,7 @@ class CMPolynomial:
         self.degree = degree
         self.coeffs = np.ascontiguousarray([c for c, _ in canon], dtype=np.float64)
         self.exps = np.ascontiguousarray([e for _, e in canon], dtype=np.int64)
-        self._grad_bank = None
-        self._hess_bank = None
-        self._lap_bank = None
+        self._banks = {}
 
     @classmethod
     def from_dict(cls, ambient_dim, degree, mapping):
@@ -98,64 +95,34 @@ class CMPolynomial:
 
     def partial(self, i):
         """Symbolic partial derivative with respect to coordinate i."""
-        out = []
-        for c, e in self.terms():
-            if e[i] > 0:
-                de = list(e)
-                de[i] -= 1
-                out.append((c * e[i], tuple(de)))
-        return CMPolynomial(self.ambient_dim, max(self.degree - 1, 0), out)
+        return CMPolynomial(self.ambient_dim, max(self.degree - 1, 0),
+                            _power_rule(self.terms(), i))
 
-    def _partial_terms(self, i, j=None):
-        # raw term list of dF/dx_i (or d2F/dx_i dx_j), possibly empty
-        out = []
-        for c, e in self.terms():
-            if e[i] == 0:
-                continue
-            c1 = c * e[i]
-            e1 = list(e)
-            e1[i] -= 1
-            if j is None:
-                out.append((c1, tuple(e1)))
-            elif e1[j] > 0:
-                e2 = list(e1)
-                e2[j] -= 1
-                out.append((c1 * e1[j], tuple(e2)))
-        return out
-
-    @staticmethod
-    def _pack_bank(dim, polys):
-        coeffs, exps, offsets = [], [], [0]
-        zero_row = (0.0, (0,) * dim)
-        for terms in polys:
-            if not terms:
-                terms = [zero_row]  # keep segments non-empty for reduceat
-            for c, e in terms:
-                coeffs.append(c)
-                exps.append(e)
-            offsets.append(len(coeffs))
-        return (np.ascontiguousarray(coeffs, dtype=np.float64),
-                np.ascontiguousarray(exps, dtype=np.int64),
-                np.ascontiguousarray(offsets, dtype=np.int64))
-
-    def _gradient_bank(self):
-        if self._grad_bank is None:
-            polys = [self._partial_terms(i) for i in range(self.ambient_dim)]
-            self._grad_bank = self._pack_bank(self.ambient_dim, polys)
-        return self._grad_bank
-
-    def _hessian_bank(self):
-        if self._hess_bank is None:
+    def _bank(self, kind):
+        """Packed term lists (coeffs, exps, offsets) of the derivatives
+        d_{a_1} ... d_{a_r} F for every multi-index of `kind`, built on first
+        use and cached: 'gradient' (i), 'hessian' (i <= j), 'laplacian' (i, i)
+        and 'third' (k, i, j) with i <= j."""
+        if kind not in self._banks:
             d = self.ambient_dim
-            polys = [self._partial_terms(i, j) for i in range(d) for j in range(i, d)]
-            self._hess_bank = self._pack_bank(d, polys)
-        return self._hess_bank
-
-    def _laplacian_bank(self):
-        if self._lap_bank is None:
-            polys = [self._partial_terms(i, i) for i in range(self.ambient_dim)]
-            self._lap_bank = self._pack_bank(self.ambient_dim, polys)
-        return self._lap_bank
+            upper = [(i, j) for i in range(d) for j in range(i, d)]
+            multi = {"gradient": [(i,) for i in range(d)],
+                     "hessian": upper,
+                     "laplacian": [(i, i) for i in range(d)],
+                     "third": [(k,) + ij for k in range(d) for ij in upper]}[kind]
+            packed, offsets = [], [0]
+            for index in multi:
+                terms = self.terms()
+                for i in index:
+                    terms = _power_rule(terms, i)
+                # an explicit zero term keeps segments non-empty for reduceat
+                packed += terms or [(0.0, (0,) * d)]
+                offsets.append(len(packed))
+            self._banks[kind] = (
+                np.array([c for c, _ in packed], dtype=np.float64),
+                np.array([e for _, e in packed], dtype=np.int64),
+                np.array(offsets, dtype=np.int64))
+        return self._banks[kind]
 
     # -- evaluation ---------------------------------------------------------
 
@@ -167,35 +134,49 @@ class CMPolynomial:
             )
         return x
 
+    def _eval_bank(self, kind, x):
+        return kernels.eval_bank(*self._bank(kind), self._check_points(x))
+
     def value(self, x):
         x = self._check_points(x)
         return kernels.eval_terms(self.coeffs, self.exps, x)
 
     def gradient(self, x):
-        x = self._check_points(x)
-        c, e, o = self._gradient_bank()
-        return kernels.eval_bank(c, e, o, x)
+        return self._eval_bank("gradient", x)
 
     def hessian(self, x):
-        x = self._check_points(x)
-        c, e, o = self._hessian_bank()
-        flat = kernels.eval_bank(c, e, o, x)
+        return _unpack_upper(self._eval_bank("hessian", x), self.ambient_dim)
+
+    def hessian_along(self, x, w):
+        """The third derivative contracted with w, D^3F(x)[., ., w]: the
+        directional derivative of the Hessian along w, per row of x and w."""
         d = self.ambient_dim
-        iu = np.triu_indices(d)
-        if flat.ndim == 1:
-            h = np.zeros((d, d))
-            h[iu] = flat
-            h.T[iu] = flat
-            return h
-        h = np.zeros(flat.shape[:-1] + (d, d))
-        h[(...,) + iu] = flat
-        h.swapaxes(-1, -2)[(...,) + iu] = flat
-        return h
+        flat = self._eval_bank("third", x)
+        flat = flat.reshape(flat.shape[:-1] + (d, -1))
+        return _unpack_upper(np.einsum("...kp,...k->...p", flat, w), d)
 
     def laplacian(self, x):
-        x = self._check_points(x)
-        c, e, o = self._laplacian_bank()
-        return kernels.eval_bank(c, e, o, x).sum(axis=-1)
+        return self._eval_bank("laplacian", x).sum(axis=-1)
+
+
+def _power_rule(terms, i):
+    """Term list of d/dx_i of the term list `terms` (possibly empty)."""
+    out = []
+    for c, e in terms:
+        if e[i] > 0:
+            de = list(e)
+            de[i] -= 1
+            out.append((c * e[i], tuple(de)))
+    return out
+
+
+def _unpack_upper(flat, d):
+    """Symmetric (..., d, d) matrices from their row-major upper triangles."""
+    iu = np.triu_indices(d)
+    h = np.zeros(flat.shape[:-1] + (d, d))
+    h[(...,) + iu] = flat
+    h.swapaxes(-1, -2)[(...,) + iu] = flat
+    return h
 
 
 # -- dict arithmetic used to assemble catalog polynomials -------------------

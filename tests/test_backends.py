@@ -39,8 +39,8 @@ def test_eval_terms_matches_loop_oracle():
 
 def test_eval_bank_matches_loop_oracle():
     poly, X = _poly_and_points(1)
-    for c, e, o in (poly._gradient_bank(), poly._hessian_bank(),
-                    poly._laplacian_bank()):
+    for kind in ("gradient", "hessian", "laplacian", "third"):
+        c, e, o = poly._bank(kind)
         got = _kernels_py.eval_bank(c, e, o, X)
         want = np.array([[loop_eval(c[a:b], e[a:b], x)
                           for a, b in zip(o[:-1], o[1:])] for x in X])
@@ -48,6 +48,18 @@ def test_eval_bank_matches_loop_oracle():
         assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
         single = _kernels_py.eval_bank(c, e, o, X[5])
         assert np.abs(single - want[5]).max() <= 1e-12 * max(1.0, np.abs(want).max())
+
+
+def test_hessian_along_is_the_derivative_of_the_hessian():
+    poly, X = _poly_and_points(3)
+    W = np.random.default_rng(4).normal(size=X.shape)
+    want = sum(W[:, k, None, None] * poly.partial(k).hessian(X)
+               for k in range(poly.ambient_dim))
+    got = poly.hessian_along(X, W)
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+    single = poly.hessian_along(X[5], W[5])
+    assert np.abs(single - want[5]).max() <= 1e-12 * max(1.0, np.abs(want).max())
 
 
 def test_readonly_and_strided_input_accepted():

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from isolab import (InputContractError, PoleIsFocalError, SamplingError,
-                    SpherePoint, critical_points_newton, focal_tautness_report,
-                    index_via_focal_count, normal_circle_critical_points,
-                    sample_points, spherical_distance, tightness_report,
-                    totally_focal_probe)
+                    SpherePoint, catalog, critical_points_newton,
+                    focal_tautness_report, index_via_focal_count,
+                    normal_circle_critical_points, sample_points,
+                    spherical_distance, tightness_report, totally_focal_probe)
 from isolab import morse
 from isolab.levelset import (_frames_batch, _normalize_rows, _project_batch,
                              spherical_gradient)
@@ -290,6 +290,51 @@ def test_exact_newton_jacobian_matches_finite_differences(
         assert (err <= 1e-5 * scale).all(), (fam.label, (err / scale).max())
 
 
+def fd_focal_jacobian(fam, side, p, Y, chart, h=1e-6):
+    """Reference for `_focal_jacobian`: central differences of the chart
+    coordinates of P(y) p along each chart vector, with retraction to the
+    focal level V = side."""
+    n = chart.shape[1]
+    jac = np.empty((len(Y), n, n))
+    for j in range(n):
+        step = h * chart[:, j, :]
+        plus, okp = _project_batch(fam, float(side), _normalize_rows(Y + step),
+                                   tol=1e-15, accept=1e-11)
+        minus, okm = _project_batch(fam, float(side),
+                                    _normalize_rows(Y - step),
+                                    tol=1e-15, accept=1e-11)
+        assert okp.all() and okm.all()
+        prj_p, _ = morse._focal_tangent_projector(fam, plus)
+        prj_m, _ = morse._focal_tangent_projector(fam, minus)
+        qp = np.einsum("bnd,bde,e->bn", chart, prj_p, p)
+        qm = np.einsum("bnd,bde,e->bn", chart, prj_m, p)
+        jac[:, :, j] = (qp - qm) / (2 * h)
+    return jac
+
+
+def test_exact_focal_jacobian_matches_finite_differences():
+    rng = np.random.default_rng(43)
+    for fam in (catalog("cartan-cubic"), catalog("nomizu-quartic", n=2),
+                catalog("nomizu-quartic", n=3), catalog("clifford", k=2, n=7)):
+        for side in (1, -1):
+            Y, ok = _project_batch(fam, float(side),
+                                   rng.normal(size=(6, fam.ambient_dim)))
+            Y = Y[ok]
+            p = rng.normal(size=fam.ambient_dim)
+            p /= np.linalg.norm(p)
+            proj, dims = morse._focal_tangent_projector(fam, Y)
+            d_foc = int(dims[0])
+            assert len(Y) >= 4 and (dims == d_foc).all() and d_foc > 0
+            chart = morse._focal_chart(proj, d_foc)
+            q = np.einsum("bij,j->bi", proj, p)
+            exact = morse._focal_jacobian(fam, side, p, Y, chart, q)
+            oracle = fd_focal_jacobian(fam, side, p, Y, chart)
+            scale = np.linalg.norm(oracle, axis=(1, 2))
+            err = np.linalg.norm(exact - oracle, axis=(1, 2))
+            assert (err <= 1e-6 * scale).all(), \
+                (fam.label, side, (err / scale).max())
+
+
 def test_hessian_stencil_never_uses_the_hessian_bank(fam_nomizu, monkeypatch):
     # index route one must stay a finite difference of the height function,
     # independent of the shape operator that drives index route two
@@ -308,6 +353,37 @@ def test_hessian_stencil_never_uses_the_hessian_bank(fam_nomizu, monkeypatch):
     hessians, ts = morse._hessian_stencil(fam_nomizu, 0.3, pole.coords, X)
     assert calls == []
     assert np.isfinite(hessians).all() and len(ts) == len(X)
+
+
+def test_focal_newton_retracts_once_per_step(fam_nomizu, monkeypatch):
+    # the exact Jacobian needs no retraction; the focal index witness stays
+    # a finite difference, so it never reads the third-derivative bank
+    pole = morse._draw_pole(fam_nomizu, np.random.default_rng(47))
+    starts, ok = _project_batch(fam_nomizu, 1.0, np.random.default_rng(
+        48).normal(size=(24, fam_nomizu.ambient_dim)))
+    counts = {"retract": 0, "step": 0, "third": 0}
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(morse, "_project_batch",
+                        counting("retract", morse._project_batch))
+    monkeypatch.setattr(morse, "_chart_step",
+                        counting("step", morse._chart_step))
+    monkeypatch.setattr(CMPolynomial, "hessian_along",
+                        counting("third", CMPolynomial.hessian_along))
+    sols, _rnorm, d_foc = morse._focal_newton(fam_nomizu, 1, pole.coords,
+                                              starts[ok])
+    assert len(sols) > 0 and counts["step"] > 0
+    assert counts["retract"] <= counts["step"] == counts["third"]
+    counts["third"] = 0
+    _eta, Y = morse._focal_circle_points(fam_nomizu, 1, pole)
+    indices, _margins = morse._focal_index(fam_nomizu, 1, pole.coords, Y,
+                                           d_foc)
+    assert counts["third"] == 0 and len(indices) == len(Y)
 
 
 def test_pole_loops_give_up_after_the_rejection_budget(fam_clifford,
@@ -384,11 +460,11 @@ def test_focal_index_matches_per_point_loop(fam_cartan, fam_nomizu):
         pole = morse._draw_pole(fam, np.random.default_rng(37))
         for side in (1, -1):
             _eta, Y = morse._focal_circle_points(fam, side, pole)
-            _proj, dims = morse._focal_tangent_projector(fam, Y)
+            proj, dims = morse._focal_tangent_projector(fam, Y)
             d_foc = int(dims[0])
             indices, margins = morse._focal_index(fam, side, pole.coords, Y,
                                                   d_foc)
-            _proj, chart = morse._focal_chart(fam, Y, d_foc)
+            chart = morse._focal_chart(proj, d_foc)
             want_i, want_m = [], []
             for k in range(len(Y)):  # one retraction batch per point
                 eig = np.linalg.eigvalsh(loop_chart_hessians(
