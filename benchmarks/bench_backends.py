@@ -1,12 +1,18 @@
 #!/usr/bin/env python3
-"""Time the polynomial evaluation kernel.
+"""Time the polynomial evaluation kernel, bank by bank.
 
-Measures the two workloads that dominate the package: single/batch term-list
-evaluation (the value, the gradient bank and the third-derivative bank of the
-Newton and classification inner loops) and the residual sweep of the defining
-identities (value + gradient bank + Laplacian bank at 10^4 points).
+For nomizu-quartic n=2 (d=6) and n=5 (d=12) it prints the cost of one bank
+call in ns per point at N = 1, 240 and 24 000 points: the value, gradient,
+Hessian and Laplacian banks, and the third-derivative bank as the focal
+solver reads it (`hessian_along`; at N <= 240 only, its d=12 output at
+24 000 points would take 180 MB).  A bank-build row gives the milliseconds
+to construct the polynomial from its terms and build all five coefficient
+matrices.  The last line times the residual sweep of the defining identities
+(the gradient and Laplacian banks) through the public path.
 
     python benchmarks/bench_backends.py [--quick]
+
+`--quick` drops N = 24 000 and shortens the sweep.
 """
 
 import argparse
@@ -18,39 +24,63 @@ import numpy as np
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
-from isolab import _kernels_py, catalog, verify_munzner  # noqa: E402
+from isolab import catalog, verify_munzner  # noqa: E402
+from isolab.polynomial import CMPolynomial  # noqa: E402
+
+KINDS = ("value", "gradient", "hessian", "laplacian", "third")
+THIRD_MAX_N = 240
 
 
 def time_call(fn, repeats):
+    fn()
     t0 = time.perf_counter()
     for _ in range(repeats):
         fn()
     return (time.perf_counter() - t0) / repeats
 
 
-def bench(quick=False):
-    fam = catalog("nomizu-quartic", n=2)
-    poly = fam.polynomial
-    rng = np.random.default_rng(0)
-    banks = [(kind, poly._bank(kind)) for kind in ("gradient", "third")]
+def bank_calls(poly, X):
+    W = np.ones_like(X)
+    return {"value": lambda: poly.value(X),
+            "gradient": lambda: poly.gradient(X),
+            "hessian": lambda: poly.hessian(X),
+            "laplacian": lambda: poly.laplacian(X),
+            "third": lambda: poly.hessian_along(X, W)}
 
-    sizes = [1, 100, 10_000] if not quick else [1, 100]
-    print(f"{'workload':<28} {'python':>10}")
-    for n in sizes:
-        X = np.ascontiguousarray(rng.normal(size=(n, poly.ambient_dim)))
-        repeats = max(3, min(2000, 20_000 // n))
-        dt = time_call(lambda: _kernels_py.eval_terms(poly.coeffs, poly.exps, X),
-                       repeats)
-        print(f"{'value, N=%-6d' % n:<28} {dt * 1e6:>8.1f}us")
-        for kind, bank in banks:
-            dt = time_call(lambda: _kernels_py.eval_bank(*bank, X), repeats)
-            print(f"{'%s bank, N=%-6d' % (kind, n):<28} {dt * 1e6:>8.1f}us")
+
+def bench(quick=False):
+    sizes = [1, 240] if quick else [1, 240, 24_000]
+    print(f"{'bank (ns/pt)':<20}" + "".join(f"{'N=%d' % n:>12}" for n in sizes))
+    rng = np.random.default_rng(0)
+    for n in (2, 5):
+        poly = catalog("nomizu-quartic", n=n).polynomial
+        d = poly.ambient_dim
+        points = {size: rng.normal(size=(size, d)) for size in sizes}
+        points[1] = points[1][0]
+        for kind in KINDS:
+            cells = []
+            for size in sizes:
+                if kind == "third" and size > THIRD_MAX_N:
+                    cells.append(f"{'-':>12}")
+                    continue
+                repeats = max(3, min(2000, 100_000 // size)) // (4 if quick else 1)
+                dt = time_call(bank_calls(poly, points[size])[kind], repeats)
+                cells.append(f"{dt * 1e9 / size:>12.0f}")
+            print(f"{'d=%d %s' % (d, kind):<20}" + "".join(cells))
+
+        def build():
+            fresh = CMPolynomial(d, poly.degree, poly.terms())
+            for kind in KINDS:
+                fresh._bank(kind)
+        print(f"{'d=%d bank build' % d:<20}{time_call(build, 3) * 1e3:>10.1f}ms")
 
     # end-to-end residual sweep through the public path
-    n_sweep = 2000 if quick else 10_000
+    fam = catalog("nomizu-quartic", n=5)
+    n_sweep = 2000 if quick else 100_000
     t0 = time.perf_counter()
-    verify_munzner(fam, num_points=n_sweep)
-    print(f"residual sweep ({n_sweep} pts): {time.perf_counter() - t0:.3f} s")
+    verify_munzner(fam, num_points=n_sweep, radius=2.0)
+    print(f"residual sweep, d=12 ({n_sweep} pts): "
+          f"{time.perf_counter() - t0:.3f} s")
 
 
 if __name__ == "__main__":

@@ -1,13 +1,27 @@
-"""Numpy kernels for term-list polynomial evaluation.
+"""Numpy kernel for polynomial banks over monomial tables.
 
-The hot path of the whole package: evaluating term-list polynomials (value,
-gradient bank, Hessian bank) at one or many points.  Both functions take the
-packed representation used by :mod:`isolab.polynomial`: coefficients
-``(T,)`` float64, exponents ``(T, D)`` int64, and either one point ``(D,)``
-or a batch of points ``(N, D)``.
+The hot path of the whole package: evaluating a bank of homogeneous
+polynomials (the value, the gradient, the Hessian, ... of one polynomial) at
+one or many points.  :mod:`isolab.polynomial` describes a bank by
+
+* `steps`, one ``(var, parent)`` pair of int arrays per degree k = 1..deg:
+  the degree-k monomials of the table are ``x[var] * m_{k-1}[parent]``, so
+  the table is built from the constant monomial up with one gather-multiply
+  per degree, not one per coordinate;
+* `matrix`, the ``(width of the degree-deg table, P)`` coefficient matrix;
+
+and one bank evaluation is the table chain followed by one matmul.  Rows are
+processed in blocks of `BLOCK_ROWS`, so the tables never grow with the
+batch.  Points are one point ``(D,)`` or a batch of points ``(N, D)``.
 """
 
 import numpy as np
+
+# Rows per block, sized from the widest table of the catalog's hot families:
+# nomizu-quartic n=5's 204 degree-3 monomials take about 0.8 MB at 512 rows,
+# within a typical L2 cache, and even nomizu-quartic n=20 (2604 monomials)
+# keeps a block near 10 MB however many rows a call brings.
+BLOCK_ROWS = 512
 
 
 def backend_name():
@@ -15,45 +29,26 @@ def backend_name():
     return "python"
 
 
-def _as_rows(points):
-    # (N, D) contiguous float64 rows, and whether a single point was given
-    points = np.ascontiguousarray(points, dtype=np.float64)
-    single = points.ndim == 1
-    return (points[None, :] if single else points), single
+def _table(steps, cols):
+    # the top-degree monomials of the chain, one row per monomial, at the
+    # points whose coordinates are the rows of cols (D, n)
+    table = np.ones((1, cols.shape[1]))
+    for var, parent in steps:
+        table = cols.take(var, axis=0) * table.take(parent, axis=0)
+    return table
 
 
-def _monomials(exps, points):
-    # (N, T) matrix of monomial values; per-dimension power tables keep the
-    # exponentiation integer and cheap.
-    n = points.shape[0]
-    t, d = exps.shape
-    acc = np.ones((n, t))
-    for j in range(d):
-        e = exps[:, j]
-        top = int(e.max()) if t else 0
-        if top == 0:
-            continue
-        table = points[:, j, None] ** np.arange(top + 1)
-        acc *= table[:, e]
-    return acc
+def eval_bank(steps, matrix, points):
+    """Evaluate the bank ``table(points) @ matrix`` block by block.
 
-
-def eval_terms(coeffs, exps, points):
-    """Evaluate one term-list polynomial at each row of `points` (a float
-    for a single point)."""
-    rows, single = _as_rows(points)
-    out = _monomials(exps, rows) @ coeffs
-    return float(out[0]) if single else out
-
-
-def eval_bank(coeffs, exps, offsets, points):
-    """Evaluate a bank of polynomials packed end to end.
-
-    `offsets` has length P+1; polynomial p owns terms
-    ``offsets[p]:offsets[p+1]``.  Segments must be non-empty (the packer
-    inserts an explicit zero term for vanishing derivatives).  Returns
-    ``(N, P)``, or ``(P,)`` for a single point.
+    Returns ``(N, P)``, or ``(P,)`` for a single point.
     """
-    rows, single = _as_rows(points)
-    out = np.add.reduceat(_monomials(exps, rows) * coeffs, offsets[:-1], axis=1)
+    points = np.asarray(points, dtype=np.float64)
+    single = points.ndim == 1
+    # coordinate-major copy: each table row gathers contiguous runs
+    cols = np.ascontiguousarray(np.atleast_2d(points).T)
+    out = np.empty((cols.shape[1], matrix.shape[1]))
+    for lo in range(0, cols.shape[1], BLOCK_ROWS):
+        hi = lo + BLOCK_ROWS
+        np.matmul(_table(steps, cols[:, lo:hi]).T, matrix, out=out[lo:hi])
     return out[0] if single else out

@@ -146,24 +146,28 @@ def _chart_step(fam, level, X, chart, jac, resid):
                           accept=1e-11)
 
 
-def _masked_newton(X, residual, step, tol, max_iter):
+def _masked_newton(X, first, residual, step, tol, max_iter):
     """Masked Newton loop, updating the rows of X in place.
 
-    `residual(X)` returns (residual norms, state) for all rows;
-    `step(idx, state)` returns (moved rows, ok) for the rows idx still above
-    `tol`.  A row whose move fails has lost the level and leaves the loop.
-    Returns the residual norms at the final X."""
-    active = np.ones(X.shape[0], dtype=bool)
+    `residual(rows)` returns (residual norms, state) at the given rows, the
+    state a list of per-row arrays; `first` is its result at all of X.
+    `step(rows, state)` returns (moved rows, ok) for the rows still above
+    `tol`, and only the moved rows are evaluated again.  A row whose move
+    fails has lost the level and leaves the loop.  Returns the residual
+    norms and state at the final X, each row's from its last evaluation."""
+    rnorm, state = first
+    idx = np.arange(X.shape[0])
     for _ in range(max_iter):
-        rnorm, state = residual(X)
-        active &= rnorm > tol
-        if not active.any():
+        idx = idx[rnorm[idx] > tol]
+        if not len(idx):
             break
-        idx = np.flatnonzero(active)
-        moved, ok = step(idx, state)
-        X[idx[ok]] = moved[ok]
-        active[idx[~ok]] = False
-    return residual(X)[0]
+        moved, ok = step(X[idx], [s[idx] for s in state])
+        idx = idx[ok]
+        X[idx] = moved[ok]
+        rnorm[idx], fresh = residual(X[idx])
+        for full, part in zip(state, fresh):
+            full[idx] = part
+    return rnorm, state
 
 
 def _newton_multistart(fam, s, p, starts, tol=NEWTON_TOL, max_iter=40):
@@ -177,17 +181,18 @@ def _newton_multistart(fam, s, p, starts, tol=NEWTON_TOL, max_iter=40):
     """
     X = np.array(starts, dtype=np.float64)
 
-    def residual(X):
-        xi, frames = _frames_batch(fam, X)
-        q = _tangential_residual(fam, p, X, xi)
-        return np.abs(q).max(axis=1), (xi, frames, q)
+    def residual(rows):
+        xi, frames = _frames_batch(fam, rows)
+        q = _tangential_residual(fam, p, rows, xi)
+        return np.abs(q).max(axis=1), [xi, frames, q]
 
-    def step(idx, state):
+    def step(rows, state):
         xi, frames, q = state
-        jac = _newton_jacobian(fam, p, X[idx], xi[idx], frames[idx])
-        return _chart_step(fam, s, X[idx], frames[idx], jac, q[idx])
+        jac = _newton_jacobian(fam, p, rows, xi, frames)
+        return _chart_step(fam, s, rows, frames, jac, q)
 
-    rnorm = _masked_newton(X, residual, step, tol, max_iter)
+    rnorm, _state = _masked_newton(X, residual(X), residual, step, tol,
+                                   max_iter)
     converged = rnorm <= tol
     diag = {"starts": int(X.shape[0]), "converged": int(converged.sum()),
             "discarded": int((~converged).sum())}
@@ -579,14 +584,15 @@ def _focal_newton(fam, side, p, starts, tol=1e-13, max_iter=48, polish=2):
     -side g^2 on the normal space, so differentiating Hess V(v, nu) = 0
     along M gives <II(u, v), nu> = (side / g^2) nabla^3 V(u, v, nu), and at
     critical points of V that covariant derivative is D^3F on vectors
-    orthogonal to y.  Each step reuses the residual's projectors.
+    orthogonal to y.  Each step reuses the residual's projectors, and the
+    rank check's projectors are the first residual's.
 
     After the masked iteration, every converged point gets `polish`
     unconditional extra steps: along nearly degenerate Hessian directions
     the residual tolerance alone leaves position error up to tol/|J|, and
     the polish pushes positions to the evaluation-noise floor instead."""
     Y = np.array(starts, dtype=np.float64)
-    _proj, dims = _focal_tangent_projector(fam, Y)
+    proj, dims = _focal_tangent_projector(fam, Y)
     d_foc = int(dims[0])
     if not np.all(dims == d_foc):
         raise SamplingError(f"focal tangent ranks disagree: {sorted(set(dims))}")
@@ -594,26 +600,29 @@ def _focal_newton(fam, side, p, starts, tol=1e-13, max_iter=48, polish=2):
         # the focal set is a point; every projected start already solves it
         return Y, np.zeros(Y.shape[0]), 0
 
-    def residual(Y):
-        proj, _ = _focal_tangent_projector(fam, Y)
+    def tangent_part(proj):
         q = np.einsum("bij,j->bi", proj, p)
-        return np.linalg.norm(q, axis=1), (proj, q)
+        return np.linalg.norm(q, axis=1), [proj, q]
 
-    def move(Ya, proj, q):
-        chart = _focal_chart(proj, d_foc)
-        jac = _focal_jacobian(fam, side, p, Ya, chart, q)
-        return _chart_step(fam, float(side), Ya, chart, jac, q)
+    def residual(rows):
+        return tangent_part(_focal_tangent_projector(fam, rows)[0])
 
-    def step(idx, state):
+    def step(rows, state):
         proj, q = state
-        return move(Y[idx], proj[idx], q[idx])
+        chart = _focal_chart(proj, d_foc)
+        jac = _focal_jacobian(fam, side, p, rows, chart, q)
+        return _chart_step(fam, float(side), rows, chart, jac, q)
 
-    sols = Y[_masked_newton(Y, residual, step, tol, max_iter) <= tol]
-    for _ in range(polish):
-        if len(sols):
-            moved, ok = move(sols, *residual(sols)[1])
-            sols[ok] = moved[ok]
-    return sols, residual(sols)[0], d_foc
+    rnorm, state = _masked_newton(Y, tangent_part(proj), residual, step, tol,
+                                  max_iter)
+    done = rnorm <= tol
+    sols, rnorm, state = Y[done], rnorm[done], [s[done] for s in state]
+    for _ in range(polish if len(sols) else 0):
+        # the first polish step reuses the loop's last projectors
+        moved, ok = step(sols, state)
+        sols[ok] = moved[ok]
+        rnorm, state = residual(sols)
+    return sols, rnorm, d_foc
 
 
 def _focal_circle_points(fam, side, pole):

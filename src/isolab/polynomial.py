@@ -1,12 +1,24 @@
 """Homogeneous polynomials stored as explicit term lists.
 
-All calculus elsewhere in the package (gradients, Hessians, Laplacians) is
-produced by the exact power rule on the term list, so no numerical
-differentiation error enters any verifier; the only floating-point error is
-the rounding of the evaluation arithmetic itself.
+All calculus elsewhere in the package (gradients, Hessians, Laplacians,
+third derivatives) is exact: every derivative bank is a coefficient matrix
+produced by the power rule on the term list, so no numerical differentiation
+error enters any verifier; the only floating-point error is the rounding of
+the evaluation arithmetic itself.
+
+Evaluation runs over monomial tables.  At construction a polynomial collects
+S_k, the degree-k divisors of its monomials (k = 0..g), and one
+(variable, parent in S_{k-1}) pair per monomial of S_k, so the kernel builds
+each table from the one below it with one gather-multiply.  The divisors,
+not the full monomial basis: an order-r derivative of a term x^e is a
+multiple of a divisor x^(e - alpha), so S_{g-r} spans every order-r bank,
+and it is never wider than T * C(g, k) or C(D + k - 1, k).
 """
 
 from __future__ import annotations
+
+from functools import cache
+from itertools import combinations_with_replacement
 
 import numpy as np
 
@@ -34,15 +46,49 @@ def _canonical_terms(ambient_dim, degree, terms):
     return [(merged[e], e) for e in ordered]
 
 
+def _unique_rows(rows):
+    """Sorted distinct rows of a non-negative int array, and the index of
+    each input row among them: np.unique(rows, axis=0) on one byte string
+    per row (big-endian, so byte order is numeric order)."""
+    rows = np.ascontiguousarray(rows, dtype=">i8")
+    keys = rows.view(np.dtype((np.void, rows.strides[0]))).ravel()
+    uniq, inverse = np.unique(keys, return_inverse=True)
+    return (uniq.view(">i8").reshape(-1, rows.shape[1]).astype(np.int64),
+            inverse.ravel())
+
+
+def _divisor_chain(exps, degree):
+    """The divisor sets S_k of the monomials `exps` (T, D) and their chain.
+
+    Returns (levels, steps): levels[k] is the lexicographically sorted
+    (|S_k|, D) exponent array of S_k, k = 0..degree, and steps[k-1] =
+    (var, parent) writes monomial j of S_k as x_var[j] * S_{k-1}[parent[j]],
+    with var[j] its first variable."""
+    levels = [_unique_rows(exps)[0]]
+    steps = []
+    for _ in range(degree):
+        top = levels[-1]
+        row, var = np.nonzero(top)
+        lower = top[row]
+        lower[np.arange(len(row)), var] -= 1
+        below, parent = _unique_rows(lower)
+        first = np.flatnonzero(np.diff(row, prepend=-1))
+        steps.append((var[first], parent[first]))
+        levels.append(below)
+    return levels[::-1], steps[::-1]
+
+
 class CMPolynomial:
     """A homogeneous polynomial F on Euclidean space E^ambient_dim.
 
     Terms are (coefficient, integer exponent vector) pairs; every exponent
-    vector must sum to `degree`.  Instances are immutable and cache the
-    symbolic derivative term lists on first use.
+    vector must sum to `degree`.  Instances are immutable; they build the
+    divisor chain of their monomials at construction and cache each
+    derivative bank's coefficient matrix on first use.
     """
 
-    __slots__ = ("ambient_dim", "degree", "coeffs", "exps", "_banks")
+    __slots__ = ("ambient_dim", "degree", "coeffs", "exps", "_levels",
+                 "_steps", "_banks")
 
     def __init__(self, ambient_dim, degree, terms):
         ambient_dim = int(ambient_dim)
@@ -59,6 +105,7 @@ class CMPolynomial:
         self.degree = degree
         self.coeffs = np.ascontiguousarray([c for c, _ in canon], dtype=np.float64)
         self.exps = np.ascontiguousarray([e for _, e in canon], dtype=np.int64)
+        self._levels, self._steps = _divisor_chain(self.exps, degree)
         self._banks = {}
 
     @classmethod
@@ -99,29 +146,48 @@ class CMPolynomial:
                             _power_rule(self.terms(), i))
 
     def _bank(self, kind):
-        """Packed term lists (coeffs, exps, offsets) of the derivatives
-        d_{a_1} ... d_{a_r} F for every multi-index of `kind`, built on first
-        use and cached: 'gradient' (i), 'hessian' (i <= j), 'laplacian' (i, i)
-        and 'third' (k, i, j) with i <= j."""
+        """(degree, coefficient matrix) of the bank of derivatives
+        d_{a_1} ... d_{a_r} F over the divisor table S_{g-r}, built on first
+        use and cached.  Kinds: 'value' (r = 0), 'gradient' (i), 'hessian'
+        (i <= j, row-major), 'laplacian' (one column, the sum of the (i, i))
+        and 'third' (k, i, j) with i <= j.
+
+        Each term c x^e feeds the columns of every multi-index alpha it
+        survives, i.e. every sub-multiset of e of size r, with the
+        coefficient c e! / (e - alpha)! at the row of x^(e - alpha).  A bank
+        of order r > g is zero, a zero matrix over the constant table S_0."""
         if kind not in self._banks:
             d = self.ambient_dim
             upper = [(i, j) for i in range(d) for j in range(i, d)]
-            multi = {"gradient": [(i,) for i in range(d)],
+            multi = {"value": [()],
+                     "gradient": [(i,) for i in range(d)],
                      "hessian": upper,
                      "laplacian": [(i, i) for i in range(d)],
                      "third": [(k,) + ij for k in range(d) for ij in upper]}[kind]
-            packed, offsets = [], [0]
-            for index in multi:
-                terms = self.terms()
-                for i in index:
-                    terms = _power_rule(terms, i)
-                # an explicit zero term keeps segments non-empty for reduceat
-                packed += terms or [(0.0, (0,) * d)]
-                offsets.append(len(packed))
-            self._banks[kind] = (
-                np.array([c for c, _ in packed], dtype=np.float64),
-                np.array([e for _, e in packed], dtype=np.int64),
-                np.array(offsets, dtype=np.int64))
+            columns = {}
+            for col, index in enumerate(multi):
+                columns.setdefault(tuple(sorted(index)), []).append(
+                    0 if kind == "laplacian" else col)
+            width = 1 if kind == "laplacian" else len(multi)
+            order = len(multi[0])
+            degree = max(self.degree - order, 0)
+            level = self._levels[degree]
+            row_of = dict(zip(map(tuple, level.tolist()), range(len(level))))
+            matrix = np.zeros((len(level), width))
+            for c, e in self.terms():
+                support = [i for i, v in enumerate(e) if v]
+                for alpha in combinations_with_replacement(support, order):
+                    m, coeff = list(e), c
+                    for i in alpha:
+                        if not m[i]:
+                            break
+                        coeff *= m[i]
+                        m[i] -= 1
+                    else:
+                        row = row_of[tuple(m)]
+                        for col in columns.get(alpha, ()):
+                            matrix[row, col] += coeff
+            self._banks[kind] = (degree, matrix)
         return self._banks[kind]
 
     # -- evaluation ---------------------------------------------------------
@@ -135,11 +201,17 @@ class CMPolynomial:
         return x
 
     def _eval_bank(self, kind, x):
-        return kernels.eval_bank(*self._bank(kind), self._check_points(x))
+        degree, matrix = self._bank(kind)
+        return kernels.eval_bank(self._steps[:degree], matrix,
+                                 self._check_points(x))
+
+    def _eval_column(self, kind, x):
+        # a one-column bank: a float for a single point, else (N,)
+        out = self._eval_bank(kind, x)
+        return float(out[0]) if out.ndim == 1 else out[:, 0]
 
     def value(self, x):
-        x = self._check_points(x)
-        return kernels.eval_terms(self.coeffs, self.exps, x)
+        return self._eval_column("value", x)
 
     def gradient(self, x):
         return self._eval_bank("gradient", x)
@@ -156,7 +228,7 @@ class CMPolynomial:
         return _unpack_upper(np.einsum("...kp,...k->...p", flat, w), d)
 
     def laplacian(self, x):
-        return self._eval_bank("laplacian", x).sum(axis=-1)
+        return self._eval_column("laplacian", x)
 
 
 def _power_rule(terms, i):
@@ -170,13 +242,20 @@ def _power_rule(terms, i):
     return out
 
 
+@cache
+def _upper_positions(d):
+    # (d, d) read-only map from (i, j) to the row-major upper-triangle index
+    # of (min(i, j), max(i, j))
+    iu = np.triu_indices(d)
+    pos = np.empty((d, d), dtype=np.intp)
+    pos[iu] = pos.T[iu] = np.arange(len(iu[0]))
+    pos.flags.writeable = False
+    return pos
+
+
 def _unpack_upper(flat, d):
     """Symmetric (..., d, d) matrices from their row-major upper triangles."""
-    iu = np.triu_indices(d)
-    h = np.zeros(flat.shape[:-1] + (d, d))
-    h[(...,) + iu] = flat
-    h.swapaxes(-1, -2)[(...,) + iu] = flat
-    return h
+    return flat[..., _upper_positions(d)]
 
 
 # -- dict arithmetic used to assemble catalog polynomials -------------------

@@ -1,19 +1,28 @@
-"""The numpy evaluation kernel against a per-term loop oracle."""
+"""The monomial-table kernel against a per-term loop oracle."""
 
 import pathlib
 import subprocess
 import sys
+from itertools import combinations_with_replacement
+from math import comb
 
 import numpy as np
 
 import isolab
 from isolab import _kernels_py, catalog
+from isolab.families import munzner_residuals
+from isolab.polynomial import CMPolynomial, _power_rule
+
+FAMILIES = (("great-sphere", {}), ("clifford", {"k": 1, "n": 2}),
+            ("cartan-cubic", {}), ("nomizu-quartic", {"n": 2}),
+            ("nomizu-quartic", {"n": 5}))
+KINDS = ("value", "gradient", "hessian", "laplacian", "third")
 
 
-def loop_eval(coeffs, exps, x):
+def loop_eval(terms, x):
     # one term at a time: coefficient times the product of powers
     total = 0.0
-    for c, e in zip(coeffs, exps):
+    for c, e in terms:
         term = c
         for xi, ei in zip(x, e):
             term *= xi ** int(ei)
@@ -21,53 +30,166 @@ def loop_eval(coeffs, exps, x):
     return total
 
 
-def _poly_and_points(seed, n=40):
-    poly = catalog("nomizu-quartic", n=2).polynomial
+def bank_terms(poly, kind):
+    """Term lists of the bank's polynomials in its column order, by the
+    power rule one coordinate at a time; the Laplacian column concatenates
+    the d_i d_i F."""
+    d = poly.ambient_dim
+    upper = [(i, j) for i in range(d) for j in range(i, d)]
+    columns = {"value": [[()]],
+               "gradient": [[(i,)] for i in range(d)],
+               "hessian": [[ij] for ij in upper],
+               "laplacian": [[(i, i) for i in range(d)]],
+               "third": [[(k,) + ij] for k in range(d) for ij in upper]}[kind]
+    out = []
+    for indices in columns:
+        col = []
+        for index in indices:
+            terms = poly.terms()
+            for i in index:
+                terms = _power_rule(terms, i)
+            col += terms
+        out.append(col)
+    return out
+
+
+def oracle(poly, kind, X):
+    cols = bank_terms(poly, kind)
+    return np.array([[loop_eval(terms, x) for terms in cols] for x in X])
+
+
+def assert_close(got, want):
+    assert np.shape(got) == np.shape(want)
+    assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+
+
+def _families_and_points(seed, n=8):
     rng = np.random.default_rng(seed)
-    return poly, rng.normal(size=(n, poly.ambient_dim))
+    for label, params in FAMILIES:
+        poly = catalog(label, **params).polynomial
+        yield label, poly, rng.normal(size=(n, poly.ambient_dim))
 
 
 def test_eval_terms_matches_loop_oracle():
-    poly, X = _poly_and_points(0)
-    got = _kernels_py.eval_terms(poly.coeffs, poly.exps, X)
-    want = np.array([loop_eval(poly.coeffs, poly.exps, x) for x in X])
-    assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
-    single = _kernels_py.eval_terms(poly.coeffs, poly.exps, X[3])
-    assert isinstance(single, float)
-    assert abs(single - want[3]) <= 1e-12 * max(1.0, abs(want[3]))
+    for _label, poly, X in _families_and_points(0):
+        want = np.array([loop_eval(poly.terms(), x) for x in X])
+        assert_close(poly.value(X), want)
+        single = poly.value(X[3])
+        assert isinstance(single, float)
+        assert_close(single, want[3])
 
 
 def test_eval_bank_matches_loop_oracle():
-    poly, X = _poly_and_points(1)
-    for kind in ("gradient", "hessian", "laplacian", "third"):
-        c, e, o = poly._bank(kind)
-        got = _kernels_py.eval_bank(c, e, o, X)
-        want = np.array([[loop_eval(c[a:b], e[a:b], x)
-                          for a, b in zip(o[:-1], o[1:])] for x in X])
-        assert got.shape == want.shape
-        assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
-        single = _kernels_py.eval_bank(c, e, o, X[5])
-        assert np.abs(single - want[5]).max() <= 1e-12 * max(1.0, np.abs(want).max())
+    for label, poly, X in _families_and_points(1):
+        for kind in KINDS:
+            want = oracle(poly, kind, X)
+            got = poly._eval_bank(kind, X)
+            assert_close(got, want)
+            assert_close(poly._eval_bank(kind, X[5]), want[5])
+            if kind in ("hessian", "third") and label == "great-sphere":
+                assert not got.any()
+            if kind == "third" and label == "clifford":
+                assert not got.any()
+        iu = np.triu_indices(poly.ambient_dim)
+        flat = oracle(poly, "hessian", X)
+        assert_close(poly.hessian(X)[:, iu[0], iu[1]], flat)
+        assert_close(poly.hessian(X)[:, iu[1], iu[0]], flat)
+        assert_close(poly.gradient(X), oracle(poly, "gradient", X))
+        assert_close(poly.laplacian(X), oracle(poly, "laplacian", X)[:, 0])
 
 
 def test_hessian_along_is_the_derivative_of_the_hessian():
-    poly, X = _poly_and_points(3)
+    poly = catalog("nomizu-quartic", n=2).polynomial
+    X = np.random.default_rng(3).normal(size=(40, poly.ambient_dim))
     W = np.random.default_rng(4).normal(size=X.shape)
     want = sum(W[:, k, None, None] * poly.partial(k).hessian(X)
                for k in range(poly.ambient_dim))
     got = poly.hessian_along(X, W)
-    assert got.shape == want.shape
-    assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
-    single = poly.hessian_along(X[5], W[5])
-    assert np.abs(single - want[5]).max() <= 1e-12 * max(1.0, np.abs(want).max())
+    assert_close(got, want)
+    assert_close(poly.hessian_along(X[5], W[5]), want[5])
 
 
 def test_readonly_and_strided_input_accepted():
-    poly, X = _poly_and_points(2, n=8)
-    X.flags.writeable = False
-    got = _kernels_py.eval_terms(poly.coeffs, poly.exps, X[::2])
-    want = np.array([loop_eval(poly.coeffs, poly.exps, x) for x in X[::2]])
-    assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+    for _label, poly, X in _families_and_points(2):
+        X.flags.writeable = False
+        for kind in KINDS:
+            assert_close(poly._eval_bank(kind, X[::2]),
+                         oracle(poly, kind, X[::2]))
+        assert_close(poly.gradient(np.asfortranarray(X)),
+                     oracle(poly, "gradient", X))
+
+
+def test_batches_spanning_several_row_blocks_match_block_by_block():
+    rows = _kernels_py.BLOCK_ROWS
+    for _label, poly, _X in _families_and_points(5):
+        X = np.random.default_rng(6).normal(size=(2 * rows + 7,
+                                                  poly.ambient_dim))
+        for kind in KINDS:
+            got = poly._eval_bank(kind, X)
+            blocks = [poly._eval_bank(kind, X[lo:lo + rows])
+                      for lo in range(0, len(X), rows)]
+            assert np.array_equal(got, np.concatenate(blocks))
+        ends = [0, rows - 1, rows, 2 * rows, len(X) - 1]
+        assert_close(poly.gradient(X)[ends], oracle(poly, "gradient", X[ends]))
+
+
+def test_divisor_tables_are_no_wider_than_either_basis():
+    # S_k is exactly the set of degree-k divisors of F's monomials, each
+    # monomial is x_var times its parent, and |S_k| never exceeds the
+    # T * C(g, k) divisor count or the C(D + k - 1, k) full basis
+    polys = [catalog(label, **params).polynomial for label, params in
+             FAMILIES + (("clifford", {"k": 2, "n": 7}),
+                         ("nomizu-quartic", {"n": 20}))]
+    polys.append(CMPolynomial(4, 4, [(1.0, (4, 0, 0, 0)), (-6.0, (2, 2, 0, 0)),
+                                     (1.0, (0, 4, 0, 0)), (2.0, (1, 1, 1, 1))]))
+    for poly in polys:
+        d, g, t = poly.ambient_dim, poly.degree, len(poly.coeffs)
+        assert len(poly._levels) == g + 1 and len(poly._steps) == g
+        divisors = [set() for _ in range(g + 1)]
+        for e in poly.exps.tolist():
+            support = [i for i, v in enumerate(e) if v]
+            for k in range(g + 1):
+                for alpha in combinations_with_replacement(support, g - k):
+                    m = list(e)
+                    for i in alpha:
+                        m[i] -= 1
+                    if min(m) >= 0:
+                        divisors[k].add(tuple(m))
+        for k, level in enumerate(poly._levels):
+            assert {tuple(m) for m in level.tolist()} == divisors[k]
+            assert len(level) <= min(t * comb(g, k), comb(d + k - 1, k))
+            if k:
+                var, parent = poly._steps[k - 1]
+                rebuilt = poly._levels[k - 1][parent].copy()
+                rebuilt[np.arange(len(var)), var] += 1
+                assert np.array_equal(rebuilt, level)
+
+
+def test_munzner_residuals_reach_the_kernel_through_the_traced_banks(
+        monkeypatch):
+    # the benchmark tracer wraps exactly the bank methods; the residual
+    # sweep must not reach the kernel around them
+    fam = catalog("nomizu-quartic", n=2)
+    calls = []
+
+    def counting(name):
+        method = getattr(CMPolynomial, name)
+
+        def wrapper(self, x):
+            calls.append(name)
+            return method(self, x)
+        return wrapper
+
+    for name in ("value", "gradient", "hessian", "laplacian"):
+        monkeypatch.setattr(CMPolynomial, name, counting(name))
+    kernel_calls = []
+    eval_bank = _kernels_py.eval_bank
+    monkeypatch.setattr(_kernels_py, "eval_bank",
+                        lambda *a: kernel_calls.append(1) or eval_bank(*a))
+    X = np.random.default_rng(7).normal(size=(50, fam.ambient_dim))
+    munzner_residuals(fam, X)
+    assert sorted(calls) == ["gradient", "laplacian"]
+    assert len(kernel_calls) == 2
 
 
 def test_active_backend_reported():
