@@ -7,8 +7,12 @@ Hessian and Laplacian banks, and the third-derivative bank as the focal
 solver reads it (`hessian_along`; at N <= 240 only, its d=12 output at
 24 000 points would take 180 MB).  A bank-build row gives the milliseconds
 to construct the polynomial from its terms and build all five coefficient
-matrices.  The last line times the residual sweep of the defining identities
-(the gradient and Laplacian banks) through the public path.
+matrices.  A classification row gives, for both index stencils on
+nomizu-quartic n=2 (`_hessian_stencil` at the critical points of one pole on
+the level 0.3, `_focal_index` at those on the focal sheet V = +1), the rows
+retracted per critical point and the milliseconds per point.  The last line
+times the residual sweep of the defining identities (the gradient and
+Laplacian banks) through the public path.
 
     python benchmarks/bench_backends.py [--quick]
 
@@ -24,7 +28,7 @@ import numpy as np
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
-from isolab import catalog, verify_munzner  # noqa: E402
+from isolab import catalog, morse, verify_munzner  # noqa: E402
 from isolab.polynomial import CMPolynomial  # noqa: E402
 
 KINDS = ("value", "gradient", "hessian", "laplacian", "third")
@@ -74,6 +78,8 @@ def bench(quick=False):
                 fresh._bank(kind)
         print(f"{'d=%d bank build' % d:<20}{time_call(build, 3) * 1e3:>10.1f}ms")
 
+    classification(quick)
+
     # end-to-end residual sweep through the public path
     fam = catalog("nomizu-quartic", n=5)
     n_sweep = 2000 if quick else 100_000
@@ -81,6 +87,33 @@ def bench(quick=False):
     verify_munzner(fam, num_points=n_sweep, radius=2.0)
     print(f"residual sweep, d=12 ({n_sweep} pts): "
           f"{time.perf_counter() - t0:.3f} s")
+
+
+def classification(quick):
+    fam = catalog("nomizu-quartic", n=2)
+    pole = morse._draw_pole(fam, np.random.default_rng(0))
+    p = pole.coords
+    X = np.array([sp.x.coords for sp in morse.normal_circle_critical_points(
+        fam, 0.3, pole, classify=False)])
+    _eta, Y = morse._focal_circle_points(fam, 1, pole)
+    d_foc = int(morse._focal_tangent_projector(fam, Y)[1][0])
+    stencils = (("_hessian_stencil", X,
+                 lambda: morse._hessian_stencil(fam, 0.3, p, X)),
+                ("_focal_index", Y,
+                 lambda: morse._focal_index(fam, 1, p, Y, d_foc)))
+    print(f"{'classify, d=6':<20}{'rows/pt':>12}{'ms/pt':>12}")
+    project = morse._project_batch
+    for name, points, call in stencils:
+        rows = []
+        morse._project_batch = lambda fam, s, pts, **kw: (
+            rows.append(len(pts)) or project(fam, s, pts, **kw))
+        try:
+            call()
+        finally:
+            morse._project_batch = project
+        dt = time_call(call, 5 if quick else 20)
+        print(f"{name:<20}{sum(rows) / len(points):>12.0f}"
+              f"{dt * 1e3 / len(points):>12.3f}")
 
 
 if __name__ == "__main__":

@@ -312,28 +312,29 @@ def euclidean_taut_spot_check(fam, s, pole: SpherePoint, num_centers=25,
     scale = np.linalg.norm(ysamp - center_mid, axis=1).max()
 
     def critical_points(center):
-        phi, psi = phi0.copy(), psi0.copy()
-        h = 1e-6
-        for _ in range(60):
+        def gradient(phi, psi):
+            # of the squared distance L = |y - center|^2 in the (phi, psi)
+            # chart
             y, dphi, dpsi = dxyz(phi, psi)
             r = y - center
-            gphi = 2 * np.einsum("ij,ij->i", r, dphi)
-            gpsi = 2 * np.einsum("ij,ij->i", r, dpsi)
+            return (2 * np.einsum("ij,ij->i", r, dphi),
+                    2 * np.einsum("ij,ij->i", r, dpsi))
+
+        def hessian(phi, psi, h):
+            # central differences of the gradient, (h11, h12, h21, h22):
+            # column 1 steps phi, column 2 steps psi; not symmetrized
+            gpp, gpm = gradient(phi + h, psi), gradient(phi - h, psi)
+            gqp, gqm = gradient(phi, psi + h), gradient(phi, psi - h)
+            return ((gpp[0] - gpm[0]) / (2 * h), (gqp[0] - gqm[0]) / (2 * h),
+                    (gpp[1] - gpm[1]) / (2 * h), (gqp[1] - gqm[1]) / (2 * h))
+
+        phi, psi = phi0.copy(), psi0.copy()
+        for _ in range(60):
+            gphi, gpsi = gradient(phi, psi)
             gnorm = np.hypot(gphi, gpsi)
             if gnorm.max() < 1e-9 * max(1.0, scale ** 2):
                 break
-            # finite-difference Hessian of L in the (phi, psi) chart
-            def grad_at(p1, p2):
-                yy, d1, d2 = dxyz(p1, p2)
-                rr = yy - center
-                return (2 * np.einsum("ij,ij->i", rr, d1),
-                        2 * np.einsum("ij,ij->i", rr, d2))
-            gpp, gpm = grad_at(phi + h, psi), grad_at(phi - h, psi)
-            gqp, gqm = grad_at(phi, psi + h), grad_at(phi, psi - h)
-            h11 = (gpp[0] - gpm[0]) / (2 * h)
-            h12 = (gqp[0] - gqm[0]) / (2 * h)
-            h21 = (gpp[1] - gpm[1]) / (2 * h)
-            h22 = (gqp[1] - gqm[1]) / (2 * h)
+            h11, h12, h21, h22 = hessian(phi, psi, 1e-6)
             det = h11 * h22 - h12 * h21
             det = np.where(np.abs(det) < 1e-14, np.nan, det)
             dphi_step = -(h22 * gphi - h12 * gpsi) / det
@@ -346,10 +347,7 @@ def euclidean_taut_spot_check(fam, s, pole: SpherePoint, num_centers=25,
             dpsi_step = np.where(bad, 0.0, dpsi_step * shrink)
             phi = np.mod(phi + dphi_step, 2 * np.pi)
             psi = np.mod(psi + dpsi_step, 2 * np.pi)
-        y, dphi, dpsi = dxyz(phi, psi)
-        r = y - center
-        gphi = 2 * np.einsum("ij,ij->i", r, dphi)
-        gpsi = 2 * np.einsum("ij,ij->i", r, dpsi)
+        gphi, gpsi = gradient(phi, psi)
         conv = np.hypot(gphi, gpsi) < 1e-8 * max(1.0, scale ** 2)
         sols = []
         for k in np.flatnonzero(conv):
@@ -364,18 +362,8 @@ def euclidean_taut_spot_check(fam, s, pole: SpherePoint, num_centers=25,
                 sols.append((float(phi[k]), float(psi[k])))
         results = []
         for ph, ps in sols:
-            hh = 1e-5
-            def g_of(p1, p2):
-                yy, d1, d2 = dxyz(np.array([p1]), np.array([p2]))
-                rr = yy - center
-                return (2 * float(np.einsum("ij,ij->i", rr, d1)[0]),
-                        2 * float(np.einsum("ij,ij->i", rr, d2)[0]))
-            gp_p, gp_m = g_of(ph + hh, ps), g_of(ph - hh, ps)
-            gq_p, gq_m = g_of(ph, ps + hh), g_of(ph, ps - hh)
-            hmat = np.array([
-                [(gp_p[0] - gp_m[0]) / (2 * hh), (gq_p[0] - gq_m[0]) / (2 * hh)],
-                [(gp_p[1] - gp_m[1]) / (2 * hh), (gq_p[1] - gq_m[1]) / (2 * hh)],
-            ])
+            hmat = np.reshape(hessian(np.array([ph]), np.array([ps]), 1e-5),
+                              (2, 2))
             hmat = 0.5 * (hmat + hmat.T)
             eig = np.linalg.eigvalsh(hmat)
             results.append({"phi": ph, "psi": ps,

@@ -13,11 +13,12 @@ with it point for point.
 
 Index route one is the sign count of a finite-difference Hessian; since the
 height function <p, .> has the same critical points as d_p and is smooth
-everywhere, the Hessian is taken of the height function and converted
-(Hess d_p = -Hess l_p / sin t at critical points).  Index route two counts
-focal points, with multiplicity, strictly between the critical point and the
-pole along the connecting geodesic.  The two must agree at every
-non-degenerate critical point.
+everywhere, the Hessian is taken of the height function (central
+differences of its Riemannian gradient, never the shape operator) and
+converted (Hess d_p = -Hess l_p / sin t at critical points).  Index route
+two counts focal points, with multiplicity, strictly between the critical
+point and the pole along the connecting geodesic.  The two must agree at
+every non-degenerate critical point.
 """
 
 from __future__ import annotations
@@ -216,44 +217,42 @@ def _dedup(fam, X, rnorm, radius=DEDUP_RADIUS):
     return ordered[keep]
 
 
-def _chart_hessians(fam, level, p, X, charts, accept):
-    """Finite-difference Hessians of the height function <p, .> at each row
-    of X (assumed critical) in the chart spanned by the rows of charts[k].
+def _chart_hessians(fam, level, p, X, charts, accept, gradient):
+    """Hessians of the height function <p, .> at each row of X (assumed
+    critical) in the chart spanned by the rows of charts[k]: symmetrized
+    central differences of the Riemannian gradient `gradient(rows)` (ambient
+    vectors, one per row) along the chart vectors,
 
-    Every point's moves X +/- h t_i and X +/- h t_i +/- h t_j are retracted
-    to the level in one batch, to machine tolerance because the second difference
-    divides by h^2 = 1e-8.  At a critical point the chart curvature terms
-    vanish with the gradient, so the Hessian is chart-invariant.  Returns
-    (M, k, k).
+        H_ij = <grad(x + h t_i) - grad(x - h t_i), t_j> / 2h.
+
+    Every point's moves X +/- h t_i are retracted to the level in one batch.
+    The gradient vanishes at a critical point, so the part of its derivative
+    that leaves the tangent space, and with it the chart's curvature, drops
+    out: H is the chart-invariant Riemannian Hessian.  Returns (M, k, k).
     """
     m, k, d = charts.shape
     h = _H_HESSIAN
-    iu, ju = np.triu_indices(k, 1)
     step = h * charts
     plus, minus = X[:, None, :] + step, X[:, None, :] - step
-    singles = np.stack([plus, minus], axis=2).reshape(m, 2 * k, d)
-    pairs = np.stack([plus[:, iu] + step[:, ju], plus[:, iu] - step[:, ju],
-                      minus[:, iu] + step[:, ju], minus[:, iu] - step[:, ju]],
-                     axis=2).reshape(m, 4 * len(iu), d)
-    moves = np.concatenate([singles, pairs], axis=1).reshape(-1, d)
+    moves = np.stack([plus, minus], axis=2).reshape(-1, d)
     moved, _ = _project_batch(fam, level, _normalize_rows(moves), tol=1e-16,
                               accept=accept)
-    ell = (moved @ p).reshape(m, -1)
-    quad = ell[:, 2 * k:].reshape(m, len(iu), 4)
-    hessians = np.empty((m, k, k))
-    hessians[:, range(k), range(k)] = (
-        ell[:, 0:2 * k:2] - 2 * (X @ p)[:, None] + ell[:, 1:2 * k:2]) / h ** 2
-    hessians[:, iu, ju] = hessians[:, ju, iu] = (
-        quad[..., 0] - quad[..., 1] - quad[..., 2] + quad[..., 3]) / (4 * h ** 2)
-    return hessians
+    grad = gradient(moved).reshape(m, k, 2, d)
+    diff = (grad[:, :, 0] - grad[:, :, 1]) @ np.swapaxes(charts, 1, 2)
+    return (diff + np.swapaxes(diff, 1, 2)) / (4 * h)
 
 
 def _hessian_stencil(fam, s, p, X):
     """Finite-difference Hessians of the height function l_p on M_s at each
     row of X (assumed critical), in the tangent frame chart of
-    `_frames_batch`.  Returns (hessians (M, n, n), t values (M,))."""
+    `_frames_batch`, from the tangential residual with normals from the
+    value and gradient banks only.  Returns (hessians (M, n, n), t (M,))."""
+    def gradient(rows):
+        xi = _normalize_rows(spherical_gradient(fam, rows))
+        return _tangential_residual(fam, p, rows, xi)
+
     _xi, frames = _frames_batch(fam, X)
-    hessians = _chart_hessians(fam, s, p, X, frames, accept=1e-9)
+    hessians = _chart_hessians(fam, s, p, X, frames, 1e-9, gradient)
     return hessians, np.arccos(np.clip(X @ p, -1.0, 1.0))
 
 
@@ -328,8 +327,9 @@ def critical_points_newton(fam, s, pole: SpherePoint, num_starts=None, seed=0,
 
     Starts are drawn deterministically on the level; converged solutions are
     deduplicated at geodesic distance 1e-6 and classified (index via the
-    finite-difference Hessian and via the focal count, degeneracy flag from
-    the relative smallest Hessian eigenvalue).
+    Hessian from central differences of the Riemannian gradient and via the
+    focal count, degeneracy flag from the relative smallest Hessian
+    eigenvalue).
     """
     if not -1.0 < s < 1.0:
         raise InputContractError("levels of hypersurfaces live in (-1, 1)")
@@ -528,7 +528,7 @@ def _focal_tangent_projector(fam, Y):
     b, d = Y.shape
     cols = np.empty((b, d, d + 1))
     cols[:, :, 0] = Y
-    cols[:, :, 2 - 1:] = np.eye(d)[None, :, :]
+    cols[:, :, 1:] = np.eye(d)[None, :, :]
     q, _ = np.linalg.qr(cols)
     sph = np.swapaxes(q[:, :, 1:d], 1, 2)  # (B, d-1, D) sphere tangent frames
     hess = fam.polynomial.hessian(Y)
@@ -537,16 +537,9 @@ def _focal_tangent_projector(fam, Y):
     bmat = np.einsum("bid,bde,bje->bij", sph, core, sph)
     bmat = 0.5 * (bmat + np.swapaxes(bmat, 1, 2))
     eigval, eigvec = np.linalg.eigh(bmat)
-    cut = fam.g ** 2 / 2.0
-    proj = np.zeros((b, d, d))
-    dims = np.empty(b, dtype=int)
-    for i in range(b):
-        keep = np.abs(eigval[i]) < cut
-        dims[i] = int(keep.sum())
-        if dims[i]:
-            amb = sph[i].T @ eigvec[i][:, keep]  # (D, dims)
-            proj[i] = amb @ amb.T
-    return proj, dims
+    keep = np.abs(eigval) < fam.g ** 2 / 2.0
+    amb = np.swapaxes(sph, 1, 2) @ (eigvec * keep[:, None, :])  # (B, D, d-1)
+    return amb @ np.swapaxes(amb, 1, 2), keep.sum(axis=1)
 
 
 def _focal_chart(proj, d_foc):
@@ -650,13 +643,17 @@ def _focal_circle_points(fam, side, pole):
 
 
 def _focal_index(fam, side, p, Y, d_foc):
-    """Height-function Hessian index in the focal chart at each row of Y."""
+    """Height-function Hessian index in the focal chart at each row of Y,
+    from central differences of P(y) p (no third-derivative bank)."""
+    def gradient(rows):
+        return _focal_tangent_projector(fam, rows)[0] @ p
+
     if d_foc == 0:
         return [0] * len(Y), [1.0] * len(Y)
     proj, _ = _focal_tangent_projector(fam, Y)
     chart = _focal_chart(proj, d_foc)
     indices, margins = [], []
-    for hmat in _chart_hessians(fam, float(side), p, Y, chart, accept=1e-8):
+    for hmat in _chart_hessians(fam, float(side), p, Y, chart, 1e-8, gradient):
         eig = np.linalg.eigvalsh(hmat)
         indices.append(int(np.sum(eig > 0)))  # index of d_p = #pos of Hess l_p
         abs_eig = np.abs(eig)

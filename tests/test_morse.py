@@ -335,6 +335,36 @@ def test_exact_focal_jacobian_matches_finite_differences():
                 (fam.label, side, (err / scale).max())
 
 
+def loop_focal_tangent_projector(fam, Y):
+    # reference for `_focal_tangent_projector`: one projector per row from
+    # the kept eigenvectors of the tangential Hessian of V
+    proj, dims = np.zeros((len(Y), Y.shape[1], Y.shape[1])), []
+    for i, y in enumerate(Y):
+        q, _ = np.linalg.qr(np.column_stack([y, np.eye(len(y))]))
+        sph = q[:, 1:len(y)]
+        core = (fam.polynomial.hessian(y)
+                - fam.g * fam.polynomial.value(y) * np.eye(len(y)))
+        eigval, eigvec = np.linalg.eigh(sph.T @ core @ sph)
+        amb = sph @ eigvec[:, np.abs(eigval) < fam.g ** 2 / 2.0]
+        proj[i] = amb @ amb.T
+        dims.append(amb.shape[1])
+    return proj, dims
+
+
+def test_focal_tangent_projector_matches_per_row_loop():
+    rng = np.random.default_rng(59)
+    for fam in (catalog("cartan-cubic"), catalog("nomizu-quartic", n=2),
+                catalog("clifford", k=2, n=7)):
+        for side in (1, -1):
+            Y, ok = _project_batch(fam, float(side),
+                                   rng.normal(size=(6, fam.ambient_dim)))
+            proj, dims = morse._focal_tangent_projector(fam, Y[ok])
+            want, want_dims = loop_focal_tangent_projector(fam, Y[ok])
+            assert dims.tolist() == want_dims, (fam.label, side)
+            # the batched products sum in another order: roundoff only
+            assert np.abs(proj - want).max() <= 1e-13, (fam.label, side)
+
+
 def test_hessian_stencil_never_uses_the_hessian_bank(fam_nomizu, monkeypatch):
     # index route one must stay a finite difference of the height function,
     # independent of the shape operator that drives index route two
@@ -415,7 +445,9 @@ def test_match_distance_resolves_nearly_equal_points():
 
 
 def loop_chart_hessians(fam, level, p, X, charts, accept):
-    # the moves built one by one, the Hessians assembled entry by entry
+    # the former index stencil, kept as an oracle: second differences of the
+    # height function over the moves X +/- h t_i and X +/- h t_i +/- h t_j,
+    # built one by one and assembled entry by entry
     m, k, _ = charts.shape
     h = morse._H_HESSIAN
     pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
@@ -443,16 +475,66 @@ def loop_chart_hessians(fam, level, p, X, charts, accept):
     return out
 
 
-def test_chart_hessians_match_entrywise_loop(fam_cartan, fam_nomizu):
-    for fam, s in ((fam_cartan, 0.2), (fam_nomizu, 0.3)):
+def test_chart_hessians_match_entrywise_loop(monkeypatch):
+    # central differences of the Riemannian gradient give the old stencil's
+    # indices, and both stencils stay within 1e-6 of the exact Riemannian
+    # Hessians that steer the two Newton solvers
+    captured = []
+    chart_hessians = morse._chart_hessians
+    monkeypatch.setattr(morse, "_chart_hessians", lambda *args: (
+        captured.append(chart_hessians(*args)) or captured[-1]))
+
+    def close(hessians, exact):
+        err = np.abs(hessians - exact).max() / np.abs(exact).max()
+        return err <= 1e-6
+
+    def indices(hessians, sign):
+        return (sign * np.linalg.eigvalsh(hessians) > 0).sum(axis=1).tolist()
+
+    for fam, s in ((catalog("cartan-cubic"), 0.2),
+                   (catalog("nomizu-quartic", n=2), 0.3),
+                   (catalog("clifford", k=2, n=7), 0.3)):
         pole = morse._draw_pole(fam, np.random.default_rng(41))
+        p = pole.coords
         X = np.array([sp.x.coords for sp in normal_circle_critical_points(
             fam, s, pole, classify=False)])
-        _xi, frames = _frames_batch(fam, X)
-        hessians, _ts = morse._hessian_stencil(fam, s, pole.coords, X)
-        # same moves, same retraction batch: bit for bit
-        assert np.array_equal(hessians, loop_chart_hessians(
-            fam, s, pole.coords, X, frames, accept=1e-9)), fam.label
+        xi, frames = _frames_batch(fam, X)
+        hessians, _ts = morse._hessian_stencil(fam, s, p, X)
+        assert close(hessians, morse._newton_jacobian(fam, p, X, xi,
+                                                      frames)), fam.label
+        loop = loop_chart_hessians(fam, s, p, X, frames, accept=1e-9)
+        assert indices(hessians, -1) == indices(loop, -1), fam.label
+        for side in (1, -1):
+            _eta, Y = morse._focal_circle_points(fam, side, pole)
+            proj, dims = morse._focal_tangent_projector(fam, Y)
+            d_foc = int(dims[0])
+            chart = morse._focal_chart(proj, d_foc)
+            captured.clear()
+            got, _margins = morse._focal_index(fam, side, p, Y, d_foc)
+            jac = morse._focal_jacobian(fam, side, p, Y, chart, proj @ p)
+            assert close(captured[0], 0.5 * (jac + np.swapaxes(jac, 1, 2))), \
+                (fam.label, side)
+            loop = loop_chart_hessians(fam, side, p, Y, chart, accept=1e-8)
+            assert got == indices(loop, 1), (fam.label, side)
+
+
+def test_index_stencils_retract_two_moves_per_chart_vector(fam_nomizu,
+                                                           monkeypatch):
+    pole = morse._draw_pole(fam_nomizu, np.random.default_rng(53))
+    X = np.array([sp.x.coords for sp in normal_circle_critical_points(
+        fam_nomizu, 0.3, pole, classify=False)])
+    rows = []
+    project = morse._project_batch
+    monkeypatch.setattr(morse, "_project_batch", lambda fam, s, pts, **kw: (
+        rows.append(len(pts)) or project(fam, s, pts, **kw)))
+    morse._hessian_stencil(fam_nomizu, 0.3, pole.coords, X)
+    assert rows == [2 * (fam_nomizu.ambient_dim - 2) * len(X)]
+    for side in (1, -1):
+        _eta, Y = morse._focal_circle_points(fam_nomizu, side, pole)
+        d_foc = int(morse._focal_tangent_projector(fam_nomizu, Y)[1][0])
+        rows.clear()
+        morse._focal_index(fam_nomizu, side, pole.coords, Y, d_foc)
+        assert rows == [2 * d_foc * len(Y)], side
 
 
 def test_focal_index_matches_per_point_loop(fam_cartan, fam_nomizu):
