@@ -7,10 +7,11 @@ Hessian and Laplacian banks, and the third-derivative bank as the focal
 solver reads it (`hessian_along`; at N <= 240 only, its d=12 output at
 24 000 points would take 180 MB).  A bank-build row gives the milliseconds
 to construct the polynomial from its terms and build all five coefficient
-matrices.  A classification row gives, for both index stencils on
-nomizu-quartic n=2 (`_hessian_stencil` at the critical points of one pole on
-the level 0.3, `_focal_index` at those on the focal sheet V = +1), the rows
-retracted per critical point and the milliseconds per point.  The last line
+matrices.  Classification rows give, on nomizu-quartic n=2, the rows
+retracted per critical point and the milliseconds per point for both index
+stencils (`_hessian_stencil` at the critical points of one pole on the level
+0.3, `_focal_index` at those on the focal sheet V = +1) and for the whole
+batched classifier `_classify` (both witnesses) at the level-0.3 points.  The last line
 times the residual sweep of the defining identities (the gradient and
 Laplacian banks) through the public path.
 
@@ -100,7 +101,8 @@ def classification(quick):
     stencils = (("_hessian_stencil", X,
                  lambda: morse._hessian_stencil(fam, 0.3, p, X)),
                 ("_focal_index", Y,
-                 lambda: morse._focal_index(fam, 1, p, Y, d_foc)))
+                 lambda: morse._focal_index(fam, 1, p, Y, d_foc)),
+                ("_classify", X, lambda: morse._classify(fam, 0.3, p, X)))
     print(f"{'classify, d=6':<20}{'rows/pt':>12}{'ms/pt':>12}")
     project = morse._project_batch
     for name, points, call in stencils:

@@ -118,7 +118,7 @@ def _echo(args, fam):
 
 def _cmd_verify(args, fam):
     report = verify_munzner(fam, seed=args.seed + 1234,
-                            tol_scale=args.tol or 1e-9)
+                            tol_scale=1e-9 if args.tol is None else args.tol)
     payload = {"command": "verify", "config": _echo(args, fam),
                **report.to_dict()}
     _emit(args, payload)
@@ -126,16 +126,17 @@ def _cmd_verify(args, fam):
 
 
 def _cmd_spectrum(args, fam):
+    tol = 1e-7 if args.tol is None else args.tol
     if args.format == "csv":
         if not args.out:
             raise _UsageError("--format csv needs --out")
         export_mod.export_spectrum_csv(fam, args.level, args.samples,
                                        args.seed, args.out)
         report = isoparametric_check(fam, args.level, args.samples, args.seed,
-                                     tol=args.tol or 1e-7)
+                                     tol=tol)
         return EXIT_PASS if report.passed else EXIT_FAIL
     report = isoparametric_check(fam, args.level, args.samples, args.seed,
-                                 tol=args.tol or 1e-7)
+                                 tol=tol)
     _emit(args, {"command": "spectrum", "config": _echo(args, fam),
                  **report.to_dict()})
     return EXIT_PASS if report.passed else EXIT_FAIL
@@ -154,7 +155,7 @@ def _cmd_focal(args, fam):
         spacing.append(float(np.abs(gaps - np.pi / fam.g).max()))
     dims = {"+1": focal_dimension_estimate(fam, 1, seed=args.seed),
             "-1": focal_dimension_estimate(fam, -1, seed=args.seed)}
-    tol = args.tol or 1e-7
+    tol = 1e-7 if args.tol is None else args.tol
     passed = worst_exp < 1e-8 and max(spacing) < tol
     _emit(args, {"command": "focal", "config": _echo(args, fam),
                  "worst_profile_error": worst_exp,
@@ -248,6 +249,10 @@ def main(argv=None):
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
+        if args.tol is not None and not (np.isfinite(args.tol)
+                                         and args.tol > 0):
+            raise _UsageError(
+                f"--tol must be positive and finite, got {args.tol!r}")
         fam = _load_family(args)
         return _COMMANDS[args.command](args, fam)
     except _UsageError as exc:

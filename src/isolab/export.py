@@ -22,6 +22,7 @@ from .sphere import SpherePoint, tangent_basis
 
 _CLIP_RADIUS = 1e-3
 _FOCAL_POLE_TOL = 1e-6
+_FLOW_STEPS = 200   # gradient-flow steps toward the extremes of L
 
 
 @dataclass
@@ -129,6 +130,11 @@ def export_mesh(fam, s, pole: SpherePoint, resolution=64, path=None) -> MeshData
             "for higher-dimensional families")
     if not -1.0 < s < 1.0:
         raise InputContractError("mesh levels live in (-1, 1)")
+    if resolution < 3:
+        # the smallest grids that close up: a watertight torus (chi 0) and
+        # sphere (chi 2) need 3 vertices around each circle
+        raise InputContractError(
+            f"mesh resolution must be at least 3, got {resolution}")
     warnings = []
     if abs(float(fam.polynomial.value(pole.coords))) > 1.0 - _FOCAL_POLE_TOL:
         warnings.append(
@@ -328,7 +334,31 @@ def euclidean_taut_spot_check(fam, s, pole: SpherePoint, num_centers=25,
             return ((gpp[0] - gpm[0]) / (2 * h), (gqp[0] - gqm[0]) / (2 * h),
                     (gpp[1] - gpm[1]) / (2 * h), (gqp[1] - gqm[1]) / (2 * h))
 
-        phi, psi = phi0.copy(), psi0.copy()
+        def squared_distance(phi, psi):
+            y, _, _ = xyz(phi, psi)
+            return np.sum((y - center) ** 2, axis=-1)
+
+        # Newton from the grid alone misses the minimum or the maximum where
+        # the pole stretches the chart, so two more starts come from
+        # monotone gradient flows: descent from the grid's argmin of L and
+        # ascent from its argmax, halving a step until L improves
+        ell = squared_distance(phi0, psi0)
+        ends = [int(np.argmin(ell)), int(np.argmax(ell))]
+        fphi, fpsi, fell = phi0[ends], psi0[ends], ell[ends]
+        sign, step = np.array([-1.0, 1.0]), np.full(2, 0.5)
+        for _ in range(_FLOW_STEPS):
+            gphi, gpsi = gradient(fphi, fpsi)
+            gnorm = np.maximum(np.hypot(gphi, gpsi), 1e-300)
+            tphi = fphi + sign * step * gphi / gnorm
+            tpsi = fpsi + sign * step * gpsi / gnorm
+            tell = squared_distance(tphi, tpsi)
+            better = sign * (tell - fell) > 0
+            fphi = np.where(better, tphi, fphi)
+            fpsi = np.where(better, tpsi, fpsi)
+            fell = np.where(better, tell, fell)
+            step = np.where(better, np.minimum(2 * step, 0.5), step / 2)
+        phi = np.concatenate([phi0, np.mod(fphi, 2 * np.pi)])
+        psi = np.concatenate([psi0, np.mod(fpsi, 2 * np.pi)])
         for _ in range(60):
             gphi, gpsi = gradient(phi, psi)
             gnorm = np.hypot(gphi, gpsi)

@@ -18,6 +18,8 @@ from .families import IsoparametricFamily
 from .sphere import SpherePoint, TangentFrame, tangent_basis
 
 _GRAD_FLOOR = 1e-8
+_FOCAL_OUTER = 3   # frozen normal circles per focal projection
+_FOCAL_INNER = 4   # tangency Newton steps along each circle
 
 
 @dataclass(frozen=True)
@@ -119,7 +121,7 @@ def _project_batch(fam, s, points, tol=None, accept=None, max_iter=40):
     return X, ok
 
 
-def _project_focal_batch(fam, side, points, accept=1e-10, outer=3, inner=4):
+def _project_focal_batch(fam, side, points, accept=1e-10):
     """Project onto the focal submanifold V = side (+1 or -1).
 
     Each outer pass freezes the normal circle at the current point (whose
@@ -149,7 +151,7 @@ def _project_focal_batch(fam, side, points, accept=1e-10, outer=3, inner=4):
         w -= np.einsum("ij,ij->i", w, pts)[:, None] * pts
         return v, w
 
-    for _ in range(outer):
+    for _ in range(_FOCAL_OUTER):
         v, W = clean_gradient(X)
         wn = np.linalg.norm(W, axis=1)
         live = ok & (wn > grad_goal)
@@ -159,7 +161,7 @@ def _project_focal_batch(fam, side, points, accept=1e-10, outer=3, inner=4):
         base = X[i2]
         eta = W[i2] / wn[i2, None]
         tau = np.arccos(np.clip(v[i2], -1.0, 1.0)) / g - target_phase
-        for _ in range(inner):
+        for _ in range(_FOCAL_INNER):
             ct, st = np.cos(tau)[:, None], np.sin(tau)[:, None]
             Xn = ct * base + st * eta
             vals, Wn = clean_gradient(Xn)

@@ -28,13 +28,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (InputContractError, NearFocalPoleError, PoleIsFocalError,
-                     SamplingError)
-from .levelset import (SurfacePoint, _frames_batch, _normalize_rows,
-                       _project_batch, spherical_gradient, surface_point)
-from .shape import PrincipalSpectrum, _shape_matrix, arccot, spectrum_at
+                     SamplingError, StartAtFocalError)
+from .levelset import (_GRAD_FLOOR, SurfacePoint, _frames_batch,
+                       _normalize_rows, _project_batch, spherical_gradient,
+                       surface_point)
+from .shape import PrincipalSpectrum, _shape_operators, arccot
 from .sphere import SpherePoint
 
 NEWTON_TOL = 1e-11
+_NEWTON_MAX_ITER = 40
+_FOCAL_TOL = 1e-13
+_FOCAL_MAX_ITER = 48
+_FOCAL_POLISH = 2
 DEDUP_RADIUS = 1e-6
 _H_HESSIAN = 1e-4
 _DEGENERATE_REPORT = 1e-6   # flag threshold in reports
@@ -107,6 +112,26 @@ class TightnessReport:
             "failures": self.failures,
         }
 
+    def record(self, pole, counts, passed, checks, match, level_residual,
+               indices, margins, points, shown=()):
+        """Fold one pole, with `counts` (newton, circle), into the report: a
+        failure entry with the `checks` dict unless both counts are expected
+        and the other checks `passed`, the report-wide extremes and the
+        histogram, and a pole entry with `points` and the `shown` checks."""
+        entry = {"pole": [float(v) for v in pole.coords],
+                 "count_newton": counts[0], "count_circle": counts[1]}
+        if not (passed and counts == (self.expected_count,) * 2):
+            self.passed = False
+            self.failures.append({**entry, **checks})
+        for index, margin in zip(indices, margins):
+            self.index_histogram[index] = self.index_histogram.get(index, 0) + 1
+            self.min_hessian_margin = min(self.min_hessian_margin, margin)
+        self.worst_match_distance = max(self.worst_match_distance, match)
+        self.worst_level_residual = max(self.worst_level_residual,
+                                        level_residual)
+        self.poles.append({**entry, **{k: checks[k] for k in shown},
+                           "points": points})
+
 
 # -- shared internals --------------------------------------------------------
 
@@ -122,13 +147,10 @@ def _newton_jacobian(fam, p, X, xi, frames):
 
         J = -<p, x> I + <p, xi> A,
 
-    with A the shape operator, batched over rows (Absil, Mahony and
-    Sepulchre, Optimization Algorithms on Matrix Manifolds, 2008).  One
-    Hessian-bank evaluation per batch."""
-    poly = fam.polynomial
-    vals = np.atleast_1d(poly.value(X))
-    wn = np.linalg.norm(poly.gradient(X) - fam.g * vals[:, None] * X, axis=1)
-    shape_op = _shape_matrix(fam.g, frames, poly.hessian(X), vals, wn)
+    with A the shape operator of `_shape_operators`, batched over rows
+    (Absil, Mahony and Sepulchre, Optimization Algorithms on Matrix
+    Manifolds, 2008)."""
+    shape_op = _shape_operators(fam, X, frames)[0]
     return (-(X @ p)[:, None, None] * np.eye(frames.shape[1])
             + np.einsum("bd,d->b", xi, p)[:, None, None] * shape_op)
 
@@ -171,7 +193,7 @@ def _masked_newton(X, first, residual, step, tol, max_iter):
     return rnorm, state
 
 
-def _newton_multistart(fam, s, p, starts, tol=NEWTON_TOL, max_iter=40):
+def _newton_multistart(fam, s, p, starts):
     """Drive each start to a zero of the tangential residual on M_s.
 
     Newton in the chart spanned by the frame at the current iterate, with
@@ -192,20 +214,21 @@ def _newton_multistart(fam, s, p, starts, tol=NEWTON_TOL, max_iter=40):
         jac = _newton_jacobian(fam, p, rows, xi, frames)
         return _chart_step(fam, s, rows, frames, jac, q)
 
-    rnorm, _state = _masked_newton(X, residual(X), residual, step, tol,
-                                   max_iter)
-    converged = rnorm <= tol
+    rnorm, _state = _masked_newton(X, residual(X), residual, step, NEWTON_TOL,
+                                   _NEWTON_MAX_ITER)
+    converged = rnorm <= NEWTON_TOL
     diag = {"starts": int(X.shape[0]), "converged": int(converged.sum()),
             "discarded": int((~converged).sum())}
     return X[converged], rnorm[converged], diag
 
 
-def _dedup(fam, X, rnorm, radius=DEDUP_RADIUS):
-    """Merge solutions within geodesic `radius`, keeping the best residual."""
+def _dedup(fam, X, rnorm):
+    """Merge solutions within geodesic distance DEDUP_RADIUS, keeping the
+    best residual."""
     if len(X) == 0:
         return X
     ordered = X[np.argsort(rnorm)]
-    near = np.arccos(np.clip(ordered @ ordered.T, -1.0, 1.0)) < radius
+    near = np.arccos(np.clip(ordered @ ordered.T, -1.0, 1.0)) < DEDUP_RADIUS
     # greedy in residual order: a row survives unless an earlier survivor
     # lies within the radius
     keep = np.zeros(len(ordered), dtype=bool)
@@ -242,50 +265,76 @@ def _chart_hessians(fam, level, p, X, charts, accept, gradient):
     return (diff + np.swapaxes(diff, 1, 2)) / (4 * h)
 
 
-def _hessian_stencil(fam, s, p, X):
+def _hessian_stencil(fam, s, p, X, frames=None):
     """Finite-difference Hessians of the height function l_p on M_s at each
-    row of X (assumed critical), in the tangent frame chart of
-    `_frames_batch`, from the tangential residual with normals from the
-    value and gradient banks only.  Returns (hessians (M, n, n), t (M,))."""
+    row of X (assumed critical), in the chart of the `_frames_batch` frames
+    (computed when not given), from the tangential residual with normals
+    from the value and gradient banks only.  Returns (hessians, t)."""
     def gradient(rows):
         xi = _normalize_rows(spherical_gradient(fam, rows))
         return _tangential_residual(fam, p, rows, xi)
 
-    _xi, frames = _frames_batch(fam, X)
+    if frames is None:
+        _xi, frames = _frames_batch(fam, X)
     hessians = _chart_hessians(fam, s, p, X, frames, 1e-9, gradient)
     return hessians, np.arccos(np.clip(X @ p, -1.0, 1.0))
 
 
 def _classify(fam, s, p, X, degenerate_threshold=_DEGENERATE_REPORT):
-    """Build CriticalPoint records for each row of X (critical for d_p)."""
+    """CriticalPoint records, sorted by t, for the rows of X (critical for
+    d_p on M_s), in one batch on the frames of one `_frames_batch` call (both
+    indices are frame-invariant): the stencil's distance Hessians -H / sin t
+    and the focal counts of the shape operators' eigenvalues.  A point with
+    |V - s| > 1e-10 raises InputContractError, one with |grad_S V| < 1e-8
+    StartAtFocalError; a near-focal point gets index_focal None and is
+    degenerate."""
     if len(X) == 0:
         return []
-    hessians, ts = _hessian_stencil(fam, s, p, np.asarray(X))
-    out = []
-    for k in range(X.shape[0]):
-        t = float(ts[k])
-        sin_t = max(np.sin(t), 1e-12)
-        dist_hess = -hessians[k] / sin_t
-        eig = np.linalg.eigvalsh(dist_hess)
-        abs_eig = np.abs(eig)
-        max_abs = float(abs_eig.max())
-        min_abs = float(abs_eig.min())
-        margin = min_abs / max_abs if max_abs > 0 else 0.0
-        degenerate = (max_abs < _HESSIAN_FLOOR
-                      or min_abs < degenerate_threshold * max_abs)
-        index_h = int(np.sum(eig < 0))
-        sp = surface_point(fam, SpherePoint(X[k]), level=s)
-        try:
-            index_f = index_via_focal_count(SpherePoint(p), sp, spectrum_at(sp))
-        except NearFocalPoleError:
-            index_f = None
-            degenerate = True
-        out.append(CriticalPoint(
-            location=sp.x, t=t, index_hessian=index_h, index_focal=index_f,
-            degenerate=bool(degenerate), min_abs_hessian_eig=min_abs,
-            hessian_margin=float(margin)))
-    out.sort(key=lambda cp: cp.t)
-    return out
+    X = np.asarray(X, dtype=np.float64)
+    xi, frames = _frames_batch(fam, X)
+    shape_ops, vals, wn = _shape_operators(fam, X, frames)
+    worst = np.abs(vals - s).max()
+    if worst > 1e-10:
+        raise InputContractError(
+            f"a point lies {worst:.3e} off the level {float(s)!r}")
+    if (wn < _GRAD_FLOOR).any():
+        raise StartAtFocalError("normal direction undefined at this point")
+    hessians, ts = _hessian_stencil(fam, s, p, X, frames)
+    sin_t = np.maximum(np.sin(ts), 1e-12)
+    eig = np.linalg.eigvalsh(-hessians / sin_t[:, None, None])
+    max_abs, min_abs = np.abs(eig).max(axis=1), np.abs(eig).min(axis=1)
+    margins = np.divide(min_abs, max_abs, out=np.zeros_like(min_abs),
+                        where=max_abs > 0)
+    indices, near = _focal_counts(p, X, xi, np.linalg.eigvalsh(shape_ops),
+                                  np.ones(shape_ops.shape[:2], dtype=int))
+    degenerate = ((max_abs < _HESSIAN_FLOOR)
+                  | (min_abs < degenerate_threshold * max_abs) | near)
+    return [CriticalPoint(
+        location=SpherePoint(X[k]), t=float(ts[k]),
+        index_hessian=int(np.sum(eig[k] < 0)),
+        index_focal=None if near[k] else int(indices[k]),
+        degenerate=bool(degenerate[k]), min_abs_hessian_eig=float(min_abs[k]),
+        hessian_margin=float(margins[k]))
+        for k in np.argsort(ts, kind="stable")]
+
+
+def _focal_counts(p, X, xi, values, mults):
+    """Morse indices of d_p at the rows of X (unit normals xi): the summed
+    multiplicities `mults` (B, k) of the principal curvatures `values`
+    (B, k) whose focal points, at arccot of the curvatures measured toward
+    the pole, lie strictly between the row and p.  Returns (indices, near);
+    `near` marks rows with a focal parameter within 1e-8 of the pole
+    distance, where the index is undefined."""
+    px = X @ p
+    tangential = p[None, :] - px[:, None] * X
+    t = np.arccos(np.clip(px, -1.0, 1.0))
+    # the pole on the normal line at distance ~0: nothing passed
+    nothing = (np.linalg.norm(tangential, axis=1) < 1e-12) | (t <= _T_GUARD)
+    toward = np.einsum("bd,bd->b", tangential, xi)
+    params = arccot(np.where(toward < 0, -1.0, 1.0)[:, None] * values)
+    near = ~nothing & (np.abs(params - t[:, None]) < _T_GUARD).any(axis=1)
+    passed = np.sum(mults * (params < t[:, None]), axis=1)
+    return np.where(nothing, 0, passed), near
 
 
 # -- public operations -------------------------------------------------------
@@ -294,31 +343,15 @@ def index_via_focal_count(pole: SpherePoint, cp: SurfacePoint,
                           spectrum: PrincipalSpectrum) -> int:
     """Morse index of d_pole at the critical point cp, computed as the sum of
     multiplicities of the focal points lying strictly between cp and the pole
-    on the connecting geodesic.
-
-    The focal parameters are arccot of the principal curvatures measured
-    toward the pole: when the geodesic leaves cp against the surface normal,
-    the spectrum flips sign.  A focal parameter within 1e-8 of the pole
-    distance means the pole is numerically focal and the index undefined.
+    on the connecting geodesic: the one-row case of `_focal_counts`, raising
+    NearFocalPoleError where that marks the row near-focal.
     """
-    p = pole.coords
-    x = cp.x.coords
-    tangential = p - (p @ x) * x
-    tn = float(np.linalg.norm(tangential))
-    t = float(np.arccos(np.clip(p @ x, -1.0, 1.0)))
-    if tn < 1e-12 or t <= _T_GUARD:
-        return 0  # pole on the normal line at distance ~0: nothing passed
-    w = tangential / tn
-    toward = float(w @ np.asarray(cp.xi))
-    values = np.asarray(spectrum.values)
-    if toward < 0:
-        values = -values
-    params = arccot(values)
-    mults = np.asarray(spectrum.multiplicities)
-    if np.any(np.abs(params - t) < _T_GUARD):
+    indices, near = _focal_counts(pole.coords, *map(np.atleast_2d, (
+        cp.x.coords, cp.xi, spectrum.values, spectrum.multiplicities)))
+    if near[0]:
         raise NearFocalPoleError(
             f"focal parameter within {_T_GUARD:g} of the critical distance")
-    return int(mults[params < t].sum())
+    return int(indices[0])
 
 
 def critical_points_newton(fam, s, pole: SpherePoint, num_starts=None, seed=0,
@@ -456,6 +489,8 @@ def tightness_report(fam, s, num_poles=100, seed=0) -> TightnessReport:
     sets agree within 1e-6, and the two index computations agree at every
     point.  Nothing is tolerated on the counts themselves.
     """
+    if num_poles < 1:
+        raise InputContractError("a tightness report needs at least one pole")
     report = TightnessReport(
         family=fam.label, level=float(s), g=fam.g, m1=fam.m1, m2=fam.m2,
         expected_count=fam.betti_sum_hypersurface, seed=seed)
@@ -484,31 +519,13 @@ def tightness_report(fam, s, num_poles=100, seed=0) -> TightnessReport:
         index_ok = all(cp.index_focal == cp.index_hessian
                        for cp in newton_pts + circle_pts
                        if not cp.degenerate)
-        pole_pass = (len(newton_pts) == report.expected_count
-                     and len(circle_pts) == report.expected_count
-                     and match < DEDUP_RADIUS and index_ok)
-        if not pole_pass:
-            report.passed = False
-            report.failures.append({
-                "pole": [float(v) for v in pole.coords],
-                "count_newton": len(newton_pts),
-                "count_circle": len(circle_pts),
-                "match_distance": match,
-                "index_agreement": index_ok,
-            })
-        for cp in newton_pts:
-            report.index_histogram[cp.index_hessian] = \
-                report.index_histogram.get(cp.index_hessian, 0) + 1
-            report.min_hessian_margin = min(report.min_hessian_margin,
-                                            cp.hessian_margin)
-        report.worst_match_distance = max(report.worst_match_distance, match)
-        report.worst_level_residual = max(report.worst_level_residual, level_res)
-        report.poles.append({
-            "pole": [float(v) for v in pole.coords],
-            "count_newton": len(newton_pts),
-            "count_circle": len(circle_pts),
-            "points": [cp.to_dict() for cp in newton_pts],
-        })
+        report.record(
+            pole, (len(newton_pts), len(circle_pts)),
+            match < DEDUP_RADIUS and index_ok,
+            {"match_distance": match, "index_agreement": index_ok}, match,
+            level_res, [cp.index_hessian for cp in newton_pts],
+            [cp.hessian_margin for cp in newton_pts],
+            [cp.to_dict() for cp in newton_pts])
     return report
 
 
@@ -560,7 +577,7 @@ def _focal_jacobian(fam, side, p, Y, chart, q):
             * np.einsum("bid,bde,bje->bij", chart, third, chart))
 
 
-def _focal_newton(fam, side, p, starts, tol=1e-13, max_iter=48, polish=2):
+def _focal_newton(fam, side, p, starts):
     """Newton multistart for critical points of d_p on the focal submanifold
     M = {V = side}: zeros of the projection P(y) p of p onto the tangent
     spaces, each move retracted back to the focal level.
@@ -580,7 +597,7 @@ def _focal_newton(fam, side, p, starts, tol=1e-13, max_iter=48, polish=2):
     orthogonal to y.  Each step reuses the residual's projectors, and the
     rank check's projectors are the first residual's.
 
-    After the masked iteration, every converged point gets `polish`
+    After the masked iteration, every converged point gets _FOCAL_POLISH
     unconditional extra steps: along nearly degenerate Hessian directions
     the residual tolerance alone leaves position error up to tol/|J|, and
     the polish pushes positions to the evaluation-noise floor instead."""
@@ -606,11 +623,11 @@ def _focal_newton(fam, side, p, starts, tol=1e-13, max_iter=48, polish=2):
         jac = _focal_jacobian(fam, side, p, rows, chart, q)
         return _chart_step(fam, float(side), rows, chart, jac, q)
 
-    rnorm, state = _masked_newton(Y, tangent_part(proj), residual, step, tol,
-                                  max_iter)
-    done = rnorm <= tol
+    rnorm, state = _masked_newton(Y, tangent_part(proj), residual, step,
+                                  _FOCAL_TOL, _FOCAL_MAX_ITER)
+    done = rnorm <= _FOCAL_TOL
     sols, rnorm, state = Y[done], rnorm[done], [s[done] for s in state]
-    for _ in range(polish if len(sols) else 0):
+    for _ in range(_FOCAL_POLISH if len(sols) else 0):
         # the first polish step reuses the loop's last projectors
         moved, ok = step(sols, state)
         sols[ok] = moved[ok]
@@ -652,14 +669,14 @@ def _focal_index(fam, side, p, Y, d_foc):
         return [0] * len(Y), [1.0] * len(Y)
     proj, _ = _focal_tangent_projector(fam, Y)
     chart = _focal_chart(proj, d_foc)
-    indices, margins = [], []
-    for hmat in _chart_hessians(fam, float(side), p, Y, chart, 1e-8, gradient):
-        eig = np.linalg.eigvalsh(hmat)
-        indices.append(int(np.sum(eig > 0)))  # index of d_p = #pos of Hess l_p
-        abs_eig = np.abs(eig)
-        margins.append(float(abs_eig.min() / abs_eig.max())
-                       if abs_eig.max() > _HESSIAN_FLOOR else 0.0)
-    return indices, margins
+    eig = np.linalg.eigvalsh(
+        _chart_hessians(fam, float(side), p, Y, chart, 1e-8, gradient))
+    abs_eig = np.abs(eig)
+    top = abs_eig.max(axis=1)
+    margins = np.divide(abs_eig.min(axis=1), top, out=np.zeros_like(top),
+                        where=top > _HESSIAN_FLOOR)
+    # index of d_p = number of positive eigenvalues of Hess l_p
+    return (eig > 0).sum(axis=1).tolist(), margins.tolist()
 
 
 def focal_tautness_report(fam, side, num_poles=50, seed=0,
@@ -676,6 +693,8 @@ def focal_tautness_report(fam, side, num_poles=50, seed=0,
     side = int(side)
     if side not in (1, -1):
         raise InputContractError("side must be +1 or -1")
+    if num_poles < 1:
+        raise InputContractError("a tautness report needs at least one pole")
     report = TightnessReport(
         family=fam.label, level=float(side), g=fam.g, m1=fam.m1, m2=fam.m2,
         expected_count=fam.betti_sum_focal, seed=seed)
@@ -704,35 +723,17 @@ def focal_tautness_report(fam, side, num_poles=50, seed=0,
         indices, margins = _focal_index(fam, side, pole.coords, circle_x, d_foc)
         level_res = max(abs(abs(float(fam.polynomial.value(c))) - 1.0)
                         for c in circle_x)
-        pole_pass = (len(circle_x) == report.expected_count
-                     and len(unique) == report.expected_count
-                     and match < 10 * DEDUP_RADIUS and colin < 1e-8)
-        if not pole_pass:
-            report.passed = False
-            report.failures.append({
-                "pole": [float(v) for v in pole.coords],
-                "count_newton": len(unique),
-                "count_circle": len(circle_x),
-                "match_distance": match,
-                "collinearity": colin,
-            })
-        for idx_val, mg in zip(indices, margins):
-            report.index_histogram[idx_val] = \
-                report.index_histogram.get(idx_val, 0) + 1
-            report.min_hessian_margin = min(report.min_hessian_margin, mg)
-        report.worst_match_distance = max(report.worst_match_distance,
-                                          0.0 if match == float("inf") else match)
-        report.worst_level_residual = max(report.worst_level_residual, level_res)
-        report.poles.append({
-            "pole": [float(v) for v in pole.coords],
-            "count_newton": len(unique),
-            "count_circle": len(circle_x),
-            "collinearity": colin,
-            "points": [{"coords": [float(v) for v in c],
-                        "t": float(np.arccos(np.clip(pole.coords @ c, -1, 1))),
-                        "index_hessian": int(iv)}
-                       for c, iv in zip(circle_x, indices)],
-        })
+        # the worst match skips count mismatches: they are failure entries
+        report.record(
+            pole, (len(unique), len(circle_x)),
+            match < 10 * DEDUP_RADIUS and colin < 1e-8,
+            {"match_distance": match, "collinearity": colin},
+            0.0 if match == float("inf") else match, level_res, indices,
+            margins,
+            [{"coords": [float(v) for v in c],
+              "t": float(np.arccos(np.clip(pole.coords @ c, -1, 1))),
+              "index_hessian": int(iv)} for c, iv in zip(circle_x, indices)],
+            shown=("collinearity",))
     return report
 
 
@@ -753,44 +754,39 @@ def totally_focal_probe(fam, s, seed=0, num_nonfocal=50, num_focal=10,
     nonfocal = {"poles": 0, "points": 0, "degenerate_points": 0,
                 "min_margin": float("inf")}
     mixed_failures = []
+
+    def tally(stats, cps, p, kind):
+        """Count one pole's points into `stats`; returns their margins."""
+        flags = [cp.degenerate for cp in cps]
+        stats["poles"] += 1
+        stats["points"] += len(cps)
+        stats["degenerate_points"] += sum(flags)
+        if any(flags) and not all(flags):
+            mixed_failures.append({"pole": [float(v) for v in p], "kind": kind})
+        return [cp.hessian_margin for cp in cps]
+
     for i in range(num_nonfocal):
         pole = _draw_pole(fam, rng)
         pts = critical_points_newton(fam, s, pole, seed=seed + i,
                                      degenerate_threshold=_DEGENERATE_PROBE)
-        flags = [cp.degenerate for cp in pts]
-        nonfocal["poles"] += 1
-        nonfocal["points"] += len(pts)
-        nonfocal["degenerate_points"] += sum(flags)
-        nonfocal["min_margin"] = min(nonfocal["min_margin"],
-                                     min(cp.hessian_margin for cp in pts))
-        if any(flags) and not all(flags):
-            mixed_failures.append({"pole": [float(v) for v in pole.coords],
-                                   "kind": "non-focal"})
+        nonfocal["min_margin"] = min(nonfocal["min_margin"], min(
+            tally(nonfocal, pts, pole.coords, "non-focal")))
     focal = {"poles": 0, "points": 0, "degenerate_points": 0,
              "max_margin": 0.0}
     if num_starts is None:
         num_starts = 60 * fam.g
     for i in range(num_focal):
         side = 1.0 if i % 2 == 0 else -1.0
-        raw = rng.normal(size=fam.ambient_dim)
-        pole_sp = project_to_level_focal(fam, side, raw)
-        p = pole_sp.coords
-        raws = rng.normal(size=(num_starts, fam.ambient_dim))
-        starts, ok = _project_batch(fam, s, raws)
+        p = project_to_level_focal(fam, side,
+                                   rng.normal(size=fam.ambient_dim)).coords
+        starts, ok = _project_batch(
+            fam, s, rng.normal(size=(num_starts, fam.ambient_dim)))
         sols, rnorm, _diag = _newton_multistart(fam, s, p, starts[ok])
         unique = _dedup(fam, sols, rnorm)
         cps = _classify(fam, s, p, unique,
                         degenerate_threshold=_DEGENERATE_PROBE)
-        flags = [cp.degenerate for cp in cps]
-        focal["poles"] += 1
-        focal["points"] += len(cps)
-        focal["degenerate_points"] += sum(flags)
-        if cps:
-            focal["max_margin"] = max(focal["max_margin"],
-                                      max(cp.hessian_margin for cp in cps))
-        if any(flags) and not all(flags):
-            mixed_failures.append({"pole": [float(v) for v in p],
-                                   "kind": "focal"})
+        focal["max_margin"] = max([focal["max_margin"],
+                                   *tally(focal, cps, p, "focal")])
     # boundary demonstration: a pole just off the focal set
     raw = rng.normal(size=fam.ambient_dim)
     base = project_to_level_focal(fam, 1.0, raw)

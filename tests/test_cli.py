@@ -161,3 +161,27 @@ def test_level_outside_the_sphere_is_usage_error(tmp_path, capsys, command,
                                                  level):
     assert_usage_error(capsys, command, "--family", "cartan-cubic",
                        "--level", level, "--out", str(tmp_path / "out"))
+
+
+@pytest.mark.parametrize("args", [
+    ("tight", "--poles", "0"),
+    ("taut-focal", "--poles", "-3"),
+    ("export-mesh", "--level", "0.0", "--resolution", "1"),
+    ("export-mesh", "--level", "0.0", "--resolution", "2"),
+    ("export-mesh", "--level", "0.0", "--resolution", "-4"),
+])
+def test_vacuous_certificates_are_usage_errors(tmp_path, capsys, args):
+    # no pole certifies nothing, and a mesh needs 3 vertices per circle to
+    # close up
+    out = tmp_path / "out"
+    assert_usage_error(capsys, *args, "--family", "clifford", "--params",
+                       '{"k": 1, "n": 2}', "--out", str(out))
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("tol", ["0", "-1e-9", "nan", "inf"])
+@pytest.mark.parametrize("command", ["verify", "focal"])
+def test_tol_must_be_positive_and_finite(tmp_path, capsys, command, tol):
+    assert_usage_error(capsys, command, "--family", "cartan-cubic",
+                       f"--tol={tol}", "--out", str(tmp_path / "out"))
+

@@ -104,3 +104,24 @@ def test_spot_check_requires_torus(fam_cartan):
     from isolab import InputContractError
     with pytest.raises(InputContractError):
         euclidean_taut_spot_check(fam_cartan, 0.2, SpherePoint(np.ones(5)))
+
+
+def test_smallest_meshes_close_up(fam_clifford):
+    from isolab import InputContractError, catalog
+    sphere = catalog("great-sphere", n=2)
+    for fam, s, chi in ((fam_clifford, 0.0, 0), (sphere, 0.4, 2)):
+        mesh = export_mesh(fam, s, POLE, resolution=3)
+        assert mesh.is_watertight() and mesh.euler_characteristic() == chi
+        with pytest.raises(InputContractError):
+            export_mesh(fam, s, POLE, resolution=2)
+
+
+def test_spot_check_finds_the_extremes_on_a_distorted_cyclide(fam_clifford):
+    # this pole stretches part of the chart, and Newton from the 24 x 24
+    # grid alone missed the minimum or the maximum at 11 of the 25 centers
+    pole = SpherePoint(np.array([0.5, -0.2, 0.1, 0.8]))
+    report = euclidean_taut_spot_check(fam_clifford, 0.0, pole,
+                                       num_centers=25, seed=7)
+    assert report.passed
+    assert report.counts == [4] * 25
+    assert all(m == [0, 1, 1, 2] for m in report.index_multisets)

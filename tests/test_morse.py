@@ -3,14 +3,15 @@
 import numpy as np
 import pytest
 
-from isolab import (InputContractError, PoleIsFocalError, SamplingError,
-                    SpherePoint, catalog, critical_points_newton,
+from isolab import (InputContractError, NearFocalPoleError, PoleIsFocalError,
+                    SamplingError, SpherePoint, catalog,
+                    critical_points_newton,
                     focal_tautness_report, index_via_focal_count,
                     normal_circle_critical_points, sample_points,
                     spherical_distance, tightness_report, totally_focal_probe)
-from isolab import morse
+from isolab import morse, shape
 from isolab.levelset import (_frames_batch, _normalize_rows, _project_batch,
-                             spherical_gradient)
+                             spherical_gradient, surface_point)
 from isolab.morse import project_to_level_focal
 from isolab.polynomial import CMPolynomial
 from isolab.shape import spectrum_at
@@ -558,3 +559,107 @@ def test_focal_index_matches_per_point_loop(fam_cartan, fam_nomizu):
             # regrouping the retraction batch moves last bits only
             assert np.allclose(margins, want_m, rtol=1e-6, atol=0), \
                 (fam.label, side, margins, want_m)
+
+
+def loop_classify(fam, s, p, X, degenerate_threshold=morse._DEGENERATE_REPORT):
+    # the former per-point classifier, kept as an oracle for `_classify`:
+    # surface_point with its Gram-Schmidt frame, the clustered spectrum_at,
+    # index_via_focal_count and one eigvalsh per point
+    hessians, ts = morse._hessian_stencil(fam, s, p, X)
+    out = []
+    for k in range(len(X)):
+        t = float(ts[k])
+        eig = np.linalg.eigvalsh(-hessians[k] / max(np.sin(t), 1e-12))
+        max_abs, min_abs = float(np.abs(eig).max()), float(np.abs(eig).min())
+        degenerate = (max_abs < morse._HESSIAN_FLOOR
+                      or min_abs < degenerate_threshold * max_abs)
+        sp = surface_point(fam, SpherePoint(X[k]), level=s)
+        try:
+            index_f = index_via_focal_count(SpherePoint(p), sp,
+                                            spectrum_at(sp))
+        except NearFocalPoleError:
+            index_f, degenerate = None, True
+        out.append(morse.CriticalPoint(
+            location=sp.x, t=t, index_hessian=int(np.sum(eig < 0)),
+            index_focal=index_f, degenerate=bool(degenerate),
+            min_abs_hessian_eig=min_abs,
+            hessian_margin=min_abs / max_abs if max_abs > 0 else 0.0))
+    out.sort(key=lambda cp: cp.t)
+    return out
+
+
+def fields(cps):
+    return [(cp.to_dict(), cp.min_abs_hessian_eig) for cp in cps]
+
+
+def test_classify_matches_per_point_loop():
+    # the batched classifier reads other tangent frames and unclustered
+    # curvatures; both index witnesses are frame-invariant, so every field
+    # must come out as the per-point loop's
+    rng = np.random.default_rng(61)
+    cases = ((catalog("clifford", k=1, n=3), 0.3),
+             (catalog("cartan-cubic"), 0.2),
+             (catalog("nomizu-quartic", n=2), 0.3),
+             (catalog("nomizu-quartic", n=3), 0.3),
+             (catalog("clifford", k=2, n=7), 0.3))
+    for fam, s in cases:
+        for _ in range(2):
+            pole = morse._draw_pole(fam, rng)
+            X = np.array([sp.x.coords for sp in normal_circle_critical_points(
+                fam, s, pole, classify=False)])
+            got = morse._classify(fam, s, pole.coords, X)
+            assert fields(got) == fields(loop_classify(fam, s, pole.coords, X))
+            assert all(cp.index_focal == cp.index_hessian for cp in got)
+        # a focal pole: a cloud of degenerate critical points
+        p = project_to_level_focal(fam, 1.0,
+                                   rng.normal(size=fam.ambient_dim)).coords
+        starts, ok = _project_batch(fam, s,
+                                    rng.normal(size=(24, fam.ambient_dim)))
+        sols, rnorm, _diag = morse._newton_multistart(fam, s, p, starts[ok])
+        unique = morse._dedup(fam, sols, rnorm)
+        got = morse._classify(fam, s, p, unique, morse._DEGENERATE_PROBE)
+        assert len(got) > 0 and all(cp.degenerate for cp in got), fam.label
+        assert fields(got) == fields(loop_classify(
+            fam, s, p, unique, morse._DEGENERATE_PROBE)), fam.label
+
+
+def test_classify_builds_one_batch_of_shape_operators(fam_nomizu,
+                                                      monkeypatch):
+    # one frame batch serves both witnesses; the shape operators come from
+    # one Hessian-bank call and are never clustered point by point
+    pole = morse._draw_pole(fam_nomizu, np.random.default_rng(67))
+    X = np.array([sp.x.coords for sp in normal_circle_critical_points(
+        fam_nomizu, 0.3, pole, classify=False)])
+    counts = {"hessian": 0, "frames": 0, "clusters": 0}
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(CMPolynomial, "hessian",
+                        counting("hessian", CMPolynomial.hessian))
+    monkeypatch.setattr(morse, "_frames_batch",
+                        counting("frames", morse._frames_batch))
+    monkeypatch.setattr(shape, "principal_curvatures",
+                        counting("clusters", shape.principal_curvatures))
+    cps = morse._classify(fam_nomizu, 0.3, pole.coords, X)
+    assert counts == {"hessian": 1, "frames": 1, "clusters": 0}
+    assert len(cps) == len(X)
+
+
+def test_classify_rejects_points_off_the_level(fam_nomizu):
+    pole = morse._draw_pole(fam_nomizu, np.random.default_rng(71))
+    X = np.array([sp.x.coords for sp in normal_circle_critical_points(
+        fam_nomizu, 0.3, pole, classify=False)])
+    with pytest.raises(InputContractError, match="off the level"):
+        morse._classify(fam_nomizu, 0.3 + 1e-9, pole.coords, X)
+
+
+def test_reports_need_a_pole(fam_clifford):
+    for num_poles in (0, -3):
+        with pytest.raises(InputContractError):
+            tightness_report(fam_clifford, 0.3, num_poles=num_poles)
+        with pytest.raises(InputContractError):
+            focal_tautness_report(fam_clifford, 1, num_poles=num_poles)
