@@ -11,9 +11,13 @@ matrices.  Classification rows give, on nomizu-quartic n=2, the rows
 retracted per critical point and the milliseconds per point for both index
 stencils (`_hessian_stencil` at the critical points of one pole on the level
 0.3, `_focal_index` at those on the focal sheet V = +1) and for the whole
-batched classifier `_classify` (both witnesses) at the level-0.3 points.  The last line
-times the residual sweep of the defining identities (the gradient and
-Laplacian banks) through the public path.
+batched classifier `_classify` (both witnesses) at the level-0.3 points.
+Newton-step rows give, at 240 points of the level 0.3 of nomizu-quartic n=2
+and clifford(2,7), the microseconds per row of one `_frames_batch` call
+(normals and tangent frames) and of one hypersurface `_chart_step` (the
+pseudo-inverse step and its retraction to the level).  The last line times
+the residual sweep of the defining identities (the gradient and Laplacian
+banks) through the public path.
 
     python benchmarks/bench_backends.py [--quick]
 
@@ -80,6 +84,7 @@ def bench(quick=False):
         print(f"{'d=%d bank build' % d:<20}{time_call(build, 3) * 1e3:>10.1f}ms")
 
     classification(quick)
+    newton_step(quick)
 
     # end-to-end residual sweep through the public path
     fam = catalog("nomizu-quartic", n=5)
@@ -116,6 +121,29 @@ def classification(quick):
         dt = time_call(call, 5 if quick else 20)
         print(f"{name:<20}{sum(rows) / len(points):>12.0f}"
               f"{dt * 1e3 / len(points):>12.3f}")
+
+
+def newton_step(quick, rows=240):
+    print(f"{'Newton step, N=%d' % rows:<20}{'frames us/row':>16}"
+          f"{'step us/row':>16}")
+    for label, params in (("nomizu-quartic", {"n": 2}),
+                          ("clifford", {"k": 2, "n": 7})):
+        fam = catalog(label, **params)
+        rng = np.random.default_rng(0)
+        X, ok = morse._project_batch(
+            fam, 0.3, rng.normal(size=(2 * rows, fam.ambient_dim)))
+        X = X[ok][:rows]
+        p = morse._draw_pole(fam, rng).coords
+        xi, frames, vals, wn = morse._frames_batch(fam, X)
+        q = morse._tangential_residual(fam, p, X, xi)
+        jac = morse._newton_jacobian(fam, p, X, xi, frames, vals, wn)
+        repeats = 20 if quick else 200
+        t_frames = time_call(lambda: morse._frames_batch(fam, X), repeats)
+        t_step = time_call(
+            lambda: morse._chart_step(fam, 0.3, X, frames, jac, q), repeats)
+        name = label + "".join(f" {k}={v}" for k, v in params.items())
+        print(f"{name:<20}{t_frames * 1e6 / rows:>16.2f}"
+              f"{t_step * 1e6 / rows:>16.2f}")
 
 
 if __name__ == "__main__":

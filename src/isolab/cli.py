@@ -182,6 +182,8 @@ def _cmd_taut_focal(args, fam):
 
 
 def _cmd_totally_focal(args, fam):
+    if args.poles < 1:
+        raise _UsageError(f"--poles must be at least 1, got {args.poles}")
     probe = totally_focal_probe(fam, args.level, seed=args.seed,
                                 num_nonfocal=max(1, args.poles // 2),
                                 num_focal=max(1, args.poles // 10))
@@ -253,6 +255,8 @@ def main(argv=None):
                                          and args.tol > 0):
             raise _UsageError(
                 f"--tol must be positive and finite, got {args.tol!r}")
+        if args.seed < 0:
+            raise _UsageError(f"--seed must be non-negative, got {args.seed}")
         fam = _load_family(args)
         return _COMMANDS[args.command](args, fam)
     except _UsageError as exc:

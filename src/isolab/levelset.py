@@ -44,12 +44,15 @@ def spherical_gradient(fam: IsoparametricFamily, x):
     its radial component g F(x) x (Euler's identity)."""
     coords = x.coords if isinstance(x, SpherePoint) else np.asarray(x, float)
     single = coords.ndim == 1
-    pts = coords[None, :] if single else coords
-    grad = fam.polynomial.gradient(pts)
-    vals = fam.polynomial.value(pts)
-    vals = np.atleast_1d(vals)
-    out = grad - fam.g * vals[:, None] * pts
+    out = _level_jet(fam, coords[None, :] if single else coords)[1]
     return out[0] if single else out
+
+
+def _level_jet(fam, X):
+    """Values F and spherical gradients of V at the rows of X (B, D), from
+    one value and one gradient-bank call."""
+    vals = np.atleast_1d(fam.polynomial.value(X))
+    return vals, fam.polynomial.gradient(X) - fam.g * vals[:, None] * X
 
 
 def _normalize_rows(x):
@@ -146,8 +149,7 @@ def _project_focal_batch(fam, side, points, accept=1e-10):
         # roundoff; removing the residual radial component keeps the walking
         # direction honest (a phantom radial part of relative size eps/|W|
         # would otherwise dominate the tangency residual)
-        v = np.atleast_1d(poly.value(pts))
-        w = poly.gradient(pts) - g * v[:, None] * pts
+        v, w = _level_jet(fam, pts)
         w -= np.einsum("ij,ij->i", w, pts)[:, None] * pts
         return v, w
 
@@ -168,7 +170,7 @@ def _project_focal_batch(fam, side, points, accept=1e-10):
             dx = -st * base + ct * eta
             slope = np.einsum("ij,ij->i", Wn, dx)
             hess = poly.hessian(Xn)
-            curv = np.einsum("ij,ijk,ik->i", dx, hess, dx) - g * vals
+            curv = (dx[:, None, :] @ hess @ dx[:, :, None])[:, 0, 0] - g * vals
             curv = np.where(np.abs(curv) < 1e-9, 1.0, curv)
             tau = tau - slope / curv
         ct, st = np.cos(tau)[:, None], np.sin(tau)[:, None]
@@ -181,26 +183,56 @@ def _project_focal_batch(fam, side, points, accept=1e-10):
     return X, ok
 
 
+def _reflector(v, axis):
+    """Householder vectors u = v + sign(v_axis) |v| e_axis (the sign of 0
+    taken as +) of the rows of v, with 2 / |u|^2: I - 2 u u^T / |u|^2 sends
+    each row to -sign(v_axis) |v| e_axis."""
+    u = v.copy()
+    u[:, axis] += (np.where(v[:, axis] < 0, -1.0, 1.0)
+                   * np.linalg.norm(v, axis=1))
+    return u, 2.0 / np.einsum("ij,ij->i", u, u)
+
+
+def _householder_frames(X, xi=None):
+    """Orthonormal frames of the orthogonal complement of each row x of X
+    (B, D), or of x and the normal xi (B, D) when given: the rows after the
+    first one (two) of H1 (H2 H1), with H1 the reflection taking x to the
+    e_0 axis and H2 the one taking H1 xi, less its e_0 part, to the e_1 axis
+    while fixing e_0.  Both are rank-one updates of the identity, so the
+    frames cost O(B D^2) with no factorization, and they are deterministic
+    given the input.  Returns (B, D-1, D) or (B, D-2, D)."""
+    d = X.shape[1]
+    v1, beta1 = _reflector(X, 0)
+    if xi is None:
+        skip, vecs = 1, v1[:, None, :]
+        coefs = (beta1[:, None] * v1[:, 1:])[:, :, None]
+    else:
+        y = xi - (beta1 * np.einsum("ij,ij->i", v1, xi))[:, None] * v1
+        # (H1 xi)_0 = -sign(x_0) <x, xi> is roundoff, and dropping it lets
+        # H2 fix e_0, so the frames stay normal to x as well as to xi
+        y[:, 0] = 0.0
+        v2, beta2 = _reflector(y, 1)
+        # row k of H2 H1 is H1 H2 e_k = H1 e_k - beta2 v2_k H1 v2
+        h1v2 = v2 - (beta1 * np.einsum("ij,ij->i", v1, v2))[:, None] * v1
+        skip, vecs = 2, np.stack([v1, h1v2], axis=1)
+        coefs = np.stack([beta1[:, None] * v1[:, 2:],
+                          beta2[:, None] * v2[:, 2:]], axis=2)
+    frames = -(coefs @ vecs)
+    frames[:, :, skip:] += np.eye(d - skip)
+    return frames
+
+
 def _frames_batch(fam, points):
     """Normals and hypersurface tangent frames for a batch of points on a
-    regular level.  Returns (xi (B, D), tangents (B, n, D)); frames come from
-    a batched QR of [x, xi, coordinate axes], deterministic given the input.
+    regular level, with the values and spherical gradient norms they were
+    built from.  Returns (xi (B, D), tangents (B, n, D), F (B,),
+    |grad_S V| (B,)); the tangents are `_householder_frames` of x and xi.
     """
     X = np.asarray(points, dtype=np.float64)
-    b, d = X.shape
-    W = spherical_gradient(fam, X)
-    wn = np.linalg.norm(W, axis=1, keepdims=True)
-    xi = W / wn
-    cols = np.empty((b, d, d + 2))
-    cols[:, :, 0] = X
-    cols[:, :, 1] = xi
-    cols[:, :, 2:] = np.eye(d)[None, :, :]
-    q, r = np.linalg.qr(cols)
-    sign = np.sign(np.einsum("bii->bi", r[:, :, :d]))
-    sign[sign == 0.0] = 1.0
-    q = q * sign[:, None, :]
-    tangents = np.swapaxes(q[:, :, 2:d], 1, 2)
-    return xi, tangents
+    vals, W = _level_jet(fam, X)
+    wn = np.linalg.norm(W, axis=1)
+    xi = W / wn[:, None]
+    return xi, _householder_frames(X, xi), vals, wn
 
 
 def surface_point(fam: IsoparametricFamily, x: SpherePoint, level=None) -> SurfacePoint:

@@ -30,8 +30,8 @@ import numpy as np
 from .errors import (InputContractError, NearFocalPoleError, PoleIsFocalError,
                      SamplingError, StartAtFocalError)
 from .levelset import (_GRAD_FLOOR, SurfacePoint, _frames_batch,
-                       _normalize_rows, _project_batch, spherical_gradient,
-                       surface_point)
+                       _householder_frames, _normalize_rows, _project_batch,
+                       spherical_gradient, surface_point)
 from .shape import PrincipalSpectrum, _shape_operators, arccot
 from .sphere import SpherePoint
 
@@ -141,27 +141,43 @@ def _tangential_residual(fam, p, X, xi):
             - np.einsum("ij,j->i", xi, p)[:, None] * xi)
 
 
-def _newton_jacobian(fam, p, X, xi, frames):
+def _newton_jacobian(fam, p, X, xi, frames, vals, wn):
     """Jacobian of the tangential residual in the tangent frame at each row of
     X: the Riemannian Hessian of the height function l_p on M_s,
 
         J = -<p, x> I + <p, xi> A,
 
-    with A the shape operator of `_shape_operators`, batched over rows
-    (Absil, Mahony and Sepulchre, Optimization Algorithms on Matrix
-    Manifolds, 2008)."""
-    shape_op = _shape_operators(fam, X, frames)[0]
+    with A the shape operator of `_shape_operators`, batched over rows, from
+    the normals, frames, values and gradient norms of `_frames_batch` (Absil,
+    Mahony and Sepulchre, Optimization Algorithms on Matrix Manifolds,
+    2008)."""
+    shape_op = _shape_operators(fam, X, frames, vals, wn)
     return (-(X @ p)[:, None, None] * np.eye(frames.shape[1])
             + np.einsum("bd,d->b", xi, p)[:, None, None] * shape_op)
 
 
+def _pinv_solve(jac, rhs):
+    """pinv(jac) @ rhs for a batch of symmetric matrices jac (B, n, n) and
+    vectors rhs (B, n), from one batched eigh: eigenvalues with
+    |lambda| <= 1e-12 max |lambda| are dropped, which is pinv's rcond=1e-12
+    cut, since the singular values of a symmetric matrix are its |lambda|.
+    eigh reads the lower triangle."""
+    lam, vec = np.linalg.eigh(jac)
+    mag = np.abs(lam)
+    keep = mag > 1e-12 * mag.max(axis=1, keepdims=True)
+    inv = np.divide(1.0, lam, out=np.zeros_like(lam), where=keep)
+    coef = (rhs[:, None, :] @ vec)[:, 0] * inv
+    return (vec @ coef[:, :, None])[:, :, 0]
+
+
 def _chart_step(fam, level, X, chart, jac, resid):
     """One Newton step per row in the chart spanned by the rows of
-    chart[b]: pseudoinverse of the Jacobian (so singular Jacobians on
-    critical manifolds still give a step), length capped at 0.4, the move
-    retracted to the level.  Returns (moved rows, ok)."""
+    chart[b]: the pseudoinverse of the symmetric Jacobian from one eigh
+    (`_pinv_solve`, so singular Jacobians on critical manifolds still give a
+    step), length capped at 0.4, the move retracted to the level.  Returns
+    (moved rows, ok)."""
     g0 = np.einsum("bnd,bd->bn", chart, resid)
-    delta = -np.einsum("bij,bj->bi", np.linalg.pinv(jac, rcond=1e-12), g0)
+    delta = -_pinv_solve(jac, g0)
     norms = np.linalg.norm(delta, axis=1)
     delta *= np.where(norms > 0.4, 0.4 / np.maximum(norms, 0.4), 1.0)[:, None]
     moved = X + np.einsum("bi,bid->bd", delta, chart)
@@ -205,13 +221,13 @@ def _newton_multistart(fam, s, p, starts):
     X = np.array(starts, dtype=np.float64)
 
     def residual(rows):
-        xi, frames = _frames_batch(fam, rows)
+        xi, frames, vals, wn = _frames_batch(fam, rows)
         q = _tangential_residual(fam, p, rows, xi)
-        return np.abs(q).max(axis=1), [xi, frames, q]
+        return np.abs(q).max(axis=1), [xi, frames, q, vals, wn]
 
     def step(rows, state):
-        xi, frames, q = state
-        jac = _newton_jacobian(fam, p, rows, xi, frames)
+        xi, frames, q, vals, wn = state
+        jac = _newton_jacobian(fam, p, rows, xi, frames, vals, wn)
         return _chart_step(fam, s, rows, frames, jac, q)
 
     rnorm, _state = _masked_newton(X, residual(X), residual, step, NEWTON_TOL,
@@ -275,7 +291,7 @@ def _hessian_stencil(fam, s, p, X, frames=None):
         return _tangential_residual(fam, p, rows, xi)
 
     if frames is None:
-        _xi, frames = _frames_batch(fam, X)
+        frames = _frames_batch(fam, X)[1]
     hessians = _chart_hessians(fam, s, p, X, frames, 1e-9, gradient)
     return hessians, np.arccos(np.clip(X @ p, -1.0, 1.0))
 
@@ -291,8 +307,8 @@ def _classify(fam, s, p, X, degenerate_threshold=_DEGENERATE_REPORT):
     if len(X) == 0:
         return []
     X = np.asarray(X, dtype=np.float64)
-    xi, frames = _frames_batch(fam, X)
-    shape_ops, vals, wn = _shape_operators(fam, X, frames)
+    xi, frames, vals, wn = _frames_batch(fam, X)
+    shape_ops = _shape_operators(fam, X, frames, vals, wn)
     worst = np.abs(vals - s).max()
     if worst > 1e-10:
         raise InputContractError(
@@ -542,16 +558,12 @@ def _focal_tangent_projector(fam, Y):
     O(g^2) gap.  Returns (projectors (B, D, D), dims (B,)).
     """
     Y = np.asarray(Y, dtype=np.float64)
-    b, d = Y.shape
-    cols = np.empty((b, d, d + 1))
-    cols[:, :, 0] = Y
-    cols[:, :, 1:] = np.eye(d)[None, :, :]
-    q, _ = np.linalg.qr(cols)
-    sph = np.swapaxes(q[:, :, 1:d], 1, 2)  # (B, d-1, D) sphere tangent frames
+    d = Y.shape[1]
+    sph = _householder_frames(Y)  # (B, d-1, D) sphere tangent frames
     hess = fam.polynomial.hessian(Y)
     vals = np.atleast_1d(fam.polynomial.value(Y))
     core = hess - fam.g * vals[:, None, None] * np.eye(d)[None, :, :]
-    bmat = np.einsum("bid,bde,bje->bij", sph, core, sph)
+    bmat = sph @ core @ np.swapaxes(sph, 1, 2)
     bmat = 0.5 * (bmat + np.swapaxes(bmat, 1, 2))
     eigval, eigvec = np.linalg.eigh(bmat)
     keep = np.abs(eigval) < fam.g ** 2 / 2.0
@@ -574,7 +586,7 @@ def _focal_jacobian(fam, side, p, Y, chart, q):
     normal = p[None, :] - py[:, None] * Y - q
     third = fam.polynomial.hessian_along(Y, normal)
     return (-py[:, None, None] * np.eye(chart.shape[1]) + side / fam.g ** 2
-            * np.einsum("bid,bde,bje->bij", chart, third, chart))
+            * (chart @ third @ np.swapaxes(chart, 1, 2)))
 
 
 def _focal_newton(fam, side, p, starts):

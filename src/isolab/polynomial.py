@@ -225,7 +225,8 @@ class CMPolynomial:
         d = self.ambient_dim
         flat = self._eval_bank("third", x)
         flat = flat.reshape(flat.shape[:-1] + (d, -1))
-        return _unpack_upper(np.einsum("...kp,...k->...p", flat, w), d)
+        w = np.asarray(w, dtype=np.float64)
+        return _unpack_upper((w[..., None, :] @ flat)[..., 0, :], d)
 
     def laplacian(self, x):
         return self._eval_column("laplacian", x)

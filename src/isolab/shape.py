@@ -72,14 +72,11 @@ def _shape_matrix(g, frames, hess, vals, wn):
     return 0.5 * (a + np.swapaxes(a, -1, -2))
 
 
-def _shape_operators(fam, X, frames):
+def _shape_operators(fam, X, frames, vals, wn):
     """Shape operators (B, n, n) at the rows of X in the tangent frames
-    `frames` (B, n, D), from one value, one gradient and one Hessian-bank
-    call.  Returns (shape operators, values F (B,), |grad_S V| (B,))."""
-    poly = fam.polynomial
-    vals = np.atleast_1d(poly.value(X))
-    wn = np.linalg.norm(poly.gradient(X) - fam.g * vals[:, None] * X, axis=1)
-    return _shape_matrix(fam.g, frames, poly.hessian(X), vals, wn), vals, wn
+    `frames` (B, n, D), given the values F (B,) and the norms |grad_S V| (B,)
+    there, as `_frames_batch` returns them, from one Hessian-bank call."""
+    return _shape_matrix(fam.g, frames, fam.polynomial.hessian(X), vals, wn)
 
 
 def principal_curvatures(matrix, cluster_tol=_DEFAULT_CLUSTER_TOL) -> PrincipalSpectrum:

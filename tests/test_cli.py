@@ -169,6 +169,8 @@ def test_level_outside_the_sphere_is_usage_error(tmp_path, capsys, command,
     ("export-mesh", "--level", "0.0", "--resolution", "1"),
     ("export-mesh", "--level", "0.0", "--resolution", "2"),
     ("export-mesh", "--level", "0.0", "--resolution", "-4"),
+    ("totally-focal", "--poles", "0"),
+    ("totally-focal", "--poles", "-5"),
 ])
 def test_vacuous_certificates_are_usage_errors(tmp_path, capsys, args):
     # no pole certifies nothing, and a mesh needs 3 vertices per circle to
@@ -185,3 +187,14 @@ def test_tol_must_be_positive_and_finite(tmp_path, capsys, command, tol):
     assert_usage_error(capsys, command, "--family", "cartan-cubic",
                        f"--tol={tol}", "--out", str(tmp_path / "out"))
 
+
+
+@pytest.mark.parametrize("command", ["verify", "spectrum", "focal", "tight",
+                                     "taut-focal", "totally-focal",
+                                     "export-mesh", "export-curves"])
+def test_negative_seed_is_usage_error(tmp_path, capsys, command):
+    # numpy's SeedSequence takes no negative entropy
+    out = tmp_path / "out"
+    assert_usage_error(capsys, command, "--family", "clifford", "--params",
+                       '{"k": 1, "n": 2}', "--seed", "-1", "--out", str(out))
+    assert not out.exists()

@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
-from isolab import (SpherePoint, StartAtFocalError, project_to_level,
-                    sample_points, spherical_gradient, surface_point)
-from isolab.levelset import _project_batch
+from isolab import (SpherePoint, StartAtFocalError, catalog,
+                    project_to_level, sample_points, spherical_gradient,
+                    surface_point)
+from isolab.levelset import (_frames_batch, _householder_frames,
+                             _normalize_rows, _project_batch)
 from isolab.polynomial import CMPolynomial
 
 
@@ -147,3 +149,77 @@ def test_project_batch_settles_at_the_float_floor(fam_nomizu, monkeypatch):
     monkeypatch.undo()
     assert ok.all()
     assert np.abs(fam_nomizu.polynomial.value(out) - 0.3).max() <= 1e-15
+
+
+FRAME_FAMILIES = (("great-sphere", {"n": 3}), ("clifford", {"k": 1, "n": 2}),
+                  ("clifford", {"k": 2, "n": 7}), ("cartan-cubic", {}),
+                  ("nomizu-quartic", {"n": 2}), ("nomizu-quartic", {"n": 3}))
+
+
+def qr_frames(X, xi):
+    # the former frame construction, kept as an oracle: a batched QR of
+    # [x, xi, coordinate axes]
+    b, d = X.shape
+    cols = np.empty((b, d, d + 2))
+    cols[:, :, 0], cols[:, :, 1], cols[:, :, 2:] = X, xi, np.eye(d)
+    return np.swapaxes(np.linalg.qr(cols)[0][:, :, 2:d], 1, 2)
+
+
+def frame_rows(fam, rng):
+    # unit rows off the focal set, every third one with x_0 = 0
+    X = rng.normal(size=(60, fam.ambient_dim))
+    X[::3, 0] = 0.0
+    X = _normalize_rows(X)
+    return X[np.linalg.norm(spherical_gradient(fam, X), axis=1) > 1e-2]
+
+
+def assert_frames(T, normals, n):
+    # T (B, n, D): orthonormal rows, each orthogonal to every normal (B, D)
+    assert T.shape[1] == n
+    assert np.abs(T @ np.swapaxes(T, 1, 2) - np.eye(n)).max() <= 1e-14
+    for w in normals:
+        assert np.abs(T @ w[:, :, None]).max() <= 1e-14
+
+
+def test_householder_frames_are_orthonormal_tangent_frames():
+    rng = np.random.default_rng(73)
+    for label, params in FRAME_FAMILIES:
+        fam = catalog(label, **params)
+        d = fam.ambient_dim
+        X = frame_rows(fam, rng)
+        assert (X[:, 0] == 0.0).any() and (X[:, 0] < 0.0).any(), label
+        xi, T, vals, wn = _frames_batch(fam, X)
+        assert_frames(T, (X, xi), d - 2)
+        W = spherical_gradient(fam, X)
+        assert np.array_equal(vals, fam.polynomial.value(X))
+        assert np.array_equal(wn, np.linalg.norm(W, axis=1))
+        assert np.array_equal(xi, W / wn[:, None])
+        assert_frames(_householder_frames(X), (X,), d - 1)
+    # coordinate axes: x_0 = 0 and (H1 xi)_1 = 0 take the + sign
+    eye = np.eye(5)
+    for i, j in ((2, 3), (0, 4), (1, 2), (4, 1), (3, 0)):
+        for sx, sxi in ((1, 1), (-1, 1), (1, -1)):
+            X, xi = sx * eye[i:i + 1], sxi * eye[j:j + 1]
+            assert_frames(_householder_frames(X, xi), (X, xi), 3)
+            assert_frames(_householder_frames(X), (X,), 4)
+    # near the focal set <x, xi> is roundoff of the size eps / |grad_S V|;
+    # the frames stay normal to both x and xi
+    X = frame_rows(catalog("nomizu-quartic", n=2), rng)
+    W = rng.normal(size=X.shape)
+    W -= np.sum(W * X, axis=1)[:, None] * X
+    tilted = _normalize_rows(_normalize_rows(W) + 1e-6 * X)
+    assert_frames(_householder_frames(X, tilted), (X, tilted), 4)
+
+
+def test_householder_frames_span_the_qr_frames():
+    rng = np.random.default_rng(79)
+    for label, params in FRAME_FAMILIES:
+        fam = catalog(label, **params)
+        X = frame_rows(fam, rng)
+        xi, T = _frames_batch(fam, X)[:2]
+        want = qr_frames(X, xi)
+        proj = np.swapaxes(T, 1, 2) @ T
+        assert np.abs(proj - np.swapaxes(want, 1, 2) @ want).max() <= 1e-13
+        sph = _householder_frames(X)
+        sph_proj = np.eye(fam.ambient_dim) - X[:, :, None] * X[:, None, :]
+        assert np.abs(np.swapaxes(sph, 1, 2) @ sph - sph_proj).max() <= 1e-13

@@ -281,10 +281,10 @@ def test_exact_newton_jacobian_matches_finite_differences(
         X = np.array([sp.x.coords for sp in sample_points(fam, s, 8, seed=22)])
         p = rng.normal(size=fam.ambient_dim)
         p /= np.linalg.norm(p)
-        xi, frames = _frames_batch(fam, X)
+        xi, frames, vals, wn = _frames_batch(fam, X)
         # random level points are far from critical for a random pole
         assert np.abs(morse._tangential_residual(fam, p, X, xi)).max() > 1e-2
-        exact = morse._newton_jacobian(fam, p, X, xi, frames)
+        exact = morse._newton_jacobian(fam, p, X, xi, frames, vals, wn)
         oracle = fd_newton_jacobian(fam, s, p, X, frames)
         scale = np.linalg.norm(oracle, axis=(1, 2))
         err = np.linalg.norm(exact - oracle, axis=(1, 2))
@@ -499,10 +499,10 @@ def test_chart_hessians_match_entrywise_loop(monkeypatch):
         p = pole.coords
         X = np.array([sp.x.coords for sp in normal_circle_critical_points(
             fam, s, pole, classify=False)])
-        xi, frames = _frames_batch(fam, X)
+        xi, frames, vals, wn = _frames_batch(fam, X)
         hessians, _ts = morse._hessian_stencil(fam, s, p, X)
-        assert close(hessians, morse._newton_jacobian(fam, p, X, xi,
-                                                      frames)), fam.label
+        assert close(hessians, morse._newton_jacobian(
+            fam, p, X, xi, frames, vals, wn)), fam.label
         loop = loop_chart_hessians(fam, s, p, X, frames, accept=1e-9)
         assert indices(hessians, -1) == indices(loop, -1), fam.label
         for side in (1, -1):
@@ -663,3 +663,48 @@ def test_reports_need_a_pole(fam_clifford):
             tightness_report(fam_clifford, 0.3, num_poles=num_poles)
         with pytest.raises(InputContractError):
             focal_tautness_report(fam_clifford, 1, num_poles=num_poles)
+
+
+def test_pinv_solve_matches_the_pinv_oracle():
+    # symmetric batches with exact zero eigenvalues and eigenvalues 1e-15
+    # below the largest, both under pinv's rcond=1e-12 cut, and one zero
+    # matrix; the kept eigenvalues stay within a factor 10 of the largest
+    rng = np.random.default_rng(83)
+    for n in (1, 2, 4, 7, 14):
+        q = np.linalg.qr(rng.normal(size=(40, n, n)))[0]
+        scale = 10.0 ** rng.uniform(-3, 3, size=(40, 1))
+        lam = scale * rng.choice((-1.0, 1.0), size=(40, n)) \
+            * rng.uniform(0.1, 1.0, size=(40, n))
+        lam[:, 0] = scale[:, 0]
+        lam[1::4, -1] = 0.0
+        lam[2::4, -1] = 1e-15 * scale[2::4, 0]
+        lam[3::8, 1:] = 0.0
+        lam[-1] = 0.0
+        jac = (q * lam[:, None, :]) @ np.swapaxes(q, 1, 2)
+        jac = 0.5 * (jac + np.swapaxes(jac, 1, 2))
+        rhs = rng.normal(size=(40, n))
+        got = morse._pinv_solve(jac, rhs)
+        want = (np.linalg.pinv(jac, rcond=1e-12) @ rhs[:, :, None])[:, :, 0]
+        bound = 1e-10 * np.abs(want).max(axis=1)
+        assert (np.abs(got - want).max(axis=1) <= bound).all(), n
+        assert not got[-1].any()
+
+
+def test_reports_factor_no_matrix_by_svd_or_qr(fam_nomizu, monkeypatch):
+    # frames come from Householder reflections and Newton steps from one
+    # symmetric eigensolve
+    def banned(name):
+        def raiser(*args, **kwargs):
+            raise AssertionError(f"np.linalg.{name} called")
+        return raiser
+
+    for module in (np.linalg, getattr(np.linalg, "_linalg", np.linalg)):
+        for name in ("svd", "pinv", "qr"):
+            monkeypatch.setattr(module, name, banned(name))
+    assert tightness_report(fam_nomizu, 0.3, num_poles=2, seed=3).passed
+    for side in (1, -1):
+        assert focal_tautness_report(fam_nomizu, side, num_poles=1,
+                                     seed=3).passed
+    assert totally_focal_probe(fam_nomizu, 0.3, seed=3, num_nonfocal=1,
+                               num_focal=2)["pass"]
+
