@@ -15,9 +15,13 @@ batched classifier `_classify` (both witnesses) at the level-0.3 points.
 Newton-step rows give, at 240 points of the level 0.3 of nomizu-quartic n=2
 and clifford(2,7), the microseconds per row of one `_frames_batch` call
 (normals and tangent frames) and of one hypersurface `_chart_step` (the
-pseudo-inverse step and its retraction to the level).  The last line times
-the residual sweep of the defining identities (the gradient and Laplacian
-banks) through the public path.
+pseudo-inverse step and its retraction to the level).  Focal Newton-step
+rows give, at 96 rows of the focal sheet V = +1 of the same two families,
+the microseconds per row of one `_project_focal_batch` of the rows moved
+1e-3 off the sheet and of one focal `_chart_step` (the step in the chart of
+the tangent eigenvectors and its retraction to the sheet).  The last line
+times the residual sweep of the defining identities (the gradient and
+Laplacian banks) through the public path.
 
     python benchmarks/bench_backends.py [--quick]
 
@@ -34,6 +38,7 @@ import numpy as np
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from isolab import catalog, morse, verify_munzner  # noqa: E402
+from isolab.levelset import _project_focal_batch  # noqa: E402
 from isolab.polynomial import CMPolynomial  # noqa: E402
 
 KINDS = ("value", "gradient", "hessian", "laplacian", "third")
@@ -85,6 +90,7 @@ def bench(quick=False):
 
     classification(quick)
     newton_step(quick)
+    focal_newton_step(quick)
 
     # end-to-end residual sweep through the public path
     fam = catalog("nomizu-quartic", n=5)
@@ -143,6 +149,34 @@ def newton_step(quick, rows=240):
             lambda: morse._chart_step(fam, 0.3, X, frames, jac, q), repeats)
         name = label + "".join(f" {k}={v}" for k, v in params.items())
         print(f"{name:<20}{t_frames * 1e6 / rows:>16.2f}"
+              f"{t_step * 1e6 / rows:>16.2f}")
+
+
+def focal_newton_step(quick, rows=96):
+    print(f"{'focal step, N=%d' % rows:<20}{'project us/row':>16}"
+          f"{'step us/row':>16}")
+    for label, params in (("nomizu-quartic", {"n": 2}),
+                          ("clifford", {"k": 2, "n": 7})):
+        fam = catalog(label, **params)
+        rng = np.random.default_rng(0)
+        Y, ok = morse._project_batch(
+            fam, 1.0, rng.normal(size=(2 * rows, fam.ambient_dim)))
+        Y = Y[ok][:rows]
+        step = rng.normal(size=Y.shape)
+        step -= np.einsum("ij,ij->i", step, Y)[:, None] * Y
+        off = morse._normalize_rows(
+            Y + 1e-3 * step / np.linalg.norm(step, axis=1)[:, None])
+        p = morse._draw_pole(fam, rng).coords
+        proj, dims, charts = morse._focal_tangent_projector(fam, Y)
+        chart, q = charts[:, :int(dims[0])], proj @ p
+        jac = morse._focal_jacobian(fam, 1, p, Y, chart, q)
+        repeats = 10 if quick else 100
+        t_project = time_call(
+            lambda: _project_focal_batch(fam, 1.0, off), repeats)
+        t_step = time_call(
+            lambda: morse._chart_step(fam, 1.0, Y, chart, jac, q), repeats)
+        name = label + "".join(f" {k}={v}" for k, v in params.items())
+        print(f"{name:<20}{t_project * 1e6 / rows:>16.2f}"
               f"{t_step * 1e6 / rows:>16.2f}")
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FamilyIntegrityError, InputContractError
-from .families import catalog, sym3_to_ambient
+from .families import catalog, seeded_rng, sym3_to_ambient
 from .sphere import SpherePoint
 
 
@@ -70,7 +70,7 @@ def orbit_level_check(t, num_rotations=100, seed=0, fam=None):
     orbit construction disagree.  Returns (mean V, spread)."""
     if fam is None:
         fam = catalog("cartan-cubic")
-    rng = np.random.default_rng(np.random.SeedSequence((int(seed), 0x0B17)))
+    rng = seeded_rng(seed, 0x0B17)
     vals = []
     for _ in range(num_rotations):
         pt = orbit_point(OrbitParams(t=float(t), rotation=random_rotation(rng)))

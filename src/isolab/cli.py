@@ -16,7 +16,8 @@ import numpy as np
 
 from .errors import (FamilyRejectedError, InputContractError, IsolabError,
                      MeshExportError)
-from .families import catalog, family_from_json_obj, verify_munzner
+from .families import (catalog, family_from_json_obj, seeded_rng,
+                       verify_munzner)
 from .focal import exp_param_check, focal_dimension_estimate
 from .levelset import sample_points
 from .morse import focal_tautness_report, tightness_report, totally_focal_probe
@@ -193,7 +194,7 @@ def _cmd_totally_focal(args, fam):
 
 
 def _default_pole(fam, seed):
-    rng = np.random.default_rng(np.random.SeedSequence((int(seed), 0xB0B)))
+    rng = seeded_rng(seed, 0xB0B)
     for _ in range(100):
         raw = rng.normal(size=fam.ambient_dim)
         p = raw / np.linalg.norm(raw)

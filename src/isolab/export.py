@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputContractError, MeshExportError
+from .families import seeded_rng
 from .levelset import sample_points
 from .shape import spectrum_at
 from .sphere import SpherePoint, tangent_basis
@@ -308,7 +309,7 @@ def euclidean_taut_spot_check(fam, s, pole: SpherePoint, num_centers=25,
     if abs(float(fam.polynomial.value(pole.coords)) - s) < 1e-3:
         raise InputContractError("projection pole too close to the surface")
     xyz, dxyz = _cyclide_chart(fam, s, pole)
-    rng = np.random.default_rng(np.random.SeedSequence((int(seed), 0xC9C)))
+    rng = seeded_rng(seed, 0xC9C)
     grid = 2.0 * np.pi * np.arange(24) / 24
     phi0, psi0 = np.meshgrid(grid, grid, indexing="ij")
     phi0 = phi0.ravel()

@@ -9,6 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SamplingError
+from .families import seeded_rng
 from .levelset import SurfacePoint, _project_batch, project_to_level
 from .shape import PrincipalSpectrum, spectrum_at
 from .sphere import SpherePoint
@@ -102,7 +103,7 @@ def focal_dimension_estimate(fam, side, base_count=4, neighbor_radius=1e-3,
     side = int(side)
     if side not in (1, -1):
         raise SamplingError("side must be +1 or -1")
-    rng = np.random.default_rng(np.random.SeedSequence((int(seed), 0xF0CA1)))
+    rng = seeded_rng(seed, 0xF0CA1)
     dim = fam.ambient_dim
     needed = 2 * (dim + 2)
     estimates = []

@@ -14,12 +14,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputContractError, SamplingError, StartAtFocalError
-from .families import IsoparametricFamily
+from .families import IsoparametricFamily, seeded_rng
 from .sphere import SpherePoint, TangentFrame, tangent_basis
 
 _GRAD_FLOOR = 1e-8
 _FOCAL_OUTER = 3   # frozen normal circles per focal projection
-_FOCAL_INNER = 4   # tangency Newton steps along each circle
+_FOCAL_INNER = 4   # cap on tangency Newton steps along each circle
 
 
 @dataclass(frozen=True)
@@ -119,8 +119,11 @@ def _project_batch(fam, s, points, tol=None, accept=None, max_iter=40):
         tau = np.arccos(np.clip(vl[move], -1.0, 1.0)) / g - target_phase
         Xn = np.cos(tau)[:, None] * X[i2] + np.sin(tau)[:, None] * eta
         X[i2] = _normalize_rows(Xn)
-    v = np.atleast_1d(poly.value(X))
-    ok &= np.abs(v - s) <= accept
+    else:
+        err = np.abs(np.atleast_1d(poly.value(X)) - s)
+    # a settled row sits at its previous iterate, whose error is prev_err;
+    # every other row is where the loop's last evaluation found it
+    ok &= np.where(settled, prev_err, err) <= accept
     return X, ok
 
 
@@ -129,8 +132,13 @@ def _project_focal_batch(fam, side, points, accept=1e-10):
 
     Each outer pass freezes the normal circle at the current point (whose
     gradient is still healthy) and solves the tangency condition dV = 0
-    along it; for a genuine family the first pass is already exact.  The
-    iteration is gated on the spherical gradient norm, not on |V - side|:
+    along it by Newton in the arc parameter from the phase jump, stopping
+    once the largest update is at most 1e-14 rad (about 50 ulp of the arc
+    parameter) or after _FOCAL_INNER steps; for a genuine family the jump
+    is already exact and one step confirms it.  The values and gradients
+    that end a pass start the next one, and those of the last pass give the
+    final test.  The iteration is gated on the spherical gradient norm, not
+    on |V - side|:
     V is quartically blind to small transverse offsets (a point h off the
     focal set changes V by only O(h^2)), while the gradient norm measures
     the offset linearly (|grad_S V| ~ g^2 h), which is what stencil-grade
@@ -153,8 +161,8 @@ def _project_focal_batch(fam, side, points, accept=1e-10):
         w -= np.einsum("ij,ij->i", w, pts)[:, None] * pts
         return v, w
 
+    v, W = clean_gradient(X)
     for _ in range(_FOCAL_OUTER):
-        v, W = clean_gradient(X)
         wn = np.linalg.norm(W, axis=1)
         live = ok & (wn > grad_goal)
         if not live.any():
@@ -172,10 +180,13 @@ def _project_focal_batch(fam, side, points, accept=1e-10):
             hess = poly.hessian(Xn)
             curv = (dx[:, None, :] @ hess @ dx[:, :, None])[:, 0, 0] - g * vals
             curv = np.where(np.abs(curv) < 1e-9, 1.0, curv)
-            tau = tau - slope / curv
+            update = slope / curv
+            tau = tau - update
+            if np.abs(update).max() <= 1e-14:
+                break
         ct, st = np.cos(tau)[:, None], np.sin(tau)[:, None]
         X[i2] = _normalize_rows(ct * base + st * eta)
-    v, W = clean_gradient(X)
+        v, W = clean_gradient(X)
     wn = np.linalg.norm(W, axis=1)
     # the gradient bound pins the transverse offset; the value bound rejects
     # rows that settled on the opposite focal sheet
@@ -282,7 +293,7 @@ def sample_points(fam: IsoparametricFamily, s, count, seed) -> list[SurfacePoint
         raise InputContractError(f"levels live in [-1, 1], got {s!r}")
     if count < 1:
         raise InputContractError("count must be at least 1")
-    rng = np.random.default_rng(np.random.SeedSequence((int(seed), 0xA11CE)))
+    rng = seeded_rng(seed, 0xA11CE)
     out = []
     budget = 10 * count
     drawn = 0

@@ -29,6 +29,7 @@ import numpy as np
 
 from .errors import (InputContractError, NearFocalPoleError, PoleIsFocalError,
                      SamplingError, StartAtFocalError)
+from .families import seeded_rng
 from .levelset import (_GRAD_FLOOR, SurfacePoint, _frames_batch,
                        _householder_frames, _normalize_rows, _project_batch,
                        spherical_gradient, surface_point)
@@ -384,7 +385,7 @@ def critical_points_newton(fam, s, pole: SpherePoint, num_starts=None, seed=0,
         raise InputContractError("levels of hypersurfaces live in (-1, 1)")
     if num_starts is None:
         num_starts = 60 * fam.g
-    rng = np.random.default_rng(np.random.SeedSequence((int(seed), 0x5EED)))
+    rng = seeded_rng(seed, 0x5EED)
     raw = rng.normal(size=(num_starts, fam.ambient_dim))
     starts, ok = _project_batch(fam, s, raw)
     starts = starts[ok]
@@ -510,7 +511,7 @@ def tightness_report(fam, s, num_poles=100, seed=0) -> TightnessReport:
     report = TightnessReport(
         family=fam.label, level=float(s), g=fam.g, m1=fam.m1, m2=fam.m2,
         expected_count=fam.betti_sum_hypersurface, seed=seed)
-    rng = np.random.default_rng(np.random.SeedSequence((int(seed), 0x7161)))
+    rng = seeded_rng(seed, 0x7161)
     done = 0
     rejected = {"focal pole": 0, "t at 0 or pi": 0}
     while done < num_poles:
@@ -555,7 +556,14 @@ def _focal_tangent_projector(fam, Y):
     submanifold and -g^2 transverse to it (V is a cosine of g times arc
     length along every normal circle), so the tangent space is the kernel of
     the tangential Hessian, separated from the transverse eigenvalues by an
-    O(g^2) gap.  Returns (projectors (B, D, D), dims (B,)).
+    O(g^2) gap: it is spanned by the eigenvectors, from one eigh of that
+    Hessian in the Householder sphere frame, with |lambda| < g^2 / 2, mapped
+    to ambient vectors through the frame.  Returns (projectors (B, D, D),
+    dims (B,), charts (B, D-1, D)): the rows of charts[b] are the ambient
+    eigenvectors ordered by increasing |lambda|, those outside the tangent
+    space set to zero, so where dims == d_foc the rows of charts[:, :d_foc]
+    are an orthonormal basis of the tangent space, the focal Newton chart,
+    and chart^T chart is the projector.
     """
     Y = np.asarray(Y, dtype=np.float64)
     d = Y.shape[1]
@@ -568,14 +576,9 @@ def _focal_tangent_projector(fam, Y):
     eigval, eigvec = np.linalg.eigh(bmat)
     keep = np.abs(eigval) < fam.g ** 2 / 2.0
     amb = np.swapaxes(sph, 1, 2) @ (eigvec * keep[:, None, :])  # (B, D, d-1)
-    return amb @ np.swapaxes(amb, 1, 2), keep.sum(axis=1)
-
-
-def _focal_chart(proj, d_foc):
-    """Chart bases (B, d_foc, D) of the focal tangent spaces: the top-d_foc
-    eigenvectors of the tangent projectors `proj` (B, D, D)."""
-    _w, v = np.linalg.eigh(proj)
-    return np.swapaxes(v[:, :, -d_foc:], 1, 2)
+    order = np.argsort(np.abs(eigval), axis=1, kind="stable")
+    charts = np.take_along_axis(np.swapaxes(amb, 1, 2), order[:, :, None], 1)
+    return amb @ np.swapaxes(amb, 1, 2), keep.sum(axis=1), charts
 
 
 def _focal_jacobian(fam, side, p, Y, chart, q):
@@ -606,15 +609,17 @@ def _focal_newton(fam, side, p, starts):
     -side g^2 on the normal space, so differentiating Hess V(v, nu) = 0
     along M gives <II(u, v), nu> = (side / g^2) nabla^3 V(u, v, nu), and at
     critical points of V that covariant derivative is D^3F on vectors
-    orthogonal to y.  Each step reuses the residual's projectors, and the
-    rank check's projectors are the first residual's.
+    orthogonal to y.  The residual carries the chart, the first d_foc rows
+    of `_focal_tangent_projector`'s charts, so a step takes no
+    factorization beyond its d_foc x d_foc solve, and the rank check's
+    projectors are the first residual's.
 
     After the masked iteration, every converged point gets _FOCAL_POLISH
     unconditional extra steps: along nearly degenerate Hessian directions
     the residual tolerance alone leaves position error up to tol/|J|, and
     the polish pushes positions to the evaluation-noise floor instead."""
     Y = np.array(starts, dtype=np.float64)
-    proj, dims = _focal_tangent_projector(fam, Y)
+    proj, dims, charts = _focal_tangent_projector(fam, Y)
     d_foc = int(dims[0])
     if not np.all(dims == d_foc):
         raise SamplingError(f"focal tangent ranks disagree: {sorted(set(dims))}")
@@ -622,25 +627,24 @@ def _focal_newton(fam, side, p, starts):
         # the focal set is a point; every projected start already solves it
         return Y, np.zeros(Y.shape[0]), 0
 
-    def tangent_part(proj):
+    def tangent_part(proj, _dims, charts):
         q = np.einsum("bij,j->bi", proj, p)
-        return np.linalg.norm(q, axis=1), [proj, q]
+        return np.linalg.norm(q, axis=1), [charts[:, :d_foc], q]
 
     def residual(rows):
-        return tangent_part(_focal_tangent_projector(fam, rows)[0])
+        return tangent_part(*_focal_tangent_projector(fam, rows))
 
     def step(rows, state):
-        proj, q = state
-        chart = _focal_chart(proj, d_foc)
+        chart, q = state
         jac = _focal_jacobian(fam, side, p, rows, chart, q)
         return _chart_step(fam, float(side), rows, chart, jac, q)
 
-    rnorm, state = _masked_newton(Y, tangent_part(proj), residual, step,
-                                  _FOCAL_TOL, _FOCAL_MAX_ITER)
+    rnorm, state = _masked_newton(Y, tangent_part(proj, dims, charts),
+                                  residual, step, _FOCAL_TOL, _FOCAL_MAX_ITER)
     done = rnorm <= _FOCAL_TOL
     sols, rnorm, state = Y[done], rnorm[done], [s[done] for s in state]
     for _ in range(_FOCAL_POLISH if len(sols) else 0):
-        # the first polish step reuses the loop's last projectors
+        # the first polish step reuses the loop's last charts
         moved, ok = step(sols, state)
         sols[ok] = moved[ok]
         rnorm, state = residual(sols)
@@ -672,17 +676,18 @@ def _focal_circle_points(fam, side, pole):
 
 
 def _focal_index(fam, side, p, Y, d_foc):
-    """Height-function Hessian index in the focal chart at each row of Y,
-    from central differences of P(y) p (no third-derivative bank)."""
+    """Height-function Hessian index at each row of Y, in the chart of the
+    first d_foc rows of `_focal_tangent_projector`'s charts, from central
+    differences of P(y) p (no third-derivative bank).  Returns (indices,
+    margins)."""
     def gradient(rows):
         return _focal_tangent_projector(fam, rows)[0] @ p
 
     if d_foc == 0:
         return [0] * len(Y), [1.0] * len(Y)
-    proj, _ = _focal_tangent_projector(fam, Y)
-    chart = _focal_chart(proj, d_foc)
-    eig = np.linalg.eigvalsh(
-        _chart_hessians(fam, float(side), p, Y, chart, 1e-8, gradient))
+    charts = _focal_tangent_projector(fam, Y)[2]
+    eig = np.linalg.eigvalsh(_chart_hessians(
+        fam, float(side), p, Y, charts[:, :d_foc], 1e-8, gradient))
     abs_eig = np.abs(eig)
     top = abs_eig.max(axis=1)
     margins = np.divide(abs_eig.min(axis=1), top, out=np.zeros_like(top),
@@ -712,7 +717,7 @@ def focal_tautness_report(fam, side, num_poles=50, seed=0,
         expected_count=fam.betti_sum_focal, seed=seed)
     if starts_per_pole is None:
         starts_per_pole = 24 * fam.g
-    rng = np.random.default_rng(np.random.SeedSequence((int(seed), 0xF0CA)))
+    rng = seeded_rng(seed, 0xF0CA)
     done = 0
     rejected = {"focal pole": 0}
     while done < num_poles:
@@ -762,7 +767,7 @@ def totally_focal_probe(fam, s, seed=0, num_nonfocal=50, num_focal=10,
     Also reports (without asserting) the margin for a pole offset 1e-5 from
     the focal set, to document boundary behavior.
     """
-    rng = np.random.default_rng(np.random.SeedSequence((int(seed), 0x70FA)))
+    rng = seeded_rng(seed, 0x70FA)
     nonfocal = {"poles": 0, "points": 0, "degenerate_points": 0,
                 "min_margin": float("inf")}
     mixed_failures = []

@@ -7,9 +7,13 @@ import numpy as np
 import pytest
 
 from isolab import (FamilyIntegrityError, FamilyRejectedError,
-                    InputContractError, IsoparametricFamily, catalog,
-                    family_from_json, family_to_json, munzner_residuals,
-                    restrict_V, verify_munzner)
+                    InputContractError, IsoparametricFamily, SpherePoint,
+                    catalog, critical_points_newton, euclidean_taut_spot_check,
+                    family_from_json, family_to_json, focal_dimension_estimate,
+                    focal_tautness_report, isoparametric_check,
+                    munzner_residuals, orbit_level_check, restrict_V,
+                    sample_points, tightness_report, totally_focal_probe,
+                    verify_munzner)
 from isolab.families import ambient_to_sym3, sym3_basis, sym3_to_ambient
 from isolab.polynomial import CMPolynomial
 
@@ -183,3 +187,34 @@ def test_json_round_trip_bit_exact(fam_cartan, fam_clifford):
         obj = json.loads(text)
         assert set(obj) == {"ambient_dim", "degree", "terms", "g", "m1", "m2",
                             "label"}
+
+
+SEEDED_CALLS = {
+    "verify_munzner": lambda fam, seed: verify_munzner(fam, seed=seed),
+    "sample_points": lambda fam, seed: sample_points(fam, 0.3, 2, seed),
+    "isoparametric_check": lambda fam, seed: isoparametric_check(
+        fam, 0.3, num_samples=2, seed=seed),
+    "focal_dimension_estimate": lambda fam, seed: focal_dimension_estimate(
+        fam, 1, seed=seed),
+    "critical_points_newton": lambda fam, seed: critical_points_newton(
+        fam, 0.3, SpherePoint(np.array([0.6, 0.0, 0.8, 0.0])), seed=seed),
+    "tightness_report": lambda fam, seed: tightness_report(
+        fam, 0.3, num_poles=1, seed=seed),
+    "focal_tautness_report": lambda fam, seed: focal_tautness_report(
+        fam, 1, num_poles=1, seed=seed),
+    "totally_focal_probe": lambda fam, seed: totally_focal_probe(
+        fam, 0.3, seed=seed, num_nonfocal=1, num_focal=1),
+    "orbit_level_check": lambda fam, seed: orbit_level_check(
+        0.3, num_rotations=2, seed=seed),
+    "euclidean_taut_spot_check": lambda fam, seed: euclidean_taut_spot_check(
+        fam, 0.0, SpherePoint(np.array([0.5, -0.2, 0.1, 0.8])),
+        num_centers=1, seed=seed),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SEEDED_CALLS))
+def test_negative_seed_is_an_input_contract_error(fam_clifford, name):
+    # numpy's SeedSequence takes no negative entropy; every seeded entry
+    # point must say so in the library's own terms
+    with pytest.raises(InputContractError, match="seed must be non-negative"):
+        SEEDED_CALLS[name](fam_clifford, -1)

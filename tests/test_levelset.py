@@ -223,3 +223,51 @@ def test_householder_frames_span_the_qr_frames():
         sph = _householder_frames(X)
         sph_proj = np.eye(fam.ambient_dim) - X[:, :, None] * X[:, None, :]
         assert np.abs(np.swapaxes(sph, 1, 2) @ sph - sph_proj).max() <= 1e-13
+
+
+def count_bank_calls(monkeypatch, kinds=("value", "gradient", "hessian")):
+    calls = dict.fromkeys(kinds, 0)
+    for kind in kinds:
+        def counting(self, x, _bank=getattr(CMPolynomial, kind), _kind=kind):
+            calls[_kind] += 1
+            return _bank(self, x)
+        monkeypatch.setattr(CMPolynomial, kind, counting)
+    return calls
+
+
+COUNT_FAMILIES = (("cartan-cubic", {}), ("nomizu-quartic", {"n": 2}),
+                  ("clifford", {"k": 2, "n": 7}))
+
+
+def test_focal_projection_stops_at_roundoff(monkeypatch):
+    # the tangency Newton along each frozen circle stops once its update is
+    # at the float floor, and the last pass's jet gives the final test
+    calls = count_bank_calls(monkeypatch)
+    rng = np.random.default_rng(67)
+    for label, params in COUNT_FAMILIES:
+        fam = catalog(label, **params)
+        for side in (1, -1):
+            raw = rng.normal(size=(24, fam.ambient_dim))
+            Y, _ok = _project_batch(fam, float(side), raw)
+            step = rng.normal(size=Y.shape)
+            step -= np.einsum("ij,ij->i", step, Y)[:, None] * Y
+            off = _normalize_rows(Y + 1e-3 * _normalize_rows(step))
+            for rows in (raw, off):
+                calls.update(dict.fromkeys(calls, 0))
+                _Y, ok = _project_batch(fam, float(side), rows)
+                assert ok.all(), (label, side)
+                assert calls["value"] <= 4 and calls["gradient"] <= 4, calls
+                assert calls["hessian"] <= 2, calls
+
+
+def test_project_batch_takes_its_final_test_from_the_loop(monkeypatch):
+    calls = count_bank_calls(monkeypatch, ("value", "gradient"))
+    rng = np.random.default_rng(71)
+    for label, params in COUNT_FAMILIES:
+        fam = catalog(label, **params)
+        raw = rng.normal(size=(40, fam.ambient_dim))
+        for tol, accept in ((None, None), (1e-16, 1e-9)):
+            calls.update(dict.fromkeys(calls, 0))
+            _X, ok = _project_batch(fam, 0.3, raw, tol=tol, accept=accept)
+            assert ok.all(), (label, tol)
+            assert calls["value"] == calls["gradient"] + 1, (label, tol, calls)

@@ -305,8 +305,8 @@ def fd_focal_jacobian(fam, side, p, Y, chart, h=1e-6):
                                     _normalize_rows(Y - step),
                                     tol=1e-15, accept=1e-11)
         assert okp.all() and okm.all()
-        prj_p, _ = morse._focal_tangent_projector(fam, plus)
-        prj_m, _ = morse._focal_tangent_projector(fam, minus)
+        prj_p = morse._focal_tangent_projector(fam, plus)[0]
+        prj_m = morse._focal_tangent_projector(fam, minus)[0]
         qp = np.einsum("bnd,bde,e->bn", chart, prj_p, p)
         qm = np.einsum("bnd,bde,e->bn", chart, prj_m, p)
         jac[:, :, j] = (qp - qm) / (2 * h)
@@ -323,10 +323,10 @@ def test_exact_focal_jacobian_matches_finite_differences():
             Y = Y[ok]
             p = rng.normal(size=fam.ambient_dim)
             p /= np.linalg.norm(p)
-            proj, dims = morse._focal_tangent_projector(fam, Y)
+            proj, dims, charts = morse._focal_tangent_projector(fam, Y)
             d_foc = int(dims[0])
             assert len(Y) >= 4 and (dims == d_foc).all() and d_foc > 0
-            chart = morse._focal_chart(proj, d_foc)
+            chart = charts[:, :d_foc]
             q = np.einsum("bij,j->bi", proj, p)
             exact = morse._focal_jacobian(fam, side, p, Y, chart, q)
             oracle = fd_focal_jacobian(fam, side, p, Y, chart)
@@ -359,11 +359,67 @@ def test_focal_tangent_projector_matches_per_row_loop():
         for side in (1, -1):
             Y, ok = _project_batch(fam, float(side),
                                    rng.normal(size=(6, fam.ambient_dim)))
-            proj, dims = morse._focal_tangent_projector(fam, Y[ok])
+            proj, dims, _charts = morse._focal_tangent_projector(fam, Y[ok])
             want, want_dims = loop_focal_tangent_projector(fam, Y[ok])
             assert dims.tolist() == want_dims, (fam.label, side)
             # the batched products sum in another order: roundoff only
             assert np.abs(proj - want).max() <= 1e-13, (fam.label, side)
+
+
+def projector_chart(proj, d_foc):
+    # the former focal chart, kept as an oracle: the top-d_foc eigenvectors
+    # of a second eigh, of the D x D tangent projector
+    _w, v = np.linalg.eigh(proj)
+    return np.swapaxes(v[:, :, -d_foc:], 1, 2)
+
+
+def test_focal_charts_are_orthonormal_tangent_bases():
+    rng = np.random.default_rng(61)
+    for fam in (catalog("cartan-cubic"), catalog("nomizu-quartic", n=2),
+                catalog("clifford", k=2, n=7)):
+        for side in (1, -1):
+            Y, ok = _project_batch(fam, float(side),
+                                   rng.normal(size=(6, fam.ambient_dim)))
+            proj, dims, charts = morse._focal_tangent_projector(fam, Y[ok])
+            d_foc = int(dims[0])
+            assert (dims == d_foc).all() and d_foc > 0, (fam.label, side)
+            assert not charts[:, d_foc:].any(), (fam.label, side)
+            chart = charts[:, :d_foc]
+            eye = np.eye(d_foc)
+            gram = chart @ np.swapaxes(chart, 1, 2)
+            assert np.abs(gram - eye).max() <= 1e-13, (fam.label, side)
+            span = np.swapaxes(chart, 1, 2) @ chart
+            assert np.abs(span - proj).max() <= 1e-13, (fam.label, side)
+            # the former chart spans the same space: the two differ by an
+            # orthogonal d_foc x d_foc change of basis
+            change = chart @ np.swapaxes(projector_chart(proj, d_foc), 1, 2)
+            assert np.abs(change @ np.swapaxes(change, 1, 2) - eye).max() \
+                <= 1e-13, (fam.label, side)
+
+
+def test_focal_newton_diagonalizes_no_ambient_matrix(fam_nomizu, monkeypatch):
+    # the chart comes from the sphere-frame eigenvectors the tangent
+    # projector already computed, never from an eigh of the D x D projector
+    shapes = []
+    eigh = np.linalg.eigh
+
+    def recording(a, *args, **kwargs):
+        shapes.append(np.shape(a)[-2:])
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", recording)
+    d = fam_nomizu.ambient_dim
+    rng = np.random.default_rng(73)
+    pole = morse._draw_pole(fam_nomizu, rng)
+    for side in (1, -1):
+        starts, ok = _project_batch(fam_nomizu, float(side),
+                                    rng.normal(size=(48, d)))
+        sols, _rnorm, d_foc = morse._focal_newton(fam_nomizu, side,
+                                                  pole.coords, starts[ok])
+        assert len(sols) and d_foc > 0, side
+        _eta, Y = morse._focal_circle_points(fam_nomizu, side, pole)
+        morse._focal_index(fam_nomizu, side, pole.coords, Y, d_foc)
+    assert shapes and (d, d) not in shapes, sorted(set(shapes))
 
 
 def test_hessian_stencil_never_uses_the_hessian_bank(fam_nomizu, monkeypatch):
@@ -507,9 +563,9 @@ def test_chart_hessians_match_entrywise_loop(monkeypatch):
         assert indices(hessians, -1) == indices(loop, -1), fam.label
         for side in (1, -1):
             _eta, Y = morse._focal_circle_points(fam, side, pole)
-            proj, dims = morse._focal_tangent_projector(fam, Y)
+            proj, dims, charts = morse._focal_tangent_projector(fam, Y)
             d_foc = int(dims[0])
-            chart = morse._focal_chart(proj, d_foc)
+            chart = charts[:, :d_foc]
             captured.clear()
             got, _margins = morse._focal_index(fam, side, p, Y, d_foc)
             jac = morse._focal_jacobian(fam, side, p, Y, chart, proj @ p)
@@ -543,11 +599,11 @@ def test_focal_index_matches_per_point_loop(fam_cartan, fam_nomizu):
         pole = morse._draw_pole(fam, np.random.default_rng(37))
         for side in (1, -1):
             _eta, Y = morse._focal_circle_points(fam, side, pole)
-            proj, dims = morse._focal_tangent_projector(fam, Y)
+            _proj, dims, charts = morse._focal_tangent_projector(fam, Y)
             d_foc = int(dims[0])
             indices, margins = morse._focal_index(fam, side, pole.coords, Y,
                                                   d_foc)
-            chart = morse._focal_chart(proj, d_foc)
+            chart = charts[:, :d_foc]
             want_i, want_m = [], []
             for k in range(len(Y)):  # one retraction batch per point
                 eig = np.linalg.eigvalsh(loop_chart_hessians(
