@@ -84,8 +84,15 @@ def _load_family(args):
         if path is not None:
             return family_from_json_obj(_read_json_file(path))
         return catalog(args.family, **params)
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise _UsageError(f"bad parameters for {args.family}: {exc}") from exc
+
+
+def _regular_level(args):
+    """--level, which must name a hypersurface: +/-1 have no shape operator."""
+    if not -1.0 < args.level < 1.0:
+        raise _UsageError(f"--level must lie in (-1, 1), got {args.level!r}")
+    return args.level
 
 
 def _read_json_file(path):
@@ -127,6 +134,7 @@ def _cmd_verify(args, fam):
 
 
 def _cmd_spectrum(args, fam):
+    _regular_level(args)
     tol = 1e-7 if args.tol is None else args.tol
     if args.format == "csv":
         if not args.out:
@@ -144,7 +152,8 @@ def _cmd_spectrum(args, fam):
 
 
 def _cmd_focal(args, fam):
-    pts = sample_points(fam, args.level, max(1, args.samples // 10), args.seed)
+    pts = sample_points(fam, _regular_level(args), max(1, args.samples // 10),
+                        args.seed)
     worst_exp = max(exp_param_check(fam, p) for p in pts)
     spacing = []
     for p in pts:
@@ -207,7 +216,12 @@ def _cmd_export_mesh(args, fam):
     if not args.out:
         raise _UsageError("export-mesh needs --out")
     if args.pole is not None:
-        pole = SpherePoint(np.asarray(json.loads(args.pole), dtype=float))
+        try:  # JSONDecodeError and InputContractError are ValueErrors
+            pole = SpherePoint(np.asarray(json.loads(args.pole), dtype=float))
+        except (TypeError, ValueError) as exc:
+            raise _UsageError(f"bad --pole {args.pole}: {exc}") from exc
+        if pole.ambient_dim != fam.ambient_dim:
+            raise _UsageError(f"--pole needs {fam.ambient_dim} coordinates")
     else:
         pole = _default_pole(fam, args.seed)
     if fam.ambient_dim != 4:
@@ -228,7 +242,8 @@ def _cmd_export_mesh(args, fam):
 def _cmd_export_curves(args, fam):
     if not args.out:
         raise _UsageError("export-curves needs --out")
-    export_mod.export_focal_circle_csv(fam, args.level, args.seed, args.out)
+    export_mod.export_focal_circle_csv(fam, _regular_level(args), args.seed,
+                                       args.out)
     print(f"wrote the normal-circle profile to {args.out}")
     return EXIT_PASS
 
@@ -268,6 +283,12 @@ def main(argv=None):
         return EXIT_FAIL
     except InputContractError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except OSError as exc:
+        if exc.filename is None or exc.filename != args.out:
+            raise
+        print(f"usage error: cannot write --out {args.out}: {exc.strerror}",
+              file=sys.stderr)
         return EXIT_USAGE
     except (MeshExportError, IsolabError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import InputContractError, MeshExportError
 from .families import seeded_rng
+from .focal import _circle_profile
 from .levelset import sample_points
 from .shape import spectrum_at
 from .sphere import SpherePoint, tangent_basis
@@ -50,7 +51,7 @@ class MeshData:
 
 
 def _stereo_rows(points, pole):
-    """Stereographic projection of an (N, 4) block from a SpherePoint pole."""
+    """Stereographic projection of an (N, D) block from a SpherePoint pole."""
     basis = tangent_basis(pole).vectors
     dots = points @ pole.coords
     return (points @ basis.T) / (1.0 - dots)[:, None], dots
@@ -212,14 +213,8 @@ def export_spectrum_csv(fam, s, num_samples, seed, path):
 def export_focal_circle_csv(fam, s, seed, path, grid_size=720):
     """Rows: t, V along the normal circle at t, and the focal side tag
     (+/-1 at focal parameters, 0 elsewhere)."""
-    base = sample_points(fam, s, 1, seed)[0]
-    spec = spectrum_at(base)
-    theta = spec.theta
-    ts = -np.pi + 2 * np.pi * (np.arange(1, grid_size + 1) / grid_size)
-    ang = theta - ts
-    pts = (np.cos(ang)[:, None] * base.x.coords
-           + np.sin(ang)[:, None] * np.asarray(base.xi))
-    vals = fam.polynomial.value(pts)
+    ts, vals = _circle_profile(fam, sample_points(fam, s, 1, seed)[0],
+                               grid_size)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["t", "V", "side"])
@@ -232,9 +227,7 @@ def export_focal_circle_csv(fam, s, seed, path, grid_size=720):
 def export_point_cloud_csv(fam, s, count, seed, pole, path):
     """Stereographic point cloud of M_s for families with no mesh support."""
     pts = np.array([p.x.coords for p in sample_points(fam, s, count, seed)])
-    basis = tangent_basis(pole).vectors
-    dots = pts @ pole.coords
-    proj = (pts @ basis.T) / (1.0 - dots)[:, None]
+    proj, _ = _stereo_rows(pts, pole)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow([f"y{i + 1}" for i in range(proj.shape[1])])

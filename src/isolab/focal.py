@@ -58,16 +58,20 @@ def focal_points_along_normal(sp: SurfacePoint, spectrum: PrincipalSpectrum | No
     return out
 
 
-def exp_param_check(fam, sp: SurfacePoint, grid_size=720):
-    """Maximum of |V(E(t, x)) - cos(g t)| over a uniform t-grid on (-pi, pi],
-    where E is the offset normal exponential map with the offset theta taken
-    from the spectrum at sp.  For a genuine family this is roundoff-sized."""
-    spectrum = spectrum_at(sp)
-    theta = spectrum.theta
+def _circle_profile(fam, sp: SurfacePoint, grid_size):
+    """The uniform t-grid of `grid_size` points on (-pi, pi] and V(E(t, x))
+    on it, where E is the offset normal exponential map at sp with the
+    offset theta taken from the spectrum at sp.  Returns (ts, values)."""
     ts = -np.pi + 2 * np.pi * (np.arange(1, grid_size + 1) / grid_size)
-    ang = theta - ts
+    ang = spectrum_at(sp).theta - ts
     pts = np.cos(ang)[:, None] * sp.x.coords + np.sin(ang)[:, None] * np.asarray(sp.xi)
-    vals = fam.polynomial.value(pts)
+    return ts, fam.polynomial.value(pts)
+
+
+def exp_param_check(fam, sp: SurfacePoint, grid_size=720):
+    """Maximum of |V(E(t, x)) - cos(g t)| over the `_circle_profile` grid.
+    For a genuine family this is roundoff-sized."""
+    ts, vals = _circle_profile(fam, sp, grid_size)
     return float(np.abs(vals - np.cos(fam.g * ts)).max())
 
 

@@ -127,70 +127,71 @@ def _project_batch(fam, s, points, tol=None, accept=None, max_iter=40):
     return X, ok
 
 
+def _clean_jet(fam, X):
+    """`_level_jet` less the residual radial part of each spherical gradient:
+    near the focal set |grad_S V| drops to the scale of the Euler-identity
+    roundoff, where a phantom radial part of relative size eps/|W| would
+    dominate the walking direction and the tangency residual."""
+    v, w = _level_jet(fam, X)
+    w -= np.einsum("ij,ij->i", w, X)[:, None] * X
+    return v, w
+
+
+def _circle_tangency(fam, base, eta, tau):
+    """Newton in the arc parameter from tau on the tangency condition
+    dV/dtau = 0 along the circles cos(tau) base + sin(tau) eta (rows, or one
+    circle for all of tau), stopping once the largest update is at most
+    1e-14 rad (about 50 ulp of tau) or after _FOCAL_INNER steps; a curvature
+    below 1e-9 is taken as 1.  Returns the final tau."""
+    g = fam.g
+    for _ in range(_FOCAL_INNER):
+        ct, st = np.cos(tau)[:, None], np.sin(tau)[:, None]
+        X = ct * base + st * eta
+        vals, W = _clean_jet(fam, X)
+        dx = -st * base + ct * eta
+        slope = np.einsum("ij,ij->i", W, dx)
+        hess = fam.polynomial.hessian(X)
+        curv = (dx[:, None, :] @ hess @ dx[:, :, None])[:, 0, 0] - g * vals
+        update = slope / np.where(np.abs(curv) < 1e-9, 1.0, curv)
+        tau = tau - update
+        if np.abs(update).max() <= 1e-14:
+            break
+    return tau
+
+
 def _project_focal_batch(fam, side, points, accept=1e-10):
     """Project onto the focal submanifold V = side (+1 or -1).
 
     Each outer pass freezes the normal circle at the current point (whose
     gradient is still healthy) and solves the tangency condition dV = 0
-    along it by Newton in the arc parameter from the phase jump, stopping
-    once the largest update is at most 1e-14 rad (about 50 ulp of the arc
-    parameter) or after _FOCAL_INNER steps; for a genuine family the jump
-    is already exact and one step confirms it.  The values and gradients
-    that end a pass start the next one, and those of the last pass give the
-    final test.  The iteration is gated on the spherical gradient norm, not
-    on |V - side|:
-    V is quartically blind to small transverse offsets (a point h off the
-    focal set changes V by only O(h^2)), while the gradient norm measures
-    the offset linearly (|grad_S V| ~ g^2 h), which is what stencil-grade
-    positioning needs.
+    along it by `_circle_tangency` from the phase jump; for a genuine family
+    the jump is already exact and one step confirms it.  The values and
+    gradients that end a pass start the next one, and those of the last pass
+    give the final test.  The iteration is gated on the spherical gradient
+    norm, not on |V - side|: V is quartically blind to small transverse
+    offsets (a point h off the focal set changes V by only O(h^2)), while
+    the gradient norm measures the offset linearly (|grad_S V| ~ g^2 h),
+    which is what stencil-grade positioning needs.
     """
     g = fam.g
-    poly = fam.polynomial
     X = _normalize_rows(np.array(points, dtype=np.float64))
-    ok = np.ones(X.shape[0], dtype=bool)
     target_phase = 0.0 if side > 0 else np.pi / g
-    grad_goal = 3e-13
-
-    def clean_gradient(pts):
-        # the spherical gradient is tangent by construction, but near the
-        # focal set its norm drops to the scale of the Euler-identity
-        # roundoff; removing the residual radial component keeps the walking
-        # direction honest (a phantom radial part of relative size eps/|W|
-        # would otherwise dominate the tangency residual)
-        v, w = _level_jet(fam, pts)
-        w -= np.einsum("ij,ij->i", w, pts)[:, None] * pts
-        return v, w
-
-    v, W = clean_gradient(X)
+    v, W = _clean_jet(fam, X)
     for _ in range(_FOCAL_OUTER):
         wn = np.linalg.norm(W, axis=1)
-        live = ok & (wn > grad_goal)
-        if not live.any():
+        i2 = np.flatnonzero(wn > 3e-13)
+        if not len(i2):
             break
-        i2 = np.flatnonzero(live)
-        base = X[i2]
-        eta = W[i2] / wn[i2, None]
-        tau = np.arccos(np.clip(v[i2], -1.0, 1.0)) / g - target_phase
-        for _ in range(_FOCAL_INNER):
-            ct, st = np.cos(tau)[:, None], np.sin(tau)[:, None]
-            Xn = ct * base + st * eta
-            vals, Wn = clean_gradient(Xn)
-            dx = -st * base + ct * eta
-            slope = np.einsum("ij,ij->i", Wn, dx)
-            hess = poly.hessian(Xn)
-            curv = (dx[:, None, :] @ hess @ dx[:, :, None])[:, 0, 0] - g * vals
-            curv = np.where(np.abs(curv) < 1e-9, 1.0, curv)
-            update = slope / curv
-            tau = tau - update
-            if np.abs(update).max() <= 1e-14:
-                break
+        base, eta = X[i2], W[i2] / wn[i2, None]
+        tau = _circle_tangency(
+            fam, base, eta,
+            np.arccos(np.clip(v[i2], -1.0, 1.0)) / g - target_phase)
         ct, st = np.cos(tau)[:, None], np.sin(tau)[:, None]
         X[i2] = _normalize_rows(ct * base + st * eta)
-        v, W = clean_gradient(X)
-    wn = np.linalg.norm(W, axis=1)
+        v, W = _clean_jet(fam, X)
     # the gradient bound pins the transverse offset; the value bound rejects
     # rows that settled on the opposite focal sheet
-    ok &= (wn <= 1e-11) & (np.abs(v - side) <= accept)
+    ok = (np.linalg.norm(W, axis=1) <= 1e-11) & (np.abs(v - side) <= accept)
     return X, ok
 
 

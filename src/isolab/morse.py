@@ -7,9 +7,9 @@ critical for d_p exactly when p lies in the plane spanned by x and the
 hypersurface normal at x, so the tangential component of p must vanish.
 Route two uses the normal great circle through p: it meets every level
 hypersurface 2g times (and each focal submanifold g times) at arc positions
-available in closed form from the cosine profile of V, so the expected
-critical set is constructed analytically and the Newton route must agree
-with it point for point.
+in closed form from the cosine profile of V, polished in one batch along
+that circle alone (`_normal_circle`), and the Newton route, which never
+reads these points, must agree with them point for point.
 
 Index route one is the sign count of a finite-difference Hessian; since the
 height function <p, .> has the same critical points as d_p and is smooth
@@ -30,9 +30,9 @@ import numpy as np
 from .errors import (InputContractError, NearFocalPoleError, PoleIsFocalError,
                      SamplingError, StartAtFocalError)
 from .families import seeded_rng
-from .levelset import (_GRAD_FLOOR, SurfacePoint, _frames_batch,
-                       _householder_frames, _normalize_rows, _project_batch,
-                       spherical_gradient, surface_point)
+from .levelset import (_GRAD_FLOOR, SurfacePoint, _circle_tangency,
+                       _frames_batch, _householder_frames, _level_jet,
+                       _normalize_rows, _project_batch, surface_point)
 from .shape import PrincipalSpectrum, _shape_operators, arccot
 from .sphere import SpherePoint
 
@@ -288,7 +288,7 @@ def _hessian_stencil(fam, s, p, X, frames=None):
     (computed when not given), from the tangential residual with normals
     from the value and gradient banks only.  Returns (hessians, t)."""
     def gradient(rows):
-        xi = _normalize_rows(spherical_gradient(fam, rows))
+        xi = _normalize_rows(_level_jet(fam, rows)[1])
         return _tangential_residual(fam, p, rows, xi)
 
     if frames is None:
@@ -371,6 +371,18 @@ def index_via_focal_count(pole: SpherePoint, cp: SurfacePoint,
     return int(indices[0])
 
 
+def _newton_route(fam, s, p, raw, degenerate_threshold):
+    """The Newton route from the ambient draws `raw`: project them to M_s,
+    solve from the usable ones (SamplingError when there are none),
+    deduplicate and classify."""
+    starts, ok = _project_batch(fam, s, raw)
+    if not ok.any():
+        raise SamplingError("no usable Newton starts")
+    sols, rnorm, _diag = _newton_multistart(fam, s, p, starts[ok])
+    return _classify(fam, s, p, _dedup(fam, sols, rnorm),
+                     degenerate_threshold=degenerate_threshold)
+
+
 def critical_points_newton(fam, s, pole: SpherePoint, num_starts=None, seed=0,
                            degenerate_threshold=_DEGENERATE_REPORT):
     """All critical points of d_pole on M_s by multistart Newton.
@@ -387,36 +399,43 @@ def critical_points_newton(fam, s, pole: SpherePoint, num_starts=None, seed=0,
         num_starts = 60 * fam.g
     rng = seeded_rng(seed, 0x5EED)
     raw = rng.normal(size=(num_starts, fam.ambient_dim))
-    starts, ok = _project_batch(fam, s, raw)
-    starts = starts[ok]
-    if len(starts) == 0:
-        raise SamplingError("no usable Newton starts")
+    return _newton_route(fam, s, pole.coords, raw, degenerate_threshold)
+
+
+def _normal_circle(fam, s, pole: SpherePoint):
+    """The 2g points where the normal great circle cos(tau) p + sin(tau) eta
+    through the pole meets the level V = s, or the g where it meets the
+    focal sheet V = s = +/-1: V is cos(g (psi0 - tau)) along it, so they sit
+    at tau = psi0 - (+/-arccos s + 2 pi j) / g.  One batch polishes these
+    closed forms along the circle, keeping V at roundoff even for
+    polynomials that satisfy the identities only approximately: two Newton
+    steps on V - s on a level (a row stops once its slope is below 1e-9),
+    `_circle_tangency` on a sheet.  Returns (eta, points sorted by tau)."""
     p = pole.coords
-    sols, rnorm, _diag = _newton_multistart(fam, s, p, starts)
-    unique = _dedup(fam, sols, rnorm)
-    return _classify(fam, s, p, unique,
-                     degenerate_threshold=degenerate_threshold)
-
-
-def _normal_circle(fam, pole: SpherePoint, offsets):
-    """The normal great circle cos(tau) p + sin(tau) eta through the pole.
-
-    Along it V is cos(g psi) with psi = psi0 - tau, so V takes the value
-    cos(offset) at the arc positions tau = psi0 - (offset + 2 pi j) / g.
-    Returns (eta, sorted distinct tau in (-pi, pi] over all offsets); the
-    offsets are +/-arccos s for the level s and 0 or pi for the focal sheets.
-    """
-    w = spherical_gradient(fam, pole)
+    v0, w = _level_jet(fam, p[None, :])
     wn = float(np.linalg.norm(w))
     if wn < 1e-8:
         raise PoleIsFocalError("the pole lies on the focal set")
-    g = fam.g
-    v0 = float(fam.polynomial.value(pole.coords))
-    psi0 = float(np.arccos(np.clip(v0, -1.0, 1.0))) / g
-    taus = [psi0 - (offset + 2 * np.pi * j) / g
-            for j in range(-g - 1, g + 2) for offset in offsets]
-    taus = [tau for tau in taus if -np.pi < tau <= np.pi]
-    return w / wn, sorted(set(np.round(taus, 14)))
+    eta, g, beta = w[0] / wn, fam.g, float(np.arccos(s))
+    psi0 = float(np.arccos(np.clip(v0[0], -1.0, 1.0))) / g
+    focal = abs(s) == 1.0
+    taus = [psi0 - (offset + 2 * np.pi * j) / g for j in range(-g - 1, g + 2)
+            for offset in ((beta,) if focal else (beta, -beta))]
+    tau = np.array(sorted(set(np.round(
+        [t for t in taus if -np.pi < t <= np.pi], 14))))
+    if focal:
+        tau = _circle_tangency(fam, p, eta, tau)
+    else:
+        live = np.arange(len(tau))
+        for _ in range(2):
+            ct, st = np.cos(tau[live])[:, None], np.sin(tau[live])[:, None]
+            X = ct * p + st * eta
+            slope = np.einsum("ij,ij->i", fam.polynomial.gradient(X),
+                              ct * eta - st * p)
+            move = np.abs(slope) >= 1e-9
+            tau[live[move]] -= (fam.polynomial.value(X)[move] - s) / slope[move]
+            live = live[move]
+    return eta, np.cos(tau)[:, None] * p + np.sin(tau)[:, None] * eta
 
 
 def normal_circle_critical_points(fam, s, pole: SpherePoint, classify=True):
@@ -426,31 +445,14 @@ def normal_circle_critical_points(fam, s, pole: SpherePoint, classify=True):
     There is exactly one great circle through a non-focal pole meeting the
     family orthogonally (its direction is the normalized spherical gradient
     of V at the pole); V restricted to it is a cosine of g times arc length,
-    so the crossings of the level s sit at 2g closed-form arc positions.
+    so the crossings of the level s sit at 2g closed-form arc positions
+    (`_normal_circle`).
     """
     if not -1.0 < s < 1.0:
         raise InputContractError("levels of hypersurfaces live in (-1, 1)")
-    p = pole.coords
-    beta = float(np.arccos(np.clip(s, -1.0, 1.0)))
-    eta, taus = _normal_circle(fam, pole, (beta, -beta))
-    pts = []
-    for tau in taus:
-        x = np.cos(tau) * p + np.sin(tau) * eta
-        # one secant polish pass keeps |V - s| at roundoff even for
-        # polynomials that satisfy the identities only approximately
-        for _ in range(2):
-            val = float(fam.polynomial.value(x))
-            grad = fam.polynomial.gradient(x)
-            dtan = -np.sin(tau) * p + np.cos(tau) * eta
-            slope = float(grad @ dtan)
-            if abs(slope) < 1e-9:
-                break
-            tau -= (val - s) / slope
-            x = np.cos(tau) * p + np.sin(tau) * eta
-        pts.append(x)
-    X = np.array(pts)
+    X = _normal_circle(fam, s, pole)[1]
     if classify:
-        return _classify(fam, s, p, X)
+        return _classify(fam, s, pole.coords, X)
     return [surface_point(fam, SpherePoint(row), level=s) for row in X]
 
 
@@ -530,9 +532,9 @@ def tightness_report(fam, s, num_poles=100, seed=0) -> TightnessReport:
         done += 1
         match = _match_distance([cp.location.coords for cp in newton_pts],
                                 [cp.location.coords for cp in circle_pts])
-        level_res = max(
-            abs(float(fam.polynomial.value(cp.location.coords)) - s)
-            for cp in newton_pts + circle_pts)
+        level_res = float(np.abs(np.atleast_1d(fam.polynomial.value(
+            np.array([cp.location.coords for cp in newton_pts + circle_pts])))
+            - s).max())
         index_ok = all(cp.index_focal == cp.index_hessian
                        for cp in newton_pts + circle_pts
                        if not cp.degenerate)
@@ -653,26 +655,9 @@ def _focal_newton(fam, side, p, starts):
 
 def _focal_circle_points(fam, side, pole):
     """The g points where the normal great circle through the pole meets the
-    focal submanifold V = side, in closed form from the cosine profile.
-    Returns (eta, points (g, D))."""
-    p = pole.coords
-    eta, taus = _normal_circle(fam, pole, (0.0,) if side > 0 else (np.pi,))
-    out = []
-    for tau in taus:
-        x = np.cos(tau) * p + np.sin(tau) * eta
-        # polish: extremize V along the circle (tangential root of dV)
-        for _ in range(3):
-            grad = fam.polynomial.gradient(x)
-            dtan = -np.sin(tau) * p + np.cos(tau) * eta
-            slope = float(grad @ dtan)
-            hess = fam.polynomial.hessian(x)
-            curv = float(dtan @ hess @ dtan) - fam.g * float(fam.polynomial.value(x))
-            if abs(curv) < 1e-9:
-                break
-            tau -= slope / curv
-            x = np.cos(tau) * p + np.sin(tau) * eta
-        out.append(x)
-    return eta, np.array(out)
+    focal submanifold V = side (`_normal_circle`).  Returns (eta, points
+    (g, D))."""
+    return _normal_circle(fam, float(side), pole)
 
 
 def _focal_index(fam, side, p, Y, d_foc):
@@ -734,12 +719,12 @@ def focal_tautness_report(fam, side, num_poles=50, seed=0,
         unique = _dedup(fam, sols, rnorm)
         # collinearity: independently found points must lie in span{p, eta}
         plane = np.stack([pole.coords, eta])
-        colin = max((float(np.linalg.norm(row - plane.T @ (plane @ row)))
-                     for row in unique), default=0.0)
+        colin = float(np.linalg.norm(unique - unique @ plane.T @ plane,
+                                     axis=1).max(initial=0.0))
         match = _match_distance(unique, circle_x)
         indices, margins = _focal_index(fam, side, pole.coords, circle_x, d_foc)
-        level_res = max(abs(abs(float(fam.polynomial.value(c))) - 1.0)
-                        for c in circle_x)
+        level_res = float(np.abs(np.abs(np.atleast_1d(
+            fam.polynomial.value(circle_x))) - 1.0).max())
         # the worst match skips count mismatches: they are failure entries
         report.record(
             pole, (len(unique), len(circle_x)),
@@ -796,12 +781,9 @@ def totally_focal_probe(fam, s, seed=0, num_nonfocal=50, num_focal=10,
         side = 1.0 if i % 2 == 0 else -1.0
         p = project_to_level_focal(fam, side,
                                    rng.normal(size=fam.ambient_dim)).coords
-        starts, ok = _project_batch(
-            fam, s, rng.normal(size=(num_starts, fam.ambient_dim)))
-        sols, rnorm, _diag = _newton_multistart(fam, s, p, starts[ok])
-        unique = _dedup(fam, sols, rnorm)
-        cps = _classify(fam, s, p, unique,
-                        degenerate_threshold=_DEGENERATE_PROBE)
+        cps = _newton_route(fam, s, p,
+                            rng.normal(size=(num_starts, fam.ambient_dim)),
+                            _DEGENERATE_PROBE)
         focal["max_margin"] = max([focal["max_margin"],
                                    *tally(focal, cps, p, "focal")])
     # boundary demonstration: a pole just off the focal set

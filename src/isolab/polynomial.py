@@ -278,10 +278,6 @@ def poly_add(p, q, scale=1.0):
     return out
 
 
-def poly_scale(p, factor):
-    return {e: factor * c for e, c in p.items()}
-
-
 def squared_norm_dict(dim, indices):
     """Mapping for sum of x_i^2 over the given coordinate indices."""
     out = {}

@@ -26,7 +26,8 @@ class SpherePoint:
     """A point of the unit sphere, stored in ambient coordinates.
 
     The constructor normalizes its input and rejects vectors of norm below
-    1e-8; downstream formulas all assume exact unit norm.
+    1e-8 or with a non-finite entry; downstream formulas all assume exact
+    unit norm.
     """
 
     coords: np.ndarray
@@ -34,6 +35,8 @@ class SpherePoint:
     def __init__(self, coords):
         coords = _as_vector(coords)
         norm = float(np.linalg.norm(coords))
+        if not np.isfinite(norm):
+            raise InputContractError("coordinates must be finite")
         if norm < _MIN_NORM:
             raise InputContractError(f"cannot normalize vector of norm {norm:.3e}")
         coords = coords / norm

@@ -198,3 +198,59 @@ def test_negative_seed_is_usage_error(tmp_path, capsys, command):
     assert_usage_error(capsys, command, "--family", "clifford", "--params",
                        '{"k": 1, "n": 2}', "--seed", "-1", "--out", str(out))
     assert not out.exists()
+
+
+@pytest.mark.parametrize("level", ["1", "-1"])
+@pytest.mark.parametrize("command", ["spectrum", "focal", "export-curves"])
+def test_focal_level_is_usage_error(tmp_path, capsys, command, level):
+    # the focal levels have no shape operator, so nothing there to report
+    out = tmp_path / "out"
+    assert_usage_error(capsys, command, "--family", "cartan-cubic",
+                       f"--level={level}", "--out", str(out))
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("family, params, pole", [
+    ("clifford", '{"k": 1, "n": 2}', "nope"),
+    ("clifford", '{"k": 1, "n": 2}', '[1, 0, 0, "a"]'),
+    ("clifford", '{"k": 1, "n": 2}', '{"a": 1}'),
+    ("clifford", '{"k": 1, "n": 2}', "[NaN, 0, 0, 1]"),
+    ("clifford", '{"k": 1, "n": 2}', "[Infinity, 0, 0, 1]"),
+    ("clifford", '{"k": 1, "n": 2}', "[[1, 0], [0, 1]]"),
+    ("clifford", '{"k": 1, "n": 2}', "[0, 0, 0, 0]"),
+    ("clifford", '{"k": 1, "n": 2}', "[1, 0, 0]"),
+    ("cartan-cubic", "{}", "[1, 0, 0]"),
+])
+def test_bad_pole_is_usage_error(tmp_path, capsys, family, params, pole):
+    out = tmp_path / "out"
+    assert_usage_error(capsys, "export-mesh", "--family", family, "--params",
+                       params, "--level", "0.2", "--resolution", "8",
+                       "--samples", "10", "--pole", pole, "--out", str(out))
+    assert not out.exists()
+
+
+def test_bad_parameter_values_are_usage_errors(tmp_path, capsys):
+    assert_usage_error(capsys, "tight", "--family", "clifford", "--params",
+                       '{"k": "a", "n": 2}')
+    obj = family_to_json_obj(catalog("clifford", k=1, n=2))
+    bad_exponent = [[c, ["a", *e[1:]]] for c, e in obj["terms"]]
+    for bad in ({**obj, "terms": "x"}, {**obj, "terms": bad_exponent}):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(bad))
+        assert_usage_error(capsys, "tight", "--family", "user-polynomial",
+                           "--params", json.dumps({"file": str(path)}))
+
+
+@pytest.mark.parametrize("args", [
+    ("tight", "--poles", "1"),
+    ("spectrum", "--format", "csv", "--samples", "3"),
+    ("export-curves",),
+    ("export-mesh", "--level", "0.0", "--resolution", "4"),
+])
+def test_unwritable_out_is_usage_error(tmp_path, capsys, args):
+    out = str(tmp_path / "missing" / "out")
+    assert run_cli(*args, "--family", "clifford", "--params",
+                   '{"k": 1, "n": 2}', "--out", out) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and err.count("\n") == 1
+    assert out in err

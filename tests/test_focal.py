@@ -107,3 +107,15 @@ def test_focal_circle_csv(tmp_path, fam_clifford):
     # the emitted profile is the cosine of g times arc length
     assert np.abs(np.array(vs)
                   - np.cos(fam_clifford.g * np.array(ts))).max() < 1e-8
+
+
+def test_profile_check_and_csv_read_one_profile(tmp_path, fam_cartan):
+    # exp_param_check and the CSV export sample the same normal circle
+    from isolab.export import export_focal_circle_csv
+    path = tmp_path / "circle.csv"
+    export_focal_circle_csv(fam_cartan, 0.2, seed=9, path=str(path))
+    rows = [row.split(",") for row in path.read_text().splitlines()[1:]]
+    ts, vs = (np.array([float(r[k]) for r in rows]) for k in (0, 1))
+    base = sample_points(fam_cartan, 0.2, 1, 9)[0]
+    assert exp_param_check(fam_cartan, base) == \
+        float(np.abs(vs - np.cos(fam_cartan.g * ts)).max())

@@ -9,7 +9,7 @@ from isolab import (InputContractError, NearFocalPoleError, PoleIsFocalError,
                     focal_tautness_report, index_via_focal_count,
                     normal_circle_critical_points, sample_points,
                     spherical_distance, tightness_report, totally_focal_probe)
-from isolab import morse, shape
+from isolab import levelset, morse, shape
 from isolab.levelset import (_frames_batch, _normalize_rows, _project_batch,
                              spherical_gradient, surface_point)
 from isolab.morse import project_to_level_focal
@@ -764,3 +764,155 @@ def test_reports_factor_no_matrix_by_svd_or_qr(fam_nomizu, monkeypatch):
     assert totally_focal_probe(fam_nomizu, 0.3, seed=3, num_nonfocal=1,
                                num_focal=2)["pass"]
 
+
+
+def loop_normal_circle(fam, s, pole):
+    # the former circle route, kept as an oracle for `_normal_circle`: the
+    # closed-form arc positions polished one at a time, by secant steps on
+    # V - s on a level and by Newton on dV/dtau on a focal sheet
+    p, g = pole.coords, fam.g
+    w = spherical_gradient(fam, pole)
+    eta = w / np.linalg.norm(w)
+    psi0 = float(np.arccos(np.clip(fam.polynomial.value(p), -1.0, 1.0))) / g
+    beta = float(np.arccos(s))
+    offsets = (beta,) if abs(s) == 1.0 else (beta, -beta)
+    taus = [psi0 - (offset + 2 * np.pi * j) / g
+            for j in range(-g - 1, g + 2) for offset in offsets]
+    taus = sorted(set(np.round([t for t in taus if -np.pi < t <= np.pi], 14)))
+    out = []
+    for tau in taus:
+        x = np.cos(tau) * p + np.sin(tau) * eta
+        for _ in range(2 if abs(s) < 1.0 else 3):
+            dtan = -np.sin(tau) * p + np.cos(tau) * eta
+            slope = float(fam.polynomial.gradient(x) @ dtan)
+            val = float(fam.polynomial.value(x))
+            if abs(s) < 1.0:
+                if abs(slope) < 1e-9:
+                    break
+                tau -= (val - s) / slope
+            else:
+                curv = float(dtan @ fam.polynomial.hessian(x) @ dtan) - g * val
+                if abs(curv) < 1e-9:
+                    break
+                tau -= slope / curv
+            x = np.cos(tau) * p + np.sin(tau) * eta
+        out.append(x)
+    return eta, np.array(out)
+
+
+CIRCLE_FAMILIES = (("great-sphere", {"n": 3}, 0.4),
+                   ("clifford", {"k": 1, "n": 2}, 0.3),
+                   ("cartan-cubic", {}, 0.2),
+                   ("nomizu-quartic", {"n": 2}, 0.3))
+
+
+def test_normal_circle_matches_per_tau_loop():
+    rng = np.random.default_rng(89)
+    for label, params, s in CIRCLE_FAMILIES:
+        fam = catalog(label, **params)
+        for _ in range(3):
+            pole = morse._draw_pole(fam, rng)
+            for level in (s, 1.0, -1.0):
+                eta, X = morse._normal_circle(fam, level, pole)
+                want_eta, want = loop_normal_circle(fam, level, pole)
+                count = fam.g if abs(level) == 1.0 else 2 * fam.g
+                assert X.shape == want.shape == (count, fam.ambient_dim)
+                assert np.abs(eta - want_eta).max() <= 1e-15, (label, level)
+                assert np.abs(X - want).max() <= 1e-13, (label, level)
+                # the polish moves points only along the pole's circle
+                plane = np.stack([pole.coords, eta])
+                assert np.abs(X - X @ plane.T @ plane).max() <= 1e-13
+                if abs(level) < 1.0:
+                    assert np.abs(fam.polynomial.value(X) - level).max() \
+                        <= 1e-14, label
+                else:
+                    assert np.linalg.norm(spherical_gradient(fam, X),
+                                          axis=1).max() <= 1e-11, label
+
+
+def test_normal_circle_polishes_in_one_batch(monkeypatch):
+    # apart from the jet at the pole, every bank call of the circle route
+    # evaluates all of its points at once
+    calls = []
+    for kind in ("value", "gradient", "hessian"):
+        def recording(self, x, _bank=getattr(CMPolynomial, kind)):
+            calls.append(np.array(x, copy=True))
+            return _bank(self, x)
+        monkeypatch.setattr(CMPolynomial, kind, recording)
+    rng = np.random.default_rng(91)
+    for label, params, s in CIRCLE_FAMILIES:
+        fam = catalog(label, **params)
+        pole = morse._draw_pole(fam, rng)
+        p = pole.coords
+        for level in (s, 1.0, -1.0):
+            calls.clear()
+            _eta, X = morse._normal_circle(fam, level, pole)
+            assert all(x.shape == (1, len(p)) and np.array_equal(x[0], p)
+                       for x in calls[:2])
+            rest = calls[2:]
+            assert all(x.shape == X.shape for x in rest), (label, level)
+            budget = 4 if abs(level) < 1.0 else 3 * 4
+            assert 0 < len(rest) <= budget, (label, level, len(rest))
+
+
+def test_focal_retraction_and_circle_share_one_tangency_newton(fam_nomizu,
+                                                               monkeypatch):
+    calls = []
+    tangency = levelset._circle_tangency
+
+    def counting(fam, base, eta, tau):
+        calls.append(len(tau))
+        return tangency(fam, base, eta, tau)
+
+    monkeypatch.setattr(levelset, "_circle_tangency", counting)
+    monkeypatch.setattr(morse, "_circle_tangency", counting)
+    rng = np.random.default_rng(93)
+    for side in (1, -1):
+        _Y, ok = levelset._project_focal_batch(
+            fam_nomizu, side, rng.normal(size=(12, fam_nomizu.ambient_dim)))
+        assert ok.all() and calls, side
+    calls.clear()
+    pole = morse._draw_pole(fam_nomizu, rng)
+    for side in (1, -1):
+        morse._focal_circle_points(fam_nomizu, side, pole)
+    assert calls == [fam_nomizu.g] * 2
+
+
+def test_newton_entries_share_one_route(fam_clifford, monkeypatch):
+    seen = []
+    route = morse._newton_route
+
+    def recording(fam, s, p, raw, degenerate_threshold):
+        seen.append((float(fam.polynomial.value(p)), len(raw),
+                     degenerate_threshold))
+        return route(fam, s, p, raw, degenerate_threshold)
+
+    monkeypatch.setattr(morse, "_newton_route", recording)
+    pole = torus_pole(13)
+    critical_points_newton(fam_clifford, 0.3, pole, seed=2)
+    assert seen == [(float(fam_clifford.polynomial.value(pole.coords)),
+                     120, morse._DEGENERATE_REPORT)]
+    seen.clear()
+    totally_focal_probe(fam_clifford, 0.3, seed=4, num_nonfocal=1,
+                        num_focal=2)
+    # one non-focal pole, two focal poles, then the boundary pole
+    assert len(seen) == 4
+    assert all(t == morse._DEGENERATE_PROBE for _v, _n, t in seen)
+    assert abs(seen[0][0]) <= 1.0 - morse._POLE_MARGIN
+    assert [abs(abs(v) - 1.0) <= 1e-12 for v, _n, _t in seen[1:3]] == [True] * 2
+
+
+def test_probe_without_usable_starts_is_a_sampling_error(fam_clifford,
+                                                          monkeypatch):
+    project = morse._project_batch
+
+    def no_level_starts(fam, s, points, **kwargs):
+        X, ok = project(fam, s, points, **kwargs)
+        return X, ok & (abs(s) == 1.0)
+
+    monkeypatch.setattr(morse, "_project_batch", no_level_starts)
+    # the boundary pole's solve is not under test
+    monkeypatch.setattr(morse, "critical_points_newton", lambda *a, **k: [])
+    with pytest.raises(SamplingError, match="no usable Newton starts"):
+        totally_focal_probe(fam_clifford, 0.3, seed=4, num_nonfocal=0,
+                            num_focal=1)

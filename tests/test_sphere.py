@@ -147,3 +147,9 @@ def test_stereographic_conformal():
         scale = np.linalg.norm(ju)
         assert abs(ju @ jv) / scale ** 2 < 1e-8
         assert abs(np.linalg.norm(jv) - scale) / scale < 1e-8
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_sphere_point_rejects_non_finite(bad):
+    with pytest.raises(InputContractError, match="finite"):
+        SpherePoint(np.array([1.0, bad, 0.0]))
