@@ -3,11 +3,12 @@
 
 For nomizu-quartic n=2 (d=6) and n=5 (d=12) it prints the cost of one bank
 call in ns per point at N = 1, 240 and 24 000 points: the value, gradient,
-Hessian and Laplacian banks, and the third-derivative bank as the focal
+Hessian and Laplacian banks, the third-derivative bank as the focal
 solver reads it (`hessian_along`; at N <= 240 only, its d=12 output at
-24 000 points would take 180 MB).  A bank-build row gives the milliseconds
-to construct the polynomial from its terms and build all five coefficient
-matrices.  Classification rows give, on nomizu-quartic n=2, the rows
+24 000 points would take 180 MB), and the jet (F and grad F from one
+gradient-bank call) that the level retraction reads.  A bank-build row
+gives the milliseconds to construct the polynomial from its terms and
+build all five coefficient matrices.  Classification rows give, on nomizu-quartic n=2, the rows
 retracted per critical point and the milliseconds per point for both index
 stencils (`_hessian_stencil` at the critical points of one pole on the level
 0.3, `_focal_index` at those on the focal sheet V = +1) and for the whole
@@ -15,7 +16,11 @@ batched classifier `_classify` (both witnesses) at the level-0.3 points.
 Newton-step rows give, at 240 points of the level 0.3 of nomizu-quartic n=2
 and clifford(2,7), the microseconds per row of one `_frames_batch` call
 (normals and tangent frames) and of one hypersurface `_chart_step` (the
-pseudo-inverse step and its retraction to the level).  Focal Newton-step
+pseudo-inverse step and its retraction to the level).  Newton-solve rows
+give the microseconds per row of `_pinv_solve` on the 240 Jacobians of
+nomizu-quartic n=2 there: as they are (well conditioned, one batched
+inverse) and made singular by a projection (every row takes the eigh
+fallback).  Focal Newton-step
 rows give, at 96 rows of the focal sheet V = +1 of the same two families,
 the microseconds per row of one `_project_focal_batch` of the rows moved
 1e-3 off the sheet and of one focal `_chart_step` (the step in the chart of
@@ -42,6 +47,7 @@ from isolab.levelset import _project_focal_batch  # noqa: E402
 from isolab.polynomial import CMPolynomial  # noqa: E402
 
 KINDS = ("value", "gradient", "hessian", "laplacian", "third")
+ROWS = KINDS + ("jet",)
 THIRD_MAX_N = 240
 
 
@@ -59,7 +65,8 @@ def bank_calls(poly, X):
             "gradient": lambda: poly.gradient(X),
             "hessian": lambda: poly.hessian(X),
             "laplacian": lambda: poly.laplacian(X),
-            "third": lambda: poly.hessian_along(X, W)}
+            "third": lambda: poly.hessian_along(X, W),
+            "jet": lambda: poly.jet(X)}
 
 
 def bench(quick=False):
@@ -71,7 +78,7 @@ def bench(quick=False):
         d = poly.ambient_dim
         points = {size: rng.normal(size=(size, d)) for size in sizes}
         points[1] = points[1][0]
-        for kind in KINDS:
+        for kind in ROWS:
             cells = []
             for size in sizes:
                 if kind == "third" and size > THIRD_MAX_N:
@@ -90,6 +97,7 @@ def bench(quick=False):
 
     classification(quick)
     newton_step(quick)
+    newton_solve(quick)
     focal_newton_step(quick)
 
     # end-to-end residual sweep through the public path
@@ -150,6 +158,28 @@ def newton_step(quick, rows=240):
         name = label + "".join(f" {k}={v}" for k, v in params.items())
         print(f"{name:<20}{t_frames * 1e6 / rows:>16.2f}"
               f"{t_step * 1e6 / rows:>16.2f}")
+
+
+def newton_solve(quick, rows=240):
+    fam = catalog("nomizu-quartic", n=2)
+    rng = np.random.default_rng(0)
+    X, ok = morse._project_batch(
+        fam, 0.3, rng.normal(size=(2 * rows, fam.ambient_dim)))
+    X = X[ok][:rows]
+    p = morse._draw_pole(fam, rng).coords
+    xi, frames, vals, wn = morse._frames_batch(fam, X)
+    jac = morse._newton_jacobian(fam, p, X, xi, frames, vals, wn)
+    # P J P with P = I - v v^T is symmetric and singular
+    v = rng.normal(size=jac.shape[:2])
+    v /= np.linalg.norm(v, axis=1)[:, None]
+    proj = np.eye(jac.shape[1]) - v[:, :, None] * v[:, None, :]
+    rhs = rng.normal(size=jac.shape[:2])
+    repeats = 20 if quick else 200
+    print(f"{'Newton solve, N=%d' % rows:<20}{'us/row':>16}")
+    for name, batch in (("well conditioned", jac),
+                        ("all fallback", proj @ jac @ proj)):
+        dt = time_call(lambda: morse._pinv_solve(batch, rhs), repeats)
+        print(f"{name:<20}{dt * 1e6 / rows:>16.2f}")
 
 
 def focal_newton_step(quick, rows=96):

@@ -55,13 +55,15 @@ def _build_parser():
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--tol", type=float, default=None)
         p.add_argument("--out", default=None, help="write the JSON report here")
-        p.add_argument("--format", choices=("json", "csv", "obj"),
-                       default="json")
 
     for name in ("verify", "spectrum", "focal", "tight", "taut-focal",
                  "totally-focal", "export-mesh", "export-curves"):
         p = sub.add_parser(name)
         add_common(p)
+        if name == "spectrum":
+            # the one command with a second output format
+            p.add_argument("--format", choices=("json", "csv"),
+                           default="json")
         if name == "taut-focal":
             p.add_argument("--side", type=int, choices=(1, -1), default=1)
         if name == "export-mesh":

@@ -29,6 +29,11 @@ from .sphere import SpherePoint
 CATALOG_LABELS = ("great-sphere", "clifford", "cartan-cubic",
                   "nomizu-quartic", "user-polynomial")
 
+# The largest ambient dimension a family may have.  The largest planned
+# family, fkm(3, 16), has D = 32; at D = 128 the dense Hessian bank of a
+# quartic alone takes 545 MB.
+MAX_AMBIENT_DIM = 64
+
 _VERIFY_POINTS = 10_000
 _VERIFY_RADIUS = 2.0
 _VERIFY_SEED = 1234
@@ -210,9 +215,30 @@ def restrict_V(fam: IsoparametricFamily, x) -> float:
 
 # -- the catalog -------------------------------------------------------------
 
+def _integer(name, value):
+    """An integer parameter as an int; a value that int() would truncate
+    (2.5) or read from a string is an InputContractError."""
+    try:
+        exact = int(value) == value
+    except (TypeError, ValueError, OverflowError):
+        exact = False
+    if not exact:
+        raise InputContractError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _ambient(dim):
+    """The ambient dimension `dim`, refused above MAX_AMBIENT_DIM before
+    any table of that size is built."""
+    if dim > MAX_AMBIENT_DIM:
+        raise InputContractError(
+            f"ambient dimension {dim} exceeds the cap of {MAX_AMBIENT_DIM}")
+    return dim
+
+
 def _great_sphere(n=3, axis=0):
-    n = int(n)
-    dim = n + 2
+    n, axis = _integer("n", n), _integer("axis", axis)
+    dim = _ambient(n + 2)
     if not 0 <= axis < dim:
         raise InputContractError("axis out of range")
     poly = CMPolynomial.from_dict(dim, 1, linear_dict(dim, axis))
@@ -221,10 +247,10 @@ def _great_sphere(n=3, axis=0):
 
 
 def _clifford(k, n):
-    k, n = int(k), int(n)
+    k, n = _integer("k", k), _integer("n", n)
     if k < 1 or n - k < 1:
         raise InputContractError("clifford needs k >= 1 and n - k >= 1")
-    dim = n + 2
+    dim = _ambient(n + 2)
     terms = poly_add(squared_norm_dict(dim, range(k + 1)),
                      squared_norm_dict(dim, range(k + 1, dim)), scale=-1.0)
     poly = CMPolynomial.from_dict(dim, 2, terms)
@@ -299,10 +325,10 @@ def _cartan_cubic():
 
 
 def _nomizu_quartic(n):
-    n = int(n)
+    n = _integer("n", n)
     if n < 2:
         raise InputContractError("the quartic family needs n >= 2")
-    dim = 2 * n + 2
+    dim = _ambient(2 * n + 2)
     u_idx = range(n + 1)
     v_idx = range(n + 1, dim)
     r2 = poly_add(squared_norm_dict(dim, u_idx), squared_norm_dict(dim, v_idx))
@@ -325,16 +351,18 @@ def _nomizu_quartic(n):
 
 def _user_polynomial(terms=None, ambient_dim=None, g=None, m1=None, m2=None,
                      label="user-polynomial", verify=True, polynomial=None):
+    if g is None or m1 is None or m2 is None:
+        raise InputContractError("user-polynomial needs claimed g, m1, m2")
+    g, m1, m2 = _integer("g", g), _integer("m1", m1), _integer("m2", m2)
     if polynomial is None:
         if terms is None or ambient_dim is None:
             raise InputContractError(
                 "user-polynomial needs `terms` and `ambient_dim`")
-        polynomial = CMPolynomial(int(ambient_dim), int(g), terms)
-    if g is None or m1 is None or m2 is None:
-        raise InputContractError("user-polynomial needs claimed g, m1, m2")
-    c = ((int(m1) - int(m2)) / 2.0) * int(g) ** 2
-    fam = IsoparametricFamily(polynomial, g=int(g), m1=int(m1), m2=int(m2),
-                              c=c, label=str(label))
+        polynomial = CMPolynomial(
+            _ambient(_integer("ambient_dim", ambient_dim)), g, terms)
+    c = ((m1 - m2) / 2.0) * g ** 2
+    fam = IsoparametricFamily(polynomial, g=g, m1=m1, m2=m2, c=c,
+                              label=str(label))
     if verify:
         report = verify_munzner(fam)
         if not report.passed:
@@ -386,7 +414,8 @@ def family_to_json(fam: IsoparametricFamily) -> str:
 
 def family_from_json_obj(obj, verify=True) -> IsoparametricFamily:
     try:
-        poly = CMPolynomial(obj["ambient_dim"], obj["degree"],
+        dim = _ambient(_integer("ambient_dim", obj["ambient_dim"]))
+        poly = CMPolynomial(dim, _integer("degree", obj["degree"]),
                             [(c, e) for c, e in obj["terms"]])
         return _user_polynomial(polynomial=poly, g=obj["g"], m1=obj["m1"],
                                 m2=obj["m2"], label=obj.get("label", "user-polynomial"),

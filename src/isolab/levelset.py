@@ -48,15 +48,25 @@ def spherical_gradient(fam: IsoparametricFamily, x):
     return out[0] if single else out
 
 
-def _level_jet(fam, X):
+def _level_jet(fam, X, jet=None):
     """Values F and spherical gradients of V at the rows of X (B, D), from
-    one value and one gradient-bank call."""
-    vals = np.atleast_1d(fam.polynomial.value(X))
-    return vals, fam.polynomial.gradient(X) - fam.g * vals[:, None] * X
+    the jet (F, grad F) at X when given, else from one `jet` call."""
+    vals, grad = fam.polynomial.jet(X) if jet is None else jet
+    return vals, grad - fam.g * vals[:, None] * X
+
+
+def _row_norms(x):
+    """Euclidean norms of the rows of x (B, D)."""
+    return np.sqrt(np.einsum("ij,ij->i", x, x))
 
 
 def _normalize_rows(x):
-    return x / np.linalg.norm(x, axis=1, keepdims=True)
+    return x / _row_norms(x)[:, None]
+
+
+def _is_focal(s):
+    """Whether the level s is a focal sheet V = +/-1."""
+    return abs(abs(s) - 1.0) < 1e-14
 
 
 def _project_batch(fam, s, points, tol=None, accept=None, max_iter=40):
@@ -64,67 +74,82 @@ def _project_batch(fam, s, points, tol=None, accept=None, max_iter=40):
     circle.  Returns (projected, ok); rows where the normal direction was
     lost (gradient below 1e-8 away from the target) are marked not ok.
 
-    Regular levels converge by repeated phase jumps: along a normal circle V
-    is a cosine in arc length, so moving by (arccos V - arccos s)/g is exact
-    for a genuine family and a contraction otherwise.  The focal levels
-    s = +/-1 sit at quadratically flat extrema of V where the phase jump
-    loses half the digits, so there the jump is followed by a Newton solve
-    of the tangency condition dV/dtau = 0 along the (frozen) circle, which
-    has a simple root and lands on the focal set to machine precision.
+    Regular levels converge by repeated phase jumps (`_retract_level`).  The
+    focal levels s = +/-1 sit at quadratically flat extrema of V where the
+    phase jump loses half the digits, so there the jump is followed by a
+    Newton solve of the tangency condition dV/dtau = 0 along the (frozen)
+    circle, which has a simple root and lands on the focal set to machine
+    precision (`_project_focal_batch`).
     """
-    focal = abs(abs(s) - 1.0) < 1e-14
-    if focal:
+    if _is_focal(s):
         return _project_focal_batch(fam, float(np.sign(s)), points,
                                     accept=1e-10 if accept is None else accept)
+    return _retract_level(fam, s, points, 1e-14 if tol is None else tol,
+                          1e-12 if accept is None else accept, max_iter)[:2]
+
+
+def _retract_level(fam, s, points, tol, accept, max_iter=40):
+    """The regular-level retraction of `_project_batch`, which also hands
+    on the jet it ended with.  Returns (projected, ok, F, grad F).
+
+    Along a normal circle V is a cosine in arc length, so moving by
+    (arccos V - arccos s)/g is exact for a genuine family and a contraction
+    otherwise.  Each pass reads F and grad F of the rows it has to test from
+    one `jet` call (all rows on the first pass, the rows the last pass moved
+    after it), so every row's jet is that of its final position; a settled
+    row keeps the jet of its previous pass."""
     g = fam.g
     poly = fam.polynomial
-    if tol is None:
-        tol = 1e-14
-    if accept is None:
-        accept = 1e-12
-    target_phase = float(np.arccos(np.clip(s, -1.0, 1.0))) / g
+    target_phase = float(np.arccos(min(max(s, -1.0), 1.0))) / g
     X = _normalize_rows(np.array(points, dtype=np.float64))
+    vals, grads = poly.jet(X)
     ok = np.ones(X.shape[0], dtype=bool)
     # A tol below the float64 spacing of V near s can never be met; a row
     # whose |V - s| stops shrinking once it is acceptable has reached that
-    # floor and is settled at its better previous iterate.
+    # floor and is settled at its better previous iterate.  Only a row
+    # whose error is acceptable can settle, so only such rows save their
+    # iterate and jet.
     settled = np.zeros(X.shape[0], dtype=bool)
     prev_err = np.full(X.shape[0], np.inf)
-    prev_X = X.copy()
+    prev_X, prev_vals, prev_grads = map(np.empty_like, (X, vals, grads))
     for _ in range(max_iter):
-        v = np.atleast_1d(poly.value(X))
-        err = np.abs(v - s)
-        stall = ok & ~settled & (err >= prev_err) & (prev_err <= accept)
-        X[stall] = prev_X[stall]
-        settled |= stall
-        live = ok & ~settled & (err > tol)
-        if not live.any():
+        err = np.abs(vals - s)
+        active = ok & ~settled
+        stall = active & (err >= prev_err) & (prev_err <= accept)
+        if stall.any():
+            X[stall], vals[stall] = prev_X[stall], prev_vals[stall]
+            grads[stall] = prev_grads[stall]
+            settled |= stall
+            active &= ~stall
+        idx = np.flatnonzero(active & (err > tol))
+        if not len(idx):
             break
-        idx = np.flatnonzero(live)
-        prev_err[idx] = err[idx]
-        prev_X[idx] = X[idx]
-        Xl = X[idx]
-        vl = v[idx]
-        grad = poly.gradient(Xl)
-        W = grad - g * vl[:, None] * Xl
-        wn = np.linalg.norm(W, axis=1)
+        prev_err[idx] = el = err[idx]
+        near = idx[el <= accept]
+        prev_X[near], prev_vals[near] = X[near], vals[near]
+        prev_grads[near] = grads[near]
+        Xl, vl = X[idx], vals[idx]
+        W = grads[idx] - g * vl[:, None] * Xl
+        wn = _row_norms(W)
         stuck = wn < _GRAD_FLOOR
         if stuck.any():
             ok[idx[stuck]] = False
-        move = ~stuck
-        if not move.any():
-            continue
-        i2 = idx[move]
-        eta = W[move] / wn[move, None]
-        tau = np.arccos(np.clip(vl[move], -1.0, 1.0)) / g - target_phase
-        Xn = np.cos(tau)[:, None] * X[i2] + np.sin(tau)[:, None] * eta
-        X[i2] = _normalize_rows(Xn)
-    else:
-        err = np.abs(np.atleast_1d(poly.value(X)) - s)
-    # a settled row sits at its previous iterate, whose error is prev_err;
-    # every other row is where the loop's last evaluation found it
-    ok &= np.where(settled, prev_err, err) <= accept
-    return X, ok
+            move = ~stuck
+            idx, Xl, vl = idx[move], Xl[move], vl[move]
+            W, wn = W[move], wn[move]
+            if not len(idx):
+                continue
+        # clipped by hand: np.clip's dispatch costs more than the arithmetic
+        tau = np.arccos(np.minimum(np.maximum(vl, -1.0), 1.0)) / g
+        tau -= target_phase
+        Xl = _normalize_rows(np.cos(tau)[:, None] * Xl
+                             + np.sin(tau)[:, None] * (W / wn[:, None]))
+        X[idx] = Xl
+        vals[idx], grads[idx] = poly.jet(Xl)
+    # a settled row sits at its previous iterate with that iterate's jet;
+    # every other row's jet was taken where it ends
+    ok &= np.abs(vals - s) <= accept
+    return X, ok, vals, grads
 
 
 def _clean_jet(fam, X):
@@ -178,7 +203,7 @@ def _project_focal_batch(fam, side, points, accept=1e-10):
     target_phase = 0.0 if side > 0 else np.pi / g
     v, W = _clean_jet(fam, X)
     for _ in range(_FOCAL_OUTER):
-        wn = np.linalg.norm(W, axis=1)
+        wn = _row_norms(W)
         i2 = np.flatnonzero(wn > 3e-13)
         if not len(i2):
             break
@@ -191,7 +216,7 @@ def _project_focal_batch(fam, side, points, accept=1e-10):
         v, W = _clean_jet(fam, X)
     # the gradient bound pins the transverse offset; the value bound rejects
     # rows that settled on the opposite focal sheet
-    ok = (np.linalg.norm(W, axis=1) <= 1e-11) & (np.abs(v - side) <= accept)
+    ok = (_row_norms(W) <= 1e-11) & (np.abs(v - side) <= accept)
     return X, ok
 
 
@@ -200,8 +225,7 @@ def _reflector(v, axis):
     taken as +) of the rows of v, with 2 / |u|^2: I - 2 u u^T / |u|^2 sends
     each row to -sign(v_axis) |v| e_axis."""
     u = v.copy()
-    u[:, axis] += (np.where(v[:, axis] < 0, -1.0, 1.0)
-                   * np.linalg.norm(v, axis=1))
+    u[:, axis] += np.where(v[:, axis] < 0, -1.0, 1.0) * _row_norms(v)
     return u, 2.0 / np.einsum("ij,ij->i", u, u)
 
 
@@ -234,15 +258,17 @@ def _householder_frames(X, xi=None):
     return frames
 
 
-def _frames_batch(fam, points):
+def _frames_batch(fam, points, jet=None):
     """Normals and hypersurface tangent frames for a batch of points on a
     regular level, with the values and spherical gradient norms they were
-    built from.  Returns (xi (B, D), tangents (B, n, D), F (B,),
-    |grad_S V| (B,)); the tangents are `_householder_frames` of x and xi.
+    built from.  `jet` is the (F, grad F) at the points when a retraction
+    hands it on; without it one `jet` call computes it.  Returns
+    (xi (B, D), tangents (B, n, D), F (B,), |grad_S V| (B,)); the tangents
+    are `_householder_frames` of x and xi.
     """
     X = np.asarray(points, dtype=np.float64)
-    vals, W = _level_jet(fam, X)
-    wn = np.linalg.norm(W, axis=1)
+    vals, W = _level_jet(fam, X, jet)
+    wn = _row_norms(W)
     xi = W / wn[:, None]
     return xi, _householder_frames(X, xi), vals, wn
 

@@ -31,8 +31,9 @@ from .errors import (InputContractError, NearFocalPoleError, PoleIsFocalError,
                      SamplingError, StartAtFocalError)
 from .families import seeded_rng
 from .levelset import (_GRAD_FLOOR, SurfacePoint, _circle_tangency,
-                       _frames_batch, _householder_frames, _level_jet,
-                       _normalize_rows, _project_batch, surface_point)
+                       _frames_batch, _householder_frames, _is_focal,
+                       _level_jet, _normalize_rows, _project_batch,
+                       _retract_level, _row_norms, surface_point)
 from .shape import PrincipalSpectrum, _shape_operators, arccot
 from .sphere import SpherePoint
 
@@ -158,11 +159,36 @@ def _newton_jacobian(fam, p, X, xi, frames, vals, wn):
 
 
 def _pinv_solve(jac, rhs):
-    """pinv(jac) @ rhs for a batch of symmetric matrices jac (B, n, n) and
-    vectors rhs (B, n), from one batched eigh: eigenvalues with
-    |lambda| <= 1e-12 max |lambda| are dropped, which is pinv's rcond=1e-12
-    cut, since the singular values of a symmetric matrix are its |lambda|.
-    eigh reads the lower triangle."""
+    """pinv(jac) @ rhs (pinv's rcond=1e-12 cut) for a batch of symmetric
+    matrices jac (B, n, n) and vectors rhs (B, n).
+
+    One batched inverse serves every row whose bound
+    kappa_F = |jac|_F |jac^-1|_F is finite and at most 1e10: kappa_F is at
+    least the 2-norm condition number max |lambda| / min |lambda|, so such a
+    row has no eigenvalue under pinv's cut and its pseudo-inverse is its
+    inverse.  The other rows, and the whole batch when `inv` finds an
+    exactly singular matrix, take `_eigh_pinv_solve`."""
+    try:
+        inv = np.linalg.inv(jac)
+    except np.linalg.LinAlgError:
+        return _eigh_pinv_solve(jac, rhs)
+    with np.errstate(over="ignore", invalid="ignore"):
+        kappa = np.sqrt(np.einsum("bij,bij->b", jac, jac)
+                        * np.einsum("bij,bij->b", inv, inv))
+    solved = kappa <= 1e10  # false for inf and nan
+    if solved.all():
+        return (inv @ rhs[:, :, None])[:, :, 0]
+    out = np.empty_like(rhs)
+    out[solved] = (inv[solved] @ rhs[solved][:, :, None])[:, :, 0]
+    out[~solved] = _eigh_pinv_solve(jac[~solved], rhs[~solved])
+    return out
+
+
+def _eigh_pinv_solve(jac, rhs):
+    """pinv(jac) @ rhs for symmetric jac (B, n, n) from one batched eigh:
+    eigenvalues with |lambda| <= 1e-12 max |lambda| are dropped, which is
+    pinv's rcond=1e-12 cut, since the singular values of a symmetric matrix
+    are its |lambda|.  eigh reads the lower triangle."""
     lam, vec = np.linalg.eigh(jac)
     mag = np.abs(lam)
     keep = mag > 1e-12 * mag.max(axis=1, keepdims=True)
@@ -173,26 +199,31 @@ def _pinv_solve(jac, rhs):
 
 def _chart_step(fam, level, X, chart, jac, resid):
     """One Newton step per row in the chart spanned by the rows of
-    chart[b]: the pseudoinverse of the symmetric Jacobian from one eigh
-    (`_pinv_solve`, so singular Jacobians on critical manifolds still give a
-    step), length capped at 0.4, the move retracted to the level.  Returns
-    (moved rows, ok)."""
+    chart[b]: the pseudo-inverse step of the symmetric Jacobian
+    (`_pinv_solve`: the inverse where it is certified well conditioned, so
+    singular Jacobians on critical manifolds still give a step), length
+    capped at 0.4, the move retracted to the level.  Returns (moved rows,
+    ok) on a focal sheet and (moved rows, ok, F, grad F) on a regular
+    level, where `_retract_level` hands on the jet it ended with."""
     g0 = np.einsum("bnd,bd->bn", chart, resid)
     delta = -_pinv_solve(jac, g0)
-    norms = np.linalg.norm(delta, axis=1)
+    norms = _row_norms(delta)
     delta *= np.where(norms > 0.4, 0.4 / np.maximum(norms, 0.4), 1.0)[:, None]
-    moved = X + np.einsum("bi,bid->bd", delta, chart)
-    return _project_batch(fam, level, _normalize_rows(moved), tol=1e-15,
-                          accept=1e-11)
+    moved = _normalize_rows(X + np.einsum("bi,bid->bd", delta, chart))
+    if _is_focal(level):
+        return _project_batch(fam, level, moved, tol=1e-15, accept=1e-11)
+    return _retract_level(fam, level, moved, 1e-15, 1e-11)
 
 
 def _masked_newton(X, first, residual, step, tol, max_iter):
     """Masked Newton loop, updating the rows of X in place.
 
-    `residual(rows)` returns (residual norms, state) at the given rows, the
-    state a list of per-row arrays; `first` is its result at all of X.
-    `step(rows, state)` returns (moved rows, ok) for the rows still above
-    `tol`, and only the moved rows are evaluated again.  A row whose move
+    `residual(rows, *handed)` returns (residual norms, state) at the given
+    rows, the state a list of per-row arrays; `first` is its result at all
+    of X.  `step(rows, state)` returns (moved rows, ok, *handed) for the
+    rows still above `tol`, and only the moved rows are evaluated again,
+    each with its row of the per-row arrays `handed` that the step passes
+    on (the retraction's final jet on a regular level).  A row whose move
     fails has lost the level and leaves the loop.  Returns the residual
     norms and state at the final X, each row's from its last evaluation."""
     rnorm, state = first
@@ -201,10 +232,10 @@ def _masked_newton(X, first, residual, step, tol, max_iter):
         idx = idx[rnorm[idx] > tol]
         if not len(idx):
             break
-        moved, ok = step(X[idx], [s[idx] for s in state])
+        moved, ok, *handed = step(X[idx], [s[idx] for s in state])
         idx = idx[ok]
         X[idx] = moved[ok]
-        rnorm[idx], fresh = residual(X[idx])
+        rnorm[idx], fresh = residual(X[idx], *(h[ok] for h in handed))
         for full, part in zip(state, fresh):
             full[idx] = part
     return rnorm, state
@@ -216,13 +247,16 @@ def _newton_multistart(fam, s, p, starts):
     Newton in the chart spanned by the frame at the current iterate, with
     the exact Jacobian of `_newton_jacobian` (so the same solver also walks
     onto critical manifolds when the pole is focal), each move retracted to
-    the level.  The Jacobian only steers: a start counts as converged by its
-    residual alone.  Returns (solutions, residual_norms, diagnostics).
+    the level.  The residual builds its frames from the jet the retraction
+    ends with, so a step makes one Hessian-bank call and one
+    gradient-bank call per retraction pass, and no value call.  The
+    Jacobian only steers: a start counts as converged by its residual
+    alone.  Returns (solutions, residual_norms, diagnostics).
     """
     X = np.array(starts, dtype=np.float64)
 
-    def residual(rows):
-        xi, frames, vals, wn = _frames_batch(fam, rows)
+    def residual(rows, *jet):
+        xi, frames, vals, wn = _frames_batch(fam, rows, jet or None)
         q = _tangential_residual(fam, p, rows, xi)
         return np.abs(q).max(axis=1), [xi, frames, q, vals, wn]
 
@@ -631,7 +665,7 @@ def _focal_newton(fam, side, p, starts):
 
     def tangent_part(proj, _dims, charts):
         q = np.einsum("bij,j->bi", proj, p)
-        return np.linalg.norm(q, axis=1), [charts[:, :d_foc], q]
+        return _row_norms(q), [charts[:, :d_foc], q]
 
     def residual(rows):
         return tangent_part(*_focal_tangent_projector(fam, rows))

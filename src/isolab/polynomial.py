@@ -216,6 +216,18 @@ class CMPolynomial:
     def gradient(self, x):
         return self._eval_bank("gradient", x)
 
+    def jet(self, x):
+        """(F, grad F) at x (a point or rows) from one gradient-bank call:
+        every term is homogeneous of degree g, so Euler's identity
+        <x, grad F(x)> = g F(x) gives the value.  A constant polynomial
+        (g = 0) has no such identity and reads its value bank."""
+        x = self._check_points(x)
+        grad = self.gradient(x)
+        if not self.degree:
+            return self.value(x), grad
+        vals = np.einsum("...i,...i->...", x, grad) / self.degree
+        return (float(vals) if vals.ndim == 0 else vals), grad
+
     def hessian(self, x):
         return _unpack_upper(self._eval_bank("hessian", x), self.ambient_dim)
 

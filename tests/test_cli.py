@@ -254,3 +254,33 @@ def test_unwritable_out_is_usage_error(tmp_path, capsys, args):
     err = capsys.readouterr().err
     assert err.startswith("usage error: ") and err.count("\n") == 1
     assert out in err
+
+
+@pytest.mark.parametrize("command", ["verify", "focal", "tight",
+                                     "taut-focal", "totally-focal",
+                                     "export-mesh", "export-curves"])
+def test_format_is_a_spectrum_option(tmp_path, capsys, command):
+    # only `spectrum` writes a second format; elsewhere the flag is refused
+    out = tmp_path / "out"
+    assert run_cli(command, "--family", "clifford", "--params",
+                   '{"k": 1, "n": 2}', "--format", "csv",
+                   "--out", str(out)) == 2
+    assert not out.exists()
+
+
+def test_spectrum_formats_are_json_and_csv(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run_cli("spectrum", "--family", "clifford", "--params",
+                   '{"k": 1, "n": 2}', "--format", "obj", "--out",
+                   str(out)) == 2
+    assert not out.exists()
+    assert run_cli("spectrum", "--family", "clifford", "--params",
+                   '{"k": 1, "n": 2}', "--format", "json", "--samples", "3",
+                   "--out", str(out)) == 0
+    assert json.loads(out.read_text())["command"] == "spectrum"
+
+
+@pytest.mark.parametrize("params", ['{"n": 1e9}', '{"n": 63}', '{"n": 2.5}'])
+def test_family_size_is_usage_error(capsys, params):
+    assert_usage_error(capsys, "verify", "--family", "great-sphere",
+                       "--params", params)

@@ -218,3 +218,40 @@ def test_negative_seed_is_an_input_contract_error(fam_clifford, name):
     # point must say so in the library's own terms
     with pytest.raises(InputContractError, match="seed must be non-negative"):
         SEEDED_CALLS[name](fam_clifford, -1)
+
+
+@pytest.mark.parametrize("name, params", [
+    ("great-sphere", {"n": 2.5}),
+    ("great-sphere", {"n": 3, "axis": 0.5}),
+    ("clifford", {"k": 1, "n": 2.5}),
+    ("clifford", {"k": 1.5, "n": 3}),
+    ("nomizu-quartic", {"n": 2.5}),
+    ("nomizu-quartic", {"n": "2"}),
+    ("user-polynomial", {"terms": [(1.0, (1, 0, 0))], "ambient_dim": 3.5,
+                         "g": 1, "m1": 1, "m2": 1}),
+    ("user-polynomial", {"terms": [(1.0, (1, 0, 0))], "ambient_dim": 3,
+                         "g": 1.5, "m1": 1, "m2": 1}),
+    ("great-sphere", {"n": 1e9}),
+    ("great-sphere", {"n": 63}),
+    ("clifford", {"k": 1, "n": 63}),
+    ("nomizu-quartic", {"n": 32}),
+    ("user-polynomial", {"terms": [(1.0, (1,) + (0,) * 64)],
+                         "ambient_dim": 65, "g": 1, "m1": 63, "m2": 63}),
+])
+def test_family_size_is_checked_before_building(monkeypatch, name, params):
+    # a size that int() would truncate, or an ambient dimension above
+    # MAX_AMBIENT_DIM = 64, is refused before any polynomial is built
+    def refuse(*args, **kwargs):
+        raise AssertionError("a polynomial was built")
+
+    monkeypatch.setattr(CMPolynomial, "__init__", refuse)
+    with pytest.raises(InputContractError):
+        catalog(name, **params)
+
+
+def test_largest_ambient_dimension_is_accepted():
+    fam = catalog("great-sphere", n=62.0)
+    assert fam.ambient_dim == 64 and fam.m1 == 62
+    obj = json.loads(family_to_json(fam))
+    with pytest.raises(InputContractError):
+        family_from_json(json.dumps({**obj, "ambient_dim": 65}))

@@ -6,8 +6,10 @@ import pytest
 from isolab import (SpherePoint, StartAtFocalError, catalog,
                     project_to_level, sample_points, spherical_gradient,
                     surface_point)
+from isolab import levelset
 from isolab.levelset import (_frames_batch, _householder_frames,
-                             _normalize_rows, _project_batch)
+                             _normalize_rows, _project_batch, _retract_level,
+                             _row_norms)
 from isolab.polynomial import CMPolynomial
 
 
@@ -191,9 +193,13 @@ def test_householder_frames_are_orthonormal_tangent_frames():
         xi, T, vals, wn = _frames_batch(fam, X)
         assert_frames(T, (X, xi), d - 2)
         W = spherical_gradient(fam, X)
-        assert np.array_equal(vals, fam.polynomial.value(X))
-        assert np.array_equal(wn, np.linalg.norm(W, axis=1))
+        jet = fam.polynomial.jet(X)
+        assert np.array_equal(vals, jet[0])
+        assert np.array_equal(wn, _row_norms(W))
         assert np.array_equal(xi, W / wn[:, None])
+        # frames built from a handed-on jet are the same, bit for bit
+        for got, want in zip(_frames_batch(fam, X, jet), (xi, T, vals, wn)):
+            assert np.array_equal(got, want), label
         assert_frames(_householder_frames(X), (X,), d - 1)
     # coordinate axes: x_0 = 0 and (H1 xi)_1 = 0 take the + sign
     eye = np.eye(5)
@@ -261,13 +267,34 @@ def test_focal_projection_stops_at_roundoff(monkeypatch):
 
 
 def test_project_batch_takes_its_final_test_from_the_loop(monkeypatch):
-    calls = count_bank_calls(monkeypatch, ("value", "gradient"))
+    # one jet per pass: the first on every row, each later one on the rows
+    # the pass before moved (one `_normalize_rows` call each), and none
+    # after the loop; F comes from the jet, never from the value bank
+    calls = count_bank_calls(monkeypatch, ("value", "gradient", "jet"))
+    calls["normalize"] = 0
+    normalize = levelset._normalize_rows
+
+    def counting(x):
+        calls["normalize"] += 1
+        return normalize(x)
+
+    monkeypatch.setattr(levelset, "_normalize_rows", counting)
     rng = np.random.default_rng(71)
     for label, params in COUNT_FAMILIES:
         fam = catalog(label, **params)
         raw = rng.normal(size=(40, fam.ambient_dim))
         for tol, accept in ((None, None), (1e-16, 1e-9)):
             calls.update(dict.fromkeys(calls, 0))
-            _X, ok = _project_batch(fam, 0.3, raw, tol=tol, accept=accept)
+            X, ok = _project_batch(fam, 0.3, raw, tol=tol, accept=accept)
             assert ok.all(), (label, tol)
-            assert calls["value"] == calls["gradient"] + 1, (label, tol, calls)
+            assert calls["value"] == 0, (label, tol, calls)
+            assert calls["jet"] == calls["gradient"] == calls["normalize"], \
+                (label, tol, calls)
+            # the helper under `_project_batch` hands on the jet it ended with
+            Y, ok2, vals, grads = _retract_level(fam, 0.3, raw, tol or 1e-14,
+                                                 accept or 1e-12)
+            assert np.array_equal(Y, X) and np.array_equal(ok2, ok)
+            fresh = fam.polynomial.jet(Y)
+            assert np.abs(vals - fresh[0]).max() <= 1e-15, label
+            assert np.abs(grads - fresh[1]).max() <= \
+                1e-15 * np.abs(fresh[1]).max(), label

@@ -721,10 +721,47 @@ def test_reports_need_a_pole(fam_clifford):
             focal_tautness_report(fam_clifford, 1, num_poles=num_poles)
 
 
-def test_pinv_solve_matches_the_pinv_oracle():
+def record_eigh(monkeypatch):
+    # the row counts of every np.linalg.eigh call
+    rows = []
+    eigh = np.linalg.eigh
+
+    def recording(a, *args, **kwargs):
+        rows.append(len(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", recording)
+    return rows
+
+
+def assert_matches_pinv(jac, rhs):
+    got = morse._pinv_solve(jac, rhs)
+    want = (np.linalg.pinv(jac, rcond=1e-12) @ rhs[:, :, None])[:, :, 0]
+    bound = 1e-10 * np.abs(want).max(axis=1)
+    assert (np.abs(got - want).max(axis=1) <= bound).all()
+    return got
+
+
+def diagonal_batch(rng, n, conds):
+    # diagonal rows whose smallest |eigenvalue| is the largest one divided
+    # by `conds`: every solver is exact on them, while on a rotated matrix of
+    # condition kappa each backward-stable one, eigh and pinv's svd
+    # included, differs from the others by about eps * kappa
+    scale = 10.0 ** rng.uniform(-3, 3, size=(len(conds), 1))
+    lam = scale * rng.choice((-1.0, 1.0), size=(len(conds), n)) \
+        * rng.uniform(0.1, 1.0, size=(len(conds), n))
+    lam[:, 0] = scale[:, 0]
+    lam[:, -1] = scale[:, 0] / np.asarray(conds)
+    lam = np.take_along_axis(lam, np.argsort(rng.random(lam.shape)), 1)
+    return lam[:, :, None] * np.eye(n)
+
+
+def test_pinv_solve_matches_the_pinv_oracle(monkeypatch):
     # symmetric batches with exact zero eigenvalues and eigenvalues 1e-15
     # below the largest, both under pinv's rcond=1e-12 cut, and one zero
-    # matrix; the kept eigenvalues stay within a factor 10 of the largest
+    # matrix; the kept eigenvalues stay within a factor 10 of the largest.
+    # The zero matrix makes `inv` raise, so the whole batch takes eigh.
+    eigh_rows = record_eigh(monkeypatch)
     rng = np.random.default_rng(83)
     for n in (1, 2, 4, 7, 14):
         q = np.linalg.qr(rng.normal(size=(40, n, n)))[0]
@@ -739,16 +776,124 @@ def test_pinv_solve_matches_the_pinv_oracle():
         jac = (q * lam[:, None, :]) @ np.swapaxes(q, 1, 2)
         jac = 0.5 * (jac + np.swapaxes(jac, 1, 2))
         rhs = rng.normal(size=(40, n))
-        got = morse._pinv_solve(jac, rhs)
-        want = (np.linalg.pinv(jac, rcond=1e-12) @ rhs[:, :, None])[:, :, 0]
-        bound = 1e-10 * np.abs(want).max(axis=1)
-        assert (np.abs(got - want).max(axis=1) <= bound).all(), n
+        eigh_rows.clear()
+        got = assert_matches_pinv(jac, rhs)
         assert not got[-1].any()
+        assert eigh_rows == [40], n
+        # well-conditioned rows (kappa_2 <= 10) are inverted, diagonal rows
+        # at kappa_2 = 1e8 too, and rows at 1e10 < kappa_2 < 1e12, which
+        # pinv keeps whole but whose kappa_F exceeds 1e10, take eigh (a
+        # 1 x 1 row has condition 1)
+        good = np.abs(lam).min(axis=1) >= 0.1 * scale[:, 0]
+        near = diagonal_batch(rng, n, [1e8] * 6)
+        far = diagonal_batch(rng, n, [2e10, 1e11, 5e11, 9e11])
+        mixed = np.concatenate([jac[good], near, far])
+        rhs = rng.normal(size=(len(mixed), n))
+        eigh_rows.clear()
+        assert_matches_pinv(mixed[:-len(far)], rhs[:-len(far)])
+        assert eigh_rows == [], n
+        assert_matches_pinv(mixed, rhs)
+        assert eigh_rows == ([] if n == 1 else [len(far)]), n
+    # an exactly singular matrix among well-conditioned ones: `inv` raises
+    # and every row of the batch takes eigh
+    batch = np.concatenate([diagonal_batch(rng, 3, [2.0] * 5),
+                            np.diag([1.0, 0.0, 2.0])[None]])
+    eigh_rows.clear()
+    got = assert_matches_pinv(batch, rng.normal(size=(6, 3)))
+    assert eigh_rows == [6] and got[-1, 1] == 0.0
+
+
+def test_tightness_newton_takes_no_eigh_fallback(fam_nomizu, monkeypatch):
+    # a non-focal pole's Newton Jacobians are certified well conditioned, so
+    # every step is one batched inverse; a focal pole's critical manifold
+    # still sends its singular rows through the pinv fallback
+    eigh_rows = record_eigh(monkeypatch)
+    solve, inside = morse._pinv_solve, []
+
+    def tracking(jac, rhs):
+        mark = len(eigh_rows)
+        out = solve(jac, rhs)
+        inside.append(sum(eigh_rows[mark:]))
+        return out
+
+    monkeypatch.setattr(morse, "_pinv_solve", tracking)
+    assert tightness_report(fam_nomizu, 0.3, num_poles=2, seed=3).passed
+    assert inside and sum(inside) == 0
+    inside.clear()
+    assert totally_focal_probe(fam_nomizu, 0.3, seed=3, num_nonfocal=1,
+                               num_focal=1)["pass"]
+    assert sum(inside) > 0
+
+
+def test_newton_residual_reads_the_retraction_jet(fam_nomizu, monkeypatch):
+    # within one _newton_multistart: each retraction pass makes one
+    # gradient-bank call (one `_normalize_rows` of the moved rows), no value
+    # call anywhere, one Hessian-bank call per step (the Jacobian), and the
+    # residual that follows a retraction builds its frames from the jet it
+    # is handed, with no bank call of its own
+    log, checked = [], []
+    for kind in ("value", "gradient", "hessian"):
+        def logging(self, x, _bank=getattr(CMPolynomial, kind), _kind=kind):
+            log.append(_kind)
+            return _bank(self, x)
+        monkeypatch.setattr(CMPolynomial, kind, logging)
+    normalize, retract = levelset._normalize_rows, morse._retract_level
+    frames_batch = morse._frames_batch
+
+    def normalizing(x):
+        log.append("pass")
+        return normalize(x)
+
+    def retracting(*args):
+        log.append("retract")
+        out = retract(*args)
+        log.append("retracted")
+        return out
+
+    def framing(fam, rows, jet=None):
+        log.append("frames")
+        out = frames_batch(fam, rows, jet)
+        log.append("framed")
+        if jet is not None:
+            mark = len(log)
+            xi, _t, vals, _wn = frames_batch(fam, rows)
+            del log[mark:]
+            checked.append(max(np.abs(out[0] - xi).max(),
+                               np.abs(out[2] - vals).max()))
+        return out
+
+    monkeypatch.setattr(levelset, "_normalize_rows", normalizing)
+    monkeypatch.setattr(morse, "_retract_level", retracting)
+    monkeypatch.setattr(morse, "_frames_batch", framing)
+    rng = np.random.default_rng(97)
+    pole = morse._draw_pole(fam_nomizu, rng)
+    starts, ok = _project_batch(fam_nomizu, 0.3, rng.normal(
+        size=(120, fam_nomizu.ambient_dim)))
+    log.clear()
+    sols, _rnorm, diag = morse._newton_multistart(fam_nomizu, 0.3,
+                                                  pole.coords, starts[ok])
+    assert diag["converged"] == diag["starts"] and len(sols)
+    assert "value" not in log
+    text = " ".join(log)
+    steps = text.split(" framed ")
+    # the first residual evaluates its own jet; then every step is the
+    # Jacobian's Hessian call, the retraction, and a bank-free residual
+    assert steps[0] == "frames gradient" and len(steps) > 1
+    for step in steps[1:]:
+        head, _, rest = step.partition(" retract ")
+        assert head == "hessian", step
+        passes, _, tail = rest.rpartition(" retracted ")
+        assert tail.removesuffix(" framed") == "frames", step
+        words = passes.split()
+        assert words and words == ["pass", "gradient"] * (len(words) // 2), \
+            step
+    assert len(checked) == len(steps) - 1 and max(checked) <= 1e-15
 
 
 def test_reports_factor_no_matrix_by_svd_or_qr(fam_nomizu, monkeypatch):
     # frames come from Householder reflections and Newton steps from one
-    # symmetric eigensolve
+    # batched inverse, or a symmetric eigensolve where its condition bound
+    # is not certified
     def banned(name):
         def raiser(*args, **kwargs):
             raise AssertionError(f"np.linalg.{name} called")
@@ -831,8 +976,10 @@ def test_normal_circle_matches_per_tau_loop():
 
 
 def test_normal_circle_polishes_in_one_batch(monkeypatch):
-    # apart from the jet at the pole, every bank call of the circle route
-    # evaluates all of its points at once
+    # apart from the jet at the pole, one gradient-bank call, every bank
+    # call of the circle route evaluates all of its points at once: on a
+    # level two passes of a gradient and a value call, on a sheet at most
+    # four tangency passes of one jet and one Hessian call
     calls = []
     for kind in ("value", "gradient", "hessian"):
         def recording(self, x, _bank=getattr(CMPolynomial, kind)):
@@ -847,11 +994,11 @@ def test_normal_circle_polishes_in_one_batch(monkeypatch):
         for level in (s, 1.0, -1.0):
             calls.clear()
             _eta, X = morse._normal_circle(fam, level, pole)
-            assert all(x.shape == (1, len(p)) and np.array_equal(x[0], p)
-                       for x in calls[:2])
-            rest = calls[2:]
+            assert calls[0].shape == (1, len(p))
+            assert np.array_equal(calls[0][0], p)
+            rest = calls[1:]
             assert all(x.shape == X.shape for x in rest), (label, level)
-            budget = 4 if abs(level) < 1.0 else 3 * 4
+            budget = 4 if abs(level) < 1.0 else 2 * 4
             assert 0 < len(rest) <= budget, (label, level, len(rest))
 
 

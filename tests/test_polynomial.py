@@ -68,6 +68,29 @@ def test_euler_identity(seed, degree, dim):
     assert abs(residual) / scale < 1e-10
 
 
+def test_jet_reads_the_value_from_the_gradient(monkeypatch):
+    # F = <x, grad F> / g from one gradient-bank call, equal to the value
+    # bank to the rounding of either sum; a constant reads its value bank
+    calls = []
+    for kind in ("value", "gradient"):
+        def counting(self, x, _bank=getattr(CMPolynomial, kind), _kind=kind):
+            calls.append(_kind)
+            return _bank(self, x)
+        monkeypatch.setattr(CMPolynomial, kind, counting)
+    rng = np.random.default_rng(61)
+    for degree in range(7):
+        f = _random_homogeneous(rng, 5, degree, 12)
+        X = rng.normal(size=(30, 5))
+        for x in (X, X[0]):
+            calls.clear()
+            vals, grad = f.jet(x)
+            assert calls == (["gradient"] if degree else ["gradient", "value"])
+            assert np.array_equal(grad, f.gradient(x))
+            scale = np.sum(np.abs(x * grad), axis=-1) + 1.0
+            assert np.all(np.abs(vals - f.value(x)) <= 1e-14 * scale), degree
+            assert isinstance(vals, float) == (x.ndim == 1)
+
+
 @settings(max_examples=20, deadline=None)
 @given(seed=st.integers(0, 10_000), lam=st.sampled_from([0.5, 2.0]))
 def test_homogeneity_scaling(seed, lam):
