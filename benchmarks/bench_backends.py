@@ -8,7 +8,13 @@ solver reads it (`hessian_along`; at N <= 240 only, its d=12 output at
 24 000 points would take 180 MB), and the jet (F and grad F from one
 gradient-bank call) that the level retraction reads.  A bank-build row
 gives the milliseconds to construct the polynomial from its terms and
-build all five coefficient matrices.  Classification rows give, on nomizu-quartic n=2, the rows
+build all five coefficient matrices.  Chain rows give, for nomizu-quartic
+n=5 at 100 000 points, each bank's table widths per degree over the full
+divisor chain and over the chain pruned to the rows the bank reads, and its
+kernel cost in ns per point (the third-derivative bank, 750 MB of output
+there, is not timed); block
+rows give the gradient, Laplacian and value banks' ns per point there with
+`BLOCK_ROWS` set to 128, 256 and 512 rows.  Classification rows give, on nomizu-quartic n=2, the rows
 retracted per critical point and the milliseconds per point for both index
 stencils (`_hessian_stencil` at the critical points of one pole on the level
 0.3, `_focal_index` at those on the focal sheet V = +1) and for the whole
@@ -30,7 +36,8 @@ Laplacian banks) through the public path.
 
     python benchmarks/bench_backends.py [--quick]
 
-`--quick` drops N = 24 000 and shortens the sweep.
+`--quick` drops N = 24 000, takes the chain and block rows at 2000 points
+and shortens the sweep.
 """
 
 import argparse
@@ -42,11 +49,13 @@ import numpy as np
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
-from isolab import catalog, morse, verify_munzner  # noqa: E402
+from isolab import _kernels_py, catalog, morse, verify_munzner  # noqa: E402
 from isolab.levelset import _project_focal_batch  # noqa: E402
 from isolab.polynomial import CMPolynomial  # noqa: E402
 
 KINDS = ("value", "gradient", "hessian", "laplacian", "third")
+ORDERS = {"value": 0, "gradient": 1, "hessian": 2, "laplacian": 2,
+          "third": 3}
 ROWS = KINDS + ("jet",)
 THIRD_MAX_N = 240
 
@@ -95,6 +104,7 @@ def bench(quick=False):
                 fresh._bank(kind)
         print(f"{'d=%d bank build' % d:<20}{time_call(build, 3) * 1e3:>10.1f}ms")
 
+    chains_and_blocks(quick)
     classification(quick)
     newton_step(quick)
     newton_solve(quick)
@@ -107,6 +117,38 @@ def bench(quick=False):
     verify_munzner(fam, num_points=n_sweep, radius=2.0)
     print(f"residual sweep, d=12 ({n_sweep} pts): "
           f"{time.perf_counter() - t0:.3f} s")
+
+
+def chains_and_blocks(quick):
+    poly = catalog("nomizu-quartic", n=5).polynomial
+    size = 2000 if quick else 100_000
+    X = np.random.default_rng(0).normal(size=(size, poly.ambient_dim))
+    print(f"{'chain, d=12':<20}{'full widths':>20}{'pruned widths':>20}"
+          f"{'ns/pt':>10}   (N={size})")
+    for kind in KINDS:
+        degree = max(poly.degree - ORDERS[kind], 0)
+        full = [len(level) for level in poly._levels[1:degree + 1]]
+        pruned = [len(var) for var, _parent in poly._bank(kind)[0]]
+        cost = "-"
+        if kind != "third":
+            dt = time_call(lambda: poly._eval_bank(kind, X), 3)
+            cost = f"{dt * 1e9 / size:.0f}"
+        print(f"{kind:<20}{'/'.join(map(str, full)) or '-':>20}"
+              f"{'/'.join(map(str, pruned)) or '-':>20}{cost:>10}")
+
+    kinds = ("gradient", "laplacian", "value")
+    print(f"{'blocks (ns/pt), d=12':<20}" + "".join(f"{k:>12}" for k in kinds)
+          + f"   (N={size})")
+    chosen = _kernels_py.BLOCK_ROWS
+    try:
+        for rows in (128, 256, 512):
+            _kernels_py.BLOCK_ROWS = rows
+            cells = [time_call(lambda: poly._eval_bank(kind, X), 3) * 1e9
+                     / size for kind in kinds]
+            print(f"{'BLOCK_ROWS=%d' % rows:<20}"
+                  + "".join(f"{c:>12.0f}" for c in cells))
+    finally:
+        _kernels_py.BLOCK_ROWS = chosen
 
 
 def classification(quick):

@@ -10,18 +10,24 @@ one or many points.  :mod:`isolab.polynomial` describes a bank by
   per degree, not one per coordinate;
 * `matrix`, the ``(width of the degree-deg table, P)`` coefficient matrix;
 
-and one bank evaluation is the table chain followed by one matmul.  Rows are
-processed in blocks of `BLOCK_ROWS`, so the tables never grow with the
-batch.  Points are one point ``(D,)`` or a batch of points ``(N, D)``.
+and one bank evaluation is the table chain followed by one matmul.  Each
+bank brings its own chain, pruned to the monomials its matrix reads, so the
+cost of a call scales with the rows the bank needs; a bank whose matrix has
+no rows is zero and reads no table.  Rows are processed in blocks of
+`BLOCK_ROWS`, so the tables never grow with the batch.  Points are one
+point ``(D,)`` or a batch of points ``(N, D)``.
 """
 
 import numpy as np
 
-# Rows per block, sized from the widest table of the catalog's hot families:
-# nomizu-quartic n=5's 204 degree-3 monomials take about 0.8 MB at 512 rows,
-# within a typical L2 cache, and even nomizu-quartic n=20 (2604 monomials)
-# keeps a block near 10 MB however many rows a call brings.
-BLOCK_ROWS = 512
+# Rows per block, sized so that a block's working set stays in a 2 MB L2
+# cache: the chain holds the gathered table, the table being gathered from
+# and one gathered coordinate row set at a time, three tables of the widest
+# level.  nomizu-quartic n=5's 204 degree-3 monomials take about 1.2 MB at
+# 256 rows (2.5 MB at 512); its gradient bank at 1e5 points measured 58 ms
+# at 256 rows against 93 ms at 512 and 63 ms at 128 on a 2-core x86 host
+# (benchmarks/bench_backends.py prints this comparison).
+BLOCK_ROWS = 256
 
 
 def backend_name():
@@ -31,24 +37,32 @@ def backend_name():
 
 def _table(steps, cols):
     # the top-degree monomials of the chain, one row per monomial, at the
-    # points whose coordinates are the rows of cols (D, n)
-    table = np.ones((1, cols.shape[1]))
-    for var, parent in steps:
-        table = cols.take(var, axis=0) * table.take(parent, axis=0)
+    # points whose coordinates are the rows of cols (D, n); each level
+    # multiplies its gathered parents in place, and the first level's
+    # parent is the constant monomial
+    if not steps:
+        return np.ones((1, cols.shape[1]))
+    table = cols.take(steps[0][0], axis=0)
+    for var, parent in steps[1:]:
+        table = table.take(parent, axis=0)
+        table *= cols.take(var, axis=0)
     return table
 
 
 def eval_bank(steps, matrix, points):
     """Evaluate the bank ``table(points) @ matrix`` block by block.
 
-    Returns ``(N, P)``, or ``(P,)`` for a single point.
+    Returns ``(N, P)``, or ``(P,)`` for a single point; exact zeros when
+    `matrix` has no rows.
     """
     points = np.asarray(points, dtype=np.float64)
     single = points.ndim == 1
     # coordinate-major copy: each table row gathers contiguous runs
     cols = np.ascontiguousarray(np.atleast_2d(points).T)
-    out = np.empty((cols.shape[1], matrix.shape[1]))
-    for lo in range(0, cols.shape[1], BLOCK_ROWS):
-        hi = lo + BLOCK_ROWS
-        np.matmul(_table(steps, cols[:, lo:hi]).T, matrix, out=out[lo:hi])
+    out = np.zeros((cols.shape[1], matrix.shape[1]))
+    if len(matrix):
+        for lo in range(0, cols.shape[1], BLOCK_ROWS):
+            hi = lo + BLOCK_ROWS
+            np.matmul(_table(steps, cols[:, lo:hi]).T, matrix,
+                      out=out[lo:hi])
     return out[0] if single else out

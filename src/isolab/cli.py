@@ -34,8 +34,18 @@ class _UsageError(Exception):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's own rejections (an unknown flag, a bad choice or type, a
+    missing argument) are usage errors like any other: one `usage error:`
+    line on stderr and exit 2, not the usage block.  Subcommand parsers
+    are built from this class too."""
+
+    def error(self, message):
+        raise _UsageError(message)
+
+
 def _build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="isolab",
         description="Verification laboratory for isoparametric hypersurfaces "
                     "in spheres.")
@@ -263,12 +273,11 @@ _COMMANDS = {
 
 
 def main(argv=None):
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_USAGE if exc.code not in (0, None) else 0
-    try:
+        try:
+            args = _build_parser().parse_args(argv)
+        except SystemExit as exc:  # --help prints and exits 0
+            return EXIT_USAGE if exc.code not in (0, None) else EXIT_PASS
         if args.tol is not None and not (np.isfinite(args.tol)
                                          and args.tol > 0):
             raise _UsageError(

@@ -165,7 +165,7 @@ def seeded_rng(seed, *tags):
 
 
 def _ball_samples(rng, count, dim, radius):
-    x = rng.normal(size=(count, dim))
+    x = rng.standard_normal(size=(count, dim))
     norms = np.linalg.norm(x, axis=1, keepdims=True)
     # reject a vanishing fraction near the origin; r^{g-2} is singular there
     norms[norms < 1e-12] = 1.0

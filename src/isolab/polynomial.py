@@ -13,6 +13,15 @@ each table from the one below it with one gather-multiply.  The divisors,
 not the full monomial basis: an order-r derivative of a term x^e is a
 multiple of a divisor x^(e - alpha), so S_{g-r} spans every order-r bank,
 and it is never wider than T * C(g, k) or C(D + k - 1, k).
+
+Each bank then keeps its own chain: the rows of S_{g-r} its coefficient
+matrix reads and their ancestors, one parent per monomial and level, so
+the lower levels shrink too (nomizu-quartic n=5's value bank builds 27 of
+the 78 degree-2 divisors).  Only a sum over multi-indices leaves rows of
+S_{g-r} out: the Laplacian reads the x^(e - 2 e_i) alone (12 of the 78
+rows of S_2 there), and a bank whose terms cancel or whose order exceeds
+g (the Laplacian of nomizu-quartic n=2, the third derivatives of a
+quadric) keeps no row and evaluates to exact zeros without a table.
 """
 
 from __future__ import annotations
@@ -78,13 +87,32 @@ def _divisor_chain(exps, degree):
     return levels[::-1], steps[::-1]
 
 
+def _prune(steps, matrix):
+    """The chain `steps` (degree 1..k) and the (|S_k|, P) `matrix` cut down
+    to the rows of the matrix that are not zero and their ancestors.
+
+    Returns (steps, matrix) in the same form: each level keeps its rows in
+    their sorted order, and its parents index the kept rows of the level
+    below.  An all-zero matrix keeps no row, ([], a (0, P) matrix)."""
+    keep = np.flatnonzero(matrix.any(axis=1))
+    if not len(keep):
+        return [], matrix[keep]
+    top, pruned = keep, []
+    for var, parent in reversed(steps):
+        # not np.unique: its 1-D path imports numpy.ma (~1 MB resident)
+        below = np.flatnonzero(np.bincount(parent[keep]))
+        pruned.append((var[keep], np.searchsorted(below, parent[keep])))
+        keep = below
+    return pruned[::-1], matrix[top]
+
+
 class CMPolynomial:
     """A homogeneous polynomial F on Euclidean space E^ambient_dim.
 
     Terms are (coefficient, integer exponent vector) pairs; every exponent
     vector must sum to `degree`.  Instances are immutable; they build the
     divisor chain of their monomials at construction and cache each
-    derivative bank's coefficient matrix on first use.
+    derivative bank's coefficient matrix and pruned chain on first use.
     """
 
     __slots__ = ("ambient_dim", "degree", "coeffs", "exps", "_levels",
@@ -146,16 +174,18 @@ class CMPolynomial:
                             _power_rule(self.terms(), i))
 
     def _bank(self, kind):
-        """(degree, coefficient matrix) of the bank of derivatives
-        d_{a_1} ... d_{a_r} F over the divisor table S_{g-r}, built on first
-        use and cached.  Kinds: 'value' (r = 0), 'gradient' (i), 'hessian'
-        (i <= j, row-major), 'laplacian' (one column, the sum of the (i, i))
-        and 'third' (k, i, j) with i <= j.
+        """(steps, matrix) of the bank of derivatives d_{a_1} ... d_{a_r} F:
+        its coefficient matrix over the rows of the divisor table S_{g-r}
+        that are not zero, and the table chain pruned to those rows and
+        their ancestors (`_prune`), built on first use and cached.  Kinds:
+        'value' (r = 0), 'gradient' (i), 'hessian' (i <= j, row-major),
+        'laplacian' (one column, the sum of the (i, i)) and 'third'
+        (k, i, j) with i <= j.
 
         Each term c x^e feeds the columns of every multi-index alpha it
         survives, i.e. every sub-multiset of e of size r, with the
         coefficient c e! / (e - alpha)! at the row of x^(e - alpha).  A bank
-        of order r > g is zero, a zero matrix over the constant table S_0."""
+        of order r > g is zero: a matrix with no rows and an empty chain."""
         if kind not in self._banks:
             d = self.ambient_dim
             upper = [(i, j) for i in range(d) for j in range(i, d)]
@@ -187,7 +217,7 @@ class CMPolynomial:
                         row = row_of[tuple(m)]
                         for col in columns.get(alpha, ()):
                             matrix[row, col] += coeff
-            self._banks[kind] = (degree, matrix)
+            self._banks[kind] = _prune(self._steps[:degree], matrix)
         return self._banks[kind]
 
     # -- evaluation ---------------------------------------------------------
@@ -201,9 +231,8 @@ class CMPolynomial:
         return x
 
     def _eval_bank(self, kind, x):
-        degree, matrix = self._bank(kind)
-        return kernels.eval_bank(self._steps[:degree], matrix,
-                                 self._check_points(x))
+        steps, matrix = self._bank(kind)
+        return kernels.eval_bank(steps, matrix, self._check_points(x))
 
     def _eval_column(self, kind, x):
         # a one-column bank: a float for a single point, else (N,)

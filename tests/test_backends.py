@@ -3,6 +3,7 @@
 import pathlib
 import subprocess
 import sys
+from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import comb
 
@@ -163,6 +164,105 @@ def test_divisor_tables_are_no_wider_than_either_basis():
                 rebuilt = poly._levels[k - 1][parent].copy()
                 rebuilt[np.arange(len(var)), var] += 1
                 assert np.array_equal(rebuilt, level)
+
+
+ORDERS = {"value": 0, "gradient": 1, "hessian": 2, "laplacian": 2,
+          "third": 3}
+PRUNING = FAMILIES + (("clifford", {"k": 2, "n": 7}),)
+
+
+def read_rows(poly, kind):
+    """Exponents of the divisor rows a bank reads: those whose coefficient,
+    summed exactly over the bank's power-rule terms, is not zero in some
+    column."""
+    rows = set()
+    for col in bank_terms(poly, kind):
+        sums = {}
+        for c, e in col:
+            sums[e] = sums.get(e, Fraction(0)) + Fraction(c)
+        rows |= {e for e, c in sums.items() if c}
+    return rows
+
+
+def chain_levels(d, steps):
+    # exponent arrays of a chain's levels, rebuilt from its (var, parent)
+    # steps, the constant monomial first
+    levels = [np.zeros((1, d), dtype=np.int64)]
+    for var, parent in steps:
+        level = levels[-1][parent].copy()
+        level[np.arange(len(var)), var] += 1
+        levels.append(level)
+    return levels
+
+
+def test_each_bank_chain_is_the_ancestors_of_the_rows_it_reads():
+    for label, params in PRUNING:
+        poly = catalog(label, **params).polynomial
+        for kind in KINDS:
+            steps, matrix = poly._bank(kind)
+            degree = max(poly.degree - ORDERS[kind], 0)
+            reads = read_rows(poly, kind)
+            keep = [np.array([i for i, m in enumerate(
+                poly._levels[degree].tolist()) if tuple(m) in reads], int)]
+            for var, parent in reversed(poly._steps[:degree]):
+                keep.append(np.unique(parent[keep[-1]]))
+            want = [poly._levels[k][idx] for k, idx in
+                    enumerate(reversed(keep))]
+            assert matrix.shape == (len(keep[0]), len(bank_terms(poly, kind)))
+            assert matrix.any(axis=1).all()
+            if not len(keep[0]):
+                assert steps == []
+                continue
+            assert len(steps) == degree, (label, kind)
+            got = chain_levels(poly.ambient_dim, steps)
+            for k in range(degree + 1):
+                assert np.array_equal(got[k], want[k]), (label, kind, k)
+    # the Laplacian of nomizu-quartic n=5 reads the x_i^2 alone
+    steps, _matrix = catalog("nomizu-quartic", n=5).polynomial._bank(
+        "laplacian")
+    assert [len(var) for var, _parent in steps] == [12, 12]
+
+
+def test_all_zero_banks_evaluate_to_exact_zeros():
+    zero = ((("nomizu-quartic", {"n": 2}), "laplacian"),
+            (("clifford", {"k": 2, "n": 7}), "third"),
+            (("great-sphere", {}), "hessian"))
+    rows = _kernels_py.BLOCK_ROWS
+    for (label, params), kind in zero:
+        poly = catalog(label, **params).polynomial
+        steps, matrix = poly._bank(kind)
+        assert steps == [] and matrix.shape[0] == 0
+        width = len(bank_terms(poly, kind))
+        X = np.random.default_rng(8).normal(size=(rows + 3,
+                                                  poly.ambient_dim))
+        for x, shape in ((X, (len(X), width)), (X[2], (width,))):
+            got = poly._eval_bank(kind, x)
+            assert got.shape == shape and got.dtype == np.float64
+            assert not got.any() and not np.signbit(got).any()
+    fam = catalog("nomizu-quartic", n=2)
+    X = np.random.default_rng(9).normal(size=(5, fam.ambient_dim))
+    assert fam.polynomial.laplacian(X[0]) == 0.0
+    assert np.array_equal(fam.polynomial.laplacian(X), np.zeros(5))
+
+
+def out_of_place_table(steps, cols):
+    # the table chain with one fresh product per level, kept as the oracle
+    # of the in-place kernel
+    table = np.ones((1, cols.shape[1]))
+    for var, parent in steps:
+        table = cols.take(var, axis=0) * table.take(parent, axis=0)
+    return table
+
+
+def test_in_place_table_is_bitwise_the_out_of_place_product():
+    for label, params in PRUNING:
+        poly = catalog(label, **params).polynomial
+        cols = np.random.default_rng(10).normal(size=(poly.ambient_dim, 37))
+        chains = [poly._steps[:k] for k in range(poly.degree + 1)]
+        chains += [poly._bank(kind)[0] for kind in KINDS]
+        for steps in chains:
+            assert np.array_equal(_kernels_py._table(steps, cols),
+                                  out_of_place_table(steps, cols))
 
 
 def test_munzner_residuals_reach_the_kernel_through_the_traced_banks(

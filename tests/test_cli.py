@@ -284,3 +284,18 @@ def test_spectrum_formats_are_json_and_csv(tmp_path, capsys):
 def test_family_size_is_usage_error(capsys, params):
     assert_usage_error(capsys, "verify", "--family", "great-sphere",
                        "--params", params)
+
+
+@pytest.mark.parametrize("args", [
+    ("tight", "--family", "clifford", "--params", '{"k": 1, "n": 2}',
+     "--bogus"),
+    ("taut-focal", "--family", "clifford", "--params", '{"k": 1, "n": 2}',
+     "--side", "2"),
+    ("spectrum", "--family", "clifford", "--params", '{"k": 1, "n": 2}',
+     "--format", "obj"),
+    ("tight", "--family", "clifford", "--params", '{"k": 1, "n": 2}',
+     "--format", "csv"),
+])
+def test_argparse_rejections_are_one_line_usage_errors(capsys, args):
+    # argparse's own rejections print no usage block, only the usage line
+    assert_usage_error(capsys, *args)

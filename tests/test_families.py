@@ -14,7 +14,8 @@ from isolab import (FamilyIntegrityError, FamilyRejectedError,
                     munzner_residuals, orbit_level_check, restrict_V,
                     sample_points, tightness_report, totally_focal_probe,
                     verify_munzner)
-from isolab.families import ambient_to_sym3, sym3_basis, sym3_to_ambient
+from isolab.families import (_ball_samples, ambient_to_sym3, sym3_basis,
+                             sym3_to_ambient)
 from isolab.polynomial import CMPolynomial
 
 
@@ -64,6 +65,21 @@ def test_verifier_sweeps_pass(all_families):
     for fam in all_families:
         report = verify_munzner(fam, num_points=4000, seed=5)
         assert report.passed, (fam.label, report.worst_scaled_residual)
+
+
+@pytest.mark.parametrize("seed", [0, 3, 2026])
+@pytest.mark.parametrize("dim", [6, 12])
+def test_ball_samples_match_the_normal_formula(seed, dim):
+    # standard_normal draws the same stream as normal(0, 1); the oracle is
+    # the sampler written with rng.normal
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(500, dim))
+    norms = np.linalg.norm(x, axis=1, keepdims=True)
+    norms[norms < 1e-12] = 1.0
+    radii = np.maximum(2.0 * rng.random(size=(500, 1)) ** (1.0 / dim), 1e-3)
+    want = x / norms * radii
+    got = _ball_samples(np.random.default_rng(seed), 500, dim, 2.0)
+    assert np.array_equal(got, want)
 
 
 def test_cartan_calibration_constant(fam_cartan):
