@@ -9,11 +9,11 @@ solver reads it (`hessian_along`; at N <= 240 only, its d=12 output at
 gradient-bank call) that the level retraction reads.  A bank-build row
 gives the milliseconds to construct the polynomial from its terms and
 build all five coefficient matrices.  Chain rows give, for nomizu-quartic
-n=5 at 100 000 points, each bank's table widths per degree over the full
-divisor chain and over the chain pruned to the rows the bank reads, and its
-kernel cost in ns per point (the third-derivative bank, 750 MB of output
-there, is not timed); block
-rows give the gradient, Laplacian and value banks' ns per point there with
+n=5 at 100 000 points, each bank's table widths per degree over all the
+divisors of the terms and over the chain the bank builds from the rows it
+reads, and its kernel cost in ns per point (the third-derivative bank,
+750 MB of output there, is not timed); block rows give the gradient,
+Laplacian and value banks' ns per point there with
 `BLOCK_ROWS` set to 128, 256 and 512 rows.  Classification rows give, on nomizu-quartic n=2, the rows
 retracted per critical point and the milliseconds per point for both index
 stencils (`_hessian_stencil` at the critical points of one pole on the level
@@ -119,22 +119,33 @@ def bench(quick=False):
           f"{time.perf_counter() - t0:.3f} s")
 
 
+def divisor_widths(poly):
+    """|S_k|, k = 1..g: the number of degree-k divisors of F's monomials."""
+    level = {tuple(e) for e in poly.exps.tolist()}
+    widths = []
+    for _ in range(poly.degree):
+        widths.append(len(level))
+        level = {m[:i] + (m[i] - 1,) + m[i + 1:]
+                 for m in level for i, v in enumerate(m) if v}
+    return widths[::-1]
+
+
 def chains_and_blocks(quick):
     poly = catalog("nomizu-quartic", n=5).polynomial
     size = 2000 if quick else 100_000
     X = np.random.default_rng(0).normal(size=(size, poly.ambient_dim))
-    print(f"{'chain, d=12':<20}{'full widths':>20}{'pruned widths':>20}"
+    print(f"{'chain, d=12':<20}{'divisor widths':>20}{'bank widths':>20}"
           f"{'ns/pt':>10}   (N={size})")
+    divisors = divisor_widths(poly)
     for kind in KINDS:
         degree = max(poly.degree - ORDERS[kind], 0)
-        full = [len(level) for level in poly._levels[1:degree + 1]]
-        pruned = [len(var) for var, _parent in poly._bank(kind)[0]]
+        built = [len(var) for var, _parent in poly._bank(kind)[0]]
         cost = "-"
         if kind != "third":
             dt = time_call(lambda: poly._eval_bank(kind, X), 3)
             cost = f"{dt * 1e9 / size:.0f}"
-        print(f"{kind:<20}{'/'.join(map(str, full)) or '-':>20}"
-              f"{'/'.join(map(str, pruned)) or '-':>20}{cost:>10}")
+        print(f"{kind:<20}{'/'.join(map(str, divisors[:degree])) or '-':>20}"
+              f"{'/'.join(map(str, built)) or '-':>20}{cost:>10}")
 
     kinds = ("gradient", "laplacian", "value")
     print(f"{'blocks (ns/pt), d=12':<20}" + "".join(f"{k:>12}" for k in kinds)
@@ -158,11 +169,10 @@ def classification(quick):
     X = np.array([sp.x.coords for sp in morse.normal_circle_critical_points(
         fam, 0.3, pole, classify=False)])
     _eta, Y = morse._focal_circle_points(fam, 1, pole)
-    d_foc = int(morse._focal_tangent_projector(fam, Y)[1][0])
     stencils = (("_hessian_stencil", X,
                  lambda: morse._hessian_stencil(fam, 0.3, p, X)),
                 ("_focal_index", Y,
-                 lambda: morse._focal_index(fam, 1, p, Y, d_foc)),
+                 lambda: morse._focal_index(fam, 1, p, Y)),
                 ("_classify", X, lambda: morse._classify(fam, 0.3, p, X)))
     print(f"{'classify, d=6':<20}{'rows/pt':>12}{'ms/pt':>12}")
     project = morse._project_batch
@@ -191,7 +201,7 @@ def newton_step(quick, rows=240):
         X = X[ok][:rows]
         p = morse._draw_pole(fam, rng).coords
         xi, frames, vals, wn = morse._frames_batch(fam, X)
-        q = morse._tangential_residual(fam, p, X, xi)
+        q = morse._tangential_residual(p, X, xi)
         jac = morse._newton_jacobian(fam, p, X, xi, frames, vals, wn)
         repeats = 20 if quick else 200
         t_frames = time_call(lambda: morse._frames_batch(fam, X), repeats)

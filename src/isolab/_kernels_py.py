@@ -11,8 +11,8 @@ one or many points.  :mod:`isolab.polynomial` describes a bank by
 * `matrix`, the ``(width of the degree-deg table, P)`` coefficient matrix;
 
 and one bank evaluation is the table chain followed by one matmul.  Each
-bank brings its own chain, pruned to the monomials its matrix reads, so the
-cost of a call scales with the rows the bank needs; a bank whose matrix has
+bank brings its own chain, built from the rows it reads, so the cost of a
+call scales with the rows the bank needs; a bank whose matrix has
 no rows is zero and reads no table.  Rows are processed in blocks of
 `BLOCK_ROWS`, so the tables never grow with the batch.  Points are one
 point ``(D,)`` or a batch of points ``(N, D)``.

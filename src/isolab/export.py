@@ -57,7 +57,7 @@ def _stereo_rows(points, pole):
     return (points @ basis.T) / (1.0 - dots)[:, None], dots
 
 
-def _torus_grid(fam, s, resolution):
+def _torus_grid(s, resolution):
     a = np.sqrt((1.0 + s) / 2.0)
     b = np.sqrt((1.0 - s) / 2.0)
     ang = 2.0 * np.pi * np.arange(resolution) / resolution
@@ -67,11 +67,10 @@ def _torus_grid(fam, s, resolution):
     return pts.reshape(-1, 4)
 
 
-def _sphere_grid(fam, s, resolution, axis):
-    # level of a height function: a 2-sphere of radius sqrt(1-s^2)
+def _sphere_grid(s, resolution, axis):
+    # level of a height function on S^3: a 2-sphere of radius sqrt(1-s^2)
     rad = np.sqrt(1.0 - s * s)
-    dim = fam.ambient_dim
-    a = np.zeros(dim)
+    a = np.zeros(4)
     a[axis] = 1.0
     frame = tangent_basis(SpherePoint(a)).vectors
     rows = [s * a + rad * frame[2]]           # north cap
@@ -87,10 +86,11 @@ def _sphere_grid(fam, s, resolution, axis):
     return np.array(rows)
 
 
-def _grid_faces(resolution, wrap_rows=True):
+def _grid_faces(resolution):
+    # the doubly periodic grid of `_torus_grid`
     r = resolution
     faces = []
-    for i in range(r if wrap_rows else r - 1):
+    for i in range(r):
         for j in range(r):
             v00 = i * r + j
             v01 = i * r + (j + 1) % r
@@ -144,11 +144,11 @@ def export_mesh(fam, s, pole: SpherePoint, resolution=64, path=None) -> MeshData
             "the family's image passes through infinity")
     faces = None
     if fam.label == "clifford":
-        points = _torus_grid(fam, s, resolution)
+        points = _torus_grid(s, resolution)
         faces = _grid_faces(resolution)
     elif fam.label == "great-sphere":
         axis = int(np.argmax(np.abs(fam.polynomial.gradient(pole.coords))))
-        points = _sphere_grid(fam, s, resolution, axis)
+        points = _sphere_grid(s, resolution, axis)
         faces = _sphere_faces(resolution)
     else:
         points = np.array([p.x.coords for p in

@@ -20,6 +20,7 @@ from .sphere import SpherePoint, TangentFrame, tangent_basis
 _GRAD_FLOOR = 1e-8
 _FOCAL_OUTER = 3   # frozen normal circles per focal projection
 _FOCAL_INNER = 4   # cap on tangency Newton steps along each circle
+_RETRACT_MAX_ITER = 40  # cap on phase jumps per regular-level retraction
 
 
 @dataclass(frozen=True)
@@ -69,7 +70,7 @@ def _is_focal(s):
     return abs(abs(s) - 1.0) < 1e-14
 
 
-def _project_batch(fam, s, points, tol=None, accept=None, max_iter=40):
+def _project_batch(fam, s, points, tol=None, accept=None):
     """Drive each row of `points` to the level V = s along its own normal
     circle.  Returns (projected, ok); rows where the normal direction was
     lost (gradient below 1e-8 away from the target) are marked not ok.
@@ -85,10 +86,10 @@ def _project_batch(fam, s, points, tol=None, accept=None, max_iter=40):
         return _project_focal_batch(fam, float(np.sign(s)), points,
                                     accept=1e-10 if accept is None else accept)
     return _retract_level(fam, s, points, 1e-14 if tol is None else tol,
-                          1e-12 if accept is None else accept, max_iter)[:2]
+                          1e-12 if accept is None else accept)[:2]
 
 
-def _retract_level(fam, s, points, tol, accept, max_iter=40):
+def _retract_level(fam, s, points, tol, accept):
     """The regular-level retraction of `_project_batch`, which also hands
     on the jet it ended with.  Returns (projected, ok, F, grad F).
 
@@ -112,7 +113,7 @@ def _retract_level(fam, s, points, tol, accept, max_iter=40):
     settled = np.zeros(X.shape[0], dtype=bool)
     prev_err = np.full(X.shape[0], np.inf)
     prev_X, prev_vals, prev_grads = map(np.empty_like, (X, vals, grads))
-    for _ in range(max_iter):
+    for _ in range(_RETRACT_MAX_ITER):
         err = np.abs(vals - s)
         active = ok & ~settled
         stall = active & (err >= prev_err) & (prev_err <= accept)

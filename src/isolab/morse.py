@@ -137,7 +137,7 @@ class TightnessReport:
 
 # -- shared internals --------------------------------------------------------
 
-def _tangential_residual(fam, p, X, xi):
+def _tangential_residual(p, X, xi):
     """Component of p orthogonal to both x and the normal, rowwise."""
     return (p[None, :] - (X @ p)[:, None] * X
             - np.einsum("ij,j->i", xi, p)[:, None] * xi)
@@ -257,7 +257,7 @@ def _newton_multistart(fam, s, p, starts):
 
     def residual(rows, *jet):
         xi, frames, vals, wn = _frames_batch(fam, rows, jet or None)
-        q = _tangential_residual(fam, p, rows, xi)
+        q = _tangential_residual(p, rows, xi)
         return np.abs(q).max(axis=1), [xi, frames, q, vals, wn]
 
     def step(rows, state):
@@ -323,7 +323,7 @@ def _hessian_stencil(fam, s, p, X, frames=None):
     from the value and gradient banks only.  Returns (hessians, t)."""
     def gradient(rows):
         xi = _normalize_rows(_level_jet(fam, rows)[1])
-        return _tangential_residual(fam, p, rows, xi)
+        return _tangential_residual(p, rows, xi)
 
     if frames is None:
         frames = _frames_batch(fam, X)[1]
@@ -405,16 +405,18 @@ def index_via_focal_count(pole: SpherePoint, cp: SurfacePoint,
     return int(indices[0])
 
 
-def _newton_route(fam, s, p, raw, degenerate_threshold):
-    """The Newton route from the ambient draws `raw`: project them to M_s,
-    solve from the usable ones (SamplingError when there are none),
-    deduplicate and classify."""
+def _newton_route(fam, s, p, raw):
+    """The Newton route from the ambient draws `raw`: project them to the
+    level M_s or the focal sheet V = s, solve from the usable ones
+    (`_focal_newton` on a sheet, `_newton_multistart` on a level;
+    SamplingError when there are none) and deduplicate.  Returns the
+    distinct critical points of d_p."""
     starts, ok = _project_batch(fam, s, raw)
     if not ok.any():
         raise SamplingError("no usable Newton starts")
-    sols, rnorm, _diag = _newton_multistart(fam, s, p, starts[ok])
-    return _classify(fam, s, p, _dedup(fam, sols, rnorm),
-                     degenerate_threshold=degenerate_threshold)
+    solve = _focal_newton if _is_focal(s) else _newton_multistart
+    sols, rnorm = solve(fam, s, p, starts[ok])[:2]
+    return _dedup(fam, sols, rnorm)
 
 
 def critical_points_newton(fam, s, pole: SpherePoint, num_starts=None, seed=0,
@@ -433,7 +435,9 @@ def critical_points_newton(fam, s, pole: SpherePoint, num_starts=None, seed=0,
         num_starts = 60 * fam.g
     rng = seeded_rng(seed, 0x5EED)
     raw = rng.normal(size=(num_starts, fam.ambient_dim))
-    return _newton_route(fam, s, pole.coords, raw, degenerate_threshold)
+    return _classify(fam, s, pole.coords,
+                     _newton_route(fam, s, pole.coords, raw),
+                     degenerate_threshold=degenerate_threshold)
 
 
 def _normal_circle(fam, s, pole: SpherePoint):
@@ -490,13 +494,13 @@ def normal_circle_critical_points(fam, s, pole: SpherePoint, classify=True):
     return [surface_point(fam, SpherePoint(row), level=s) for row in X]
 
 
-def _draw_pole(fam, rng, margin=_POLE_MARGIN):
-    """Uniform pole with |V| bounded away from 1 (non-focal, well
+def _draw_pole(fam, rng):
+    """Uniform pole with |V| at most 1 - _POLE_MARGIN (non-focal, well
     conditioned)."""
     for _ in range(1000):
         raw = rng.normal(size=fam.ambient_dim)
         p = raw / np.linalg.norm(raw)
-        if abs(float(fam.polynomial.value(p))) <= 1.0 - margin:
+        if abs(float(fam.polynomial.value(p))) <= 1.0 - _POLE_MARGIN:
             return SpherePoint(p)
     raise SamplingError("could not draw a non-focal pole")
 
@@ -628,6 +632,15 @@ def _focal_jacobian(fam, side, p, Y, chart, q):
             * (chart @ third @ np.swapaxes(chart, 1, 2)))
 
 
+def _focal_rank(dims):
+    """The common dimension of the focal tangent spaces `dims` (B,) from
+    `_focal_tangent_projector`; SamplingError when the ranks disagree."""
+    d_foc = int(dims[0])
+    if not np.all(dims == d_foc):
+        raise SamplingError(f"focal tangent ranks disagree: {sorted(set(dims))}")
+    return d_foc
+
+
 def _focal_newton(fam, side, p, starts):
     """Newton multistart for critical points of d_p on the focal submanifold
     M = {V = side}: zeros of the projection P(y) p of p onto the tangent
@@ -656,12 +669,10 @@ def _focal_newton(fam, side, p, starts):
     the polish pushes positions to the evaluation-noise floor instead."""
     Y = np.array(starts, dtype=np.float64)
     proj, dims, charts = _focal_tangent_projector(fam, Y)
-    d_foc = int(dims[0])
-    if not np.all(dims == d_foc):
-        raise SamplingError(f"focal tangent ranks disagree: {sorted(set(dims))}")
+    d_foc = _focal_rank(dims)
     if d_foc == 0:
         # the focal set is a point; every projected start already solves it
-        return Y, np.zeros(Y.shape[0]), 0
+        return Y, np.zeros(Y.shape[0])
 
     def tangent_part(proj, _dims, charts):
         q = np.einsum("bij,j->bi", proj, p)
@@ -684,7 +695,7 @@ def _focal_newton(fam, side, p, starts):
         moved, ok = step(sols, state)
         sols[ok] = moved[ok]
         rnorm, state = residual(sols)
-    return sols, rnorm, d_foc
+    return sols, rnorm
 
 
 def _focal_circle_points(fam, side, pole):
@@ -694,17 +705,18 @@ def _focal_circle_points(fam, side, pole):
     return _normal_circle(fam, float(side), pole)
 
 
-def _focal_index(fam, side, p, Y, d_foc):
+def _focal_index(fam, side, p, Y):
     """Height-function Hessian index at each row of Y, in the chart of the
-    first d_foc rows of `_focal_tangent_projector`'s charts, from central
-    differences of P(y) p (no third-derivative bank).  Returns (indices,
-    margins)."""
+    first d_foc rows of `_focal_tangent_projector`'s charts at Y, d_foc the
+    focal tangent dimension there, from central differences of P(y) p (no
+    third-derivative bank).  Returns (indices, margins)."""
     def gradient(rows):
         return _focal_tangent_projector(fam, rows)[0] @ p
 
+    _proj, dims, charts = _focal_tangent_projector(fam, Y)
+    d_foc = _focal_rank(dims)
     if d_foc == 0:
         return [0] * len(Y), [1.0] * len(Y)
-    charts = _focal_tangent_projector(fam, Y)[2]
     eig = np.linalg.eigvalsh(_chart_hessians(
         fam, float(side), p, Y, charts[:, :d_foc], 1e-8, gradient))
     abs_eig = np.abs(eig)
@@ -748,15 +760,13 @@ def focal_tautness_report(fam, side, num_poles=50, seed=0,
             continue
         done += 1
         raw = rng.normal(size=(starts_per_pole, fam.ambient_dim))
-        starts, ok = _project_batch(fam, float(side), raw)
-        sols, rnorm, d_foc = _focal_newton(fam, side, pole.coords, starts[ok])
-        unique = _dedup(fam, sols, rnorm)
+        unique = _newton_route(fam, float(side), pole.coords, raw)
         # collinearity: independently found points must lie in span{p, eta}
         plane = np.stack([pole.coords, eta])
         colin = float(np.linalg.norm(unique - unique @ plane.T @ plane,
                                      axis=1).max(initial=0.0))
         match = _match_distance(unique, circle_x)
-        indices, margins = _focal_index(fam, side, pole.coords, circle_x, d_foc)
+        indices, margins = _focal_index(fam, side, pole.coords, circle_x)
         level_res = float(np.abs(np.abs(np.atleast_1d(
             fam.polynomial.value(circle_x))) - 1.0).max())
         # the worst match skips count mismatches: they are failure entries
@@ -815,9 +825,9 @@ def totally_focal_probe(fam, s, seed=0, num_nonfocal=50, num_focal=10,
         side = 1.0 if i % 2 == 0 else -1.0
         p = project_to_level_focal(fam, side,
                                    rng.normal(size=fam.ambient_dim)).coords
-        cps = _newton_route(fam, s, p,
-                            rng.normal(size=(num_starts, fam.ambient_dim)),
-                            _DEGENERATE_PROBE)
+        cps = _classify(fam, s, p, _newton_route(
+            fam, s, p, rng.normal(size=(num_starts, fam.ambient_dim))),
+            _DEGENERATE_PROBE)
         focal["max_margin"] = max([focal["max_margin"],
                                    *tally(focal, cps, p, "focal")])
     # boundary demonstration: a pole just off the focal set

@@ -6,26 +6,23 @@ produced by the power rule on the term list, so no numerical differentiation
 error enters any verifier; the only floating-point error is the rounding of
 the evaluation arithmetic itself.
 
-Evaluation runs over monomial tables.  At construction a polynomial collects
-S_k, the degree-k divisors of its monomials (k = 0..g), and one
-(variable, parent in S_{k-1}) pair per monomial of S_k, so the kernel builds
-each table from the one below it with one gather-multiply.  The divisors,
-not the full monomial basis: an order-r derivative of a term x^e is a
-multiple of a divisor x^(e - alpha), so S_{g-r} spans every order-r bank,
-and it is never wider than T * C(g, k) or C(D + k - 1, k).
-
-Each bank then keeps its own chain: the rows of S_{g-r} its coefficient
-matrix reads and their ancestors, one parent per monomial and level, so
-the lower levels shrink too (nomizu-quartic n=5's value bank builds 27 of
-the 78 degree-2 divisors).  Only a sum over multi-indices leaves rows of
-S_{g-r} out: the Laplacian reads the x^(e - 2 e_i) alone (12 of the 78
-rows of S_2 there), and a bank whose terms cancel or whose order exceeds
-g (the Laplacian of nomizu-quartic n=2, the third derivatives of a
-quadric) keeps no row and evaluates to exact zeros without a table.
+Evaluation runs over monomial tables.  Each bank builds its own table
+chain, on first use, from the rows its coefficient matrix reads: the
+monomials x^(e - alpha) with a coefficient that is not zero, and their
+ancestors, one (variable, parent) pair per monomial, the parent being the
+monomial divided by its first variable, so the kernel builds each level
+from the one below it with one gather-multiply.  Every level holds divisors
+of the terms, never more than T * C(g, k) or C(D + k - 1, k) of degree k,
+and only those the bank reaches: nomizu-quartic n=5's value bank builds 27
+of its 78 degree-2 divisors, and its Laplacian reads the x^(e - 2 e_i)
+alone (12 of the 78).  A bank whose terms cancel or whose order exceeds g
+(the Laplacian of nomizu-quartic n=2, the third derivatives of a quadric)
+has no row and evaluates to exact zeros without a table.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from functools import cache
 from itertools import combinations_with_replacement
 
@@ -55,68 +52,34 @@ def _canonical_terms(ambient_dim, degree, terms):
     return [(merged[e], e) for e in ordered]
 
 
-def _unique_rows(rows):
-    """Sorted distinct rows of a non-negative int array, and the index of
-    each input row among them: np.unique(rows, axis=0) on one byte string
-    per row (big-endian, so byte order is numeric order)."""
-    rows = np.ascontiguousarray(rows, dtype=">i8")
-    keys = rows.view(np.dtype((np.void, rows.strides[0]))).ravel()
-    uniq, inverse = np.unique(keys, return_inverse=True)
-    return (uniq.view(">i8").reshape(-1, rows.shape[1]).astype(np.int64),
-            inverse.ravel())
-
-
-def _divisor_chain(exps, degree):
-    """The divisor sets S_k of the monomials `exps` (T, D) and their chain.
-
-    Returns (levels, steps): levels[k] is the lexicographically sorted
-    (|S_k|, D) exponent array of S_k, k = 0..degree, and steps[k-1] =
-    (var, parent) writes monomial j of S_k as x_var[j] * S_{k-1}[parent[j]],
-    with var[j] its first variable."""
-    levels = [_unique_rows(exps)[0]]
+def _chain(rows, degree):
+    """The table chain of the sorted degree-`degree` exponent tuples `rows`:
+    one (var, parent) pair per degree k = 1..degree that writes monomial j
+    of level k as x_var[j] times monomial parent[j] of level k - 1, with
+    var[j] its first variable.  Each level below the top holds the sorted
+    distinct parents of the level above it, so the chain is `rows` and their
+    ancestors and nothing else.  No row gives no level."""
     steps = []
-    for _ in range(degree):
-        top = levels[-1]
-        row, var = np.nonzero(top)
-        lower = top[row]
-        lower[np.arange(len(row)), var] -= 1
-        below, parent = _unique_rows(lower)
-        first = np.flatnonzero(np.diff(row, prepend=-1))
-        steps.append((var[first], parent[first]))
-        levels.append(below)
-    return levels[::-1], steps[::-1]
-
-
-def _prune(steps, matrix):
-    """The chain `steps` (degree 1..k) and the (|S_k|, P) `matrix` cut down
-    to the rows of the matrix that are not zero and their ancestors.
-
-    Returns (steps, matrix) in the same form: each level keeps its rows in
-    their sorted order, and its parents index the kept rows of the level
-    below.  An all-zero matrix keeps no row, ([], a (0, P) matrix)."""
-    keep = np.flatnonzero(matrix.any(axis=1))
-    if not len(keep):
-        return [], matrix[keep]
-    top, pruned = keep, []
-    for var, parent in reversed(steps):
-        # not np.unique: its 1-D path imports numpy.ma (~1 MB resident)
-        below = np.flatnonzero(np.bincount(parent[keep]))
-        pruned.append((var[keep], np.searchsorted(below, parent[keep])))
-        keep = below
-    return pruned[::-1], matrix[top]
+    for _ in range(degree if rows else 0):
+        var = [next(i for i, v in enumerate(m) if v) for m in rows]
+        lower = [m[:i] + (m[i] - 1,) + m[i + 1:] for m, i in zip(rows, var)]
+        rows = sorted(set(lower))
+        index = dict(zip(rows, range(len(rows))))
+        steps.append((np.array(var, dtype=np.intp),
+                      np.array([index[m] for m in lower], dtype=np.intp)))
+    return steps[::-1]
 
 
 class CMPolynomial:
     """A homogeneous polynomial F on Euclidean space E^ambient_dim.
 
     Terms are (coefficient, integer exponent vector) pairs; every exponent
-    vector must sum to `degree`.  Instances are immutable; they build the
-    divisor chain of their monomials at construction and cache each
-    derivative bank's coefficient matrix and pruned chain on first use.
+    vector must sum to `degree`.  Instances are immutable; they build each
+    derivative bank's coefficient matrix and table chain on first use and
+    cache them.
     """
 
-    __slots__ = ("ambient_dim", "degree", "coeffs", "exps", "_levels",
-                 "_steps", "_banks")
+    __slots__ = ("ambient_dim", "degree", "coeffs", "exps", "_banks")
 
     def __init__(self, ambient_dim, degree, terms):
         ambient_dim = int(ambient_dim)
@@ -133,7 +96,6 @@ class CMPolynomial:
         self.degree = degree
         self.coeffs = np.ascontiguousarray([c for c, _ in canon], dtype=np.float64)
         self.exps = np.ascontiguousarray([e for _, e in canon], dtype=np.int64)
-        self._levels, self._steps = _divisor_chain(self.exps, degree)
         self._banks = {}
 
     @classmethod
@@ -143,8 +105,7 @@ class CMPolynomial:
 
     def terms(self):
         """Canonical list of (coefficient, exponent tuple) pairs."""
-        return [(float(c), tuple(int(v) for v in e))
-                for c, e in zip(self.coeffs, self.exps)]
+        return list(zip(self.coeffs.tolist(), map(tuple, self.exps.tolist())))
 
     def as_dict(self):
         return {e: c for c, e in self.terms()}
@@ -174,18 +135,19 @@ class CMPolynomial:
                             _power_rule(self.terms(), i))
 
     def _bank(self, kind):
-        """(steps, matrix) of the bank of derivatives d_{a_1} ... d_{a_r} F:
-        its coefficient matrix over the rows of the divisor table S_{g-r}
-        that are not zero, and the table chain pruned to those rows and
-        their ancestors (`_prune`), built on first use and cached.  Kinds:
-        'value' (r = 0), 'gradient' (i), 'hessian' (i <= j, row-major),
-        'laplacian' (one column, the sum of the (i, i)) and 'third'
-        (k, i, j) with i <= j.
+        """(steps, matrix) of the bank of derivatives d_{a_1} ... d_{a_r} F,
+        built on first use and cached: its coefficient matrix over the
+        sorted degree-(g - r) monomials it reads with a coefficient that is
+        not zero, and their table chain (`_chain`).  Kinds: 'value'
+        (r = 0), 'gradient' (i), 'hessian' (i <= j, row-major), 'laplacian'
+        (one column, the sum of the (i, i)) and 'third' (k, i, j) with
+        i <= j.
 
         Each term c x^e feeds the columns of every multi-index alpha it
         survives, i.e. every sub-multiset of e of size r, with the
         coefficient c e! / (e - alpha)! at the row of x^(e - alpha).  A bank
-        of order r > g is zero: a matrix with no rows and an empty chain."""
+        of order r > g, or whose terms cancel, is zero: a matrix with no
+        rows and an empty chain."""
         if kind not in self._banks:
             d = self.ambient_dim
             upper = [(i, j) for i in range(d) for j in range(i, d)]
@@ -200,10 +162,7 @@ class CMPolynomial:
                     0 if kind == "laplacian" else col)
             width = 1 if kind == "laplacian" else len(multi)
             order = len(multi[0])
-            degree = max(self.degree - order, 0)
-            level = self._levels[degree]
-            row_of = dict(zip(map(tuple, level.tolist()), range(len(level))))
-            matrix = np.zeros((len(level), width))
+            sums = defaultdict(lambda: [0.0] * width)
             for c, e in self.terms():
                 support = [i for i, v in enumerate(e) if v]
                 for alpha in combinations_with_replacement(support, order):
@@ -214,10 +173,13 @@ class CMPolynomial:
                         coeff *= m[i]
                         m[i] -= 1
                     else:
-                        row = row_of[tuple(m)]
+                        row = sums[tuple(m)]
                         for col in columns.get(alpha, ()):
-                            matrix[row, col] += coeff
-            self._banks[kind] = _prune(self._steps[:degree], matrix)
+                            row[col] += coeff
+            rows = sorted(m for m, row in sums.items() if any(row))
+            matrix = np.array([sums[m] for m in rows], dtype=np.float64)
+            self._banks[kind] = (_chain(rows, max(self.degree - order, 0)),
+                                 matrix.reshape(len(rows), width))
         return self._banks[kind]
 
     # -- evaluation ---------------------------------------------------------

@@ -12,7 +12,7 @@ import numpy as np
 import isolab
 from isolab import _kernels_py, catalog
 from isolab.families import munzner_residuals
-from isolab.polynomial import CMPolynomial, _power_rule
+from isolab.polynomial import CMPolynomial, _chain, _power_rule
 
 FAMILIES = (("great-sphere", {}), ("clifford", {"k": 1, "n": 2}),
             ("cartan-cubic", {}), ("nomizu-quartic", {"n": 2}),
@@ -134,10 +134,39 @@ def test_batches_spanning_several_row_blocks_match_block_by_block():
         assert_close(poly.gradient(X)[ends], oracle(poly, "gradient", X[ends]))
 
 
+def chain_levels(d, steps):
+    # exponent arrays of a chain's levels, rebuilt from its (var, parent)
+    # steps, the constant monomial first
+    levels = [np.zeros((1, d), dtype=np.int64)]
+    for var, parent in steps:
+        level = levels[-1][parent].copy()
+        level[np.arange(len(var)), var] += 1
+        levels.append(level)
+    return levels
+
+
+def divisor_sets(poly):
+    """S_k, k = 0..g: the degree-k divisors of F's monomials, from the term
+    list."""
+    g = poly.degree
+    divisors = [set() for _ in range(g + 1)]
+    for e in poly.exps.tolist():
+        support = [i for i, v in enumerate(e) if v]
+        for k in range(g + 1):
+            for alpha in combinations_with_replacement(support, g - k):
+                m = list(e)
+                for i in alpha:
+                    m[i] -= 1
+                if min(m) >= 0:
+                    divisors[k].add(tuple(m))
+    return divisors
+
+
 def test_divisor_tables_are_no_wider_than_either_basis():
-    # S_k is exactly the set of degree-k divisors of F's monomials, each
-    # monomial is x_var times its parent, and |S_k| never exceeds the
-    # T * C(g, k) divisor count or the C(D + k - 1, k) full basis
+    # every level of every bank's chain holds sorted distinct degree-k
+    # divisors of F's monomials, each x_var times its parent with var its
+    # first variable, so it never exceeds the T * C(g, k) divisor count or
+    # the C(D + k - 1, k) full basis
     polys = [catalog(label, **params).polynomial for label, params in
              FAMILIES + (("clifford", {"k": 2, "n": 7}),
                          ("nomizu-quartic", {"n": 20}))]
@@ -145,25 +174,18 @@ def test_divisor_tables_are_no_wider_than_either_basis():
                                      (1.0, (0, 4, 0, 0)), (2.0, (1, 1, 1, 1))]))
     for poly in polys:
         d, g, t = poly.ambient_dim, poly.degree, len(poly.coeffs)
-        assert len(poly._levels) == g + 1 and len(poly._steps) == g
-        divisors = [set() for _ in range(g + 1)]
-        for e in poly.exps.tolist():
-            support = [i for i, v in enumerate(e) if v]
-            for k in range(g + 1):
-                for alpha in combinations_with_replacement(support, g - k):
-                    m = list(e)
-                    for i in alpha:
-                        m[i] -= 1
-                    if min(m) >= 0:
-                        divisors[k].add(tuple(m))
-        for k, level in enumerate(poly._levels):
-            assert {tuple(m) for m in level.tolist()} == divisors[k]
-            assert len(level) <= min(t * comb(g, k), comb(d + k - 1, k))
-            if k:
-                var, parent = poly._steps[k - 1]
-                rebuilt = poly._levels[k - 1][parent].copy()
-                rebuilt[np.arange(len(var)), var] += 1
-                assert np.array_equal(rebuilt, level)
+        divisors = divisor_sets(poly)
+        for kind in KINDS:
+            steps = poly._bank(kind)[0]
+            for k, level in enumerate(chain_levels(d, steps)):
+                rows = [tuple(m) for m in level.tolist()]
+                assert rows == sorted(set(rows))
+                assert set(rows) <= divisors[k]
+                assert len(rows) <= min(t * comb(g, k), comb(d + k - 1, k))
+                if k:
+                    var = steps[k - 1][0]
+                    assert all(level[j, var[j]] and not level[j, :var[j]].any()
+                               for j in range(len(var)))
 
 
 ORDERS = {"value": 0, "gradient": 1, "hessian": 2, "laplacian": 2,
@@ -184,39 +206,31 @@ def read_rows(poly, kind):
     return rows
 
 
-def chain_levels(d, steps):
-    # exponent arrays of a chain's levels, rebuilt from its (var, parent)
-    # steps, the constant monomial first
-    levels = [np.zeros((1, d), dtype=np.int64)]
-    for var, parent in steps:
-        level = levels[-1][parent].copy()
-        level[np.arange(len(var)), var] += 1
-        levels.append(level)
-    return levels
-
-
 def test_each_bank_chain_is_the_ancestors_of_the_rows_it_reads():
     for label, params in PRUNING:
         poly = catalog(label, **params).polynomial
         for kind in KINDS:
             steps, matrix = poly._bank(kind)
             degree = max(poly.degree - ORDERS[kind], 0)
-            reads = read_rows(poly, kind)
-            keep = [np.array([i for i, m in enumerate(
-                poly._levels[degree].tolist()) if tuple(m) in reads], int)]
-            for var, parent in reversed(poly._steps[:degree]):
-                keep.append(np.unique(parent[keep[-1]]))
-            want = [poly._levels[k][idx] for k, idx in
-                    enumerate(reversed(keep))]
-            assert matrix.shape == (len(keep[0]), len(bank_terms(poly, kind)))
+            want = [sorted(read_rows(poly, kind))]
+            for _ in range(degree):
+                parents = set()
+                for m in want[-1]:
+                    first = next(i for i, v in enumerate(m) if v)
+                    parents.add(m[:first] + (m[first] - 1,) + m[first + 1:])
+                want.append(sorted(parents))
+            want.reverse()
+            assert matrix.shape == (len(want[-1]),
+                                    len(bank_terms(poly, kind)))
             assert matrix.any(axis=1).all()
-            if not len(keep[0]):
+            if not want[-1]:
                 assert steps == []
                 continue
             assert len(steps) == degree, (label, kind)
             got = chain_levels(poly.ambient_dim, steps)
             for k in range(degree + 1):
-                assert np.array_equal(got[k], want[k]), (label, kind, k)
+                assert [tuple(m) for m in got[k].tolist()] == want[k], (
+                    label, kind, k)
     # the Laplacian of nomizu-quartic n=5 reads the x_i^2 alone
     steps, _matrix = catalog("nomizu-quartic", n=5).polynomial._bank(
         "laplacian")
@@ -258,7 +272,9 @@ def test_in_place_table_is_bitwise_the_out_of_place_product():
     for label, params in PRUNING:
         poly = catalog(label, **params).polynomial
         cols = np.random.default_rng(10).normal(size=(poly.ambient_dim, 37))
-        chains = [poly._steps[:k] for k in range(poly.degree + 1)]
+        # the full divisor chains of every degree, and every bank's chain
+        chains = [_chain(sorted(level), k)
+                  for k, level in enumerate(divisor_sets(poly))]
         chains += [poly._bank(kind)[0] for kind in KINDS]
         for steps in chains:
             assert np.array_equal(_kernels_py._table(steps, cols),

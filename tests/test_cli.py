@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from isolab import catalog, family_to_json_obj
+from isolab import catalog, cli, family_to_json_obj, morse
 from isolab.cli import main
 
 
@@ -278,6 +278,36 @@ def test_spectrum_formats_are_json_and_csv(tmp_path, capsys):
                    '{"k": 1, "n": 2}', "--format", "json", "--samples", "3",
                    "--out", str(out)) == 0
     assert json.loads(out.read_text())["command"] == "spectrum"
+
+
+def test_spectrum_checks_the_level_once_in_either_format(tmp_path,
+                                                         monkeypatch):
+    calls = []
+    check = cli.isoparametric_check
+    monkeypatch.setattr(cli, "isoparametric_check",
+                        lambda *a, **k: calls.append(1) or check(*a, **k))
+    for fmt in ("json", "csv"):
+        calls.clear()
+        assert run_cli("spectrum", "--family", "clifford", "--params",
+                       '{"k": 1, "n": 2}', "--format", fmt, "--samples", "3",
+                       "--out", str(tmp_path / fmt)) == 0
+        assert calls == [1], fmt
+
+
+def test_taut_focal_without_usable_starts_fails_on_one_line(capsys,
+                                                            monkeypatch):
+    project = morse._project_batch
+
+    def no_starts(fam, s, points, **kwargs):
+        X, ok = project(fam, s, points, **kwargs)
+        return X, ok & False
+
+    monkeypatch.setattr(morse, "_project_batch", no_starts)
+    assert run_cli("taut-focal", "--family", "clifford", "--params",
+                   '{"k": 1, "n": 2}', "--side", "1", "--poles", "1") == 1
+    err = capsys.readouterr().err
+    assert "no usable Newton starts" in err and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("params", ['{"n": 1e9}', '{"n": 63}', '{"n": 2.5}'])

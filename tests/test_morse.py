@@ -257,7 +257,7 @@ def fd_newton_jacobian(fam, s, p, X, frames, h=1e-6):
     def residual_in_frame(Y):
         xi = spherical_gradient(fam, Y)
         xi /= np.linalg.norm(xi, axis=1, keepdims=True)
-        q = morse._tangential_residual(fam, p, Y, xi)
+        q = morse._tangential_residual(p, Y, xi)
         return np.einsum("bnd,bd->bn", frames, q)
 
     n = frames.shape[1]
@@ -283,7 +283,7 @@ def test_exact_newton_jacobian_matches_finite_differences(
         p /= np.linalg.norm(p)
         xi, frames, vals, wn = _frames_batch(fam, X)
         # random level points are far from critical for a random pole
-        assert np.abs(morse._tangential_residual(fam, p, X, xi)).max() > 1e-2
+        assert np.abs(morse._tangential_residual(p, X, xi)).max() > 1e-2
         exact = morse._newton_jacobian(fam, p, X, xi, frames, vals, wn)
         oracle = fd_newton_jacobian(fam, s, p, X, frames)
         scale = np.linalg.norm(oracle, axis=(1, 2))
@@ -414,11 +414,12 @@ def test_focal_newton_diagonalizes_no_ambient_matrix(fam_nomizu, monkeypatch):
     for side in (1, -1):
         starts, ok = _project_batch(fam_nomizu, float(side),
                                     rng.normal(size=(48, d)))
-        sols, _rnorm, d_foc = morse._focal_newton(fam_nomizu, side,
-                                                  pole.coords, starts[ok])
-        assert len(sols) and d_foc > 0, side
+        sols, _rnorm = morse._focal_newton(fam_nomizu, side, pole.coords,
+                                           starts[ok])
         _eta, Y = morse._focal_circle_points(fam_nomizu, side, pole)
-        morse._focal_index(fam_nomizu, side, pole.coords, Y, d_foc)
+        morse._focal_index(fam_nomizu, side, pole.coords, Y)
+        d_foc = int(morse._focal_tangent_projector(fam_nomizu, Y)[1][0])
+        assert len(sols) and d_foc > 0, side
     assert shapes and (d, d) not in shapes, sorted(set(shapes))
 
 
@@ -462,14 +463,12 @@ def test_focal_newton_retracts_once_per_step(fam_nomizu, monkeypatch):
                         counting("step", morse._chart_step))
     monkeypatch.setattr(CMPolynomial, "hessian_along",
                         counting("third", CMPolynomial.hessian_along))
-    sols, _rnorm, d_foc = morse._focal_newton(fam_nomizu, 1, pole.coords,
-                                              starts[ok])
+    sols, _rnorm = morse._focal_newton(fam_nomizu, 1, pole.coords, starts[ok])
     assert len(sols) > 0 and counts["step"] > 0
     assert counts["retract"] <= counts["step"] == counts["third"]
     counts["third"] = 0
     _eta, Y = morse._focal_circle_points(fam_nomizu, 1, pole)
-    indices, _margins = morse._focal_index(fam_nomizu, 1, pole.coords, Y,
-                                           d_foc)
+    indices, _margins = morse._focal_index(fam_nomizu, 1, pole.coords, Y)
     assert counts["third"] == 0 and len(indices) == len(Y)
 
 
@@ -567,7 +566,7 @@ def test_chart_hessians_match_entrywise_loop(monkeypatch):
             d_foc = int(dims[0])
             chart = charts[:, :d_foc]
             captured.clear()
-            got, _margins = morse._focal_index(fam, side, p, Y, d_foc)
+            got, _margins = morse._focal_index(fam, side, p, Y)
             jac = morse._focal_jacobian(fam, side, p, Y, chart, proj @ p)
             assert close(captured[0], 0.5 * (jac + np.swapaxes(jac, 1, 2))), \
                 (fam.label, side)
@@ -590,7 +589,7 @@ def test_index_stencils_retract_two_moves_per_chart_vector(fam_nomizu,
         _eta, Y = morse._focal_circle_points(fam_nomizu, side, pole)
         d_foc = int(morse._focal_tangent_projector(fam_nomizu, Y)[1][0])
         rows.clear()
-        morse._focal_index(fam_nomizu, side, pole.coords, Y, d_foc)
+        morse._focal_index(fam_nomizu, side, pole.coords, Y)
         assert rows == [2 * d_foc * len(Y)], side
 
 
@@ -601,8 +600,7 @@ def test_focal_index_matches_per_point_loop(fam_cartan, fam_nomizu):
             _eta, Y = morse._focal_circle_points(fam, side, pole)
             _proj, dims, charts = morse._focal_tangent_projector(fam, Y)
             d_foc = int(dims[0])
-            indices, margins = morse._focal_index(fam, side, pole.coords, Y,
-                                                  d_foc)
+            indices, margins = morse._focal_index(fam, side, pole.coords, Y)
             chart = charts[:, :d_foc]
             want_i, want_m = [], []
             for k in range(len(Y)):  # one retraction batch per point
@@ -1029,24 +1027,29 @@ def test_newton_entries_share_one_route(fam_clifford, monkeypatch):
     seen = []
     route = morse._newton_route
 
-    def recording(fam, s, p, raw, degenerate_threshold):
-        seen.append((float(fam.polynomial.value(p)), len(raw),
-                     degenerate_threshold))
-        return route(fam, s, p, raw, degenerate_threshold)
+    def recording(fam, s, p, raw):
+        seen.append((float(fam.polynomial.value(p)), len(raw), s))
+        return route(fam, s, p, raw)
 
     monkeypatch.setattr(morse, "_newton_route", recording)
     pole = torus_pole(13)
     critical_points_newton(fam_clifford, 0.3, pole, seed=2)
     assert seen == [(float(fam_clifford.polynomial.value(pole.coords)),
-                     120, morse._DEGENERATE_REPORT)]
+                     120, 0.3)]
     seen.clear()
     totally_focal_probe(fam_clifford, 0.3, seed=4, num_nonfocal=1,
                         num_focal=2)
     # one non-focal pole, two focal poles, then the boundary pole
     assert len(seen) == 4
-    assert all(t == morse._DEGENERATE_PROBE for _v, _n, t in seen)
+    assert all(s == 0.3 for _v, _n, s in seen)
     assert abs(seen[0][0]) <= 1.0 - morse._POLE_MARGIN
-    assert [abs(abs(v) - 1.0) <= 1e-12 for v, _n, _t in seen[1:3]] == [True] * 2
+    assert [abs(abs(v) - 1.0) <= 1e-12 for v, _n, _s in seen[1:3]] == [True] * 2
+    # the focal report solves on the sheet through the same route
+    for side in (1, -1):
+        seen.clear()
+        focal_tautness_report(fam_clifford, side, num_poles=2, seed=5,
+                              starts_per_pole=12)
+        assert [(n, s) for _v, n, s in seen] == [(12, float(side))] * 2
 
 
 def test_probe_without_usable_starts_is_a_sampling_error(fam_clifford,
@@ -1063,3 +1066,17 @@ def test_probe_without_usable_starts_is_a_sampling_error(fam_clifford,
     with pytest.raises(SamplingError, match="no usable Newton starts"):
         totally_focal_probe(fam_clifford, 0.3, seed=4, num_nonfocal=0,
                             num_focal=1)
+
+
+def test_focal_report_without_usable_starts_is_a_sampling_error(
+        fam_clifford, monkeypatch):
+    project = morse._project_batch
+
+    def no_starts(fam, s, points, **kwargs):
+        X, ok = project(fam, s, points, **kwargs)
+        return X, np.zeros_like(ok)
+
+    monkeypatch.setattr(morse, "_project_batch", no_starts)
+    for side in (1, -1):
+        with pytest.raises(SamplingError, match="no usable Newton starts"):
+            focal_tautness_report(fam_clifford, side, num_poles=1, seed=6)
