@@ -3,18 +3,20 @@
 
 For nomizu-quartic n=2 (d=6) and n=5 (d=12) it prints the cost of one bank
 call in ns per point at N = 1, 240 and 24 000 points: the value, gradient,
-Hessian and Laplacian banks, the third-derivative bank as the focal
-solver reads it (`hessian_along`; at N <= 240 only, its d=12 output at
-24 000 points would take 180 MB), and the jet (F and grad F from one
-gradient-bank call) that the level retraction reads.  A bank-build row
-gives the milliseconds to construct the polynomial from its terms and
-build all five coefficient matrices.  Chain rows give, for nomizu-quartic
-n=5 at 100 000 points, each bank's table widths per degree over all the
-divisors of the terms and over the chain the bank builds from the rows it
-reads, and its kernel cost in ns per point (the third-derivative bank,
-750 MB of output there, is not timed); block rows give the gradient,
-Laplacian and value banks' ns per point there with
-`BLOCK_ROWS` set to 128, 256 and 512 rows.  Classification rows give, on nomizu-quartic n=2, the rows
+Hessian and Laplacian banks, the third-derivative bank as the focal solver
+reads it (`hessian_along`; at N <= 240 only, its d=12 output at 24 000
+points would take 180 MB), and the jet (F and grad F from one gradient-bank
+call) that the level retraction reads.  A bank-build row gives the median
+milliseconds to construct the polynomial from its terms and build all five
+coefficient matrices, over 200 builds alternated with a fixed pure-Python
+reference workload, and the ratio of the two medians, which compares across
+trees and runs on a host whose speed drifts.  Chain rows give, for
+nomizu-quartic n=5 at 100 000 points, each bank's table widths per degree
+over all the divisors of the terms and over the chain the bank builds from
+the rows it reads, and its kernel cost in ns per point (the third-derivative
+bank, 750 MB of output there, is not timed); block rows give the gradient,
+Laplacian and value banks' ns per point there with `BLOCK_ROWS` set to 128,
+256 and 512 rows.  Classification rows give, on nomizu-quartic n=2, the rows
 retracted per critical point and the milliseconds per point for both index
 stencils (`_hessian_stencil` at the critical points of one pole on the level
 0.3, `_focal_index` at those on the focal sheet V = +1) and for the whole
@@ -26,18 +28,20 @@ pseudo-inverse step and its retraction to the level).  Newton-solve rows
 give the microseconds per row of `_pinv_solve` on the 240 Jacobians of
 nomizu-quartic n=2 there: as they are (well conditioned, one batched
 inverse) and made singular by a projection (every row takes the eigh
-fallback).  Focal Newton-step
-rows give, at 96 rows of the focal sheet V = +1 of the same two families,
-the microseconds per row of one `_project_focal_batch` of the rows moved
-1e-3 off the sheet and of one focal `_chart_step` (the step in the chart of
-the tangent eigenvectors and its retraction to the sheet).  The last line
-times the residual sweep of the defining identities (the gradient and
-Laplacian banks) through the public path.
+fallback).  Focal Newton-step rows give, at 96 rows of the focal sheet
+V = +1 of the same two families, the microseconds per row of one
+`_project_focal_batch` of the rows moved 1e-3 off the sheet and of one focal
+`_chart_step` (the step in the chart of the tangent eigenvectors and its
+retraction to the sheet).  The last row times the residual sweep of the
+defining identities (`verify_munzner` on nomizu-quartic n=5 at 100 000
+points) stage by stage, in milliseconds: the ball sampling, the gradient
+bank, the Laplacian bank, the residual arithmetic alone, and the whole
+public call.
 
     python benchmarks/bench_backends.py [--quick]
 
-`--quick` drops N = 24 000, takes the chain and block rows at 2000 points
-and shortens the sweep.
+`--quick` drops N = 24 000, takes 40 builds, the chain and block rows and
+the sweep at 2000 points.
 """
 
 import argparse
@@ -49,7 +53,8 @@ import numpy as np
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
-from isolab import _kernels_py, catalog, morse, verify_munzner  # noqa: E402
+from isolab import (_kernels_py, catalog, families, morse,  # noqa: E402
+                    verify_munzner)
 from isolab.levelset import _project_focal_batch  # noqa: E402
 from isolab.polynomial import CMPolynomial  # noqa: E402
 
@@ -102,7 +107,10 @@ def bench(quick=False):
             fresh = CMPolynomial(d, poly.degree, poly.terms())
             for kind in KINDS:
                 fresh._bank(kind)
-        print(f"{'d=%d bank build' % d:<20}{time_call(build, 3) * 1e3:>10.1f}ms")
+        builds = 40 if quick else 200
+        t_build, t_ref = interleaved_medians(build, reference, builds)
+        print(f"{'d=%d bank build' % d:<20}{t_build * 1e3:>10.2f}ms"
+              f"{t_build / t_ref:>10.2f}x reference   (median of {builds})")
 
     chains_and_blocks(quick)
     classification(quick)
@@ -110,13 +118,69 @@ def bench(quick=False):
     newton_solve(quick)
     focal_newton_step(quick)
 
-    # end-to-end residual sweep through the public path
+    sweep_stages(quick)
+
+
+def reference():
+    """A fixed pure-Python workload of about a millisecond that no isolab
+    change touches.  A bank build is mostly interpreter work too, so a build
+    time over this time compares across trees and runs even when the host's
+    speed drifts between them (over eight alternating processes on a
+    shared 2-core host, the build's ratio to a BLAS matmul, which runs on
+    every core, spread by 65%, and to a pure-Python sort by 11%)."""
+    sorted(range(5000), key=lambda i: i * 7919 % 5003)
+
+
+def interleaved_medians(fn, ref, count):
+    """Median seconds of `count` calls of fn and of ref, alternated so that
+    both see the same host load."""
+    times = ([], [])
+    fn()
+    ref()
+    for _ in range(count):
+        for call, out in ((fn, times[0]), (ref, times[1])):
+            t0 = time.perf_counter()
+            call()
+            out.append(time.perf_counter() - t0)
+    return float(np.median(times[0])), float(np.median(times[1]))
+
+
+def sweep_stages(quick):
+    """The residual sweep (`verify_munzner`, nomizu-quartic n=5) stage by
+    stage: the ball sampling, the gradient and Laplacian banks, and the
+    residual arithmetic alone (the sweep with the samples and both banks
+    handed in precomputed), then the whole public call."""
     fam = catalog("nomizu-quartic", n=5)
-    n_sweep = 2000 if quick else 100_000
-    t0 = time.perf_counter()
-    verify_munzner(fam, num_points=n_sweep, radius=2.0)
-    print(f"residual sweep, d=12 ({n_sweep} pts): "
-          f"{time.perf_counter() - t0:.3f} s")
+    poly = fam.polynomial
+    size = 2000 if quick else 100_000
+    repeats = 3 if quick else 7
+
+    def sample():
+        return families._ball_samples(families.seeded_rng(0), size,
+                                      fam.ambient_dim, 2.0)
+
+    X = sample()
+    G, L = poly.gradient(X), poly.laplacian(X)
+    stages = {"sample": sample,
+              "gradient": lambda: poly.gradient(X),
+              "laplacian": lambda: poly.laplacian(X)}
+    cells = {name: time_call(call, repeats) for name, call in stages.items()}
+    saved = (families._ball_samples, CMPolynomial.gradient,
+             CMPolynomial.laplacian)
+    try:
+        families._ball_samples = lambda *args: X
+        CMPolynomial.gradient = lambda self, x: G
+        CMPolynomial.laplacian = lambda self, x: L
+        cells["arithmetic"] = time_call(
+            lambda: verify_munzner(fam, num_points=size, radius=2.0), repeats)
+    finally:
+        (families._ball_samples, CMPolynomial.gradient,
+         CMPolynomial.laplacian) = saved
+    cells["total"] = time_call(
+        lambda: verify_munzner(fam, num_points=size, radius=2.0), repeats)
+    print(f"{'residual sweep (ms)':<20}" + "".join(f"{k:>12}" for k in cells)
+          + f"   (d=12, N={size})")
+    print(f"{'':<20}" + "".join(f"{v * 1e3:>12.1f}" for v in cells.values()))
 
 
 def divisor_widths(poly):

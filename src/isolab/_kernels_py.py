@@ -14,8 +14,9 @@ and one bank evaluation is the table chain followed by one matmul.  Each
 bank brings its own chain, built from the rows it reads, so the cost of a
 call scales with the rows the bank needs; a bank whose matrix has
 no rows is zero and reads no table.  Rows are processed in blocks of
-`BLOCK_ROWS`, so the tables never grow with the batch.  Points are one
-point ``(D,)`` or a batch of points ``(N, D)``.
+`BLOCK_ROWS`, each copied coordinate-major on its own just before its
+table is built, so neither the tables nor the copy grow with the batch.
+Points are one point ``(D,)`` or a batch of points ``(N, D)``.
 """
 
 import numpy as np
@@ -57,12 +58,15 @@ def eval_bank(steps, matrix, points):
     """
     points = np.asarray(points, dtype=np.float64)
     single = points.ndim == 1
-    # coordinate-major copy: each table row gathers contiguous runs
-    cols = np.ascontiguousarray(np.atleast_2d(points).T)
-    out = np.zeros((cols.shape[1], matrix.shape[1]))
-    if len(matrix):
-        for lo in range(0, cols.shape[1], BLOCK_ROWS):
+    rows = np.atleast_2d(points)
+    if not len(matrix):  # a bank with no rows is exactly zero
+        out = np.zeros((len(rows), matrix.shape[1]))
+    else:
+        out = np.empty((len(rows), matrix.shape[1]))
+        for lo in range(0, len(rows), BLOCK_ROWS):
             hi = lo + BLOCK_ROWS
-            np.matmul(_table(steps, cols[:, lo:hi]).T, matrix,
-                      out=out[lo:hi])
+            # coordinate-major copy of this block alone: each table row
+            # gathers a contiguous run, and no copy of the batch is made
+            cols = np.ascontiguousarray(rows[lo:hi].T)
+            np.matmul(_table(steps, cols).T, matrix, out=out[lo:hi])
     return out[0] if single else out

@@ -58,20 +58,25 @@ def focal_points_along_normal(sp: SurfacePoint, spectrum: PrincipalSpectrum | No
     return out
 
 
-def _circle_profile(fam, sp: SurfacePoint, grid_size):
+def _circle_profile(fam, sp: SurfacePoint, grid_size, spectrum=None):
     """The uniform t-grid of `grid_size` points on (-pi, pi] and V(E(t, x))
     on it, where E is the offset normal exponential map at sp with the
-    offset theta taken from the spectrum at sp.  Returns (ts, values)."""
+    offset theta taken from the spectrum at sp (computed unless given).
+    Returns (ts, values)."""
+    if spectrum is None:
+        spectrum = spectrum_at(sp)
     ts = -np.pi + 2 * np.pi * (np.arange(1, grid_size + 1) / grid_size)
-    ang = spectrum_at(sp).theta - ts
+    ang = spectrum.theta - ts
     pts = np.cos(ang)[:, None] * sp.x.coords + np.sin(ang)[:, None] * np.asarray(sp.xi)
     return ts, fam.polynomial.value(pts)
 
 
-def exp_param_check(fam, sp: SurfacePoint, grid_size=720):
-    """Maximum of |V(E(t, x)) - cos(g t)| over the `_circle_profile` grid.
-    For a genuine family this is roundoff-sized."""
-    ts, vals = _circle_profile(fam, sp, grid_size)
+def exp_param_check(fam, sp: SurfacePoint, grid_size=720,
+                    spectrum: PrincipalSpectrum | None = None):
+    """Maximum of |V(E(t, x)) - cos(g t)| over the `_circle_profile` grid,
+    reading the spectrum at sp if the caller has it.  For a genuine family
+    this is roundoff-sized."""
+    ts, vals = _circle_profile(fam, sp, grid_size, spectrum)
     return float(np.abs(vals - np.cos(fam.g * ts)).max())
 
 

@@ -3,6 +3,7 @@
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import comb
@@ -279,6 +280,81 @@ def test_in_place_table_is_bitwise_the_out_of_place_product():
         for steps in chains:
             assert np.array_equal(_kernels_py._table(steps, cols),
                                   out_of_place_table(steps, cols))
+
+
+def whole_batch_eval_bank(steps, matrix, points):
+    # the kernel as it was with one coordinate-major copy of the whole
+    # batch ahead of the block loop, kept as the oracle of the per-block copy
+    points = np.asarray(points, dtype=np.float64)
+    single = points.ndim == 1
+    cols = np.ascontiguousarray(np.atleast_2d(points).T)
+    out = np.zeros((cols.shape[1], matrix.shape[1]))
+    if len(matrix):
+        for lo in range(0, cols.shape[1], _kernels_py.BLOCK_ROWS):
+            hi = lo + _kernels_py.BLOCK_ROWS
+            np.matmul(_kernels_py._table(steps, cols[:, lo:hi]).T, matrix,
+                      out=out[lo:hi])
+    return out[0] if single else out
+
+
+def test_per_block_copy_is_bitwise_the_whole_batch_copy():
+    rows = _kernels_py.BLOCK_ROWS
+    for label, params in PRUNING:
+        poly = catalog(label, **params).polynomial
+        rng = np.random.default_rng(11)
+        X = rng.normal(size=(2 * rows + 7, poly.ambient_dim))
+        frozen = X.copy()
+        frozen.flags.writeable = False
+        inputs = [X[:n] for n in (1, rows - 1, rows, rows + 1, len(X))]
+        inputs += [X[3], np.asfortranarray(X), X[::2], X[:, ::-1], frozen]
+        for kind in KINDS:
+            steps, matrix = poly._bank(kind)
+            for x in inputs:
+                got = _kernels_py.eval_bank(steps, matrix, x)
+                want = whole_batch_eval_bank(steps, matrix, x)
+                assert got.shape == want.shape, (label, kind)
+                assert np.array_equal(got, want), (label, kind, x.shape)
+
+
+def test_bank_calls_allocate_no_copy_of_the_batch():
+    # beyond its output a bank call holds one block's tables, not a
+    # coordinate-major copy of all the points
+    poly = catalog("nomizu-quartic", n=5).polynomial
+    X = np.random.default_rng(12).normal(size=(20_000, poly.ambient_dim))
+    for name in ("gradient", "laplacian"):
+        bank = getattr(poly, name)
+        bank(X[:10])
+        tracemalloc.start()
+        try:
+            out = bank(X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < out.nbytes + 2 ** 20, (name, peak, out.nbytes)
+
+
+def test_munzner_residuals_match_the_norm_formula():
+    # r^2 in place of |x| moves only the rounding of the power terms:
+    # both forms of g^2 r^(2g-2) and c r^(g-2) lie within a few ulp per
+    # factor of r of the exact value (measured at most 2g + 1 ulp)
+    eps = np.finfo(float).eps
+    for label, params in PRUNING:
+        fam = catalog(label, **params)
+        g, F = fam.g, fam.polynomial
+        X = np.random.default_rng(13).normal(size=(500, fam.ambient_dim))
+        X *= np.random.default_rng(14).uniform(0.01, 2.0, size=(500, 1))
+        r = np.linalg.norm(X, axis=1)
+        grad = F.gradient(X)
+        want1 = np.einsum("ij,ij->i", grad, grad) - g * g * r ** (2 * g - 2)
+        want2 = F.laplacian(X) - fam.c * r ** (g - 2)
+        bound1 = 4 * g * eps * g * g * r ** (2 * g - 2)
+        bound2 = 4 * g * eps * abs(fam.c) * r ** (g - 2)
+        rho1, rho2 = munzner_residuals(fam, X)
+        assert (np.abs(rho1 - want1) <= bound1).all(), label
+        assert (np.abs(rho2 - want2) <= bound2).all(), label
+        single = munzner_residuals(fam, X[4])
+        assert abs(single[0] - want1[4]) <= bound1[4]
+        assert abs(single[1] - want2[4]) <= bound2[4]
 
 
 def test_munzner_residuals_reach_the_kernel_through_the_traced_banks(

@@ -6,8 +6,9 @@ import sys
 
 import pytest
 
-from isolab import catalog, cli, family_to_json_obj, morse
+from isolab import catalog, cli, family_to_json_obj, focal, morse
 from isolab.cli import main
+from isolab.levelset import sample_points
 
 
 def run_cli(*args):
@@ -329,3 +330,52 @@ def test_family_size_is_usage_error(capsys, params):
 def test_argparse_rejections_are_one_line_usage_errors(capsys, args):
     # argparse's own rejections print no usage block, only the usage line
     assert_usage_error(capsys, *args)
+
+
+@pytest.mark.parametrize("samples", ["0", "-5"])
+def test_focal_samples_below_one_is_usage_error(tmp_path, capsys, samples):
+    # a sample count below 1 is refused, not rounded up to one sample
+    out = tmp_path / "out"
+    assert_usage_error(capsys, "focal", "--family", "clifford", "--params",
+                       '{"k": 1, "n": 2}', f"--samples={samples}",
+                       "--out", str(out))
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("verify", "--samples"), ("tight", "--samples"),
+    ("taut-focal", "--samples"), ("totally-focal", "--samples"),
+    ("export-curves", "--samples"), ("verify", "--poles"),
+    ("spectrum", "--poles"), ("focal", "--poles"), ("export-mesh", "--poles"),
+    ("export-curves", "--poles"),
+])
+def test_count_flags_are_options_of_the_commands_that_read_them(
+        tmp_path, capsys, command, flag):
+    # --samples belongs to spectrum, focal and export-mesh, --poles to
+    # tight, taut-focal and totally-focal; elsewhere argparse refuses them
+    out = tmp_path / "out"
+    assert_usage_error(capsys, command, "--family", "clifford", "--params",
+                       '{"k": 1, "n": 2}', f"{flag}=-3", "--out", str(out))
+    assert not out.exists()
+
+
+def test_focal_computes_each_spectrum_once(tmp_path, monkeypatch):
+    # the profile check reads the spectrum the spacing check computes
+    calls = []
+    spectrum_at = cli.spectrum_at
+
+    def counting(sp, *args, **kwargs):
+        calls.append(1)
+        return spectrum_at(sp, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "spectrum_at", counting)
+    monkeypatch.setattr(focal, "spectrum_at", counting)
+    out = tmp_path / "f.json"
+    assert run_cli("focal", "--family", "clifford", "--params",
+                   '{"k": 1, "n": 2}', "--level", "0.2", "--samples", "40",
+                   "--out", str(out)) == 0
+    assert len(calls) == 4
+    fam = catalog("clifford", k=1, n=2)
+    pts = sample_points(fam, 0.2, 4, 0)
+    assert json.loads(out.read_text())["worst_profile_error"] == max(
+        focal.exp_param_check(fam, sp) for sp in pts)
