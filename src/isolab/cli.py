@@ -1,9 +1,10 @@
 """Command-line interface.
 
 Subcommands: verify, spectrum, focal, tight, taut-focal, totally-focal,
-export-mesh, export-curves.  All reports are JSON (deterministic given
---seed: configuration echo included, no timestamps).  Exit codes: 0 when all
-asserted checks pass, 1 on verification failure, 2 on usage errors.
+export-mesh, export-curves.  Each report is one JSON object that echoes
+every option it ran with and holds no timestamps, so it is deterministic
+given its options.  Exit codes: 0 when all asserted checks pass, 1 on
+verification failure, 2 on usage errors.
 """
 
 from __future__ import annotations
@@ -14,10 +15,9 @@ import sys
 
 import numpy as np
 
-from .errors import (FamilyRejectedError, InputContractError, IsolabError,
-                     MeshExportError)
-from .families import (catalog, family_from_json_obj, seeded_rng,
-                       verify_munzner)
+from .errors import FamilyRejectedError, InputContractError, IsolabError
+from .families import (CATALOG_LABELS, catalog, family_from_json_obj,
+                       seeded_rng, verify_munzner)
 from .focal import exp_param_check, focal_dimension_estimate
 from .levelset import sample_points
 from .morse import focal_tautness_report, tightness_report, totally_focal_probe
@@ -28,6 +28,9 @@ from . import export as export_mod
 EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
+
+# each command that reads --tol, with its own default
+_TOL_DEFAULTS = {"verify": 1e-9, "spectrum": 1e-7, "focal": 1e-7}
 
 
 class _UsageError(Exception):
@@ -44,6 +47,15 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _tolerance(text):
+    """The --tol type: a positive finite number."""
+    tol = float(text)
+    if not (np.isfinite(tol) and tol > 0):
+        raise argparse.ArgumentTypeError(
+            f"must be positive and finite, got {tol!r}")
+    return tol
+
+
 def _build_parser():
     parser = _Parser(
         prog="isolab",
@@ -51,24 +63,25 @@ def _build_parser():
                     "in spheres.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, level=True):
+    def add_common(p):
         p.add_argument("--family", required=True,
-                       help="great-sphere | clifford | cartan-cubic | "
-                            "nomizu-quartic | user-polynomial")
+                       help=" | ".join(CATALOG_LABELS))
         p.add_argument("--params", default="{}",
                        help="family parameters as JSON, e.g. "
                             "'{\"k\": 1, \"n\": 2}'")
-        if level:
-            p.add_argument("--level", type=float, default=0.3)
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--tol", type=float, default=None)
         p.add_argument("--out", default=None, help="write the JSON report here")
 
     for name in ("verify", "spectrum", "focal", "tight", "taut-focal",
                  "totally-focal", "export-mesh", "export-curves"):
         p = sub.add_parser(name)
         add_common(p)
-        # each count flag only where a command reads it
+        # each flag only where a command reads it
+        if name not in ("verify", "taut-focal"):
+            p.add_argument("--level", type=float, default=0.3)
+        if name in _TOL_DEFAULTS:
+            p.add_argument("--tol", type=_tolerance,
+                           default=_TOL_DEFAULTS[name])
         if name in ("spectrum", "focal", "export-mesh"):
             p.add_argument("--samples", type=int, default=100)
         if name in ("tight", "taut-focal", "totally-focal"):
@@ -129,39 +142,35 @@ def _emit(args, payload):
         print(text)
 
 
-def _echo(args, fam):
-    return {
-        "family": fam.label,
-        "params": json.loads(args.params),
-        "g": fam.g, "m1": fam.m1, "m2": fam.m2,
-        "ambient_dim": fam.ambient_dim,
-        "seed": args.seed,
-    }
+def _report(args, fam, body):
+    """Emit one report: the command, the configuration it ran with (every
+    option of the command but --out, with --params parsed, and the family's
+    metadata) and the body.  The exit code reads body["pass"]."""
+    config = {k: v for k, v in vars(args).items()
+              if k not in ("command", "out")}
+    config.update(family=fam.label, params=json.loads(args.params), g=fam.g,
+                  m1=fam.m1, m2=fam.m2, ambient_dim=fam.ambient_dim)
+    _emit(args, {"command": args.command, "config": config, **body})
+    return EXIT_PASS if body["pass"] else EXIT_FAIL
 
 
 def _cmd_verify(args, fam):
-    report = verify_munzner(fam, seed=args.seed + 1234,
-                            tol_scale=1e-9 if args.tol is None else args.tol)
-    payload = {"command": "verify", "config": _echo(args, fam),
-               **report.to_dict()}
-    _emit(args, payload)
-    return EXIT_PASS if report.passed else EXIT_FAIL
+    report = verify_munzner(fam, seed=args.seed + 1234, tol_scale=args.tol)
+    return _report(args, fam, report.to_dict())
 
 
 def _cmd_spectrum(args, fam):
     _regular_level(args)
-    tol = 1e-7 if args.tol is None else args.tol
     if args.format == "csv":
         if not args.out:
             raise _UsageError("--format csv needs --out")
         export_mod.export_spectrum_csv(fam, args.level, args.samples,
                                        args.seed, args.out)
     report = isoparametric_check(fam, args.level, args.samples, args.seed,
-                                 tol=tol)
-    if args.format != "csv":
-        _emit(args, {"command": "spectrum", "config": _echo(args, fam),
-                     **report.to_dict()})
-    return EXIT_PASS if report.passed else EXIT_FAIL
+                                 tol=args.tol)
+    if args.format == "csv":
+        return EXIT_PASS if report.passed else EXIT_FAIL
+    return _report(args, fam, report.to_dict())
 
 
 def _cmd_focal(args, fam):
@@ -180,41 +189,32 @@ def _cmd_focal(args, fam):
         spacing.append(float(np.abs(gaps - np.pi / fam.g).max()))
     dims = {"+1": focal_dimension_estimate(fam, 1, seed=args.seed),
             "-1": focal_dimension_estimate(fam, -1, seed=args.seed)}
-    tol = 1e-7 if args.tol is None else args.tol
-    passed = max(profile) < 1e-8 and max(spacing) < tol
-    _emit(args, {"command": "focal", "config": _echo(args, fam),
-                 "worst_profile_error": max(profile),
-                 "worst_spacing_error": max(spacing),
-                 "focal_dimensions": dims,
-                 "pass": passed})
-    return EXIT_PASS if passed else EXIT_FAIL
+    return _report(args, fam, {
+        "worst_profile_error": max(profile),
+        "worst_spacing_error": max(spacing),
+        "focal_dimensions": dims,
+        "pass": max(profile) < 1e-8 and max(spacing) < args.tol})
 
 
 def _cmd_tight(args, fam):
     report = tightness_report(fam, args.level, num_poles=args.poles,
                               seed=args.seed)
-    _emit(args, {"command": "tight", "config": _echo(args, fam),
-                 **report.to_dict()})
-    return EXIT_PASS if report.passed else EXIT_FAIL
+    return _report(args, fam, report.to_dict())
 
 
 def _cmd_taut_focal(args, fam):
     report = focal_tautness_report(fam, args.side, num_poles=args.poles,
                                    seed=args.seed)
-    _emit(args, {"command": "taut-focal", "config": _echo(args, fam),
-                 "side": args.side, **report.to_dict()})
-    return EXIT_PASS if report.passed else EXIT_FAIL
+    return _report(args, fam, {"side": args.side, **report.to_dict()})
 
 
 def _cmd_totally_focal(args, fam):
     if args.poles < 1:
         raise _UsageError(f"--poles must be at least 1, got {args.poles}")
-    probe = totally_focal_probe(fam, args.level, seed=args.seed,
-                                num_nonfocal=max(1, args.poles // 2),
-                                num_focal=max(1, args.poles // 10))
-    _emit(args, {"command": "totally-focal", "config": _echo(args, fam),
-                 **probe})
-    return EXIT_PASS if probe["pass"] else EXIT_FAIL
+    return _report(args, fam, totally_focal_probe(
+        fam, args.level, seed=args.seed,
+        num_nonfocal=max(1, args.poles // 2),
+        num_focal=max(1, args.poles // 10)))
 
 
 def _default_pole(fam, seed):
@@ -281,10 +281,6 @@ def main(argv=None):
             args = _build_parser().parse_args(argv)
         except SystemExit as exc:  # --help prints and exits 0
             return EXIT_USAGE if exc.code not in (0, None) else EXIT_PASS
-        if args.tol is not None and not (np.isfinite(args.tol)
-                                         and args.tol > 0):
-            raise _UsageError(
-                f"--tol must be positive and finite, got {args.tol!r}")
         if args.seed < 0:
             raise _UsageError(f"--seed must be non-negative, got {args.seed}")
         fam = _load_family(args)
@@ -304,7 +300,7 @@ def main(argv=None):
         print(f"usage error: cannot write --out {args.out}: {exc.strerror}",
               file=sys.stderr)
         return EXIT_USAGE
-    except (MeshExportError, IsolabError) as exc:
+    except IsolabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL
 

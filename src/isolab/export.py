@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputContractError, MeshExportError
-from .families import seeded_rng
+from .families import Report, seeded_rng
 from .focal import _circle_profile
 from .levelset import sample_points
 from .shape import spectrum_at
@@ -239,7 +239,7 @@ def export_point_cloud_csv(fam, s, count, seed, pole, path):
 # -- Euclidean tautness spot check -------------------------------------------
 
 @dataclass
-class SpotCheckReport:
+class SpotCheckReport(Report):
     family: str
     level: float
     pole: list
@@ -249,14 +249,6 @@ class SpotCheckReport:
     index_multisets: list
     resampled_centers: int
     passed: bool
-
-    def to_dict(self):
-        return {
-            "family": self.family, "level": self.level, "pole": self.pole,
-            "num_centers": self.num_centers, "seed": self.seed,
-            "counts": self.counts, "index_multisets": self.index_multisets,
-            "resampled_centers": self.resampled_centers, "pass": self.passed,
-        }
 
 
 def _cyclide_chart(fam, s, pole):

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -25,9 +25,6 @@ from .errors import (FamilyIntegrityError, FamilyRejectedError,
 from .polynomial import (CMPolynomial, linear_dict, poly_add, poly_mul,
                          squared_norm_dict)
 from .sphere import SpherePoint
-
-CATALOG_LABELS = ("great-sphere", "clifford", "cartan-cubic",
-                  "nomizu-quartic", "user-polynomial")
 
 # The largest ambient dimension a family may have.  The largest planned
 # family, fkm(3, 16), has D = 32; at D = 128 the dense Hessian bank of a
@@ -129,8 +126,21 @@ def munzner_residuals(fam: IsoparametricFamily, x):
     return rho1, rho2
 
 
+class Report:
+    """A certificate: its JSON form is its dataclass fields in declaration
+    order, with `passed` under the key "pass" and tuples as lists."""
+
+    def to_dict(self):
+        out = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            out["pass" if f.name == "passed" else f.name] = (
+                list(value) if isinstance(value, tuple) else value)
+        return out
+
+
 @dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(Report):
     family: str
     num_points: int
     radius: float
@@ -140,19 +150,6 @@ class VerificationReport:
     worst_scaled_residual: float
     tol_scale: float
     passed: bool
-
-    def to_dict(self):
-        return {
-            "family": self.family,
-            "num_points": self.num_points,
-            "radius": self.radius,
-            "seed": self.seed,
-            "max_rho1": self.max_rho1,
-            "max_rho2": self.max_rho2,
-            "worst_scaled_residual": self.worst_scaled_residual,
-            "tol_scale": self.tol_scale,
-            "pass": self.passed,
-        }
 
 
 def seeded_rng(seed, *tags):
@@ -304,23 +301,15 @@ def _trace_cubic_terms():
 
 
 def _cartan_cubic():
-    base = CMPolynomial.from_dict(5, 3, _trace_cubic_terms())
-    # calibrate the single scalar so |grad F|^2 = 9 r^4: linear in kappa^2,
-    # fit at one batch of sample points, then verified at fresh points below
-    rng = np.random.default_rng(97531)
-    pts = _ball_samples(rng, 256, 5, 1.5)
-    grad = base.gradient(pts)
-    w = np.einsum("ij,ij->i", grad, grad)
-    r = np.linalg.norm(pts, axis=1)
-    target = 9.0 * r ** 4
-    kappa2 = float((w @ target) / (w @ w))
-    kappa = math.sqrt(kappa2)
-    fam = IsoparametricFamily(base.scaled(kappa), g=3, m1=1, m2=1, c=0.0,
-                              label="cartan-cubic")
+    # sqrt(6) tr(X^3) meets |grad F|^2 = 9 r^4 exactly; the integrity check
+    # below guards the term expansion
+    poly = CMPolynomial.from_dict(5, 3, _trace_cubic_terms())
+    fam = IsoparametricFamily(poly.scaled(math.sqrt(6.0)), g=3, m1=1, m2=1,
+                              c=0.0, label="cartan-cubic")
     check = verify_munzner(fam, num_points=2000, seed=24680)
     if not check.passed:
         raise FamilyIntegrityError(
-            f"cubic calibration failed verification "
+            "the cubic fails verification "
             f"(worst scaled residual {check.worst_scaled_residual:.3e})")
     return fam
 
@@ -375,6 +364,16 @@ def _user_polynomial(terms=None, ambient_dim=None, g=None, m1=None, m2=None,
     return fam
 
 
+_BUILDERS = {
+    "great-sphere": _great_sphere,
+    "clifford": _clifford,
+    "cartan-cubic": _cartan_cubic,
+    "nomizu-quartic": _nomizu_quartic,
+    "user-polynomial": _user_polynomial,
+}
+CATALOG_LABELS = tuple(_BUILDERS)
+
+
 def catalog(name, **params) -> IsoparametricFamily:
     """Construct a family by its catalog name.
 
@@ -382,17 +381,10 @@ def catalog(name, **params) -> IsoparametricFamily:
     nomizu-quartic(n); user-polynomial(terms, ambient_dim, g, m1, m2,
     label, verify=True).  User polynomials are verified, not trusted.
     """
-    builders = {
-        "great-sphere": _great_sphere,
-        "clifford": _clifford,
-        "cartan-cubic": _cartan_cubic,
-        "nomizu-quartic": _nomizu_quartic,
-        "user-polynomial": _user_polynomial,
-    }
-    if name not in builders:
+    if name not in _BUILDERS:
         raise InputContractError(
             f"unknown family label {name!r}; choose from {CATALOG_LABELS}")
-    return builders[name](**params)
+    return _BUILDERS[name](**params)
 
 
 # -- JSON interchange --------------------------------------------------------

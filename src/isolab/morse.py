@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import (InputContractError, NearFocalPoleError, PoleIsFocalError,
                      SamplingError, StartAtFocalError)
-from .families import seeded_rng
+from .families import Report, seeded_rng
 from .levelset import (_GRAD_FLOOR, SurfacePoint, _circle_tangency,
                        _frames_batch, _householder_frames, _is_focal,
                        _level_jet, _normalize_rows, _project_batch,
@@ -75,7 +75,7 @@ class CriticalPoint:
 
 
 @dataclass
-class TightnessReport:
+class TightnessReport(Report):
     """Per-pole critical-point counts and index bookkeeping for one level."""
 
     family: str
@@ -95,24 +95,10 @@ class TightnessReport:
     failures: list = field(default_factory=list)
 
     def to_dict(self):
-        return {
-            "family": self.family,
-            "level": self.level,
-            "g": self.g,
-            "m1": self.m1,
-            "m2": self.m2,
-            "expected_count": self.expected_count,
-            "seed": self.seed,
-            "poles": self.poles,
-            "pass": self.passed,
-            "index_histogram": {str(k): v for k, v in
-                                sorted(self.index_histogram.items())},
-            "worst_match_distance": self.worst_match_distance,
-            "worst_level_residual": self.worst_level_residual,
-            "min_hessian_margin": self.min_hessian_margin,
-            "rejected_poles": self.rejected_poles,
-            "failures": self.failures,
-        }
+        # histogram keys as strings, in numeric order
+        return {**super().to_dict(),
+                "index_histogram": {str(k): v for k, v in
+                                    sorted(self.index_histogram.items())}}
 
     def record(self, pole, counts, passed, checks, match, level_residual,
                indices, margins, points, shown=()):

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ClusteringError, FocalCrossingError, FocalDegeneracyError
+from .families import Report
 from .levelset import SurfacePoint, sample_points, spherical_gradient
 
 _VALID_COUNTS = (1, 2, 3, 4, 6)
@@ -136,39 +137,23 @@ def parallel_transport_curvature(lam, t):
 
 
 @dataclass(frozen=True)
-class SpectrumReport:
+class SpectrumReport(Report):
+    """The measured fields default to the values of a failed check."""
+
     family: str
     level: float
     num_samples: int
     seed: int
     cluster_tol: float
     tol: float
-    values: tuple
-    multiplicities: tuple
-    theta: float
-    worst_cluster_spread: float
-    worst_spacing_error: float
-    alternation_ok: bool
-    passed: bool
+    values: tuple = ()
+    multiplicities: tuple = ()
+    theta: float = float("nan")
+    worst_cluster_spread: float = float("inf")
+    worst_spacing_error: float = float("inf")
+    alternation_ok: bool = False
+    passed: bool = False
     failure: str | None = None
-
-    def to_dict(self):
-        return {
-            "family": self.family,
-            "level": self.level,
-            "num_samples": self.num_samples,
-            "seed": self.seed,
-            "cluster_tol": self.cluster_tol,
-            "tol": self.tol,
-            "values": list(self.values),
-            "multiplicities": list(self.multiplicities),
-            "theta": self.theta,
-            "worst_cluster_spread": self.worst_cluster_spread,
-            "worst_spacing_error": self.worst_spacing_error,
-            "alternation_ok": self.alternation_ok,
-            "pass": self.passed,
-            "failure": self.failure,
-        }
 
 
 def _alternation_ok(mults, fam):
@@ -209,11 +194,8 @@ def isoparametric_check(fam, s, num_samples=100, seed=0,
     if failure is not None or not all_values:
         return SpectrumReport(
             family=fam.label, level=float(s), num_samples=num_samples,
-            seed=seed, cluster_tol=cluster_tol, tol=tol, values=(),
-            multiplicities=mults or (), theta=float("nan"),
-            worst_cluster_spread=float("inf"),
-            worst_spacing_error=float("inf"), alternation_ok=False,
-            passed=False, failure=failure or "no samples")
+            seed=seed, cluster_tol=cluster_tol, tol=tol,
+            multiplicities=mults or (), failure=failure or "no samples")
     vals = np.array(all_values)
     spread = float((vals.max(axis=0) - vals.min(axis=0)).max())
     mean_vals = vals.mean(axis=0)

@@ -1,5 +1,6 @@
 """CLI: subcommands, exit codes, determinism of reports."""
 
+import argparse
 import json
 import subprocess
 import sys
@@ -188,6 +189,56 @@ def test_tol_must_be_positive_and_finite(tmp_path, capsys, command, tol):
     assert_usage_error(capsys, command, "--family", "cartan-cubic",
                        f"--tol={tol}", "--out", str(tmp_path / "out"))
 
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("verify", "--level", "0.5"), ("taut-focal", "--level", "0.3"),
+    ("tight", "--tol", "1e-3"), ("export-mesh", "--tol", "1"),
+])
+def test_level_and_tol_are_options_of_the_commands_that_read_them(
+        tmp_path, capsys, command, flag, value):
+    # --tol belongs to verify, spectrum and focal; verify and taut-focal
+    # read no level
+    out = tmp_path / "out"
+    assert_usage_error(capsys, command, "--family", "clifford", "--params",
+                       '{"k": 1, "n": 2}', flag, value, "--out", str(out))
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args", [("spectrum", "--format", "csv"),
+                                  ("export-mesh",), ("export-curves",)])
+def test_file_writing_commands_need_out(capsys, args):
+    assert_usage_error(capsys, *args, "--family", "clifford", "--params",
+                       '{"k": 1, "n": 2}')
+
+
+def _option_dests(command):
+    sub = next(a for a in cli._build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return {a.dest for a in sub.choices[command]._actions if a.dest != "help"}
+
+
+@pytest.mark.parametrize("command, args", [
+    ("verify", ()), ("spectrum", ("--samples", "3")),
+    ("focal", ("--samples", "10")), ("tight", ("--poles", "1")),
+    ("taut-focal", ("--poles", "1")), ("totally-focal", ("--poles", "2")),
+])
+def test_report_config_echoes_every_option_but_out(tmp_path, command, args):
+    out = tmp_path / "r.json"
+    assert run_cli(command, "--family", "clifford", "--params",
+                   '{"k": 1, "n": 2}', "--seed", "4", *args,
+                   "--out", str(out)) == 0
+    payload = json.loads(out.read_text())
+    config = payload["config"]
+    assert payload["command"] == command
+    assert set(config) == (_option_dests(command) - {"out"}
+                           | {"g", "m1", "m2", "ambient_dim"})
+    assert config["params"] == {"k": 1, "n": 2} and config["seed"] == 4
+    assert all(config[flag[2:]] == int(value)
+               for flag, value in zip(args[::2], args[1::2]))
+    if "tol" in config:
+        assert config["tol"] == {"verify": 1e-9, "spectrum": 1e-7,
+                                 "focal": 1e-7}[command]
 
 
 @pytest.mark.parametrize("command", ["verify", "spectrum", "focal", "tight",

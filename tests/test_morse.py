@@ -176,6 +176,19 @@ def test_tightness_report_schema(fam_clifford):
             "margin"} <= set(pole0["points"][0])
 
 
+def test_tightness_report_records_failing_poles(perturbed_clifford):
+    # off the family both routes still find 4 points per pole, but they
+    # no longer agree: every pole is a failure entry
+    rep = tightness_report(perturbed_clifford, 0.3, num_poles=3, seed=1)
+    assert not rep.passed and rep.to_dict()["pass"] is False
+    assert len(rep.failures) == len(rep.poles) == 3
+    for failure, pole in zip(rep.failures, rep.poles):
+        assert failure["pole"] == pole["pole"]
+        assert failure["count_newton"] == failure["count_circle"] == 4
+        assert failure["match_distance"] > morse.DEDUP_RADIUS
+        assert failure["index_agreement"] is True
+
+
 def test_focal_tautness_counts_and_collinearity(all_families):
     for fam in all_families:
         for side in (1, -1):

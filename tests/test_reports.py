@@ -1,0 +1,53 @@
+"""The report format: every report serializes from its own fields, and
+benchmarks/compare_reports.py compares two trees report by report."""
+
+import dataclasses
+import importlib.util
+import pathlib
+import subprocess
+import sys
+
+import numpy as np
+
+from isolab import (SpherePoint, euclidean_taut_spot_check,
+                    focal_tautness_report, isoparametric_check,
+                    tightness_report, verify_munzner)
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+COMPARE = ROOT / "benchmarks" / "compare_reports.py"
+
+
+def test_report_keys_are_the_field_names(fam_clifford):
+    pole = SpherePoint(np.array([0.12, 0.23, 0.34, 0.90]))
+    reports = [verify_munzner(fam_clifford, num_points=100),
+               isoparametric_check(fam_clifford, 0.3, num_samples=3),
+               tightness_report(fam_clifford, 0.3, num_poles=1),
+               focal_tautness_report(fam_clifford, 1, num_poles=1),
+               euclidean_taut_spot_check(fam_clifford, 0.0, pole,
+                                         num_centers=1)]
+    for report in reports:
+        names = [f.name for f in dataclasses.fields(report)]
+        assert list(report.to_dict()) == [
+            "pass" if name == "passed" else name for name in names]
+    spectrum, tight = reports[1].to_dict(), reports[2].to_dict()
+    assert spectrum["values"] == list(reports[1].values)
+    assert list(tight["index_histogram"]) == ["0", "1", "2"]
+
+
+def test_compare_reports_finds_no_difference_within_one_tree():
+    proc = subprocess.run([sys.executable, str(COMPARE), str(ROOT), str(ROOT),
+                           "--quick"], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.splitlines() == ["0 of 42 reports differ"]
+
+
+def test_compare_reports_names_what_differs():
+    spec = importlib.util.spec_from_file_location("compare_reports", COMPARE)
+    compare = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(compare)
+    assert compare._describe('{"a": 1, "b": 2}', '{"b": 2, "a": 1}') == (
+        "keys, key order or list lengths differ")
+    assert compare._describe('{"x": [1.0, 2.0], "n": 4, "pass": true}',
+                             '{"x": [1.0, 2.5], "n": 3, "pass": false}') == (
+        "1 floats move, by up to 5.00e-01 (.x[1]) and 2.00e-01 relative "
+        "(.x[1]); 2 other leaves differ: .n, .pass")

@@ -7,7 +7,8 @@ from isolab import (ClusteringError, FocalCrossingError,
                     isoparametric_check, parallel_transport_curvature,
                     principal_curvatures, sample_points, shape_operator,
                     spherical_gradient)
-from isolab.shape import arccot, spectrum_at
+from isolab import shape
+from isolab.shape import PrincipalSpectrum, arccot, spectrum_at
 
 
 def finite_difference_shape_operator(sp, h=1e-5):
@@ -141,6 +142,45 @@ def test_isoparametric_check_negative_control(perturbed_clifford):
                                  seed=9)
     assert not report.passed
     assert report.worst_cluster_spread > 1e-7 or report.failure is not None
+
+
+def test_isoparametric_check_clustering_failures(fam_clifford):
+    # the curvatures +1 and -1 of the mid level merge at cluster_tol 3 into
+    # a cluster too wide to be one; at 100 they make one clean cluster, but
+    # g = 2 clusters are expected
+    ambiguous = isoparametric_check(fam_clifford, 0.0, num_samples=5,
+                                    cluster_tol=3.0)
+    assert ambiguous.failure.startswith("clustering failed at sample 0: ")
+    d = ambiguous.to_dict()
+    assert d["values"] == [] and d["multiplicities"] == []
+    assert np.isnan(d["theta"]) and d["alternation_ok"] is False
+    assert d["worst_cluster_spread"] == d["worst_spacing_error"] == np.inf
+    assert d["pass"] is False
+    merged = isoparametric_check(fam_clifford, 0.0, num_samples=5,
+                                 cluster_tol=100.0)
+    assert merged.failure == "1 clusters but g = 2"
+    assert merged.multiplicities == (2,) and not merged.alternation_ok
+    assert not merged.passed
+
+
+def test_isoparametric_check_multiplicity_change(fam_clifford_asym,
+                                                 monkeypatch):
+    calls = []
+
+    def flip_second(matrix, cluster_tol):
+        spec = principal_curvatures(matrix, cluster_tol)
+        calls.append(spec)
+        if len(calls) == 2:
+            return PrincipalSpectrum(spec.values, spec.multiplicities[::-1],
+                                     spec.theta)
+        return spec
+
+    monkeypatch.setattr(shape, "principal_curvatures", flip_second)
+    report = isoparametric_check(fam_clifford_asym, 0.0, num_samples=3)
+    assert report.failure == ("multiplicity pattern changed between points: "
+                              "(2, 1) vs (1, 2)")
+    assert report.multiplicities == (2, 1) and report.values == ()
+    assert not report.passed
 
 
 def test_spectrum_csv_roundtrip(tmp_path, fam_cartan):
