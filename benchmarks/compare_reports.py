@@ -10,8 +10,11 @@ For nomizu-quartic n=2, cartan-cubic, clifford(1,2) and great-sphere(n=3),
 at seeds 3 and 2026: the residual sweep (`verify_munzner`), the spectrum
 check and the tightness report at the level 0.3, and the focal tautness
 reports on both sheets; plus the Euclidean spot check on clifford(1,2) at
-the level 0 at both seeds.  Full runs take 10 poles per report, 40 spectrum
-samples and 8 spot-check centers; `--quick` takes 1, 4 and 2.
+the level 0 at both seeds, from `SPOT_POLE` and from `DISTORTED_POLE`,
+whose image is stretched enough that Newton from the grid alone misses an
+extreme, so that only its gradient-flow starts find it.  Full runs take 10
+poles per report, 40 spectrum samples and 8 spot-check centers; `--quick`
+takes 1, 4 and 2.
 
 One line is printed per report that differs or that one tree lacks.  It
 names the leaves that differ: how many float leaves move, with the largest
@@ -31,6 +34,7 @@ FAMILIES = (("nomizu-quartic", {"n": 2}), ("cartan-cubic", {}),
 SEEDS = (3, 2026)
 LEVEL = 0.3
 SPOT_POLE = (0.12, 0.23, 0.34, 0.90)
+DISTORTED_POLE = (0.5, -0.2, 0.1, 0.8)
 
 
 def _reports(quick):
@@ -55,11 +59,12 @@ def _reports(quick):
                        focal_tautness_report(fam, side, num_poles=poles,
                                              seed=seed))
     fam = catalog("clifford", k=1, n=2)
-    pole = SpherePoint(np.array(SPOT_POLE))
-    for seed in SEEDS:
-        yield (f"clifford seed={seed} spot check",
-               euclidean_taut_spot_check(fam, 0.0, pole, num_centers=centers,
-                                         seed=seed))
+    for tag, coords in (("", SPOT_POLE), (" distorted", DISTORTED_POLE)):
+        pole = SpherePoint(np.array(coords))
+        for seed in SEEDS:
+            yield (f"clifford seed={seed} spot check{tag}",
+                   euclidean_taut_spot_check(fam, 0.0, pole,
+                                             num_centers=centers, seed=seed))
 
 
 def _dump(root, quick):

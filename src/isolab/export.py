@@ -18,13 +18,15 @@ import numpy as np
 from .errors import InputContractError, MeshExportError
 from .families import Report, seeded_rng
 from .focal import _circle_profile
-from .levelset import sample_points
+from .levelset import (_frames_batch, _level_jet, _normalize_rows, _row_norms,
+                       sample_points)
+from .morse import (_NEWTON_MAX_ITER, _chart_hessians, _chart_step, _dedup,
+                    _level_flow, _masked_newton)
 from .shape import spectrum_at
 from .sphere import SpherePoint, tangent_basis
 
 _CLIP_RADIUS = 1e-3
 _FOCAL_POLE_TOL = 1e-6
-_FLOW_STEPS = 200   # gradient-flow steps toward the extremes of L
 
 
 @dataclass
@@ -34,26 +36,24 @@ class MeshData:
     flagged_faces: list = field(default_factory=list)
     warnings: list = field(default_factory=list)
 
+    def _edge_counts(self):
+        """How many triangles share each undirected edge."""
+        pairs = self.faces[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
+        edges = np.sort(pairs, axis=1)
+        return np.unique(edges, axis=0, return_counts=True)[1]
+
     def euler_characteristic(self):
-        edges = set()
-        for tri in self.faces:
-            for a, b in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
-                edges.add((min(a, b), max(a, b)))
-        return int(len(self.vertices) - len(edges) + len(self.faces))
+        return int(len(self.vertices) - len(self._edge_counts())
+                   + len(self.faces))
 
     def is_watertight(self):
-        counts = {}
-        for tri in self.faces:
-            for a, b in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
-                key = (min(a, b), max(a, b))
-                counts[key] = counts.get(key, 0) + 1
-        return all(c == 2 for c in counts.values())
+        return bool((self._edge_counts() == 2).all())
 
 
-def _stereo_rows(points, pole):
-    """Stereographic projection of an (N, D) block from a SpherePoint pole."""
-    basis = tangent_basis(pole).vectors
-    dots = points @ pole.coords
+def _stereo_rows(points, basis, q):
+    """Stereographic projection of an (N, D) block from the pole q, with
+    `basis` the rows of its `tangent_basis`."""
+    dots = points @ q
     return (points @ basis.T) / (1.0 - dots)[:, None], dots
 
 
@@ -87,18 +87,12 @@ def _sphere_grid(s, resolution, axis):
 
 
 def _grid_faces(resolution):
-    # the doubly periodic grid of `_torus_grid`
+    # the doubly periodic grid of `_torus_grid`, two triangles per cell
     r = resolution
-    faces = []
-    for i in range(r):
-        for j in range(r):
-            v00 = i * r + j
-            v01 = i * r + (j + 1) % r
-            v10 = ((i + 1) % r) * r + j
-            v11 = ((i + 1) % r) * r + (j + 1) % r
-            faces.append((v00, v10, v11))
-            faces.append((v00, v11, v01))
-    return np.array(faces, dtype=int)
+    i, j = np.meshgrid(np.arange(r), np.arange(r), indexing="ij")
+    v00, v01 = i * r + j, i * r + (j + 1) % r
+    v10, v11 = (i + 1) % r * r + j, (i + 1) % r * r + (j + 1) % r
+    return np.stack([v00, v10, v11, v00, v11, v01], axis=-1).reshape(-1, 3)
 
 
 def _sphere_faces(resolution):
@@ -155,18 +149,16 @@ def export_mesh(fam, s, pole: SpherePoint, resolution=64, path=None) -> MeshData
                            sample_points(fam, s, resolution * resolution, seed=0)])
         warnings.append("no parametrization for this family: emitting a "
                         "vertex cloud without faces")
-    dots = points @ pole.coords
+    verts, dots = _stereo_rows(points, tangent_basis(pole).vectors,
+                               pole.coords)
     near = np.arccos(np.clip(dots, -1.0, 1.0)) < _CLIP_RADIUS
     if near.any():
         warnings.append(
             f"near-singularity: {int(near.sum())} vertices within "
             f"{_CLIP_RADIUS:g} of the pole; incident triangles are flagged")
-    verts, _ = _stereo_rows(points, pole)
-    flagged = []
     if faces is None:
         faces = np.zeros((0, 3), dtype=int)
-    elif near.any():
-        flagged = [k for k, tri in enumerate(faces) if near[list(tri)].any()]
+    flagged = np.flatnonzero(near[faces].any(axis=1)).tolist()
     mesh = MeshData(vertices=verts, faces=faces, flagged_faces=flagged,
                     warnings=warnings)
     if path is not None:
@@ -227,7 +219,7 @@ def export_focal_circle_csv(fam, s, seed, path, grid_size=720):
 def export_point_cloud_csv(fam, s, count, seed, pole, path):
     """Stereographic point cloud of M_s for families with no mesh support."""
     pts = np.array([p.x.coords for p in sample_points(fam, s, count, seed)])
-    proj, _ = _stereo_rows(pts, pole)
+    proj, _ = _stereo_rows(pts, tangent_basis(pole).vectors, pole.coords)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow([f"y{i + 1}" for i in range(proj.shape[1])])
@@ -251,31 +243,58 @@ class SpotCheckReport(Report):
     passed: bool
 
 
-def _cyclide_chart(fam, s, pole):
-    a = np.sqrt((1.0 + s) / 2.0)
-    b = np.sqrt((1.0 - s) / 2.0)
-    basis = tangent_basis(pole).vectors
-    q = pole.coords
+def _distance_gradient(fam, X, basis, q, center, xi=None):
+    """The Riemannian gradient of L = |sigma(x) - c|^2 on the level through
+    the rows of X, sigma(x) = Bx / (1 - <x, q>) the projection from the pole
+    q with `tangent_basis` rows B: the ambient gradient
+    2 (B^T r + <r, y> q) / (1 - <x, q>), y = sigma(x) and r = y - c, less
+    its parts along x and along the unit normals xi, taken from the level's
+    jet when not given."""
+    if xi is None:
+        xi = _normalize_rows(_level_jet(fam, X)[1])
+    y, dots = _stereo_rows(X, basis, q)
+    r = y - center
+    grad = 2 * (r @ basis + np.einsum("ij,ij->i", r, y)[:, None] * q)
+    grad /= (1.0 - dots)[:, None]
+    return (grad - np.einsum("ij,ij->i", grad, X)[:, None] * X
+            - np.einsum("ij,ij->i", grad, xi)[:, None] * xi)
 
-    def xyz(phi, psi):
-        x = np.stack([a * np.cos(phi), a * np.sin(phi),
-                      b * np.cos(psi), b * np.sin(psi)], axis=-1)
-        den = 1.0 - x @ q
-        return (x @ basis.T) / den[..., None], x, den
 
-    def dxyz(phi, psi):
-        y, x, den = xyz(phi, psi)
-        dx_phi = np.stack([-a * np.sin(phi), a * np.cos(phi),
-                           np.zeros_like(phi), np.zeros_like(phi)], axis=-1)
-        dx_psi = np.stack([np.zeros_like(psi), np.zeros_like(psi),
-                           -b * np.sin(psi), b * np.cos(psi)], axis=-1)
-        dy_phi = (dx_phi @ basis.T) / den[..., None] \
-            + y * (dx_phi @ q)[..., None] / den[..., None]
-        dy_psi = (dx_psi @ basis.T) / den[..., None] \
-            + y * (dx_psi @ q)[..., None] / den[..., None]
-        return y, dy_phi, dy_psi
+def _distance_critical_points(fam, s, grid, basis, q, center, tol):
+    """Hessian eigenvalues (K, 2) of L = |sigma(x) - c|^2 at its K critical
+    points on M_s, in the frames of `_frames_batch`.
 
-    return xyz, dxyz
+    Newton (`_masked_newton`, steps by `_chart_step` with the Jacobian from
+    the `_chart_hessians` stencil) runs from the rows of `grid` and from the
+    ends of two `_level_flow`s, a descent from the grid's argmin of L and an
+    ascent from its argmax: where the pole stretches the image, the grid
+    alone misses the minimum or the maximum.  A start counts as converged
+    once its Riemannian gradient is below `tol`; `_dedup` merges them."""
+    def value(X):
+        return np.sum((_stereo_rows(X, basis, q)[0] - center) ** 2, axis=1)
+
+    def gradient(X, xi=None):
+        return _distance_gradient(fam, X, basis, q, center, xi)
+
+    def residual(rows, *jet):
+        xi, frames, _vals, _wn = _frames_batch(fam, rows, jet or None)
+        grad = gradient(rows, xi)
+        return _row_norms(grad), [frames, grad]
+
+    def step(rows, state):
+        frames, grad = state
+        jac = _chart_hessians(fam, s, rows, frames, 1e-9, gradient)
+        return _chart_step(fam, s, rows, frames, jac, grad)
+
+    ell = value(grid)
+    ends = _level_flow(fam, s, grid[[np.argmin(ell), np.argmax(ell)]], value,
+                       gradient, np.array([-1.0, 1.0]))
+    X = np.concatenate([grid, ends])
+    rnorm = _masked_newton(X, residual(X), residual, step, tol,
+                           _NEWTON_MAX_ITER)[0]
+    sols = _dedup(fam, X[rnorm <= tol], rnorm[rnorm <= tol])
+    return np.linalg.eigvalsh(_chart_hessians(
+        fam, s, sols, _frames_batch(fam, sols)[1], 1e-9, gradient))
 
 
 def euclidean_taut_spot_check(fam, s, pole: SpherePoint, num_centers=25,
@@ -285,128 +304,45 @@ def euclidean_taut_spot_check(fam, s, pole: SpherePoint, num_centers=25,
 
     Tightness on the sphere transports through stereographic projection to
     tautness in Euclidean space, so every non-degenerate center must see
-    exactly 4 critical points with index multiset {0, 1, 1, 2}.  Centers with
-    near-singular Hessians are resampled and counted.
+    exactly 4 critical points with index multiset {0, 1, 1, 2}.  The points
+    are found on M_s itself, as critical points of the squared distance
+    pulled back through the projection (`_distance_critical_points`).
+    Centers with near-singular Hessians are resampled and counted.
     """
     if fam.label != "clifford" or fam.ambient_dim != 4:
         raise InputContractError(
             "the spot check needs the two-curvature family on the 3-sphere")
+    if not -1.0 < s < 1.0:
+        raise InputContractError("spot-check levels live in (-1, 1)")
+    if num_centers < 1:
+        raise InputContractError(
+            f"the spot check needs at least one center, got {num_centers}")
     if abs(float(fam.polynomial.value(pole.coords)) - s) < 1e-3:
         raise InputContractError("projection pole too close to the surface")
-    xyz, dxyz = _cyclide_chart(fam, s, pole)
     rng = seeded_rng(seed, 0xC9C)
-    grid = 2.0 * np.pi * np.arange(24) / 24
-    phi0, psi0 = np.meshgrid(grid, grid, indexing="ij")
-    phi0 = phi0.ravel()
-    psi0 = psi0.ravel()
-    ysamp, _, _ = xyz(phi0, psi0)
+    basis, q = tangent_basis(pole).vectors, pole.coords
+    grid = _torus_grid(s, 24)
+    ysamp, _ = _stereo_rows(grid, basis, q)
     center_mid = ysamp.mean(axis=0)
     scale = np.linalg.norm(ysamp - center_mid, axis=1).max()
-
-    def critical_points(center):
-        def gradient(phi, psi):
-            # of the squared distance L = |y - center|^2 in the (phi, psi)
-            # chart
-            y, dphi, dpsi = dxyz(phi, psi)
-            r = y - center
-            return (2 * np.einsum("ij,ij->i", r, dphi),
-                    2 * np.einsum("ij,ij->i", r, dpsi))
-
-        def hessian(phi, psi, h):
-            # central differences of the gradient, (h11, h12, h21, h22):
-            # column 1 steps phi, column 2 steps psi; not symmetrized
-            gpp, gpm = gradient(phi + h, psi), gradient(phi - h, psi)
-            gqp, gqm = gradient(phi, psi + h), gradient(phi, psi - h)
-            return ((gpp[0] - gpm[0]) / (2 * h), (gqp[0] - gqm[0]) / (2 * h),
-                    (gpp[1] - gpm[1]) / (2 * h), (gqp[1] - gqm[1]) / (2 * h))
-
-        def squared_distance(phi, psi):
-            y, _, _ = xyz(phi, psi)
-            return np.sum((y - center) ** 2, axis=-1)
-
-        # Newton from the grid alone misses the minimum or the maximum where
-        # the pole stretches the chart, so two more starts come from
-        # monotone gradient flows: descent from the grid's argmin of L and
-        # ascent from its argmax, halving a step until L improves
-        ell = squared_distance(phi0, psi0)
-        ends = [int(np.argmin(ell)), int(np.argmax(ell))]
-        fphi, fpsi, fell = phi0[ends], psi0[ends], ell[ends]
-        sign, step = np.array([-1.0, 1.0]), np.full(2, 0.5)
-        for _ in range(_FLOW_STEPS):
-            gphi, gpsi = gradient(fphi, fpsi)
-            gnorm = np.maximum(np.hypot(gphi, gpsi), 1e-300)
-            tphi = fphi + sign * step * gphi / gnorm
-            tpsi = fpsi + sign * step * gpsi / gnorm
-            tell = squared_distance(tphi, tpsi)
-            better = sign * (tell - fell) > 0
-            fphi = np.where(better, tphi, fphi)
-            fpsi = np.where(better, tpsi, fpsi)
-            fell = np.where(better, tell, fell)
-            step = np.where(better, np.minimum(2 * step, 0.5), step / 2)
-        phi = np.concatenate([phi0, np.mod(fphi, 2 * np.pi)])
-        psi = np.concatenate([psi0, np.mod(fpsi, 2 * np.pi)])
-        for _ in range(60):
-            gphi, gpsi = gradient(phi, psi)
-            gnorm = np.hypot(gphi, gpsi)
-            if gnorm.max() < 1e-9 * max(1.0, scale ** 2):
-                break
-            h11, h12, h21, h22 = hessian(phi, psi, 1e-6)
-            det = h11 * h22 - h12 * h21
-            det = np.where(np.abs(det) < 1e-14, np.nan, det)
-            dphi_step = -(h22 * gphi - h12 * gpsi) / det
-            dpsi_step = -(-h21 * gphi + h11 * gpsi) / det
-            step = np.hypot(dphi_step, dpsi_step)
-            cap = 0.5
-            shrink = np.where(step > cap, cap / np.maximum(step, cap), 1.0)
-            bad = ~np.isfinite(dphi_step) | ~np.isfinite(dpsi_step)
-            dphi_step = np.where(bad, 0.0, dphi_step * shrink)
-            dpsi_step = np.where(bad, 0.0, dpsi_step * shrink)
-            phi = np.mod(phi + dphi_step, 2 * np.pi)
-            psi = np.mod(psi + dpsi_step, 2 * np.pi)
-        gphi, gpsi = gradient(phi, psi)
-        conv = np.hypot(gphi, gpsi) < 1e-8 * max(1.0, scale ** 2)
-        sols = []
-        for k in np.flatnonzero(conv):
-            dup = False
-            for ph, ps in sols:
-                dp = np.angle(np.exp(1j * (phi[k] - ph)))
-                dq = np.angle(np.exp(1j * (psi[k] - ps)))
-                if np.hypot(dp, dq) < 1e-5:
-                    dup = True
-                    break
-            if not dup:
-                sols.append((float(phi[k]), float(psi[k])))
-        results = []
-        for ph, ps in sols:
-            hmat = np.reshape(hessian(np.array([ph]), np.array([ps]), 1e-5),
-                              (2, 2))
-            hmat = 0.5 * (hmat + hmat.T)
-            eig = np.linalg.eigvalsh(hmat)
-            results.append({"phi": ph, "psi": ps,
-                            "index": int(np.sum(eig < 0)),
-                            "eig": eig})
-        return results
-
     counts, multisets = [], []
     resampled = 0
-    accepted = 0
-    while accepted < num_centers:
+    while len(counts) < num_centers:
         center = center_mid + scale * rng.normal(size=3)
-        results = critical_points(center)
-        eigs = np.concatenate([r["eig"] for r in results]) if results else np.array([0.0])
-        degenerate = (np.abs(eigs).min() < 1e-6 * np.abs(eigs).max())
-        if degenerate:
+        eig = _distance_critical_points(fam, s, grid, basis, q, center,
+                                        1e-9 * max(1.0, scale ** 2))
+        # no critical point at all counts as a failure, not as degenerate
+        mags = np.abs(eig)
+        if mags.min(initial=np.inf) < 1e-6 * mags.max(initial=0.0):
             resampled += 1
             if resampled > 20 * num_centers:
                 raise InputContractError("could not find non-degenerate centers")
             continue
-        accepted += 1
-        counts.append(len(results))
-        multisets.append(sorted(r["index"] for r in results))
-    passed = all(c == 4 for c in counts) and all(m == [0, 1, 1, 2]
-                                                 for m in multisets)
+        counts.append(len(eig))
+        multisets.append(sorted((eig < 0).sum(axis=1).tolist()))
     return SpotCheckReport(
         family=fam.label, level=float(s),
         pole=[float(v) for v in pole.coords], num_centers=num_centers,
         seed=seed, counts=counts, index_multisets=multisets,
-        resampled_centers=resampled, passed=passed)
+        resampled_centers=resampled,
+        passed=all(m == [0, 1, 1, 2] for m in multisets))

@@ -49,6 +49,7 @@ _DEGENERATE_PROBE = 1e-4    # threshold used by the totally-focal probe
 _HESSIAN_FLOOR = 1e-6       # below this absolute scale the Hessian is zero
 _POLE_MARGIN = 1e-3
 _T_GUARD = 1e-8
+_FLOW_STEPS = 200   # cap on the steps of one `_level_flow`
 
 
 @dataclass(frozen=True)
@@ -197,7 +198,7 @@ def _chart_step(fam, level, X, chart, jac, resid):
     delta *= np.where(norms > 0.4, 0.4 / np.maximum(norms, 0.4), 1.0)[:, None]
     moved = _normalize_rows(X + np.einsum("bi,bid->bd", delta, chart))
     if _is_focal(level):
-        return _project_batch(fam, level, moved, tol=1e-15, accept=1e-11)
+        return _project_batch(fam, level, moved, accept=1e-11)
     return _retract_level(fam, level, moved, 1e-15, 1e-11)
 
 
@@ -225,6 +226,30 @@ def _masked_newton(X, first, residual, step, tol, max_iter):
         for full, part in zip(state, fresh):
             full[idx] = part
     return rnorm, state
+
+
+def _level_flow(fam, s, X, value, gradient, sign):
+    """Monotone gradient flows of `value` on the regular level M_s from the
+    rows of X, descending where `sign` (a scalar or one per row) is -1 and
+    ascending where it is +1.  A row steps along its unit Riemannian gradient
+    `gradient(rows)`, retracted by `_retract_level`, and keeps the move only
+    if `value` improves: the step then doubles, up to 0.5, and else halves.
+    At most _FLOW_STEPS steps, stopping once every step is below 1e-9.
+    Returns the end rows."""
+    X = np.array(X, dtype=np.float64)
+    val, step = value(X), np.full(X.shape[0], 0.5)
+    for _ in range(_FLOW_STEPS):
+        if step.max() < 1e-9:
+            break
+        grad = gradient(X)
+        grad *= (sign * step / np.maximum(_row_norms(grad), 1e-300))[:, None]
+        trial, ok = _retract_level(fam, s, _normalize_rows(X + grad), 1e-14,
+                                   1e-12)[:2]
+        trial_val = value(trial)
+        better = ok & (sign * (trial_val - val) > 0)
+        X[better], val[better] = trial[better], trial_val[better]
+        step = np.where(better, np.minimum(2 * step, 0.5), step / 2)
+    return X
 
 
 def _newton_multistart(fam, s, p, starts):
@@ -277,8 +302,8 @@ def _dedup(fam, X, rnorm):
     return ordered[keep]
 
 
-def _chart_hessians(fam, level, p, X, charts, accept, gradient):
-    """Hessians of the height function <p, .> at each row of X (assumed
+def _chart_hessians(fam, level, X, charts, accept, gradient):
+    """Hessians of a function on the level at each row of X (assumed
     critical) in the chart spanned by the rows of charts[k]: symmetrized
     central differences of the Riemannian gradient `gradient(rows)` (ambient
     vectors, one per row) along the chart vectors,
@@ -313,7 +338,7 @@ def _hessian_stencil(fam, s, p, X, frames=None):
 
     if frames is None:
         frames = _frames_batch(fam, X)[1]
-    hessians = _chart_hessians(fam, s, p, X, frames, 1e-9, gradient)
+    hessians = _chart_hessians(fam, s, X, frames, 1e-9, gradient)
     return hessians, np.arccos(np.clip(X @ p, -1.0, 1.0))
 
 
@@ -704,7 +729,7 @@ def _focal_index(fam, side, p, Y):
     if d_foc == 0:
         return [0] * len(Y), [1.0] * len(Y)
     eig = np.linalg.eigvalsh(_chart_hessians(
-        fam, float(side), p, Y, charts[:, :d_foc], 1e-8, gradient))
+        fam, float(side), Y, charts[:, :d_foc], 1e-8, gradient))
     abs_eig = np.abs(eig)
     top = abs_eig.max(axis=1)
     margins = np.divide(abs_eig.min(axis=1), top, out=np.zeros_like(top),

@@ -3,8 +3,13 @@
 import numpy as np
 import pytest
 
-from isolab import MeshExportError, SpherePoint, euclidean_taut_spot_check, export_mesh
-from isolab.export import export_point_cloud_csv, write_obj
+from isolab import (InputContractError, MeshExportError, SpherePoint,
+                    euclidean_taut_spot_check, export_mesh, sample_points)
+from isolab.export import (_CLIP_RADIUS, MeshData, _distance_gradient,
+                           _grid_faces, _stereo_rows, _torus_grid,
+                           export_point_cloud_csv, write_obj)
+from isolab.levelset import _frames_batch, _normalize_rows, _project_batch
+from isolab.sphere import tangent_basis
 
 POLE = SpherePoint(np.array([0.12, 0.23, 0.34, 0.90]))
 
@@ -117,11 +122,100 @@ def test_smallest_meshes_close_up(fam_clifford):
 
 
 def test_spot_check_finds_the_extremes_on_a_distorted_cyclide(fam_clifford):
-    # this pole stretches part of the chart, and Newton from the 24 x 24
-    # grid alone missed the minimum or the maximum at 11 of the 25 centers
+    # this pole stretches part of the image, and the shared Newton from the
+    # 24 x 24 grid alone, without the two flow ends, misses the minimum or
+    # the maximum at 11 of the 25 centers
     pole = SpherePoint(np.array([0.5, -0.2, 0.1, 0.8]))
     report = euclidean_taut_spot_check(fam_clifford, 0.0, pole,
                                        num_centers=25, seed=7)
     assert report.passed
     assert report.counts == [4] * 25
     assert all(m == [0, 1, 1, 2] for m in report.index_multisets)
+
+
+@pytest.mark.parametrize("num_centers", [0, -3])
+def test_spot_check_needs_a_center(fam_clifford, num_centers):
+    # a check over no centers certifies nothing
+    with pytest.raises(InputContractError, match="at least one center"):
+        euclidean_taut_spot_check(fam_clifford, 0.0, POLE,
+                                  num_centers=num_centers)
+
+
+@pytest.mark.parametrize("s", [1.5, float("nan"), 1.0, -1.0])
+def test_spot_check_levels_live_in_the_open_interval(fam_clifford, s):
+    with pytest.raises(InputContractError, match="levels live in"):
+        euclidean_taut_spot_check(fam_clifford, s, POLE, num_centers=1)
+
+
+@pytest.mark.parametrize("s", [0.0, 0.3])
+def test_distance_gradient_matches_central_differences(fam_clifford, s):
+    # the Riemannian gradient of L = |sigma(x) - c|^2 against central
+    # differences of L along the tangent frames, each move retracted to the
+    # level; the retraction's second-order term cancels between +h and -h
+    rng = np.random.default_rng(19)
+    X = np.array([sp.x.coords for sp in sample_points(fam_clifford, s, 6, 4)])
+    xi, frames, _vals, _wn = _frames_batch(fam_clifford, X)
+    h = 1e-5
+    for raw in ((0.12, 0.23, 0.34, 0.90), (0.5, -0.2, 0.1, 0.8),
+                (0.7, 0.1, 0.2, -0.6)):
+        pole = SpherePoint(np.array(raw))
+        basis, q = tangent_basis(pole).vectors, pole.coords
+        center = rng.normal(size=3)
+
+        def squared_distance(rows):
+            return np.sum((_stereo_rows(rows, basis, q)[0] - center) ** 2, 1)
+
+        grad = _distance_gradient(fam_clifford, X, basis, q, center)
+        scale = np.abs(grad).max()
+        assert np.abs(np.einsum("ij,ij->i", grad, X)).max() <= 1e-12 * scale
+        assert np.abs(np.einsum("ij,ij->i", grad, xi)).max() <= 1e-12 * scale
+        for i in range(frames.shape[1]):
+            plus, minus = (_project_batch(fam_clifford, s, _normalize_rows(
+                X + sign * h * frames[:, i]))[0] for sign in (1, -1))
+            diff = (squared_distance(plus) - squared_distance(minus)) / (2 * h)
+            along = np.einsum("ij,ij->i", grad, frames[:, i])
+            assert np.abs(diff - along).max() <= 1e-6 * scale, (raw, s, i)
+
+
+def loop_grid_faces(r):
+    # the former per-cell loop, kept as an oracle for `_grid_faces`
+    faces = []
+    for i in range(r):
+        for j in range(r):
+            v00, v01 = i * r + j, i * r + (j + 1) % r
+            v10, v11 = ((i + 1) % r) * r + j, ((i + 1) % r) * r + (j + 1) % r
+            faces += [(v00, v10, v11), (v00, v11, v01)]
+    return np.array(faces, dtype=int)
+
+
+def loop_edge_counts(faces):
+    # the former per-triangle edge dict, kept as an oracle for MeshData
+    counts = {}
+    for tri in faces:
+        for a, b in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
+            key = (min(a, b), max(a, b))
+            counts[key] = counts.get(key, 0) + 1
+    return counts
+
+
+def test_mesh_faces_edges_and_flags_match_loops(fam_clifford):
+    for r in (3, 4, 9):
+        assert np.array_equal(_grid_faces(r), loop_grid_faces(r)), r
+    # a pole on the surface flags the triangles at the vertices near it
+    a = np.sqrt(0.5)
+    pole = SpherePoint(np.array([a, 0.0, a, 0.0]))
+    torus = export_mesh(fam_clifford, 0.0, pole, resolution=16)
+    near = np.arccos(np.clip(_torus_grid(0.0, 16) @ pole.coords, -1, 1)) \
+        < _CLIP_RADIUS
+    assert torus.flagged_faces and torus.flagged_faces == [
+        k for k, tri in enumerate(torus.faces) if near[list(tri)].any()]
+    from isolab import catalog
+    sphere = export_mesh(catalog("great-sphere", n=2), 0.4, POLE,
+                         resolution=7)
+    for mesh in (torus, sphere,
+                 MeshData(vertices=np.eye(3), faces=np.array([[0, 1, 2]])),
+                 MeshData(vertices=np.eye(3), faces=np.zeros((0, 3), int))):
+        counts = loop_edge_counts(mesh.faces)
+        assert mesh.euler_characteristic() == (
+            len(mesh.vertices) - len(counts) + len(mesh.faces))
+        assert mesh.is_watertight() == all(c == 2 for c in counts.values())

@@ -1093,3 +1093,33 @@ def test_focal_report_without_usable_starts_is_a_sampling_error(
     for side in (1, -1):
         with pytest.raises(SamplingError, match="no usable Newton starts"):
             focal_tautness_report(fam_clifford, side, num_poles=1, seed=6)
+
+
+@pytest.mark.parametrize("label, params, s", [
+    ("clifford", {"k": 1, "n": 2}, 0.0),
+    ("nomizu-quartic", {"n": 2}, 0.3),
+    ("cartan-cubic", {}, 0.2)])
+def test_level_flow_ends_at_the_extremes_of_a_height_function(label, params,
+                                                              s):
+    # tightness: the height function l_p has one local minimum and one
+    # local maximum on M_s, so every descent and every ascent from a point
+    # of M_s ends at the lowest and the highest of the circle route's
+    # critical points
+    fam = catalog(label, **params)
+    pole = morse._draw_pole(fam, np.random.default_rng(61))
+    p = pole.coords
+    crit = np.array([sp.x.coords for sp in normal_circle_critical_points(
+        fam, s, pole, classify=False)])
+    starts = np.array([sp.x.coords for sp in sample_points(fam, s, 8, 5)])
+
+    def gradient(X):
+        xi = _normalize_rows(levelset._level_jet(fam, X)[1])
+        return morse._tangential_residual(p, X, xi)
+
+    for sign, target in ((-1.0, crit[np.argmin(crit @ p)]),
+                         (1.0, crit[np.argmax(crit @ p)])):
+        ends = morse._level_flow(fam, s, starts, lambda X: X @ p, gradient,
+                                 sign)
+        assert np.abs(fam.polynomial.value(ends) - s).max() <= 1e-12, label
+        assert np.linalg.norm(ends - target, axis=1).max() <= 1e-6, \
+            (label, sign)
