@@ -30,9 +30,12 @@ nomizu-quartic n=2 there: as they are (well conditioned, one batched
 inverse) and made singular by a projection (every row takes the eigh
 fallback).  Focal Newton-step rows give, at 96 rows of the focal sheet
 V = +1 of the same two families, the microseconds per row of one
-`_project_focal_batch` of the rows moved 1e-3 off the sheet and of one focal
-`_chart_step` (the step in the chart of the tangent eigenvectors and its
-retraction to the sheet).  The last row times the residual sweep of the
+`_project_focal_batch` of the rows moved 1e-3 off the sheet, of one focal
+`_chart_step` as the solver takes it (the step of P J P + (I - P) in the
+sphere frame and its retraction to the sheet), and of the two tangent
+projectors at the sheet rows: the Newton route's purified one
+(`_focal_sphere_projector`) and the index route's from eigh
+(`_focal_tangent_projector`), each with its bank calls.  The last row times the residual sweep of the
 defining identities (`verify_munzner` on nomizu-quartic n=5 at 100 000
 points) stage by stage, in milliseconds: the ball sampling, the gradient
 bank, the Laplacian bank, the residual arithmetic alone, and the whole
@@ -300,7 +303,7 @@ def newton_solve(quick, rows=240):
 
 def focal_newton_step(quick, rows=96):
     print(f"{'focal step, N=%d' % rows:<20}{'project us/row':>16}"
-          f"{'step us/row':>16}")
+          f"{'step us/row':>16}{'purified us/row':>17}{'eigh us/row':>16}")
     for label, params in (("nomizu-quartic", {"n": 2}),
                           ("clifford", {"k": 2, "n": 7})):
         fam = catalog(label, **params)
@@ -313,17 +316,21 @@ def focal_newton_step(quick, rows=96):
         off = morse._normalize_rows(
             Y + 1e-3 * step / np.linalg.norm(step, axis=1)[:, None])
         p = morse._draw_pole(fam, rng).coords
-        proj, dims, charts = morse._focal_tangent_projector(fam, Y)
-        chart, q = charts[:, :int(dims[0])], proj @ p
-        jac = morse._focal_jacobian(fam, 1, p, Y, chart, q)
+        sph, proj, _dims = morse._focal_sphere_projector(fam, 1, Y)
+        q = morse._sphere_tangent_part(p, sph, proj)
+        jac = morse._focal_jacobian(fam, 1, p, Y, sph, q)
+        jac = proj @ jac @ proj + (np.eye(proj.shape[1]) - proj)
         repeats = 10 if quick else 100
-        t_project = time_call(
-            lambda: _project_focal_batch(fam, 1.0, off), repeats)
-        t_step = time_call(
-            lambda: morse._chart_step(fam, 1.0, Y, chart, jac, q), repeats)
+        cells = [time_call(call, repeats) for call in (
+            lambda: _project_focal_batch(fam, 1.0, off),
+            lambda: morse._chart_step(fam, 1.0, Y, sph, jac, q),
+            lambda: morse._focal_sphere_projector(fam, 1, Y),
+            lambda: morse._focal_tangent_projector(fam, Y))]
         name = label + "".join(f" {k}={v}" for k, v in params.items())
-        print(f"{name:<20}{t_project * 1e6 / rows:>16.2f}"
-              f"{t_step * 1e6 / rows:>16.2f}")
+        print(f"{name:<20}" + "".join(f"{c * 1e6 / rows:>16.2f}"
+                                      for c in cells[:2])
+              + f"{cells[2] * 1e6 / rows:>17.2f}"
+              + f"{cells[3] * 1e6 / rows:>16.2f}")
 
 
 if __name__ == "__main__":

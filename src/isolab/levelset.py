@@ -84,7 +84,8 @@ def _project_batch(fam, s, points, tol=None, accept=None):
     """
     if _is_focal(s):
         return _project_focal_batch(fam, float(np.sign(s)), points,
-                                    accept=1e-10 if accept is None else accept)
+                                    accept=1e-10 if accept is None
+                                    else accept)[:2]
     return _retract_level(fam, s, points, 1e-14 if tol is None else tol,
                           1e-12 if accept is None else accept)[:2]
 
@@ -197,7 +198,8 @@ def _project_focal_batch(fam, side, points, accept=1e-10):
     norm, not on |V - side|: V is quartically blind to small transverse
     offsets (a point h off the focal set changes V by only O(h^2)), while
     the gradient norm measures the offset linearly (|grad_S V| ~ g^2 h),
-    which is what stencil-grade positioning needs.
+    which is what stencil-grade positioning needs.  Returns (projected, ok,
+    F), F the values of the jet that gave the final test.
     """
     g = fam.g
     X = _normalize_rows(np.array(points, dtype=np.float64))
@@ -218,7 +220,7 @@ def _project_focal_batch(fam, side, points, accept=1e-10):
     # the gradient bound pins the transverse offset; the value bound rejects
     # rows that settled on the opposite focal sheet
     ok = (_row_norms(W) <= 1e-11) & (np.abs(v - side) <= accept)
-    return X, ok
+    return X, ok, v
 
 
 def _reflector(v, axis):

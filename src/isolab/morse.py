@@ -33,7 +33,8 @@ from .families import Report, seeded_rng
 from .levelset import (_GRAD_FLOOR, SurfacePoint, _circle_tangency,
                        _frames_batch, _householder_frames, _is_focal,
                        _level_jet, _normalize_rows, _project_batch,
-                       _retract_level, _row_norms, surface_point)
+                       _project_focal_batch, _retract_level, _row_norms,
+                       surface_point)
 from .shape import PrincipalSpectrum, _shape_operators, arccot
 from .sphere import SpherePoint
 
@@ -49,6 +50,8 @@ _DEGENERATE_PROBE = 1e-4    # threshold used by the totally-focal probe
 _HESSIAN_FLOOR = 1e-6       # below this absolute scale the Hessian is zero
 _POLE_MARGIN = 1e-3
 _T_GUARD = 1e-8
+_PURIFY_STEPS = 4   # cap on McWeeny steps per focal tangent projector
+_PURIFY_TOL = 1e-13
 _FLOW_STEPS = 200   # cap on the steps of one `_level_flow`
 
 
@@ -190,15 +193,16 @@ def _chart_step(fam, level, X, chart, jac, resid):
     (`_pinv_solve`: the inverse where it is certified well conditioned, so
     singular Jacobians on critical manifolds still give a step), length
     capped at 0.4, the move retracted to the level.  Returns (moved rows,
-    ok) on a focal sheet and (moved rows, ok, F, grad F) on a regular
-    level, where `_retract_level` hands on the jet it ended with."""
+    ok, F) on a focal sheet, from `_project_focal_batch`, and (moved rows,
+    ok, F, grad F) on a regular level, from `_retract_level`: each hands on
+    the values it ended with."""
     g0 = np.einsum("bnd,bd->bn", chart, resid)
     delta = -_pinv_solve(jac, g0)
     norms = _row_norms(delta)
     delta *= np.where(norms > 0.4, 0.4 / np.maximum(norms, 0.4), 1.0)[:, None]
     moved = _normalize_rows(X + np.einsum("bi,bid->bd", delta, chart))
     if _is_focal(level):
-        return _project_batch(fam, level, moved, accept=1e-11)
+        return _project_focal_batch(fam, level, moved, accept=1e-11)
     return _retract_level(fam, level, moved, 1e-15, 1e-11)
 
 
@@ -210,8 +214,9 @@ def _masked_newton(X, first, residual, step, tol, max_iter):
     of X.  `step(rows, state)` returns (moved rows, ok, *handed) for the
     rows still above `tol`, and only the moved rows are evaluated again,
     each with its row of the per-row arrays `handed` that the step passes
-    on (the retraction's final jet on a regular level).  A row whose move
-    fails has lost the level and leaves the loop.  Returns the residual
+    on (the retraction's final jet on a regular level, its final values on
+    a focal sheet).  A row whose move fails has lost the level and leaves
+    the loop.  Returns the residual
     norms and state at the final X, each row's from its last evaluation."""
     rnorm, state = first
     idx = np.arange(X.shape[0])
@@ -290,7 +295,8 @@ def _dedup(fam, X, rnorm):
     if len(X) == 0:
         return X
     ordered = X[np.argsort(rnorm)]
-    near = np.arccos(np.clip(ordered @ ordered.T, -1.0, 1.0)) < DEDUP_RADIUS
+    # arccos <a, b> < r exactly when <a, b> > cos r: no N^2 arccos
+    near = ordered @ ordered.T > np.cos(DEDUP_RADIUS)
     # greedy in residual order: a row survives unless an earlier survivor
     # lies within the radius
     keep = np.zeros(len(ordered), dtype=bool)
@@ -599,31 +605,44 @@ def tightness_report(fam, s, num_poles=100, seed=0) -> TightnessReport:
 
 # -- focal submanifolds ------------------------------------------------------
 
+def _focal_sphere_hessian(fam, Y, vals=None):
+    """The sphere frames and the sphere-frame Hessian of V at the rows of Y
+    (points with V = +/-1), which both focal tangent projectors read.
+
+    With sph the Householder frames of the sphere's tangent spaces, the
+    Hessian of V restricted to the sphere is bmat = sph (H - g F I) sph^T,
+    symmetrized, from one Hessian-bank call and, unless the values F at Y
+    are given, one value call.  Returns (sph (B, D-1, D), bmat
+    (B, D-1, D-1))."""
+    Y = np.asarray(Y, dtype=np.float64)
+    sph = _householder_frames(Y)
+    hess = fam.polynomial.hessian(Y)
+    if vals is None:
+        vals = np.atleast_1d(fam.polynomial.value(Y))
+    core = hess - fam.g * vals[:, None, None] * np.eye(Y.shape[1])[None, :, :]
+    bmat = sph @ core @ np.swapaxes(sph, 1, 2)
+    return sph, 0.5 * (bmat + np.swapaxes(bmat, 1, 2))
+
+
 def _focal_tangent_projector(fam, Y):
     """Orthogonal projectors onto the tangent spaces of the focal submanifold
-    at each row of Y (points with V = +/-1).
+    at each row of Y (points with V = +/-1), with an ordered basis of each:
+    the tangent spaces of the index route (`_focal_index`).
 
     The restriction of V to the sphere has Hessian zero along the focal
     submanifold and -g^2 transverse to it (V is a cosine of g times arc
     length along every normal circle), so the tangent space is the kernel of
     the tangential Hessian, separated from the transverse eigenvalues by an
-    O(g^2) gap: it is spanned by the eigenvectors, from one eigh of that
-    Hessian in the Householder sphere frame, with |lambda| < g^2 / 2, mapped
-    to ambient vectors through the frame.  Returns (projectors (B, D, D),
-    dims (B,), charts (B, D-1, D)): the rows of charts[b] are the ambient
+    O(g^2) gap: it is spanned by the eigenvectors, from one eigh of
+    `_focal_sphere_hessian`'s bmat, with |lambda| < g^2 / 2, mapped to
+    ambient vectors through the frame.  Returns (projectors (B, D, D), dims
+    (B,), charts (B, D-1, D)): the rows of charts[b] are the ambient
     eigenvectors ordered by increasing |lambda|, those outside the tangent
     space set to zero, so where dims == d_foc the rows of charts[:, :d_foc]
-    are an orthonormal basis of the tangent space, the focal Newton chart,
-    and chart^T chart is the projector.
+    are an orthonormal basis of the tangent space, the index stencil's
+    chart, and chart^T chart is the projector.
     """
-    Y = np.asarray(Y, dtype=np.float64)
-    d = Y.shape[1]
-    sph = _householder_frames(Y)  # (B, d-1, D) sphere tangent frames
-    hess = fam.polynomial.hessian(Y)
-    vals = np.atleast_1d(fam.polynomial.value(Y))
-    core = hess - fam.g * vals[:, None, None] * np.eye(d)[None, :, :]
-    bmat = sph @ core @ np.swapaxes(sph, 1, 2)
-    bmat = 0.5 * (bmat + np.swapaxes(bmat, 1, 2))
+    sph, bmat = _focal_sphere_hessian(fam, Y)
     eigval, eigvec = np.linalg.eigh(bmat)
     keep = np.abs(eigval) < fam.g ** 2 / 2.0
     amb = np.swapaxes(sph, 1, 2) @ (eigvec * keep[:, None, :])  # (B, D, d-1)
@@ -632,9 +651,59 @@ def _focal_tangent_projector(fam, Y):
     return amb @ np.swapaxes(amb, 1, 2), keep.sum(axis=1), charts
 
 
+def _focal_sphere_projector(fam, side, Y, vals=None):
+    """Tangent projectors of the focal submanifold V = side at the rows of Y,
+    in the sphere frame, by matrix products: the tangent spaces of the
+    Newton route (`_focal_newton`).
+
+    bmat (`_focal_sphere_hessian`, from the values F at Y when given) has
+    eigenvalues 0 on T_yM and -side g^2 on its normal space in the sphere,
+    so P = I + (side / g^2) bmat is the tangent projector up to roundoff.
+    McWeeny's purification P <- P^2 (3I - 2P) (Rev. Mod. Phys. 32, 335,
+    1960) drives the eigenvalues of P to 0 and 1 quadratically: at most
+    _PURIFY_STEPS steps, stopping once every row has max |P^2 - P| at most
+    _PURIFY_TOL, each check reading the P^2 the next step needs.  A row is
+    purified only when its first max |P^2 - P| is at most 1/(8 (D-1)):
+    then |P^2 - P|_2 <= 1/8 puts each eigenvalue of P within 0.15 of 0 or
+    1, where the iteration keeps it on the side of the eigh cut
+    |lambda| < g^2 / 2.  Any other row, and any row still above the bound,
+    takes that cut from one eigh of its bmat.  Returns (sph (B, D-1, D),
+    projectors (B, D-1, D-1), dims (B,)), dims the rounded traces."""
+    sph, bmat = _focal_sphere_hessian(fam, Y, vals)
+    n = bmat.shape[1]
+    eye = np.eye(n)
+    proj = eye + (side / fam.g ** 2) * bmat
+    square = proj @ proj
+    defect = np.abs(square - proj).max(axis=(1, 2))
+    fast = defect <= 0.125 / n
+    for _ in range(_PURIFY_STEPS):
+        if (defect[fast] <= _PURIFY_TOL).all():
+            break
+        proj = square @ (3 * eye - 2 * proj)
+        square = proj @ proj
+        defect = np.abs(square - proj).max(axis=(1, 2))
+    fast &= defect <= _PURIFY_TOL
+    proj = 0.5 * (proj + np.swapaxes(proj, 1, 2))
+    if not fast.all():
+        eigval, eigvec = np.linalg.eigh(bmat[~fast])
+        keep = np.abs(eigval) < fam.g ** 2 / 2.0
+        proj[~fast] = (eigvec * keep[:, None, :]) @ np.swapaxes(eigvec, 1, 2)
+    dims = np.rint(np.trace(proj, axis1=1, axis2=2)).astype(int)
+    return sph, proj, dims
+
+
+def _sphere_tangent_part(p, sph, proj):
+    """q = sph^T P sph p: the tangent part of p, an ambient vector per row,
+    from `_focal_sphere_projector`'s frames sph and projectors P."""
+    coef = (proj @ (sph @ p)[:, :, None])[:, :, 0]
+    return np.einsum("bi,bid->bd", coef, sph)
+
+
 def _focal_jacobian(fam, side, p, Y, chart, q):
     """The exact Jacobian of `_focal_newton` at the rows of Y, in the chart
-    rows `chart` (B, d_foc, D), given q = P(y) p.  One third-derivative bank
+    rows `chart` (B, k, D), given q = P(y) p: orthonormal tangent vectors
+    (k = d_foc) give the tangent block itself, the sphere frame (k = D-1)
+    gives a matrix whose tangent block it is.  One third-derivative bank
     call per batch."""
     py = Y @ p
     normal = p[None, :] - py[:, None] * Y - q
@@ -644,8 +713,8 @@ def _focal_jacobian(fam, side, p, Y, chart, q):
 
 
 def _focal_rank(dims):
-    """The common dimension of the focal tangent spaces `dims` (B,) from
-    `_focal_tangent_projector`; SamplingError when the ranks disagree."""
+    """The common dimension of the focal tangent spaces `dims` (B,) from a
+    focal tangent projector; SamplingError when the ranks disagree."""
     d_foc = int(dims[0])
     if not np.all(dims == d_foc):
         raise SamplingError(f"focal tangent ranks disagree: {sorted(set(dims))}")
@@ -657,7 +726,7 @@ def _focal_newton(fam, side, p, starts):
     M = {V = side}: zeros of the projection P(y) p of p onto the tangent
     spaces, each move retracted back to the focal level.
 
-    The Jacobian (`_focal_jacobian`) in the chart of orthonormal rows u_i of
+    The Jacobian (`_focal_jacobian`) on orthonormal tangent vectors u_i of
     T_yM is exact, the Riemannian Hessian <II(u_i, u_j), p> of the height
     function on M:
 
@@ -669,41 +738,50 @@ def _focal_newton(fam, side, p, starts):
     -side g^2 on the normal space, so differentiating Hess V(v, nu) = 0
     along M gives <II(u, v), nu> = (side / g^2) nabla^3 V(u, v, nu), and at
     critical points of V that covariant derivative is D^3F on vectors
-    orthogonal to y.  The residual carries the chart, the first d_foc rows
-    of `_focal_tangent_projector`'s charts, so a step takes no
-    factorization beyond its d_foc x d_foc solve, and the rank check's
-    projectors are the first residual's.
+    orthogonal to y.
+
+    The solve works in the D-1 sphere frame sph, never in a d_foc chart:
+    the residual takes the purified projector P of
+    `_focal_sphere_projector` (no eigendecomposition on a genuine family),
+    q = sph^T P sph p, and the step solves P J P + (I - P), J the Jacobian
+    on the sphere frame, against sph q.  That matrix is J's tangent block
+    on T_yM and the identity on the normal space, so the step moves along
+    T_yM only.  The retraction (`_project_focal_batch`) hands its values on
+    to the next residual, so a step makes no value call, and the rank check
+    reads the first residual's traces.  This route never reads the circle
+    route's points, the expected count or the index route's eigenvectors.
 
     After the masked iteration, every converged point gets _FOCAL_POLISH
     unconditional extra steps: along nearly degenerate Hessian directions
     the residual tolerance alone leaves position error up to tol/|J|, and
     the polish pushes positions to the evaluation-noise floor instead."""
     Y = np.array(starts, dtype=np.float64)
-    proj, dims, charts = _focal_tangent_projector(fam, Y)
-    d_foc = _focal_rank(dims)
+    first = _focal_sphere_projector(fam, side, Y)
+    d_foc = _focal_rank(first[2])
     if d_foc == 0:
         # the focal set is a point; every projected start already solves it
         return Y, np.zeros(Y.shape[0])
 
-    def tangent_part(proj, _dims, charts):
-        q = np.einsum("bij,j->bi", proj, p)
-        return _row_norms(q), [charts[:, :d_foc], q]
+    def tangent_part(sph, proj, _dims):
+        q = _sphere_tangent_part(p, sph, proj)
+        return _row_norms(q), [sph, proj, q]
 
-    def residual(rows):
-        return tangent_part(*_focal_tangent_projector(fam, rows))
+    def residual(rows, vals=None):
+        return tangent_part(*_focal_sphere_projector(fam, side, rows, vals))
 
     def step(rows, state):
-        chart, q = state
-        jac = _focal_jacobian(fam, side, p, rows, chart, q)
-        return _chart_step(fam, float(side), rows, chart, jac, q)
+        sph, proj, q = state
+        jac = _focal_jacobian(fam, side, p, rows, sph, q)
+        jac = proj @ jac @ proj + (np.eye(proj.shape[1]) - proj)
+        return _chart_step(fam, float(side), rows, sph, jac, q)
 
-    rnorm, state = _masked_newton(Y, tangent_part(proj, dims, charts),
-                                  residual, step, _FOCAL_TOL, _FOCAL_MAX_ITER)
+    rnorm, state = _masked_newton(Y, tangent_part(*first), residual, step,
+                                  _FOCAL_TOL, _FOCAL_MAX_ITER)
     done = rnorm <= _FOCAL_TOL
     sols, rnorm, state = Y[done], rnorm[done], [s[done] for s in state]
     for _ in range(_FOCAL_POLISH if len(sols) else 0):
-        # the first polish step reuses the loop's last charts
-        moved, ok = step(sols, state)
+        # the first polish step reuses the loop's last projectors
+        moved, ok, _vals = step(sols, state)
         sols[ok] = moved[ok]
         rnorm, state = residual(sols)
     return sols, rnorm
@@ -719,8 +797,9 @@ def _focal_circle_points(fam, side, pole):
 def _focal_index(fam, side, p, Y):
     """Height-function Hessian index at each row of Y, in the chart of the
     first d_foc rows of `_focal_tangent_projector`'s charts at Y, d_foc the
-    focal tangent dimension there, from central differences of P(y) p (no
-    third-derivative bank).  Returns (indices, margins)."""
+    focal tangent dimension there, from central differences of P(y) p with
+    the same eigh projectors (no third-derivative bank, and not the Newton
+    route's purified projectors).  Returns (indices, margins)."""
     def gradient(rows):
         return _focal_tangent_projector(fam, rows)[0] @ p
 

@@ -264,6 +264,30 @@ def dedup_loop(X, rnorm, radius=morse.DEDUP_RADIUS):
     return np.array(kept)
 
 
+def test_dedup_compares_the_gram_matrix_with_cos_radius(fam_nomizu):
+    # a degenerate-probe cloud from a focal pole, and pairs just inside and
+    # just outside the radius, merge as the arccos oracle merges them
+    rng = np.random.default_rng(83)
+    pole = project_to_level_focal(fam_nomizu, 1.0, rng.normal(size=6))
+    starts, ok = _project_batch(fam_nomizu, 0.3, rng.normal(size=(240, 6)))
+    sols, rnorm, _diag = morse._newton_multistart(fam_nomizu, 0.3,
+                                                  pole.coords, starts[ok])
+    unique = morse._dedup(fam_nomizu, sols, rnorm)
+    assert len(unique) > 8
+    assert np.array_equal(unique, dedup_loop(sols, rnorm))
+    base = unique[:6]
+    w = rng.normal(size=base.shape)
+    w -= np.einsum("ij,ij->i", w, base)[:, None] * base
+    w = _normalize_rows(w)
+    t = morse.DEDUP_RADIUS * np.array([0.999, 1.001] * 3)[:, None]
+    X = np.vstack([base, np.cos(t) * base + np.sin(t) * w])
+    res = np.concatenate([np.zeros(6), np.ones(6)])
+    kept = morse._dedup(fam_nomizu, X, res)
+    assert np.array_equal(kept, dedup_loop(X, res))
+    # base rows first, then only the partners at 1.001 r
+    assert np.array_equal(kept, X[[0, 1, 2, 3, 4, 5, 7, 9, 11]])
+
+
 def fd_newton_jacobian(fam, s, p, X, frames, h=1e-6):
     """Reference for `_newton_jacobian`: central differences of the
     tangential residual along each frame vector, with retraction to M_s."""
@@ -304,10 +328,12 @@ def test_exact_newton_jacobian_matches_finite_differences(
         assert (err <= 1e-5 * scale).all(), (fam.label, (err / scale).max())
 
 
-def fd_focal_jacobian(fam, side, p, Y, chart, h=1e-6):
+def fd_focal_jacobian(fam, side, p, Y, chart, h=1e-6, proj=None):
     """Reference for `_focal_jacobian`: central differences of the chart
     coordinates of P(y) p along each chart vector, with retraction to the
-    focal level V = side."""
+    focal level V = side.  With `proj`, tangent projectors in the chart's
+    coordinates (the sphere frame's, say), returns proj jac proj: the
+    tangent block, since the retraction folds every move onto T_yM."""
     n = chart.shape[1]
     jac = np.empty((len(Y), n, n))
     for j in range(n):
@@ -323,7 +349,7 @@ def fd_focal_jacobian(fam, side, p, Y, chart, h=1e-6):
         qp = np.einsum("bnd,bde,e->bn", chart, prj_p, p)
         qm = np.einsum("bnd,bde,e->bn", chart, prj_m, p)
         jac[:, :, j] = (qp - qm) / (2 * h)
-    return jac
+    return jac if proj is None else proj @ jac @ proj
 
 
 def test_exact_focal_jacobian_matches_finite_differences():
@@ -343,6 +369,16 @@ def test_exact_focal_jacobian_matches_finite_differences():
             q = np.einsum("bij,j->bi", proj, p)
             exact = morse._focal_jacobian(fam, side, p, Y, chart, q)
             oracle = fd_focal_jacobian(fam, side, p, Y, chart)
+            scale = np.linalg.norm(oracle, axis=(1, 2))
+            err = np.linalg.norm(exact - oracle, axis=(1, 2))
+            assert (err <= 1e-6 * scale).all(), \
+                (fam.label, side, (err / scale).max())
+            # the Newton route's tangent block, on the D-1 sphere frame
+            sph, sproj, _dims = morse._focal_sphere_projector(fam, side, Y)
+            q = morse._sphere_tangent_part(p, sph, sproj)
+            exact = morse._focal_jacobian(fam, side, p, Y, sph, q)
+            exact = sproj @ exact @ sproj
+            oracle = fd_focal_jacobian(fam, side, p, Y, sph, proj=sproj)
             scale = np.linalg.norm(oracle, axis=(1, 2))
             err = np.linalg.norm(exact - oracle, axis=(1, 2))
             assert (err <= 1e-6 * scale).all(), \
@@ -377,6 +413,94 @@ def test_focal_tangent_projector_matches_per_row_loop():
             assert dims.tolist() == want_dims, (fam.label, side)
             # the batched products sum in another order: roundoff only
             assert np.abs(proj - want).max() <= 1e-13, (fam.label, side)
+
+
+PROJECTOR_FAMILIES = (("cartan-cubic", {}), ("nomizu-quartic", {"n": 2}),
+                      ("nomizu-quartic", {"n": 3}),
+                      ("clifford", {"k": 2, "n": 7}), ("great-sphere", {"n": 3}))
+
+
+def test_purified_projector_is_the_eigh_projector():
+    # the Newton route's tangent spaces, by matrix products in the sphere
+    # frame, are the index route's, from eigh, to roundoff
+    rng = np.random.default_rng(67)
+    for label, params in PROJECTOR_FAMILIES:
+        fam = catalog(label, **params)
+        for side in (1, -1):
+            Y, ok = _project_batch(fam, float(side),
+                                   rng.normal(size=(12, fam.ambient_dim)))
+            sph, proj, dims = morse._focal_sphere_projector(fam, side, Y[ok])
+            want, want_dims, _charts = morse._focal_tangent_projector(fam,
+                                                                      Y[ok])
+            assert dims.tolist() == want_dims.tolist(), (label, side)
+            ambient = np.swapaxes(sph, 1, 2) @ proj @ sph
+            assert np.abs(ambient - want).max() <= 1e-13, (label, side)
+
+
+def eigh_cut(fam, bmat):
+    # the index route's cut, |lambda| < g^2 / 2, as a sphere-frame projector
+    lam, vec = np.linalg.eigh(bmat)
+    keep = np.abs(lam) < fam.g ** 2 / 2.0
+    return (vec * keep[:, None, :]) @ np.swapaxes(vec, 1, 2)
+
+
+def test_purified_projector_falls_back_to_the_eigh_cut(fam_nomizu,
+                                                      monkeypatch):
+    rng = np.random.default_rng(71)
+    Y, ok = _project_batch(fam_nomizu, 1.0, rng.normal(size=(8, 6)))
+    Y = Y[ok][:6]
+    sph, bmat = morse._focal_sphere_hessian(fam_nomizu, Y)
+    g2 = fam_nomizu.g ** 2
+    noise = rng.normal(size=bmat.shape)
+    noise = noise + np.swapaxes(noise, 1, 2)
+    bent = bmat.copy()
+    # rows 0-1: purified in two steps; row 2: a tangent eigenvalue moved to
+    # -1.5 g^2, which one step would send back to the tangent side but the
+    # cut makes normal; rows 3-4: far from any projector
+    bent[:2] += 1e-7 * g2 * noise[:2]
+    lam, vec = np.linalg.eigh(bmat[2])
+    lam[-1] = -1.5 * g2
+    bent[2] = (vec * lam) @ vec.T
+    bent[3:5] += 0.3 * g2 * noise[3:5]
+    monkeypatch.setattr(morse, "_focal_sphere_hessian",
+                        lambda fam, Y, vals=None: (sph, bent))
+    eigh_rows = record_eigh(monkeypatch)
+    _sph, proj, dims = morse._focal_sphere_projector(fam_nomizu, 1, Y)
+    assert eigh_rows == [3]
+    want = eigh_cut(fam_nomizu, bent)
+    assert np.abs(proj - want).max() <= 1e-13
+    assert dims.tolist() == np.rint(np.trace(want, axis1=1, axis2=2)).tolist()
+    assert dims[2] == dims[5] - 1
+
+
+def test_focal_newton_takes_no_eigh(monkeypatch):
+    # on genuine families the Newton route's projector never falls back, and
+    # each step retracts once, straight onto the sheet
+    eigh_rows = record_eigh(monkeypatch)
+    counts = {"retract": 0, "step": 0}
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(morse, "_project_focal_batch",
+                        counting("retract", morse._project_focal_batch))
+    monkeypatch.setattr(morse, "_chart_step",
+                        counting("step", morse._chart_step))
+    rng = np.random.default_rng(79)
+    for label, params in PROJECTOR_FAMILIES:
+        fam = catalog(label, **params)
+        pole = morse._draw_pole(fam, rng)
+        for side in (1, -1):
+            starts, ok = _project_batch(fam, float(side), rng.normal(
+                size=(12 * fam.g, fam.ambient_dim)))
+            sols, _rnorm = morse._focal_newton(fam, side, pole.coords,
+                                               starts[ok])
+            assert len(sols), (label, side)
+    assert eigh_rows == []
+    assert counts["step"] > 0 and counts["retract"] == counts["step"]
 
 
 def projector_chart(proj, d_foc):
@@ -1026,7 +1150,7 @@ def test_focal_retraction_and_circle_share_one_tangency_newton(fam_nomizu,
     monkeypatch.setattr(morse, "_circle_tangency", counting)
     rng = np.random.default_rng(93)
     for side in (1, -1):
-        _Y, ok = levelset._project_focal_batch(
+        _Y, ok, _vals = levelset._project_focal_batch(
             fam_nomizu, side, rng.normal(size=(12, fam_nomizu.ambient_dim)))
         assert ok.all() and calls, side
     calls.clear()
