@@ -33,13 +33,13 @@ V = +1 of the same two families, the microseconds per row of one
 `_project_focal_batch` of the rows moved 1e-3 off the sheet, of one focal
 `_chart_step` as the solver takes it (the step of P J P + (I - P) in the
 sphere frame and its retraction to the sheet), and of the two tangent
-projectors at the sheet rows: the Newton route's purified one
+projectors at the sheet rows: the Newton route's matrix-product one
 (`_focal_sphere_projector`) and the index route's from eigh
-(`_focal_tangent_projector`), each with its bank calls.  The last row times the residual sweep of the
-defining identities (`verify_munzner` on nomizu-quartic n=5 at 100 000
-points) stage by stage, in milliseconds: the ball sampling, the gradient
-bank, the Laplacian bank, the residual arithmetic alone, and the whole
-public call.
+(`_focal_tangent_projector`), each with its bank calls.  The last row
+times the residual sweep of the defining identities (`verify_munzner` on
+nomizu-quartic n=5 at 100 000 points) stage by stage, in milliseconds: the
+ball sampling, the gradient bank, the Laplacian bank, the residual
+arithmetic alone, and the whole public call.
 
     python benchmarks/bench_backends.py [--quick]
 
@@ -303,7 +303,7 @@ def newton_solve(quick, rows=240):
 
 def focal_newton_step(quick, rows=96):
     print(f"{'focal step, N=%d' % rows:<20}{'project us/row':>16}"
-          f"{'step us/row':>16}{'purified us/row':>17}{'eigh us/row':>16}")
+          f"{'step us/row':>16}{'product us/row':>17}{'eigh us/row':>16}")
     for label, params in (("nomizu-quartic", {"n": 2}),
                           ("clifford", {"k": 2, "n": 7})):
         fam = catalog(label, **params)

@@ -50,8 +50,7 @@ _DEGENERATE_PROBE = 1e-4    # threshold used by the totally-focal probe
 _HESSIAN_FLOOR = 1e-6       # below this absolute scale the Hessian is zero
 _POLE_MARGIN = 1e-3
 _T_GUARD = 1e-8
-_PURIFY_STEPS = 4   # cap on McWeeny steps per focal tangent projector
-_PURIFY_TOL = 1e-13
+_PROJECTOR_TOL = 1e-13  # max |P^2 - P| of a focal tangent projector
 _FLOW_STEPS = 200   # cap on the steps of one `_level_flow`
 
 
@@ -216,8 +215,8 @@ def _masked_newton(X, first, residual, step, tol, max_iter):
     each with its row of the per-row arrays `handed` that the step passes
     on (the retraction's final jet on a regular level, its final values on
     a focal sheet).  A row whose move fails has lost the level and leaves
-    the loop.  Returns the residual
-    norms and state at the final X, each row's from its last evaluation."""
+    the loop.  Returns the residual norms and state at the final X, each
+    row's from its last evaluation."""
     rnorm, state = first
     idx = np.arange(X.shape[0])
     for _ in range(max_iter):
@@ -624,6 +623,18 @@ def _focal_sphere_hessian(fam, Y, vals=None):
     return sph, 0.5 * (bmat + np.swapaxes(bmat, 1, 2))
 
 
+def _focal_eigh_cut(fam, bmat):
+    """The tangent spaces of the focal submanifold from one eigh of the
+    sphere-frame Hessians bmat (`_focal_sphere_hessian`): the eigenvectors
+    with |lambda| < g^2 / 2, the kernel separated by an O(g^2) gap from the
+    transverse eigenvalues.  Returns (|lambda| (B, D-1), eigenvectors
+    (B, D-1, D-1) with the columns outside the cut set to zero, dims (B,))."""
+    eigval, eigvec = np.linalg.eigh(bmat)
+    mag = np.abs(eigval)
+    keep = mag < fam.g ** 2 / 2.0
+    return mag, eigvec * keep[:, None, :], keep.sum(axis=1)
+
+
 def _focal_tangent_projector(fam, Y):
     """Orthogonal projectors onto the tangent spaces of the focal submanifold
     at each row of Y (points with V = +/-1), with an ordered basis of each:
@@ -632,23 +643,20 @@ def _focal_tangent_projector(fam, Y):
     The restriction of V to the sphere has Hessian zero along the focal
     submanifold and -g^2 transverse to it (V is a cosine of g times arc
     length along every normal circle), so the tangent space is the kernel of
-    the tangential Hessian, separated from the transverse eigenvalues by an
-    O(g^2) gap: it is spanned by the eigenvectors, from one eigh of
-    `_focal_sphere_hessian`'s bmat, with |lambda| < g^2 / 2, mapped to
-    ambient vectors through the frame.  Returns (projectors (B, D, D), dims
-    (B,), charts (B, D-1, D)): the rows of charts[b] are the ambient
-    eigenvectors ordered by increasing |lambda|, those outside the tangent
-    space set to zero, so where dims == d_foc the rows of charts[:, :d_foc]
-    are an orthonormal basis of the tangent space, the index stencil's
-    chart, and chart^T chart is the projector.
+    the tangential Hessian: `_focal_eigh_cut` of `_focal_sphere_hessian`'s
+    bmat, mapped to ambient vectors through the frame.  Returns (projectors
+    (B, D, D), dims (B,), charts (B, D-1, D)): the rows of charts[b] are the
+    ambient eigenvectors ordered by increasing |lambda|, those outside the
+    tangent space set to zero, so where dims == d_foc the rows of
+    charts[:, :d_foc] are an orthonormal basis of the tangent space, the
+    index stencil's chart, and chart^T chart is the projector.
     """
     sph, bmat = _focal_sphere_hessian(fam, Y)
-    eigval, eigvec = np.linalg.eigh(bmat)
-    keep = np.abs(eigval) < fam.g ** 2 / 2.0
-    amb = np.swapaxes(sph, 1, 2) @ (eigvec * keep[:, None, :])  # (B, D, d-1)
-    order = np.argsort(np.abs(eigval), axis=1, kind="stable")
+    mag, vec, dims = _focal_eigh_cut(fam, bmat)
+    amb = np.swapaxes(sph, 1, 2) @ vec  # (B, D, d-1)
+    order = np.argsort(mag, axis=1, kind="stable")
     charts = np.take_along_axis(np.swapaxes(amb, 1, 2), order[:, :, None], 1)
-    return amb @ np.swapaxes(amb, 1, 2), keep.sum(axis=1), charts
+    return amb @ np.swapaxes(amb, 1, 2), dims, charts
 
 
 def _focal_sphere_projector(fam, side, Y, vals=None):
@@ -659,35 +667,16 @@ def _focal_sphere_projector(fam, side, Y, vals=None):
     bmat (`_focal_sphere_hessian`, from the values F at Y when given) has
     eigenvalues 0 on T_yM and -side g^2 on its normal space in the sphere,
     so P = I + (side / g^2) bmat is the tangent projector up to roundoff.
-    McWeeny's purification P <- P^2 (3I - 2P) (Rev. Mod. Phys. 32, 335,
-    1960) drives the eigenvalues of P to 0 and 1 quadratically: at most
-    _PURIFY_STEPS steps, stopping once every row has max |P^2 - P| at most
-    _PURIFY_TOL, each check reading the P^2 the next step needs.  A row is
-    purified only when its first max |P^2 - P| is at most 1/(8 (D-1)):
-    then |P^2 - P|_2 <= 1/8 puts each eigenvalue of P within 0.15 of 0 or
-    1, where the iteration keeps it on the side of the eigh cut
-    |lambda| < g^2 / 2.  Any other row, and any row still above the bound,
-    takes that cut from one eigh of its bmat.  Returns (sph (B, D-1, D),
-    projectors (B, D-1, D-1), dims (B,)), dims the rounded traces."""
+    A row keeps that P where max |P^2 - P| is at most _PROJECTOR_TOL (every
+    row of a genuine family), and takes `_focal_eigh_cut` of its bmat
+    otherwise.  Returns (sph (B, D-1, D), projectors (B, D-1, D-1), dims
+    (B,)), dims the rounded traces."""
     sph, bmat = _focal_sphere_hessian(fam, Y, vals)
-    n = bmat.shape[1]
-    eye = np.eye(n)
-    proj = eye + (side / fam.g ** 2) * bmat
-    square = proj @ proj
-    defect = np.abs(square - proj).max(axis=(1, 2))
-    fast = defect <= 0.125 / n
-    for _ in range(_PURIFY_STEPS):
-        if (defect[fast] <= _PURIFY_TOL).all():
-            break
-        proj = square @ (3 * eye - 2 * proj)
-        square = proj @ proj
-        defect = np.abs(square - proj).max(axis=(1, 2))
-    fast &= defect <= _PURIFY_TOL
-    proj = 0.5 * (proj + np.swapaxes(proj, 1, 2))
-    if not fast.all():
-        eigval, eigvec = np.linalg.eigh(bmat[~fast])
-        keep = np.abs(eigval) < fam.g ** 2 / 2.0
-        proj[~fast] = (eigvec * keep[:, None, :]) @ np.swapaxes(eigvec, 1, 2)
+    proj = np.eye(bmat.shape[1]) + (side / fam.g ** 2) * bmat
+    slow = np.abs(proj @ proj - proj).max(axis=(1, 2)) > _PROJECTOR_TOL
+    if slow.any():
+        _mag, vec, _dims = _focal_eigh_cut(fam, bmat[slow])
+        proj[slow] = vec @ np.swapaxes(vec, 1, 2)
     dims = np.rint(np.trace(proj, axis1=1, axis2=2)).astype(int)
     return sph, proj, dims
 
@@ -741,14 +730,14 @@ def _focal_newton(fam, side, p, starts):
     orthogonal to y.
 
     The solve works in the D-1 sphere frame sph, never in a d_foc chart:
-    the residual takes the purified projector P of
-    `_focal_sphere_projector` (no eigendecomposition on a genuine family),
-    q = sph^T P sph p, and the step solves P J P + (I - P), J the Jacobian
-    on the sphere frame, against sph q.  That matrix is J's tangent block
-    on T_yM and the identity on the normal space, so the step moves along
-    T_yM only.  The retraction (`_project_focal_batch`) hands its values on
-    to the next residual, so a step makes no value call, and the rank check
-    reads the first residual's traces.  This route never reads the circle
+    the residual takes the projector P of `_focal_sphere_projector` (no
+    eigendecomposition on a genuine family), q = sph^T P sph p, and the
+    step solves P J P + (I - P), J the Jacobian on the sphere frame,
+    against sph q.  That matrix is J's tangent block on T_yM and the
+    identity on the normal space, so the step moves along T_yM only.  The
+    retraction (`_project_focal_batch`) hands its values on to the next
+    residual, so a step makes no value call, and the rank check reads the
+    first residual's traces.  This route never reads the circle
     route's points, the expected count or the index route's eigenvectors.
 
     After the masked iteration, every converged point gets _FOCAL_POLISH
@@ -799,7 +788,7 @@ def _focal_index(fam, side, p, Y):
     first d_foc rows of `_focal_tangent_projector`'s charts at Y, d_foc the
     focal tangent dimension there, from central differences of P(y) p with
     the same eigh projectors (no third-derivative bank, and not the Newton
-    route's purified projectors).  Returns (indices, margins)."""
+    route's product projectors).  Returns (indices, margins)."""
     def gradient(rows):
         return _focal_tangent_projector(fam, rows)[0] @ p
 

@@ -420,7 +420,7 @@ PROJECTOR_FAMILIES = (("cartan-cubic", {}), ("nomizu-quartic", {"n": 2}),
                       ("clifford", {"k": 2, "n": 7}), ("great-sphere", {"n": 3}))
 
 
-def test_purified_projector_is_the_eigh_projector():
+def test_product_projector_is_the_eigh_projector():
     # the Newton route's tangent spaces, by matrix products in the sphere
     # frame, are the index route's, from eigh, to roundoff
     rng = np.random.default_rng(67)
@@ -437,15 +437,8 @@ def test_purified_projector_is_the_eigh_projector():
             assert np.abs(ambient - want).max() <= 1e-13, (label, side)
 
 
-def eigh_cut(fam, bmat):
-    # the index route's cut, |lambda| < g^2 / 2, as a sphere-frame projector
-    lam, vec = np.linalg.eigh(bmat)
-    keep = np.abs(lam) < fam.g ** 2 / 2.0
-    return (vec * keep[:, None, :]) @ np.swapaxes(vec, 1, 2)
-
-
-def test_purified_projector_falls_back_to_the_eigh_cut(fam_nomizu,
-                                                      monkeypatch):
+def test_product_projector_falls_back_to_the_eigh_cut(fam_nomizu,
+                                                     monkeypatch):
     rng = np.random.default_rng(71)
     Y, ok = _project_batch(fam_nomizu, 1.0, rng.normal(size=(8, 6)))
     Y = Y[ok][:6]
@@ -454,9 +447,9 @@ def test_purified_projector_falls_back_to_the_eigh_cut(fam_nomizu,
     noise = rng.normal(size=bmat.shape)
     noise = noise + np.swapaxes(noise, 1, 2)
     bent = bmat.copy()
-    # rows 0-1: purified in two steps; row 2: a tangent eigenvalue moved to
-    # -1.5 g^2, which one step would send back to the tangent side but the
-    # cut makes normal; rows 3-4: far from any projector
+    # rows 0-1: 1e-7 off a projector; row 2: a tangent eigenvalue moved to
+    # -1.5 g^2, which the cut makes normal; rows 3-4: far from any
+    # projector; row 5: untouched, the only row that keeps its product
     bent[:2] += 1e-7 * g2 * noise[:2]
     lam, vec = np.linalg.eigh(bmat[2])
     lam[-1] = -1.5 * g2
@@ -466,10 +459,12 @@ def test_purified_projector_falls_back_to_the_eigh_cut(fam_nomizu,
                         lambda fam, Y, vals=None: (sph, bent))
     eigh_rows = record_eigh(monkeypatch)
     _sph, proj, dims = morse._focal_sphere_projector(fam_nomizu, 1, Y)
-    assert eigh_rows == [3]
-    want = eigh_cut(fam_nomizu, bent)
-    assert np.abs(proj - want).max() <= 1e-13
-    assert dims.tolist() == np.rint(np.trace(want, axis1=1, axis2=2)).tolist()
+    assert eigh_rows == [5]
+    # the index route reads the same bent Hessians through eigh
+    want, want_dims, _charts = morse._focal_tangent_projector(fam_nomizu, Y)
+    ambient = np.swapaxes(sph, 1, 2) @ proj @ sph
+    assert np.abs(ambient - want).max() <= 1e-13
+    assert dims.tolist() == want_dims.tolist()
     assert dims[2] == dims[5] - 1
 
 
@@ -594,8 +589,8 @@ def test_focal_newton_retracts_once_per_step(fam_nomizu, monkeypatch):
             return fn(*args, **kwargs)
         return wrapped
 
-    monkeypatch.setattr(morse, "_project_batch",
-                        counting("retract", morse._project_batch))
+    monkeypatch.setattr(morse, "_project_focal_batch",
+                        counting("retract", morse._project_focal_batch))
     monkeypatch.setattr(morse, "_chart_step",
                         counting("step", morse._chart_step))
     monkeypatch.setattr(CMPolynomial, "hessian_along",
