@@ -32,14 +32,13 @@ fallback).  Focal Newton-step rows give, at 96 rows of the focal sheet
 V = +1 of the same two families, the microseconds per row of one
 `_project_focal_batch` of the rows moved 1e-3 off the sheet, of one focal
 `_chart_step` as the solver takes it (the step of P J P + (I - P) in the
-sphere frame and its retraction to the sheet), and of the two tangent
-projectors at the sheet rows: the Newton route's matrix-product one
-(`_focal_sphere_projector`) and the index route's from eigh
-(`_focal_tangent_projector`), each with its bank calls.  The last row
-times the residual sweep of the defining identities (`verify_munzner` on
-nomizu-quartic n=5 at 100 000 points) stage by stage, in milliseconds: the
-ball sampling, the gradient bank, the Laplacian bank, the residual
-arithmetic alone, and the whole public call.
+sphere frame and its retraction to the sheet), and of the tangent
+projector at the sheet rows (`_focal_sphere_projector`, matrix products
+with its bank calls).  The last row times the residual sweep of the
+defining identities (`verify_munzner` on nomizu-quartic n=5 at 100 000
+points) stage by stage, in milliseconds: the ball sampling, the gradient
+bank, the Laplacian bank, the residual arithmetic alone, and the whole
+public call.
 
     python benchmarks/bench_backends.py [--quick]
 
@@ -303,7 +302,7 @@ def newton_solve(quick, rows=240):
 
 def focal_newton_step(quick, rows=96):
     print(f"{'focal step, N=%d' % rows:<20}{'project us/row':>16}"
-          f"{'step us/row':>16}{'product us/row':>17}{'eigh us/row':>16}")
+          f"{'step us/row':>16}{'projector us/row':>18}")
     for label, params in (("nomizu-quartic", {"n": 2}),
                           ("clifford", {"k": 2, "n": 7})):
         fam = catalog(label, **params)
@@ -324,13 +323,11 @@ def focal_newton_step(quick, rows=96):
         cells = [time_call(call, repeats) for call in (
             lambda: _project_focal_batch(fam, 1.0, off),
             lambda: morse._chart_step(fam, 1.0, Y, sph, jac, q),
-            lambda: morse._focal_sphere_projector(fam, 1, Y),
-            lambda: morse._focal_tangent_projector(fam, Y))]
+            lambda: morse._focal_sphere_projector(fam, 1, Y))]
         name = label + "".join(f" {k}={v}" for k, v in params.items())
         print(f"{name:<20}" + "".join(f"{c * 1e6 / rows:>16.2f}"
                                       for c in cells[:2])
-              + f"{cells[2] * 1e6 / rows:>17.2f}"
-              + f"{cells[3] * 1e6 / rows:>16.2f}")
+              + f"{cells[2] * 1e6 / rows:>18.2f}")
 
 
 if __name__ == "__main__":

@@ -8,8 +8,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SamplingError
-from .families import seeded_rng
+from .errors import InputContractError, SamplingError
+from .families import _integer, seeded_rng
 from .levelset import SurfacePoint, _project_batch, project_to_level
 from .shape import PrincipalSpectrum, spectrum_at
 from .sphere import SpherePoint
@@ -96,7 +96,7 @@ def _focal_neighbor_cloud(fam, side, base, radius, rng, needed):
         dist = np.linalg.norm(proj - base[None, :], axis=1)
         keep = proj[(dist <= radius) & (dist > 0)]
         collected.extend(keep)
-    return np.array(collected[:max(needed, len(collected))])
+    return np.array(collected)
 
 
 def focal_dimension_estimate(fam, side, base_count=4, neighbor_radius=1e-3,
@@ -109,9 +109,9 @@ def focal_dimension_estimate(fam, side, base_count=4, neighbor_radius=1e-3,
     fixed ratio threshold cleanly separates them for r <= 1e-3.  Estimates
     from several base points must agree.
     """
-    side = int(side)
+    side = _integer("side", side)
     if side not in (1, -1):
-        raise SamplingError("side must be +1 or -1")
+        raise InputContractError("side must be +1 or -1")
     rng = seeded_rng(seed, 0xF0CA1)
     dim = fam.ambient_dim
     needed = 2 * (dim + 2)

@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import (InputContractError, NearFocalPoleError, PoleIsFocalError,
                      SamplingError, StartAtFocalError)
-from .families import Report, seeded_rng
+from .families import Report, _integer, seeded_rng
 from .levelset import (_GRAD_FLOOR, SurfacePoint, _circle_tangency,
                        _frames_batch, _householder_frames, _is_focal,
                        _level_jet, _normalize_rows, _project_batch,
@@ -606,13 +606,15 @@ def tightness_report(fam, s, num_poles=100, seed=0) -> TightnessReport:
 
 def _focal_sphere_hessian(fam, Y, vals=None):
     """The sphere frames and the sphere-frame Hessian of V at the rows of Y
-    (points with V = +/-1), which both focal tangent projectors read.
+    (points with V = +/-1), which `_focal_sphere_projector` and `_focal_chart`
+    read.
 
     With sph the Householder frames of the sphere's tangent spaces, the
     Hessian of V restricted to the sphere is bmat = sph (H - g F I) sph^T,
     symmetrized, from one Hessian-bank call and, unless the values F at Y
-    are given, one value call.  Returns (sph (B, D-1, D), bmat
-    (B, D-1, D-1))."""
+    are given, one value call.  V is a cosine of g times arc length along
+    every normal circle, so bmat is 0 along the focal submanifold and
+    -side g^2 across it.  Returns (sph (B, D-1, D), bmat (B, D-1, D-1))."""
     Y = np.asarray(Y, dtype=np.float64)
     sph = _householder_frames(Y)
     hess = fam.polynomial.hessian(Y)
@@ -635,34 +637,26 @@ def _focal_eigh_cut(fam, bmat):
     return mag, eigvec * keep[:, None, :], keep.sum(axis=1)
 
 
-def _focal_tangent_projector(fam, Y):
-    """Orthogonal projectors onto the tangent spaces of the focal submanifold
-    at each row of Y (points with V = +/-1), with an ordered basis of each:
-    the tangent spaces of the index route (`_focal_index`).
-
-    The restriction of V to the sphere has Hessian zero along the focal
-    submanifold and -g^2 transverse to it (V is a cosine of g times arc
-    length along every normal circle), so the tangent space is the kernel of
-    the tangential Hessian: `_focal_eigh_cut` of `_focal_sphere_hessian`'s
-    bmat, mapped to ambient vectors through the frame.  Returns (projectors
-    (B, D, D), dims (B,), charts (B, D-1, D)): the rows of charts[b] are the
-    ambient eigenvectors ordered by increasing |lambda|, those outside the
-    tangent space set to zero, so where dims == d_foc the rows of
-    charts[:, :d_foc] are an orthonormal basis of the tangent space, the
-    index stencil's chart, and chart^T chart is the projector.
-    """
+def _focal_chart(fam, Y):
+    """The index route's chart at the rows of Y (points with V = +/-1): the
+    kernel of `_focal_sphere_hessian`'s bmat from `_focal_eigh_cut`, mapped
+    to ambient vectors through the frame.  Returns (dims (B,), charts
+    (B, D-1, D)): the rows of charts[b] are the ambient eigenvectors ordered
+    by increasing |lambda|, those outside the tangent space set to zero, so
+    where dims == d_foc the rows of charts[:, :d_foc] are an orthonormal
+    basis of the tangent space."""
     sph, bmat = _focal_sphere_hessian(fam, Y)
     mag, vec, dims = _focal_eigh_cut(fam, bmat)
     amb = np.swapaxes(sph, 1, 2) @ vec  # (B, D, d-1)
     order = np.argsort(mag, axis=1, kind="stable")
     charts = np.take_along_axis(np.swapaxes(amb, 1, 2), order[:, :, None], 1)
-    return amb @ np.swapaxes(amb, 1, 2), dims, charts
+    return dims, charts
 
 
 def _focal_sphere_projector(fam, side, Y, vals=None):
     """Tangent projectors of the focal submanifold V = side at the rows of Y,
-    in the sphere frame, by matrix products: the tangent spaces of the
-    Newton route (`_focal_newton`).
+    in the sphere frame, by matrix products: the one focal tangent projector,
+    read by the Newton route (`_focal_newton`) and the index stencil.
 
     bmat (`_focal_sphere_hessian`, from the values F at Y when given) has
     eigenvalues 0 on T_yM and -side g^2 on its normal space in the sphere,
@@ -702,8 +696,8 @@ def _focal_jacobian(fam, side, p, Y, chart, q):
 
 
 def _focal_rank(dims):
-    """The common dimension of the focal tangent spaces `dims` (B,) from a
-    focal tangent projector; SamplingError when the ranks disagree."""
+    """The common dimension of the focal tangent spaces `dims` (B,);
+    SamplingError when the ranks disagree."""
     d_foc = int(dims[0])
     if not np.all(dims == d_foc):
         raise SamplingError(f"focal tangent ranks disagree: {sorted(set(dims))}")
@@ -737,13 +731,14 @@ def _focal_newton(fam, side, p, starts):
     identity on the normal space, so the step moves along T_yM only.  The
     retraction (`_project_focal_batch`) hands its values on to the next
     residual, so a step makes no value call, and the rank check reads the
-    first residual's traces.  This route never reads the circle
-    route's points, the expected count or the index route's eigenvectors.
+    first residual's traces.  This route never reads the circle route's
+    points, the expected count or the index route's chart (`_focal_chart`).
 
-    After the masked iteration, every converged point gets _FOCAL_POLISH
-    unconditional extra steps: along nearly degenerate Hessian directions
-    the residual tolerance alone leaves position error up to tol/|J|, and
-    the polish pushes positions to the evaluation-noise floor instead."""
+    The converged points then get up to _FOCAL_POLISH more steps, a second
+    masked loop at tolerance 0 from the first one's last state: along nearly
+    degenerate Hessian directions the residual tolerance alone leaves
+    position error up to tol/|J|, and the polish pushes positions to the
+    evaluation-noise floor instead."""
     Y = np.array(starts, dtype=np.float64)
     first = _focal_sphere_projector(fam, side, Y)
     d_foc = _focal_rank(first[2])
@@ -767,12 +762,9 @@ def _focal_newton(fam, side, p, starts):
     rnorm, state = _masked_newton(Y, tangent_part(*first), residual, step,
                                   _FOCAL_TOL, _FOCAL_MAX_ITER)
     done = rnorm <= _FOCAL_TOL
-    sols, rnorm, state = Y[done], rnorm[done], [s[done] for s in state]
-    for _ in range(_FOCAL_POLISH if len(sols) else 0):
-        # the first polish step reuses the loop's last projectors
-        moved, ok, _vals = step(sols, state)
-        sols[ok] = moved[ok]
-        rnorm, state = residual(sols)
+    sols, polish = Y[done], (rnorm[done], [s[done] for s in state])
+    rnorm, _state = _masked_newton(sols, polish, residual, step, 0.0,
+                                   _FOCAL_POLISH)
     return sols, rnorm
 
 
@@ -785,14 +777,15 @@ def _focal_circle_points(fam, side, pole):
 
 def _focal_index(fam, side, p, Y):
     """Height-function Hessian index at each row of Y, in the chart of the
-    first d_foc rows of `_focal_tangent_projector`'s charts at Y, d_foc the
-    focal tangent dimension there, from central differences of P(y) p with
-    the same eigh projectors (no third-derivative bank, and not the Newton
-    route's product projectors).  Returns (indices, margins)."""
+    first d_foc rows of `_focal_chart` at Y (the only eigendecomposition),
+    d_foc the focal tangent dimension there, from central differences of
+    P(y) p with the projectors of `_focal_sphere_projector` at the moved rows
+    (no third-derivative bank).  Returns (indices, margins)."""
     def gradient(rows):
-        return _focal_tangent_projector(fam, rows)[0] @ p
+        return _sphere_tangent_part(
+            p, *_focal_sphere_projector(fam, side, rows)[:2])
 
-    _proj, dims, charts = _focal_tangent_projector(fam, Y)
+    dims, charts = _focal_chart(fam, Y)
     d_foc = _focal_rank(dims)
     if d_foc == 0:
         return [0] * len(Y), [1.0] * len(Y)
@@ -817,7 +810,7 @@ def focal_tautness_report(fam, side, num_poles=50, seed=0,
     additionally verifies that all critical points lie on one great circle
     through the pole (collinearity residual below 1e-8).
     """
-    side = int(side)
+    side = _integer("side", side)
     if side not in (1, -1):
         raise InputContractError("side must be +1 or -1")
     if num_poles < 1:

@@ -34,9 +34,13 @@ class SpherePoint:
 
     def __init__(self, coords):
         coords = _as_vector(coords)
-        norm = float(np.linalg.norm(coords))
-        if not np.isfinite(norm):
+        if not np.isfinite(coords).all():
             raise InputContractError("coordinates must be finite")
+        with np.errstate(over="ignore"):
+            norm = float(np.linalg.norm(coords))
+        if not np.isfinite(norm):  # the squares overflowed: rescale first
+            coords = coords / np.abs(coords).max()
+            norm = float(np.linalg.norm(coords))
         if norm < _MIN_NORM:
             raise InputContractError(f"cannot normalize vector of norm {norm:.3e}")
         coords = coords / norm
@@ -154,10 +158,6 @@ def tangent_basis(x: SpherePoint, xi=None) -> TangentFrame:
     return TangentFrame(base=x, vectors=frame, has_normal=xi is not None)
 
 
-def _pole_basis(pole: SpherePoint):
-    return tangent_basis(pole).vectors
-
-
 def stereographic(x: SpherePoint, pole: SpherePoint):
     """Stereographic projection from `pole` onto the equatorial hyperplane
     through the origin, expressed in the deterministic orthonormal basis of
@@ -165,14 +165,14 @@ def stereographic(x: SpherePoint, pole: SpherePoint):
     denom = 1.0 - float(x.coords @ pole.coords)
     if denom < 1e-9:
         raise StereographicPoleError("point coincides with the projection pole")
-    basis = _pole_basis(pole)
+    basis = tangent_basis(pole).vectors
     return (basis @ x.coords) / denom
 
 
 def stereographic_inverse(y, pole: SpherePoint) -> SpherePoint:
     """Inverse of `stereographic` for the same pole."""
     y = np.asarray(y, dtype=np.float64)
-    basis = _pole_basis(pole)
+    basis = tangent_basis(pole).vectors
     if y.shape != (basis.shape[0],):
         raise InputContractError("projected vector has wrong dimension")
     y2 = float(y @ y)

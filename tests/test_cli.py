@@ -113,6 +113,16 @@ def test_export_mesh_explicit_pole(tmp_path):
                if l.startswith("v ")) == 64
 
 
+def test_export_mesh_pole_of_huge_norm(tmp_path):
+    # a direction whose squared norm overflows is the same pole as at unit
+    # scale
+    out = tmp_path / "m.obj"
+    assert run_cli("export-mesh", "--family", "clifford", "--params",
+                   '{"k": 1, "n": 2}', "--resolution", "8",
+                   "--pole", "[1e308, 0, 1e308, 0]", "--out", str(out)) == 0
+    assert out.exists()
+
+
 def test_reports_are_deterministic(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     args = ("tight", "--family", "clifford", "--params", '{"k": 1, "n": 2}',

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from isolab import (SamplingError, exp_param_check,
+from isolab import (InputContractError, exp_param_check,
                     focal_dimension_estimate, focal_points_along_normal,
                     normal_exponential, sample_points)
 from isolab.shape import spectrum_at
@@ -85,8 +85,10 @@ def test_focal_dimensions_asymmetric(fam_clifford_asym):
 
 
 def test_focal_dimension_side_validation(fam_clifford):
-    with pytest.raises(SamplingError):
-        focal_dimension_estimate(fam_clifford, 0)
+    # a bad side is a contract error, not the retry-budget SamplingError
+    for side in (0, 1.5, "1", None):
+        with pytest.raises(InputContractError, match="side"):
+            focal_dimension_estimate(fam_clifford, side)
 
 
 def test_focal_circle_csv(tmp_path, fam_clifford):

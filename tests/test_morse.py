@@ -344,8 +344,8 @@ def fd_focal_jacobian(fam, side, p, Y, chart, h=1e-6, proj=None):
                                     _normalize_rows(Y - step),
                                     tol=1e-15, accept=1e-11)
         assert okp.all() and okm.all()
-        prj_p = morse._focal_tangent_projector(fam, plus)[0]
-        prj_m = morse._focal_tangent_projector(fam, minus)[0]
+        prj_p = loop_focal_tangent_projector(fam, plus)[0]
+        prj_m = loop_focal_tangent_projector(fam, minus)[0]
         qp = np.einsum("bnd,bde,e->bn", chart, prj_p, p)
         qm = np.einsum("bnd,bde,e->bn", chart, prj_m, p)
         jac[:, :, j] = (qp - qm) / (2 * h)
@@ -362,10 +362,11 @@ def test_exact_focal_jacobian_matches_finite_differences():
             Y = Y[ok]
             p = rng.normal(size=fam.ambient_dim)
             p /= np.linalg.norm(p)
-            proj, dims, charts = morse._focal_tangent_projector(fam, Y)
+            dims, charts = morse._focal_chart(fam, Y)
             d_foc = int(dims[0])
             assert len(Y) >= 4 and (dims == d_foc).all() and d_foc > 0
             chart = charts[:, :d_foc]
+            proj = loop_focal_tangent_projector(fam, Y)[0]
             q = np.einsum("bij,j->bi", proj, p)
             exact = morse._focal_jacobian(fam, side, p, Y, chart, q)
             oracle = fd_focal_jacobian(fam, side, p, Y, chart)
@@ -386,8 +387,8 @@ def test_exact_focal_jacobian_matches_finite_differences():
 
 
 def loop_focal_tangent_projector(fam, Y):
-    # reference for `_focal_tangent_projector`: one projector per row from
-    # the kept eigenvectors of the tangential Hessian of V
+    # reference for the focal tangent projectors: one projector per row from
+    # the kept eigenvectors of the tangential Hessian of V, in a QR frame
     proj, dims = np.zeros((len(Y), Y.shape[1], Y.shape[1])), []
     for i, y in enumerate(Y):
         q, _ = np.linalg.qr(np.column_stack([y, np.eye(len(y))]))
@@ -401,28 +402,14 @@ def loop_focal_tangent_projector(fam, Y):
     return proj, dims
 
 
-def test_focal_tangent_projector_matches_per_row_loop():
-    rng = np.random.default_rng(59)
-    for fam in (catalog("cartan-cubic"), catalog("nomizu-quartic", n=2),
-                catalog("clifford", k=2, n=7)):
-        for side in (1, -1):
-            Y, ok = _project_batch(fam, float(side),
-                                   rng.normal(size=(6, fam.ambient_dim)))
-            proj, dims, _charts = morse._focal_tangent_projector(fam, Y[ok])
-            want, want_dims = loop_focal_tangent_projector(fam, Y[ok])
-            assert dims.tolist() == want_dims, (fam.label, side)
-            # the batched products sum in another order: roundoff only
-            assert np.abs(proj - want).max() <= 1e-13, (fam.label, side)
-
-
 PROJECTOR_FAMILIES = (("cartan-cubic", {}), ("nomizu-quartic", {"n": 2}),
                       ("nomizu-quartic", {"n": 3}),
                       ("clifford", {"k": 2, "n": 7}), ("great-sphere", {"n": 3}))
 
 
 def test_product_projector_is_the_eigh_projector():
-    # the Newton route's tangent spaces, by matrix products in the sphere
-    # frame, are the index route's, from eigh, to roundoff
+    # the tangent spaces by matrix products in the sphere frame are, to
+    # roundoff, those of one eigh per row in another frame
     rng = np.random.default_rng(67)
     for label, params in PROJECTOR_FAMILIES:
         fam = catalog(label, **params)
@@ -430,9 +417,8 @@ def test_product_projector_is_the_eigh_projector():
             Y, ok = _project_batch(fam, float(side),
                                    rng.normal(size=(12, fam.ambient_dim)))
             sph, proj, dims = morse._focal_sphere_projector(fam, side, Y[ok])
-            want, want_dims, _charts = morse._focal_tangent_projector(fam,
-                                                                      Y[ok])
-            assert dims.tolist() == want_dims.tolist(), (label, side)
+            want, want_dims = loop_focal_tangent_projector(fam, Y[ok])
+            assert dims.tolist() == want_dims, (label, side)
             ambient = np.swapaxes(sph, 1, 2) @ proj @ sph
             assert np.abs(ambient - want).max() <= 1e-13, (label, side)
 
@@ -460,10 +446,9 @@ def test_product_projector_falls_back_to_the_eigh_cut(fam_nomizu,
     eigh_rows = record_eigh(monkeypatch)
     _sph, proj, dims = morse._focal_sphere_projector(fam_nomizu, 1, Y)
     assert eigh_rows == [5]
-    # the index route reads the same bent Hessians through eigh
-    want, want_dims, _charts = morse._focal_tangent_projector(fam_nomizu, Y)
-    ambient = np.swapaxes(sph, 1, 2) @ proj @ sph
-    assert np.abs(ambient - want).max() <= 1e-13
+    # every row matches the eigh cut of the same bent Hessians
+    _mag, vec, want_dims = morse._focal_eigh_cut(fam_nomizu, bent)
+    assert np.abs(proj - vec @ np.swapaxes(vec, 1, 2)).max() <= 1e-13
     assert dims.tolist() == want_dims.tolist()
     assert dims[2] == dims[5] - 1
 
@@ -498,6 +483,42 @@ def test_focal_newton_takes_no_eigh(monkeypatch):
     assert counts["step"] > 0 and counts["retract"] == counts["step"]
 
 
+def test_focal_newton_makes_one_value_call(monkeypatch):
+    # the retractions hand their values on, polish included, so only the
+    # first residual evaluates V
+    calls = []
+    value = CMPolynomial.value
+    monkeypatch.setattr(CMPolynomial, "value", lambda self, x: (
+        calls.append(1) or value(self, x)))
+    rng = np.random.default_rng(79)
+    for label, params in PROJECTOR_FAMILIES:
+        fam = catalog(label, **params)
+        pole = morse._draw_pole(fam, rng)
+        for side in (1, -1):
+            starts, ok = _project_batch(fam, float(side), rng.normal(
+                size=(12 * fam.g, fam.ambient_dim)))
+            calls.clear()
+            sols, _rnorm = morse._focal_newton(fam, side, pole.coords,
+                                               starts[ok])
+            assert len(sols) and len(calls) == 1, (label, side, len(calls))
+
+
+def test_focal_index_takes_eigh_at_its_base_rows_only(monkeypatch):
+    # the stencil's moved rows read the product projector, so the only
+    # eigendecomposition is the chart's, one row per base point
+    eigh_rows = record_eigh(monkeypatch)
+    rng = np.random.default_rng(83)
+    for label, params in PROJECTOR_FAMILIES:
+        fam = catalog(label, **params)
+        pole = morse._draw_pole(fam, rng)
+        for side in (1, -1):
+            _eta, Y = morse._focal_circle_points(fam, side, pole)
+            eigh_rows.clear()
+            indices, _margins = morse._focal_index(fam, side, pole.coords, Y)
+            assert len(indices) == len(Y), (label, side)
+            assert eigh_rows == [len(Y)], (label, side, eigh_rows)
+
+
 def projector_chart(proj, d_foc):
     # the former focal chart, kept as an oracle: the top-d_foc eigenvectors
     # of a second eigh, of the D x D tangent projector
@@ -512,7 +533,8 @@ def test_focal_charts_are_orthonormal_tangent_bases():
         for side in (1, -1):
             Y, ok = _project_batch(fam, float(side),
                                    rng.normal(size=(6, fam.ambient_dim)))
-            proj, dims, charts = morse._focal_tangent_projector(fam, Y[ok])
+            dims, charts = morse._focal_chart(fam, Y[ok])
+            proj = loop_focal_tangent_projector(fam, Y[ok])[0]
             d_foc = int(dims[0])
             assert (dims == d_foc).all() and d_foc > 0, (fam.label, side)
             assert not charts[:, d_foc:].any(), (fam.label, side)
@@ -550,7 +572,7 @@ def test_focal_newton_diagonalizes_no_ambient_matrix(fam_nomizu, monkeypatch):
                                            starts[ok])
         _eta, Y = morse._focal_circle_points(fam_nomizu, side, pole)
         morse._focal_index(fam_nomizu, side, pole.coords, Y)
-        d_foc = int(morse._focal_tangent_projector(fam_nomizu, Y)[1][0])
+        d_foc = int(morse._focal_chart(fam_nomizu, Y)[0][0])
         assert len(sols) and d_foc > 0, side
     assert shapes and (d, d) not in shapes, sorted(set(shapes))
 
@@ -694,11 +716,12 @@ def test_chart_hessians_match_entrywise_loop(monkeypatch):
         assert indices(hessians, -1) == indices(loop, -1), fam.label
         for side in (1, -1):
             _eta, Y = morse._focal_circle_points(fam, side, pole)
-            proj, dims, charts = morse._focal_tangent_projector(fam, Y)
+            dims, charts = morse._focal_chart(fam, Y)
             d_foc = int(dims[0])
             chart = charts[:, :d_foc]
             captured.clear()
             got, _margins = morse._focal_index(fam, side, p, Y)
+            proj = loop_focal_tangent_projector(fam, Y)[0]
             jac = morse._focal_jacobian(fam, side, p, Y, chart, proj @ p)
             assert close(captured[0], 0.5 * (jac + np.swapaxes(jac, 1, 2))), \
                 (fam.label, side)
@@ -719,7 +742,7 @@ def test_index_stencils_retract_two_moves_per_chart_vector(fam_nomizu,
     assert rows == [2 * (fam_nomizu.ambient_dim - 2) * len(X)]
     for side in (1, -1):
         _eta, Y = morse._focal_circle_points(fam_nomizu, side, pole)
-        d_foc = int(morse._focal_tangent_projector(fam_nomizu, Y)[1][0])
+        d_foc = int(morse._focal_chart(fam_nomizu, Y)[0][0])
         rows.clear()
         morse._focal_index(fam_nomizu, side, pole.coords, Y)
         assert rows == [2 * d_foc * len(Y)], side
@@ -730,7 +753,7 @@ def test_focal_index_matches_per_point_loop(fam_cartan, fam_nomizu):
         pole = morse._draw_pole(fam, np.random.default_rng(37))
         for side in (1, -1):
             _eta, Y = morse._focal_circle_points(fam, side, pole)
-            _proj, dims, charts = morse._focal_tangent_projector(fam, Y)
+            dims, charts = morse._focal_chart(fam, Y)
             d_foc = int(dims[0])
             indices, margins = morse._focal_index(fam, side, pole.coords, Y)
             chart = charts[:, :d_foc]
@@ -849,6 +872,13 @@ def test_reports_need_a_pole(fam_clifford):
             tightness_report(fam_clifford, 0.3, num_poles=num_poles)
         with pytest.raises(InputContractError):
             focal_tautness_report(fam_clifford, 1, num_poles=num_poles)
+
+
+@pytest.mark.parametrize("side", [1.5, "1", 0, 2, None])
+def test_focal_report_refuses_a_side_other_than_plus_or_minus_one(
+        fam_clifford, side):
+    with pytest.raises(InputContractError, match="side"):
+        focal_tautness_report(fam_clifford, side, num_poles=1)
 
 
 def record_eigh(monkeypatch):

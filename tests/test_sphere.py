@@ -1,5 +1,7 @@
 """Sphere primitives: geodesics, distances, frames, stereographic projection."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -153,3 +155,20 @@ def test_stereographic_conformal():
 def test_sphere_point_rejects_non_finite(bad):
     with pytest.raises(InputContractError, match="finite"):
         SpherePoint(np.array([1.0, bad, 0.0]))
+    with pytest.raises(InputContractError, match="finite"):
+        SpherePoint(np.array([1e308, bad, 1e308]))
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e308])
+def test_sphere_point_normalizes_huge_directions(scale):
+    # the plain norm overflows; the direction is still a valid input
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        x = SpherePoint([scale, 0.0, scale, 0.0])
+        assert SpherePoint([scale, 0.0, 0.0, 0.0]).coords.tolist() == \
+            [1.0, 0.0, 0.0, 0.0]
+    # rescaled by the largest entry, it is the unit-scale point bit for bit
+    unit = SpherePoint([1.0, 0.0, 1.0, 0.0])
+    assert x.coords.tolist() == unit.coords.tolist()
+    assert np.abs(x.coords - [2 ** -0.5, 0, 2 ** -0.5, 0]).max() \
+        <= np.finfo(float).eps
