@@ -402,6 +402,23 @@ def loop_focal_tangent_projector(fam, Y):
     return proj, dims
 
 
+def test_focal_tangent_projector_matches_per_row_loop():
+    # the index route's tangent spaces, the leading rows of `_focal_chart`,
+    # are those of one eigh per row in another frame
+    rng = np.random.default_rng(59)
+    for fam in (catalog("cartan-cubic"), catalog("nomizu-quartic", n=2),
+                catalog("clifford", k=2, n=7)):
+        for side in (1, -1):
+            Y, ok = _project_batch(fam, float(side),
+                                   rng.normal(size=(6, fam.ambient_dim)))
+            dims, charts = morse._focal_chart(fam, Y[ok])
+            want, want_dims = loop_focal_tangent_projector(fam, Y[ok])
+            assert dims.tolist() == want_dims, (fam.label, side)
+            proj = np.stack([c[:d].T @ c[:d] for c, d in zip(charts, dims)])
+            # the batched products sum in another order: roundoff only
+            assert np.abs(proj - want).max() <= 1e-13, (fam.label, side)
+
+
 PROJECTOR_FAMILIES = (("cartan-cubic", {}), ("nomizu-quartic", {"n": 2}),
                       ("nomizu-quartic", {"n": 3}),
                       ("clifford", {"k": 2, "n": 7}), ("great-sphere", {"n": 3}))
