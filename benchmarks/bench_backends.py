@@ -30,7 +30,7 @@ nomizu-quartic n=2 there: as they are (well conditioned, one batched
 inverse) and made singular by a projection (every row takes the eigh
 fallback).  Focal Newton-step rows give, at 96 rows of the focal sheet
 V = +1 of the same two families, the microseconds per row of one
-`_project_focal_batch` of the rows moved 1e-3 off the sheet, of one focal
+`_project_batch` of the rows moved 1e-3 off the sheet, of one focal
 `_chart_step` as the solver takes it (the step of P J P + (I - P) in the
 sphere frame and its retraction to the sheet), and of the tangent
 projector at the sheet rows (`_focal_sphere_projector`, matrix products
@@ -57,7 +57,6 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from isolab import (_kernels_py, catalog, families, morse,  # noqa: E402
                     verify_munzner)
-from isolab.levelset import _project_focal_batch  # noqa: E402
 from isolab.polynomial import CMPolynomial  # noqa: E402
 
 KINDS = ("value", "gradient", "hessian", "laplacian", "third")
@@ -263,7 +262,7 @@ def newton_step(quick, rows=240):
         fam = catalog(label, **params)
         rng = np.random.default_rng(0)
         X, ok = morse._project_batch(
-            fam, 0.3, rng.normal(size=(2 * rows, fam.ambient_dim)))
+            fam, 0.3, rng.normal(size=(2 * rows, fam.ambient_dim)))[:2]
         X = X[ok][:rows]
         p = morse._draw_pole(fam, rng).coords
         xi, frames, vals, wn = morse._frames_batch(fam, X)
@@ -282,7 +281,7 @@ def newton_solve(quick, rows=240):
     fam = catalog("nomizu-quartic", n=2)
     rng = np.random.default_rng(0)
     X, ok = morse._project_batch(
-        fam, 0.3, rng.normal(size=(2 * rows, fam.ambient_dim)))
+        fam, 0.3, rng.normal(size=(2 * rows, fam.ambient_dim)))[:2]
     X = X[ok][:rows]
     p = morse._draw_pole(fam, rng).coords
     xi, frames, vals, wn = morse._frames_batch(fam, X)
@@ -308,7 +307,7 @@ def focal_newton_step(quick, rows=96):
         fam = catalog(label, **params)
         rng = np.random.default_rng(0)
         Y, ok = morse._project_batch(
-            fam, 1.0, rng.normal(size=(2 * rows, fam.ambient_dim)))
+            fam, 1.0, rng.normal(size=(2 * rows, fam.ambient_dim)))[:2]
         Y = Y[ok][:rows]
         step = rng.normal(size=Y.shape)
         step -= np.einsum("ij,ij->i", step, Y)[:, None] * Y
@@ -321,7 +320,7 @@ def focal_newton_step(quick, rows=96):
         jac = proj @ jac @ proj + (np.eye(proj.shape[1]) - proj)
         repeats = 10 if quick else 100
         cells = [time_call(call, repeats) for call in (
-            lambda: _project_focal_batch(fam, 1.0, off),
+            lambda: morse._project_batch(fam, 1.0, off),
             lambda: morse._chart_step(fam, 1.0, Y, sph, jac, q),
             lambda: morse._focal_sphere_projector(fam, 1, Y))]
         name = label + "".join(f" {k}={v}" for k, v in params.items())

@@ -243,15 +243,12 @@ class SpotCheckReport(Report):
     passed: bool
 
 
-def _distance_gradient(fam, X, basis, q, center, xi=None):
+def _distance_gradient(X, basis, q, center, xi):
     """The Riemannian gradient of L = |sigma(x) - c|^2 on the level through
     the rows of X, sigma(x) = Bx / (1 - <x, q>) the projection from the pole
     q with `tangent_basis` rows B: the ambient gradient
     2 (B^T r + <r, y> q) / (1 - <x, q>), y = sigma(x) and r = y - c, less
-    its parts along x and along the unit normals xi, taken from the level's
-    jet when not given."""
-    if xi is None:
-        xi = _normalize_rows(_level_jet(fam, X)[1])
+    its parts along x and along the level's unit normals xi at X."""
     y, dots = _stereo_rows(X, basis, q)
     r = y - center
     grad = 2 * (r @ basis + np.einsum("ij,ij->i", r, y)[:, None] * q)
@@ -273,12 +270,13 @@ def _distance_critical_points(fam, s, grid, basis, q, center, tol):
     def value(X):
         return np.sum((_stereo_rows(X, basis, q)[0] - center) ** 2, axis=1)
 
-    def gradient(X, xi=None):
-        return _distance_gradient(fam, X, basis, q, center, xi)
+    def gradient(X, *jet):
+        xi = _normalize_rows(_level_jet(fam, X, jet or None)[1])
+        return _distance_gradient(X, basis, q, center, xi)
 
     def residual(rows, *jet):
         xi, frames, _vals, _wn = _frames_batch(fam, rows, jet or None)
-        grad = gradient(rows, xi)
+        grad = _distance_gradient(rows, basis, q, center, xi)
         return _row_norms(grad), [frames, grad]
 
     def step(rows, state):

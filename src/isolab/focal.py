@@ -48,7 +48,8 @@ def focal_points_along_normal(sp: SurfacePoint, spectrum: PrincipalSpectrum | No
             if abs(v) < 1.0 - _SIDE_TOL:
                 # borderline tagging: snap to the nearest focal level first
                 target = 1.0 if v >= 0 else -1.0
-                snapped, ok = _project_batch(fam, target, loc.coords[None, :])
+                snapped, ok = _project_batch(fam, target,
+                                             loc.coords[None, :])[:2]
                 if ok[0]:
                     loc = SpherePoint(snapped[0])
                     v = float(fam.polynomial.value(loc.coords))
@@ -89,7 +90,7 @@ def _focal_neighbor_cloud(fam, side, base, radius, rng, needed):
         attempts += 1
         raw = base[None, :] + rng.normal(scale=radius / 2.0,
                                          size=(4 * needed, base.shape[0]))
-        proj, ok = _project_batch(fam, side, raw)
+        proj, ok = _project_batch(fam, side, raw)[:2]
         if not ok.any():
             continue
         proj = proj[ok]

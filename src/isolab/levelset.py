@@ -72,34 +72,27 @@ def _is_focal(s):
 
 def _project_batch(fam, s, points, tol=None, accept=None):
     """Drive each row of `points` to the level V = s along its own normal
-    circle.  Returns (projected, ok); rows where the normal direction was
-    lost (gradient below 1e-8 away from the target) are marked not ok.
+    circle: the one retraction, handing back the values each row ends with.
+    Returns (projected, ok, F) on a focal sheet and (projected, ok, F,
+    grad F) on a regular level; a row that lost its normal direction
+    (gradient below 1e-8 away from the target) or ends more than `accept`
+    (1e-10 on a sheet, 1e-12 on a level) off it is not ok.
 
-    Regular levels converge by repeated phase jumps (`_retract_level`).  The
-    focal levels s = +/-1 sit at quadratically flat extrema of V where the
-    phase jump loses half the digits, so there the jump is followed by a
-    Newton solve of the tangency condition dV/dtau = 0 along the (frozen)
-    circle, which has a simple root and lands on the focal set to machine
-    precision (`_project_focal_batch`).
-    """
+    On a regular level V is a cosine in arc length along the normal circle,
+    so phase jumps by (arccos V - arccos s)/g, exact for a genuine family
+    and a contraction otherwise, repeat until |V - s| <= `tol` (1e-14).
+    Each pass takes one `jet` call on the rows it tests, so every row's jet
+    is that of its final position (a settled row keeps its previous pass's).
+    The focal sheets s = +/-1 are quadratically flat extrema of V, where the
+    jump loses half the digits; there `_project_focal_batch` follows it with
+    a Newton solve of dV/dtau = 0 along the frozen circle, whose simple root
+    lands on the focal set to machine precision."""
     if _is_focal(s):
         return _project_focal_batch(fam, float(np.sign(s)), points,
                                     accept=1e-10 if accept is None
-                                    else accept)[:2]
-    return _retract_level(fam, s, points, 1e-14 if tol is None else tol,
-                          1e-12 if accept is None else accept)[:2]
-
-
-def _retract_level(fam, s, points, tol, accept):
-    """The regular-level retraction of `_project_batch`, which also hands
-    on the jet it ended with.  Returns (projected, ok, F, grad F).
-
-    Along a normal circle V is a cosine in arc length, so moving by
-    (arccos V - arccos s)/g is exact for a genuine family and a contraction
-    otherwise.  Each pass reads F and grad F of the rows it has to test from
-    one `jet` call (all rows on the first pass, the rows the last pass moved
-    after it), so every row's jet is that of its final position; a settled
-    row keeps the jet of its previous pass."""
+                                    else accept)
+    tol = 1e-14 if tol is None else tol
+    accept = 1e-12 if accept is None else accept
     g = fam.g
     poly = fam.polynomial
     target_phase = float(np.arccos(min(max(s, -1.0), 1.0))) / g
@@ -309,7 +302,7 @@ def project_to_level(fam: IsoparametricFamily, s, x0: SpherePoint) -> SurfacePoi
     if float(np.linalg.norm(w0)) < _GRAD_FLOOR and abs(v0 - s) > 1e-10:
         raise StartAtFocalError(
             "projection started on the focal set; perturb the start point")
-    X, ok = _project_batch(fam, s, x0.coords[None, :])
+    X, ok = _project_batch(fam, s, x0.coords[None, :])[:2]
     if not ok[0]:
         raise StartAtFocalError("projection lost the normal direction")
     return surface_point(fam, SpherePoint(X[0]), level=s)
@@ -331,7 +324,7 @@ def sample_points(fam: IsoparametricFamily, s, count, seed) -> list[SurfacePoint
         take = min(count - len(out) + 4, budget - drawn)
         drawn += take
         raw = rng.normal(size=(take, fam.ambient_dim))
-        X, ok = _project_batch(fam, s, raw)
+        X, ok = _project_batch(fam, s, raw)[:2]
         for row, good in zip(X, ok):
             if good and len(out) < count:
                 out.append(surface_point(fam, SpherePoint(row), level=s))

@@ -33,8 +33,7 @@ from .families import Report, _integer, seeded_rng
 from .levelset import (_GRAD_FLOOR, SurfacePoint, _circle_tangency,
                        _frames_batch, _householder_frames, _is_focal,
                        _level_jet, _normalize_rows, _project_batch,
-                       _project_focal_batch, _retract_level, _row_norms,
-                       surface_point)
+                       _row_norms, surface_point)
 from .shape import PrincipalSpectrum, _shape_operators, arccot
 from .sphere import SpherePoint
 
@@ -103,21 +102,26 @@ class TightnessReport(Report):
                 "index_histogram": {str(k): v for k, v in
                                     sorted(self.index_histogram.items())}}
 
-    def record(self, pole, counts, passed, checks, match, level_residual,
-               indices, margins, points, shown=()):
+    def record(self, pole, counts, passed, checks, level_residual, indices,
+               margins, points, shown=()):
         """Fold one pole, with `counts` (newton, circle), into the report: a
         failure entry with the `checks` dict unless both counts are expected
         and the other checks `passed`, the report-wide extremes and the
-        histogram, and a pole entry with `points` and the `shown` checks."""
+        histogram, and a pole entry with `points` and the `shown` checks.
+        An infinite `checks["match_distance"]` (a count mismatch) stays out
+        of the worst match and reads null, since JSON has no infinity."""
         entry = {"pole": [float(v) for v in pole.coords],
                  "count_newton": counts[0], "count_circle": counts[1]}
+        match = checks["match_distance"]
         if not (passed and counts == (self.expected_count,) * 2):
             self.passed = False
-            self.failures.append({**entry, **checks})
+            self.failures.append({**entry, **checks, "match_distance":
+                                  match if np.isfinite(match) else None})
         for index, margin in zip(indices, margins):
             self.index_histogram[index] = self.index_histogram.get(index, 0) + 1
             self.min_hessian_margin = min(self.min_hessian_margin, margin)
-        self.worst_match_distance = max(self.worst_match_distance, match)
+        if np.isfinite(match):
+            self.worst_match_distance = max(self.worst_match_distance, match)
         self.worst_level_residual = max(self.worst_level_residual,
                                         level_residual)
         self.poles.append({**entry, **{k: checks[k] for k in shown},
@@ -125,6 +129,14 @@ class TightnessReport(Report):
 
 
 # -- shared internals --------------------------------------------------------
+
+def _size(name, value, least):
+    """The integer (`_integer`) size argument `name`, at least `least`."""
+    value = _integer(name, value)
+    if value < least:
+        raise InputContractError(f"{name} must be at least {least}")
+    return value
+
 
 def _tangential_residual(p, X, xi):
     """Component of p orthogonal to both x and the normal, rowwise."""
@@ -191,18 +203,14 @@ def _chart_step(fam, level, X, chart, jac, resid):
     chart[b]: the pseudo-inverse step of the symmetric Jacobian
     (`_pinv_solve`: the inverse where it is certified well conditioned, so
     singular Jacobians on critical manifolds still give a step), length
-    capped at 0.4, the move retracted to the level.  Returns (moved rows,
-    ok, F) on a focal sheet, from `_project_focal_batch`, and (moved rows,
-    ok, F, grad F) on a regular level, from `_retract_level`: each hands on
-    the values it ended with."""
+    capped at 0.4, the move retracted to the level.  Returns what the
+    retraction `_project_batch` hands back for the moved rows."""
     g0 = np.einsum("bnd,bd->bn", chart, resid)
     delta = -_pinv_solve(jac, g0)
     norms = _row_norms(delta)
     delta *= np.where(norms > 0.4, 0.4 / np.maximum(norms, 0.4), 1.0)[:, None]
     moved = _normalize_rows(X + np.einsum("bi,bid->bd", delta, chart))
-    if _is_focal(level):
-        return _project_focal_batch(fam, level, moved, accept=1e-11)
-    return _retract_level(fam, level, moved, 1e-15, 1e-11)
+    return _project_batch(fam, level, moved, 1e-15, 1e-11)
 
 
 def _masked_newton(X, first, residual, step, tol, max_iter):
@@ -213,10 +221,10 @@ def _masked_newton(X, first, residual, step, tol, max_iter):
     of X.  `step(rows, state)` returns (moved rows, ok, *handed) for the
     rows still above `tol`, and only the moved rows are evaluated again,
     each with its row of the per-row arrays `handed` that the step passes
-    on (the retraction's final jet on a regular level, its final values on
-    a focal sheet).  A row whose move fails has lost the level and leaves
-    the loop.  Returns the residual norms and state at the final X, each
-    row's from its last evaluation."""
+    on (the final values of `_project_batch`: F and grad F on a regular
+    level, F on a focal sheet).  A row whose move fails has lost the level
+    and leaves the loop.  Returns the residual norms and state at the final
+    X, each row's from its last evaluation."""
     rnorm, state = first
     idx = np.arange(X.shape[0])
     for _ in range(max_iter):
@@ -236,7 +244,7 @@ def _level_flow(fam, s, X, value, gradient, sign):
     """Monotone gradient flows of `value` on the regular level M_s from the
     rows of X, descending where `sign` (a scalar or one per row) is -1 and
     ascending where it is +1.  A row steps along its unit Riemannian gradient
-    `gradient(rows)`, retracted by `_retract_level`, and keeps the move only
+    `gradient(rows)`, retracted by `_project_batch`, and keeps the move only
     if `value` improves: the step then doubles, up to 0.5, and else halves.
     At most _FLOW_STEPS steps, stopping once every step is below 1e-9.
     Returns the end rows."""
@@ -247,8 +255,7 @@ def _level_flow(fam, s, X, value, gradient, sign):
             break
         grad = gradient(X)
         grad *= (sign * step / np.maximum(_row_norms(grad), 1e-300))[:, None]
-        trial, ok = _retract_level(fam, s, _normalize_rows(X + grad), 1e-14,
-                                   1e-12)[:2]
+        trial, ok = _project_batch(fam, s, _normalize_rows(X + grad))[:2]
         trial_val = value(trial)
         better = ok & (sign * (trial_val - val) > 0)
         X[better], val[better] = trial[better], trial_val[better]
@@ -310,24 +317,24 @@ def _dedup(fam, X, rnorm):
 def _chart_hessians(fam, level, X, charts, accept, gradient):
     """Hessians of a function on the level at each row of X (assumed
     critical) in the chart spanned by the rows of charts[k]: symmetrized
-    central differences of the Riemannian gradient `gradient(rows)` (ambient
-    vectors, one per row) along the chart vectors,
+    central differences of the Riemannian gradient along the chart vectors,
 
         H_ij = <grad(x + h t_i) - grad(x - h t_i), t_j> / 2h.
 
-    Every point's moves X +/- h t_i are retracted to the level in one batch.
-    The gradient vanishes at a critical point, so the part of its derivative
-    that leaves the tangent space, and with it the chart's curvature, drops
-    out: H is the chart-invariant Riemannian Hessian.  Returns (M, k, k).
-    """
+    The moves X +/- h t_i are retracted in one `_project_batch` call, and
+    `gradient(rows, *handed)` (ambient vectors) reads the values it hands
+    back.  The gradient vanishes at a critical point, so the part of its
+    derivative that leaves the tangent space, and with it the chart's
+    curvature, drops out: H is the chart-invariant Riemannian Hessian.
+    Returns (M, k, k)."""
     m, k, d = charts.shape
     h = _H_HESSIAN
     step = h * charts
     plus, minus = X[:, None, :] + step, X[:, None, :] - step
     moves = np.stack([plus, minus], axis=2).reshape(-1, d)
-    moved, _ = _project_batch(fam, level, _normalize_rows(moves), tol=1e-16,
-                              accept=accept)
-    grad = gradient(moved).reshape(m, k, 2, d)
+    moved, _ok, *handed = _project_batch(fam, level, _normalize_rows(moves),
+                                         tol=1e-16, accept=accept)
+    grad = gradient(moved, *handed).reshape(m, k, 2, d)
     diff = (grad[:, :, 0] - grad[:, :, 1]) @ np.swapaxes(charts, 1, 2)
     return (diff + np.swapaxes(diff, 1, 2)) / (4 * h)
 
@@ -336,9 +343,9 @@ def _hessian_stencil(fam, s, p, X, frames=None):
     """Finite-difference Hessians of the height function l_p on M_s at each
     row of X (assumed critical), in the chart of the `_frames_batch` frames
     (computed when not given), from the tangential residual with normals
-    from the value and gradient banks only.  Returns (hessians, t)."""
-    def gradient(rows):
-        xi = _normalize_rows(_level_jet(fam, rows)[1])
+    from the jet its retraction hands back.  Returns (hessians, t)."""
+    def gradient(rows, *jet):
+        xi = _normalize_rows(_level_jet(fam, rows, jet or None)[1])
         return _tangential_residual(p, rows, xi)
 
     if frames is None:
@@ -427,7 +434,7 @@ def _newton_route(fam, s, p, raw):
     (`_focal_newton` on a sheet, `_newton_multistart` on a level;
     SamplingError when there are none) and deduplicate.  Returns the
     distinct critical points of d_p."""
-    starts, ok = _project_batch(fam, s, raw)
+    starts, ok = _project_batch(fam, s, raw)[:2]
     if not ok.any():
         raise SamplingError("no usable Newton starts")
     solve = _focal_newton if _is_focal(s) else _newton_multistart
@@ -447,8 +454,8 @@ def critical_points_newton(fam, s, pole: SpherePoint, num_starts=None, seed=0,
     """
     if not -1.0 < s < 1.0:
         raise InputContractError("levels of hypersurfaces live in (-1, 1)")
-    if num_starts is None:
-        num_starts = 60 * fam.g
+    num_starts = 60 * fam.g if num_starts is None else _size(
+        "num_starts", num_starts, 1)
     rng = seeded_rng(seed, 0x5EED)
     raw = rng.normal(size=(num_starts, fam.ambient_dim))
     return _classify(fam, s, pole.coords,
@@ -562,8 +569,7 @@ def tightness_report(fam, s, num_poles=100, seed=0) -> TightnessReport:
     sets agree within 1e-6, and the two index computations agree at every
     point.  Nothing is tolerated on the counts themselves.
     """
-    if num_poles < 1:
-        raise InputContractError("a tightness report needs at least one pole")
+    num_poles = _size("num_poles", num_poles, 1)
     report = TightnessReport(
         family=fam.label, level=float(s), g=fam.g, m1=fam.m1, m2=fam.m2,
         expected_count=fam.betti_sum_hypersurface, seed=seed)
@@ -595,8 +601,8 @@ def tightness_report(fam, s, num_poles=100, seed=0) -> TightnessReport:
         report.record(
             pole, (len(newton_pts), len(circle_pts)),
             match < DEDUP_RADIUS and index_ok,
-            {"match_distance": match, "index_agreement": index_ok}, match,
-            level_res, [cp.index_hessian for cp in newton_pts],
+            {"match_distance": match, "index_agreement": index_ok}, level_res,
+            [cp.index_hessian for cp in newton_pts],
             [cp.hessian_margin for cp in newton_pts],
             [cp.to_dict() for cp in newton_pts])
     return report
@@ -729,7 +735,7 @@ def _focal_newton(fam, side, p, starts):
     step solves P J P + (I - P), J the Jacobian on the sphere frame,
     against sph q.  That matrix is J's tangent block on T_yM and the
     identity on the normal space, so the step moves along T_yM only.  The
-    retraction (`_project_focal_batch`) hands its values on to the next
+    retraction (`_project_batch`) hands its values on to the next
     residual, so a step makes no value call, and the rank check reads the
     first residual's traces.  This route never reads the circle route's
     points, the expected count or the index route's chart (`_focal_chart`).
@@ -780,10 +786,11 @@ def _focal_index(fam, side, p, Y):
     first d_foc rows of `_focal_chart` at Y (the only eigendecomposition),
     d_foc the focal tangent dimension there, from central differences of
     P(y) p with the projectors of `_focal_sphere_projector` at the moved rows
-    (no third-derivative bank).  Returns (indices, margins)."""
-    def gradient(rows):
+    from the values their retraction hands back (no value call and no
+    third-derivative bank).  Returns (indices, margins)."""
+    def gradient(rows, vals):
         return _sphere_tangent_part(
-            p, *_focal_sphere_projector(fam, side, rows)[:2])
+            p, *_focal_sphere_projector(fam, side, rows, vals)[:2])
 
     dims, charts = _focal_chart(fam, Y)
     d_foc = _focal_rank(dims)
@@ -813,13 +820,12 @@ def focal_tautness_report(fam, side, num_poles=50, seed=0,
     side = _integer("side", side)
     if side not in (1, -1):
         raise InputContractError("side must be +1 or -1")
-    if num_poles < 1:
-        raise InputContractError("a tautness report needs at least one pole")
+    num_poles = _size("num_poles", num_poles, 1)
     report = TightnessReport(
         family=fam.label, level=float(side), g=fam.g, m1=fam.m1, m2=fam.m2,
         expected_count=fam.betti_sum_focal, seed=seed)
-    if starts_per_pole is None:
-        starts_per_pole = 24 * fam.g
+    starts_per_pole = 24 * fam.g if starts_per_pole is None else _size(
+        "starts_per_pole", starts_per_pole, 1)
     rng = seeded_rng(seed, 0xF0CA)
     done = 0
     rejected = {"focal pole": 0}
@@ -841,13 +847,11 @@ def focal_tautness_report(fam, side, num_poles=50, seed=0,
         indices, margins = _focal_index(fam, side, pole.coords, circle_x)
         level_res = float(np.abs(np.abs(np.atleast_1d(
             fam.polynomial.value(circle_x))) - 1.0).max())
-        # the worst match skips count mismatches: they are failure entries
         report.record(
             pole, (len(unique), len(circle_x)),
             match < 10 * DEDUP_RADIUS and colin < 1e-8,
-            {"match_distance": match, "collinearity": colin},
-            0.0 if match == float("inf") else match, level_res, indices,
-            margins,
+            {"match_distance": match, "collinearity": colin}, level_res,
+            indices, margins,
             [{"coords": [float(v) for v in c],
               "t": float(np.arccos(np.clip(pole.coords @ c, -1, 1))),
               "index_hessian": int(iv)} for c, iv in zip(circle_x, indices)],
@@ -868,6 +872,10 @@ def totally_focal_probe(fam, s, seed=0, num_nonfocal=50, num_focal=10,
     Also reports (without asserting) the margin for a pole offset 1e-5 from
     the focal set, to document boundary behavior.
     """
+    num_nonfocal = _size("num_nonfocal", num_nonfocal, 0)
+    num_focal = _size("num_focal", num_focal, 0)
+    num_starts = 60 * fam.g if num_starts is None else _size(
+        "num_starts", num_starts, 1)
     rng = seeded_rng(seed, 0x70FA)
     nonfocal = {"poles": 0, "points": 0, "degenerate_points": 0,
                 "min_margin": float("inf")}
@@ -891,8 +899,6 @@ def totally_focal_probe(fam, s, seed=0, num_nonfocal=50, num_focal=10,
             tally(nonfocal, pts, pole.coords, "non-focal")))
     focal = {"poles": 0, "points": 0, "degenerate_points": 0,
              "max_margin": 0.0}
-    if num_starts is None:
-        num_starts = 60 * fam.g
     for i in range(num_focal):
         side = 1.0 if i % 2 == 0 else -1.0
         p = project_to_level_focal(fam, side,
@@ -935,7 +941,8 @@ def totally_focal_probe(fam, s, seed=0, num_nonfocal=50, num_focal=10,
 
 def project_to_level_focal(fam, side, raw) -> SpherePoint:
     """Project an ambient seed onto the focal submanifold V = side."""
-    X, ok = _project_batch(fam, float(side), np.asarray(raw, float)[None, :])
+    X, ok = _project_batch(fam, float(side),
+                           np.asarray(raw, float)[None, :])[:2]
     if not ok[0]:
         raise SamplingError("failed to reach the focal level from this seed")
     return SpherePoint(X[0])

@@ -361,8 +361,8 @@ def test_taut_focal_without_usable_starts_fails_on_one_line(capsys,
     project = morse._project_batch
 
     def no_starts(fam, s, points, **kwargs):
-        X, ok = project(fam, s, points, **kwargs)
-        return X, ok & False
+        X, ok, *handed = project(fam, s, points, **kwargs)
+        return X, ok & False, *handed
 
     monkeypatch.setattr(morse, "_project_batch", no_starts)
     assert run_cli("taut-focal", "--family", "clifford", "--params",

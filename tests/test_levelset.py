@@ -8,8 +8,7 @@ from isolab import (SpherePoint, StartAtFocalError, catalog,
                     surface_point)
 from isolab import levelset
 from isolab.levelset import (_frames_batch, _householder_frames,
-                             _normalize_rows, _project_batch, _retract_level,
-                             _row_norms)
+                             _normalize_rows, _project_batch, _row_norms)
 from isolab.polynomial import CMPolynomial
 
 
@@ -64,7 +63,7 @@ def test_project_residuals_bulk(all_families):
     rng = np.random.default_rng(2)
     for fam in all_families:
         raw = rng.normal(size=(300, fam.ambient_dim))
-        out, ok = _project_batch(fam, -0.35, raw)
+        out, ok = _project_batch(fam, -0.35, raw)[:2]
         assert ok.all()
         vals = fam.polynomial.value(out)
         assert np.abs(vals + 0.35).max() < 1e-12
@@ -146,7 +145,7 @@ def test_project_batch_settles_at_the_float_floor(fam_nomizu, monkeypatch):
 
     monkeypatch.setattr(CMPolynomial, "gradient", counting_gradient)
     raw = np.random.default_rng(11).normal(size=(200, fam_nomizu.ambient_dim))
-    out, ok = _project_batch(fam_nomizu, 0.3, raw, tol=1e-16, accept=1e-9)
+    out, ok = _project_batch(fam_nomizu, 0.3, raw, tol=1e-16, accept=1e-9)[:2]
     assert 0 < len(calls) < levelset._RETRACT_MAX_ITER + 1
     monkeypatch.undo()
     assert ok.all()
@@ -254,13 +253,13 @@ def test_focal_projection_stops_at_roundoff(monkeypatch):
         fam = catalog(label, **params)
         for side in (1, -1):
             raw = rng.normal(size=(24, fam.ambient_dim))
-            Y, _ok = _project_batch(fam, float(side), raw)
+            Y, _ok = _project_batch(fam, float(side), raw)[:2]
             step = rng.normal(size=Y.shape)
             step -= np.einsum("ij,ij->i", step, Y)[:, None] * Y
             off = _normalize_rows(Y + 1e-3 * _normalize_rows(step))
             for rows in (raw, off):
                 calls.update(dict.fromkeys(calls, 0))
-                _Y, ok = _project_batch(fam, float(side), rows)
+                _Y, ok = _project_batch(fam, float(side), rows)[:2]
                 assert ok.all(), (label, side)
                 assert calls["value"] <= 4 and calls["gradient"] <= 4, calls
                 assert calls["hessian"] <= 2, calls
@@ -285,16 +284,20 @@ def test_project_batch_takes_its_final_test_from_the_loop(monkeypatch):
         raw = rng.normal(size=(40, fam.ambient_dim))
         for tol, accept in ((None, None), (1e-16, 1e-9)):
             calls.update(dict.fromkeys(calls, 0))
-            X, ok = _project_batch(fam, 0.3, raw, tol=tol, accept=accept)
+            X, ok, vals, grads = _project_batch(fam, 0.3, raw, tol=tol,
+                                                accept=accept)
             assert ok.all(), (label, tol)
             assert calls["value"] == 0, (label, tol, calls)
             assert calls["jet"] == calls["gradient"] == calls["normalize"], \
                 (label, tol, calls)
-            # the helper under `_project_batch` hands on the jet it ended with
-            Y, ok2, vals, grads = _retract_level(fam, 0.3, raw, tol or 1e-14,
-                                                 accept or 1e-12)
-            assert np.array_equal(Y, X) and np.array_equal(ok2, ok)
-            fresh = fam.polynomial.jet(Y)
+            # on a regular level it hands on the jet it ended with
+            fresh = fam.polynomial.jet(X)
             assert np.abs(vals - fresh[0]).max() <= 1e-15, label
             assert np.abs(grads - fresh[1]).max() <= \
                 1e-15 * np.abs(fresh[1]).max(), label
+        # on a focal sheet it hands on the values it ended with
+        for side in (1.0, -1.0):
+            Y, ok, vals = _project_batch(fam, side, raw)
+            assert ok.all(), (label, side)
+            assert np.abs(vals - fam.polynomial.jet(Y)[0]).max() <= 1e-15, \
+                (label, side)

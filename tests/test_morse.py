@@ -234,7 +234,8 @@ def test_focal_pole_critical_set_is_continuum(fam_clifford):
                               _DEGENERATE_PROBE)
     from isolab.levelset import _project_batch
     rng = np.random.default_rng(12)
-    starts, ok = _project_batch(fam_clifford, 0.3, rng.normal(size=(60, 4)))
+    starts, ok = _project_batch(fam_clifford, 0.3,
+                                rng.normal(size=(60, 4)))[:2]
     sols, rnorm, _d = _newton_multistart(fam_clifford, 0.3, pole.coords,
                                          starts[ok])
     unique = _dedup(fam_clifford, sols, rnorm)
@@ -269,7 +270,7 @@ def test_dedup_compares_the_gram_matrix_with_cos_radius(fam_nomizu):
     # just outside the radius, merge as the arccos oracle merges them
     rng = np.random.default_rng(83)
     pole = project_to_level_focal(fam_nomizu, 1.0, rng.normal(size=6))
-    starts, ok = _project_batch(fam_nomizu, 0.3, rng.normal(size=(240, 6)))
+    starts, ok = _project_batch(fam_nomizu, 0.3, rng.normal(size=(240, 6)))[:2]
     sols, rnorm, _diag = morse._newton_multistart(fam_nomizu, 0.3,
                                                   pole.coords, starts[ok])
     unique = morse._dedup(fam_nomizu, sols, rnorm)
@@ -302,9 +303,9 @@ def fd_newton_jacobian(fam, s, p, X, frames, h=1e-6):
     for j in range(n):
         step = h * frames[:, j, :]
         plus, okp = _project_batch(fam, s, _normalize_rows(X + step),
-                                   tol=1e-15, accept=1e-11)
+                                   tol=1e-15, accept=1e-11)[:2]
         minus, okm = _project_batch(fam, s, _normalize_rows(X - step),
-                                    tol=1e-15, accept=1e-11)
+                                    tol=1e-15, accept=1e-11)[:2]
         assert okp.all() and okm.all()
         jac[:, :, j] = (residual_in_frame(plus)
                         - residual_in_frame(minus)) / (2 * h)
@@ -339,10 +340,10 @@ def fd_focal_jacobian(fam, side, p, Y, chart, h=1e-6, proj=None):
     for j in range(n):
         step = h * chart[:, j, :]
         plus, okp = _project_batch(fam, float(side), _normalize_rows(Y + step),
-                                   tol=1e-15, accept=1e-11)
+                                   tol=1e-15, accept=1e-11)[:2]
         minus, okm = _project_batch(fam, float(side),
                                     _normalize_rows(Y - step),
-                                    tol=1e-15, accept=1e-11)
+                                    tol=1e-15, accept=1e-11)[:2]
         assert okp.all() and okm.all()
         prj_p = loop_focal_tangent_projector(fam, plus)[0]
         prj_m = loop_focal_tangent_projector(fam, minus)[0]
@@ -358,7 +359,7 @@ def test_exact_focal_jacobian_matches_finite_differences():
                 catalog("nomizu-quartic", n=3), catalog("clifford", k=2, n=7)):
         for side in (1, -1):
             Y, ok = _project_batch(fam, float(side),
-                                   rng.normal(size=(6, fam.ambient_dim)))
+                                   rng.normal(size=(6, fam.ambient_dim)))[:2]
             Y = Y[ok]
             p = rng.normal(size=fam.ambient_dim)
             p /= np.linalg.norm(p)
@@ -410,7 +411,7 @@ def test_focal_tangent_projector_matches_per_row_loop():
                 catalog("clifford", k=2, n=7)):
         for side in (1, -1):
             Y, ok = _project_batch(fam, float(side),
-                                   rng.normal(size=(6, fam.ambient_dim)))
+                                   rng.normal(size=(6, fam.ambient_dim)))[:2]
             dims, charts = morse._focal_chart(fam, Y[ok])
             want, want_dims = loop_focal_tangent_projector(fam, Y[ok])
             assert dims.tolist() == want_dims, (fam.label, side)
@@ -432,7 +433,7 @@ def test_product_projector_is_the_eigh_projector():
         fam = catalog(label, **params)
         for side in (1, -1):
             Y, ok = _project_batch(fam, float(side),
-                                   rng.normal(size=(12, fam.ambient_dim)))
+                                   rng.normal(size=(12, fam.ambient_dim)))[:2]
             sph, proj, dims = morse._focal_sphere_projector(fam, side, Y[ok])
             want, want_dims = loop_focal_tangent_projector(fam, Y[ok])
             assert dims.tolist() == want_dims, (label, side)
@@ -443,7 +444,7 @@ def test_product_projector_is_the_eigh_projector():
 def test_product_projector_falls_back_to_the_eigh_cut(fam_nomizu,
                                                      monkeypatch):
     rng = np.random.default_rng(71)
-    Y, ok = _project_batch(fam_nomizu, 1.0, rng.normal(size=(8, 6)))
+    Y, ok = _project_batch(fam_nomizu, 1.0, rng.normal(size=(8, 6)))[:2]
     Y = Y[ok][:6]
     sph, bmat = morse._focal_sphere_hessian(fam_nomizu, Y)
     g2 = fam_nomizu.g ** 2
@@ -482,8 +483,8 @@ def test_focal_newton_takes_no_eigh(monkeypatch):
             return fn(*args, **kwargs)
         return wrapped
 
-    monkeypatch.setattr(morse, "_project_focal_batch",
-                        counting("retract", morse._project_focal_batch))
+    monkeypatch.setattr(morse, "_project_batch",
+                        counting("retract", morse._project_batch))
     monkeypatch.setattr(morse, "_chart_step",
                         counting("step", morse._chart_step))
     rng = np.random.default_rng(79)
@@ -492,7 +493,7 @@ def test_focal_newton_takes_no_eigh(monkeypatch):
         pole = morse._draw_pole(fam, rng)
         for side in (1, -1):
             starts, ok = _project_batch(fam, float(side), rng.normal(
-                size=(12 * fam.g, fam.ambient_dim)))
+                size=(12 * fam.g, fam.ambient_dim)))[:2]
             sols, _rnorm = morse._focal_newton(fam, side, pole.coords,
                                                starts[ok])
             assert len(sols), (label, side)
@@ -513,7 +514,7 @@ def test_focal_newton_makes_one_value_call(monkeypatch):
         pole = morse._draw_pole(fam, rng)
         for side in (1, -1):
             starts, ok = _project_batch(fam, float(side), rng.normal(
-                size=(12 * fam.g, fam.ambient_dim)))
+                size=(12 * fam.g, fam.ambient_dim)))[:2]
             calls.clear()
             sols, _rnorm = morse._focal_newton(fam, side, pole.coords,
                                                starts[ok])
@@ -549,7 +550,7 @@ def test_focal_charts_are_orthonormal_tangent_bases():
                 catalog("clifford", k=2, n=7)):
         for side in (1, -1):
             Y, ok = _project_batch(fam, float(side),
-                                   rng.normal(size=(6, fam.ambient_dim)))
+                                   rng.normal(size=(6, fam.ambient_dim)))[:2]
             dims, charts = morse._focal_chart(fam, Y[ok])
             proj = loop_focal_tangent_projector(fam, Y[ok])[0]
             d_foc = int(dims[0])
@@ -584,7 +585,7 @@ def test_focal_newton_diagonalizes_no_ambient_matrix(fam_nomizu, monkeypatch):
     pole = morse._draw_pole(fam_nomizu, rng)
     for side in (1, -1):
         starts, ok = _project_batch(fam_nomizu, float(side),
-                                    rng.normal(size=(48, d)))
+                                    rng.normal(size=(48, d)))[:2]
         sols, _rnorm = morse._focal_newton(fam_nomizu, side, pole.coords,
                                            starts[ok])
         _eta, Y = morse._focal_circle_points(fam_nomizu, side, pole)
@@ -619,7 +620,7 @@ def test_focal_newton_retracts_once_per_step(fam_nomizu, monkeypatch):
     # a finite difference, so it never reads the third-derivative bank
     pole = morse._draw_pole(fam_nomizu, np.random.default_rng(47))
     starts, ok = _project_batch(fam_nomizu, 1.0, np.random.default_rng(
-        48).normal(size=(24, fam_nomizu.ambient_dim)))
+        48).normal(size=(24, fam_nomizu.ambient_dim)))[:2]
     counts = {"retract": 0, "step": 0, "third": 0}
 
     def counting(name, fn):
@@ -628,8 +629,8 @@ def test_focal_newton_retracts_once_per_step(fam_nomizu, monkeypatch):
             return fn(*args, **kwargs)
         return wrapped
 
-    monkeypatch.setattr(morse, "_project_focal_batch",
-                        counting("retract", morse._project_focal_batch))
+    monkeypatch.setattr(morse, "_project_batch",
+                        counting("retract", morse._project_batch))
     monkeypatch.setattr(morse, "_chart_step",
                         counting("step", morse._chart_step))
     monkeypatch.setattr(CMPolynomial, "hessian_along",
@@ -687,7 +688,7 @@ def loop_chart_hessians(fam, level, p, X, charts, accept):
             moves += [X[r] + h * t[i] + h * t[j], X[r] + h * t[i] - h * t[j],
                       X[r] - h * t[i] + h * t[j], X[r] - h * t[i] - h * t[j]]
     moved, _ = _project_batch(fam, level, _normalize_rows(np.array(moves)),
-                              tol=1e-16, accept=accept)
+                              tol=1e-16, accept=accept)[:2]
     ell, ell0 = moved @ p, X @ p
     per = 2 * k + 4 * len(pairs)
     out = np.empty((m, k, k))
@@ -765,6 +766,74 @@ def test_index_stencils_retract_two_moves_per_chart_vector(fam_nomizu,
         assert rows == [2 * d_foc * len(Y)], side
 
 
+def test_hessian_stencil_reads_the_jet_of_its_retraction(fam_nomizu,
+                                                         monkeypatch):
+    # the stencil's normals come from the jet its retraction hands back:
+    # one gradient-bank call per retraction pass (one `_normalize_rows` of
+    # the rows it moves), none of its own
+    pole = morse._draw_pole(fam_nomizu, np.random.default_rng(53))
+    X = np.array([sp.x.coords for sp in normal_circle_critical_points(
+        fam_nomizu, 0.3, pole, classify=False)])
+    frames = _frames_batch(fam_nomizu, X)[1]
+    calls = {"gradient": 0, "pass": 0}
+    gradient, normalize = CMPolynomial.gradient, levelset._normalize_rows
+
+    def counting_gradient(self, x):
+        calls["gradient"] += 1
+        return gradient(self, x)
+
+    def counting_pass(x):
+        calls["pass"] += 1
+        return normalize(x)
+
+    monkeypatch.setattr(CMPolynomial, "gradient", counting_gradient)
+    monkeypatch.setattr(levelset, "_normalize_rows", counting_pass)
+    hessians, _ts = morse._hessian_stencil(fam_nomizu, 0.3, pole.coords, X,
+                                           frames)
+    assert calls["pass"] > 0 and calls["gradient"] == calls["pass"], calls
+    assert np.isfinite(hessians).all()
+
+
+def test_focal_index_reads_the_values_of_its_retraction(fam_nomizu,
+                                                        monkeypatch):
+    # the projectors at the moved rows are built from the values the
+    # stencil's retraction hands back; the one value call left is the
+    # chart's, at the base rows
+    rows = []
+    value = CMPolynomial.value
+    monkeypatch.setattr(CMPolynomial, "value", lambda self, x: (
+        rows.append(len(np.atleast_2d(x))) or value(self, x)))
+    pole = morse._draw_pole(fam_nomizu, np.random.default_rng(59))
+    for side in (1, -1):
+        _eta, Y = morse._focal_circle_points(fam_nomizu, side, pole)
+        rows.clear()
+        indices, _margins = morse._focal_index(fam_nomizu, side, pole.coords,
+                                               Y)
+        assert len(indices) == len(Y)
+        assert rows == [len(Y)], (side, rows)
+
+
+@pytest.mark.parametrize("call", [
+    lambda fam: tightness_report(fam, 0.3, num_poles=1.5),
+    lambda fam: tightness_report(fam, 0.3, num_poles=0),
+    lambda fam: focal_tautness_report(fam, 1, num_poles=2.5),
+    lambda fam: focal_tautness_report(fam, 1, num_poles=1,
+                                      starts_per_pole=0),
+    lambda fam: totally_focal_probe(fam, 0.3, num_nonfocal=-1),
+    lambda fam: totally_focal_probe(fam, 0.3, num_nonfocal=1.5),
+    lambda fam: totally_focal_probe(fam, 0.3, num_focal=-1),
+    lambda fam: totally_focal_probe(fam, 0.3, num_starts=0),
+    lambda fam: critical_points_newton(fam, 0.3, morse._draw_pole(
+        fam, np.random.default_rng(0)), num_starts=-2),
+    lambda fam: critical_points_newton(fam, 0.3, morse._draw_pole(
+        fam, np.random.default_rng(0)), num_starts=2.5)])
+def test_size_arguments_are_validated(fam_clifford, call):
+    # a pole or start count must be an integer of at least 1, and the
+    # probe's pole counts one of at least 0
+    with pytest.raises(InputContractError):
+        call(fam_clifford)
+
+
 def test_focal_index_matches_per_point_loop(fam_cartan, fam_nomizu):
     for fam in (fam_cartan, fam_nomizu):
         pole = morse._draw_pole(fam, np.random.default_rng(37))
@@ -840,7 +909,7 @@ def test_classify_matches_per_point_loop():
         p = project_to_level_focal(fam, 1.0,
                                    rng.normal(size=fam.ambient_dim)).coords
         starts, ok = _project_batch(fam, s,
-                                    rng.normal(size=(24, fam.ambient_dim)))
+                                    rng.normal(size=(24, fam.ambient_dim)))[:2]
         sols, rnorm, _diag = morse._newton_multistart(fam, s, p, starts[ok])
         unique = morse._dedup(fam, sols, rnorm)
         got = morse._classify(fam, s, p, unique, morse._DEGENERATE_PROBE)
@@ -1014,7 +1083,7 @@ def test_newton_residual_reads_the_retraction_jet(fam_nomizu, monkeypatch):
             log.append(_kind)
             return _bank(self, x)
         monkeypatch.setattr(CMPolynomial, kind, logging)
-    normalize, retract = levelset._normalize_rows, morse._retract_level
+    normalize, retract = levelset._normalize_rows, morse._project_batch
     frames_batch = morse._frames_batch
 
     def normalizing(x):
@@ -1040,12 +1109,12 @@ def test_newton_residual_reads_the_retraction_jet(fam_nomizu, monkeypatch):
         return out
 
     monkeypatch.setattr(levelset, "_normalize_rows", normalizing)
-    monkeypatch.setattr(morse, "_retract_level", retracting)
+    monkeypatch.setattr(morse, "_project_batch", retracting)
     monkeypatch.setattr(morse, "_frames_batch", framing)
     rng = np.random.default_rng(97)
     pole = morse._draw_pole(fam_nomizu, rng)
     starts, ok = _project_batch(fam_nomizu, 0.3, rng.normal(
-        size=(120, fam_nomizu.ambient_dim)))
+        size=(120, fam_nomizu.ambient_dim)))[:2]
     log.clear()
     sols, _rnorm, diag = morse._newton_multistart(fam_nomizu, 0.3,
                                                   pole.coords, starts[ok])
@@ -1236,8 +1305,8 @@ def test_probe_without_usable_starts_is_a_sampling_error(fam_clifford,
     project = morse._project_batch
 
     def no_level_starts(fam, s, points, **kwargs):
-        X, ok = project(fam, s, points, **kwargs)
-        return X, ok & (abs(s) == 1.0)
+        X, ok, *handed = project(fam, s, points, **kwargs)
+        return X, ok & (abs(s) == 1.0), *handed
 
     monkeypatch.setattr(morse, "_project_batch", no_level_starts)
     # the boundary pole's solve is not under test
@@ -1252,8 +1321,8 @@ def test_focal_report_without_usable_starts_is_a_sampling_error(
     project = morse._project_batch
 
     def no_starts(fam, s, points, **kwargs):
-        X, ok = project(fam, s, points, **kwargs)
-        return X, np.zeros_like(ok)
+        X, ok, *handed = project(fam, s, points, **kwargs)
+        return X, np.zeros_like(ok), *handed
 
     monkeypatch.setattr(morse, "_project_batch", no_starts)
     for side in (1, -1):

@@ -3,6 +3,7 @@ benchmarks/compare_reports.py compares two trees report by report."""
 
 import dataclasses
 import importlib.util
+import json
 import pathlib
 import subprocess
 import sys
@@ -12,6 +13,7 @@ import numpy as np
 from isolab import (SpherePoint, euclidean_taut_spot_check,
                     focal_tautness_report, isoparametric_check,
                     tightness_report, verify_munzner)
+from isolab import morse
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 COMPARE = ROOT / "benchmarks" / "compare_reports.py"
@@ -32,6 +34,35 @@ def test_report_keys_are_the_field_names(fam_clifford):
     spectrum, tight = reports[1].to_dict(), reports[2].to_dict()
     assert spectrum["values"] == list(reports[1].values)
     assert list(tight["index_histogram"]) == ["0", "1", "2"]
+
+
+def test_count_mismatch_is_a_null_match_in_both_reports(fam_clifford,
+                                                        monkeypatch):
+    # one route drops a point at the first pole: the match distance is
+    # infinite there, so it stays out of the worst match and reads null in
+    # the failure entry, and the report stays JSON (which has no infinity)
+    def dropping(fn):
+        def wrapped(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            calls.append(1)
+            return out[:-1] if len(calls) == 1 else out
+        return wrapped
+
+    for name, report in (
+            ("critical_points_newton",
+             lambda: tightness_report(fam_clifford, 0.3, num_poles=2,
+                                      seed=3)),
+            ("_newton_route",
+             lambda: focal_tautness_report(fam_clifford, 1, num_poles=2,
+                                           seed=3))):
+        calls = []
+        with monkeypatch.context() as patch:
+            patch.setattr(morse, name, dropping(getattr(morse, name)))
+            out = report()
+        assert not out.passed and len(out.failures) == 1, name
+        assert out.failures[0]["match_distance"] is None, name
+        assert 0.0 < out.worst_match_distance < 1e-6, name
+        json.dumps(out.to_dict(), allow_nan=False)
 
 
 def test_compare_reports_finds_no_difference_within_one_tree():
