@@ -19,8 +19,9 @@ Laplacian and value banks' ns per point there with `BLOCK_ROWS` set to 128,
 256 and 512 rows.  Classification rows give, on nomizu-quartic n=2, the rows
 retracted per critical point and the milliseconds per point for both index
 stencils (`_hessian_stencil` at the critical points of one pole on the level
-0.3, `_focal_index` at those on the focal sheet V = +1) and for the whole
-batched classifier `_classify` (both witnesses) at the level-0.3 points.
+0.3, `_focal_index` at those on the focal sheet V = +1, given their
+values) and for the whole batched classifier `_classify` (both witnesses)
+at the level-0.3 points.
 Newton-step rows give, at 240 points of the level 0.3 of nomizu-quartic n=2
 and clifford(2,7), the microseconds per row of one `_frames_batch` call
 (normals and tangent frames) and of one hypersurface `_chart_step` (the
@@ -234,10 +235,11 @@ def classification(quick):
     X = np.array([sp.x.coords for sp in morse.normal_circle_critical_points(
         fam, 0.3, pole, classify=False)])
     _eta, Y = morse._focal_circle_points(fam, 1, pole)
+    vals = fam.polynomial.value(Y)
     stencils = (("_hessian_stencil", X,
                  lambda: morse._hessian_stencil(fam, 0.3, p, X)),
                 ("_focal_index", Y,
-                 lambda: morse._focal_index(fam, 1, p, Y)),
+                 lambda: morse._focal_index(fam, 1, p, Y, vals)),
                 ("_classify", X, lambda: morse._classify(fam, 0.3, p, X)))
     print(f"{'classify, d=6':<20}{'rows/pt':>12}{'ms/pt':>12}")
     project = morse._project_batch

@@ -4,17 +4,18 @@
     python benchmarks/compare_reports.py OLD_ROOT NEW_ROOT [--quick]
 
 Each root is a checkout of this repository.  Its `src` is imported in a
-subprocess of its own, which writes the `to_dict()` JSON of every report
-below, keys unsorted, so that a change of key order counts as a difference.
-For nomizu-quartic n=2, cartan-cubic, clifford(1,2) and great-sphere(n=3),
-at seeds 3 and 2026: the residual sweep (`verify_munzner`), the spectrum
-check and the tightness report at the level 0.3, and the focal tautness
-reports on both sheets; plus the Euclidean spot check on clifford(1,2) at
-the level 0 at both seeds, from `SPOT_POLE` and from `DISTORTED_POLE`,
-whose image is stretched enough that Newton from the grid alone misses an
-extreme, so that only its gradient-flow starts find it.  Full runs take 10
-poles per report, 40 spectrum samples and 8 spot-check centers; `--quick`
-takes 1, 4 and 2.
+subprocess of its own, which writes the JSON of every report below (its
+`to_dict()`, or the dict the probe returns), keys unsorted, so that a change
+of key order counts as a difference.  For nomizu-quartic n=2, cartan-cubic,
+clifford(1,2) and great-sphere(n=3), at seeds 3 and 2026: the residual sweep
+(`verify_munzner`), the spectrum check, the tightness report and the totally
+focal probe at the level 0.3, and the focal tautness reports on both sheets;
+plus the Euclidean spot check on clifford(1,2) at the level 0 at both seeds,
+from `SPOT_POLE` and from `DISTORTED_POLE`, whose image is stretched enough
+that Newton from the grid alone misses an extreme, so that only its
+gradient-flow starts find it.  Full runs take 10 poles per report, 40
+spectrum samples and 8 spot-check centers, and the probe takes 10 non-focal
+and 2 focal poles; `--quick` takes 1, 4 and 2, and 1 and 1.
 
 One line is printed per report that differs or that one tree lacks.  It
 names the leaves that differ: how many float leaves move, with the largest
@@ -42,9 +43,11 @@ def _reports(quick):
     import numpy as np
     from isolab import (SpherePoint, catalog, euclidean_taut_spot_check,
                         focal_tautness_report, isoparametric_check,
-                        tightness_report, verify_munzner)
+                        tightness_report, totally_focal_probe,
+                        verify_munzner)
 
     poles, samples, centers = (1, 4, 2) if quick else (10, 40, 8)
+    focal_poles = 1 if quick else 2
     for label, params in FAMILIES:
         fam = catalog(label, **params)
         name = label + json.dumps(params, sort_keys=True)
@@ -54,6 +57,10 @@ def _reports(quick):
                    isoparametric_check(fam, LEVEL, samples, seed))
             yield (f"{name} seed={seed} tight",
                    tightness_report(fam, LEVEL, num_poles=poles, seed=seed))
+            yield (f"{name} seed={seed} probe",
+                   totally_focal_probe(fam, LEVEL, seed=seed,
+                                       num_nonfocal=poles,
+                                       num_focal=focal_poles))
             for side in (1, -1):
                 yield (f"{name} seed={seed} focal {side:+d}",
                        focal_tautness_report(fam, side, num_poles=poles,
@@ -75,7 +82,8 @@ def _dump(root, quick):
     if pathlib.Path(isolab.__file__).resolve().parent != src / "isolab":
         sys.exit(f"imported {isolab.__file__}, not the tree under {root}")
     for name, report in _reports(quick):
-        print(f"{name}\t{json.dumps(report.to_dict())}")
+        body = report if isinstance(report, dict) else report.to_dict()
+        print(f"{name}\t{json.dumps(body)}")
 
 
 def _load(root, quick):

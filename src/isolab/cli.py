@@ -19,7 +19,7 @@ from .errors import FamilyRejectedError, InputContractError, IsolabError
 from .families import (CATALOG_LABELS, catalog, family_from_json_obj,
                        seeded_rng, verify_munzner)
 from .focal import exp_param_check, focal_dimension_estimate
-from .levelset import sample_points
+from .levelset import _hypersurface_level, sample_points
 from .morse import focal_tautness_report, tightness_report, totally_focal_probe
 from .shape import isoparametric_check, spectrum_at
 from .sphere import SpherePoint
@@ -116,13 +116,6 @@ def _load_family(args):
         raise _UsageError(f"bad parameters for {args.family}: {exc}") from exc
 
 
-def _regular_level(args):
-    """--level, which must name a hypersurface: +/-1 have no shape operator."""
-    if not -1.0 < args.level < 1.0:
-        raise _UsageError(f"--level must lie in (-1, 1), got {args.level!r}")
-    return args.level
-
-
 def _read_json_file(path):
     try:
         with open(path) as fh:
@@ -160,7 +153,6 @@ def _cmd_verify(args, fam):
 
 
 def _cmd_spectrum(args, fam):
-    _regular_level(args)
     if args.format == "csv":
         if not args.out:
             raise _UsageError("--format csv needs --out")
@@ -176,8 +168,8 @@ def _cmd_spectrum(args, fam):
 def _cmd_focal(args, fam):
     if args.samples < 1:
         raise _UsageError(f"--samples must be at least 1, got {args.samples}")
-    pts = sample_points(fam, _regular_level(args), max(1, args.samples // 10),
-                        args.seed)
+    pts = sample_points(fam, _hypersurface_level(args.level),
+                        max(1, args.samples // 10), args.seed)
     profile, spacing = [], []
     for p in pts:
         spec = spectrum_at(p)
@@ -257,8 +249,7 @@ def _cmd_export_mesh(args, fam):
 def _cmd_export_curves(args, fam):
     if not args.out:
         raise _UsageError("export-curves needs --out")
-    export_mod.export_focal_circle_csv(fam, _regular_level(args), args.seed,
-                                       args.out)
+    export_mod.export_focal_circle_csv(fam, args.level, args.seed, args.out)
     print(f"wrote the normal-circle profile to {args.out}")
     return EXIT_PASS
 

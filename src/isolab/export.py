@@ -18,8 +18,8 @@ import numpy as np
 from .errors import InputContractError, MeshExportError
 from .families import Report, seeded_rng
 from .focal import _circle_profile
-from .levelset import (_frames_batch, _level_jet, _normalize_rows, _row_norms,
-                       sample_points)
+from .levelset import (_frames_batch, _hypersurface_level, _level_jet,
+                       _normalize_rows, _row_norms, sample_points)
 from .morse import (_NEWTON_MAX_ITER, _chart_hessians, _chart_step, _dedup,
                     _level_flow, _masked_newton)
 from .shape import spectrum_at
@@ -124,8 +124,7 @@ def export_mesh(fam, s, pole: SpherePoint, resolution=64, path=None) -> MeshData
         raise MeshExportError(
             "mesh export needs ambient dimension 4; export a CSV point cloud "
             "for higher-dimensional families")
-    if not -1.0 < s < 1.0:
-        raise InputContractError("mesh levels live in (-1, 1)")
+    s = _hypersurface_level(s)
     if resolution < 3:
         # the smallest grids that close up: a watertight torus (chi 0) and
         # sphere (chi 2) need 3 vertices around each circle
@@ -187,7 +186,7 @@ def write_obj(mesh: MeshData, path):
 
 def export_spectrum_csv(fam, s, num_samples, seed, path):
     """Rows: level, point index, the g distinct curvatures, multiplicities."""
-    pts = sample_points(fam, s, num_samples, seed)
+    pts = sample_points(fam, _hypersurface_level(s), num_samples, seed)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         header = (["level", "point"]
@@ -205,8 +204,8 @@ def export_spectrum_csv(fam, s, num_samples, seed, path):
 def export_focal_circle_csv(fam, s, seed, path, grid_size=720):
     """Rows: t, V along the normal circle at t, and the focal side tag
     (+/-1 at focal parameters, 0 elsewhere)."""
-    ts, vals = _circle_profile(fam, sample_points(fam, s, 1, seed)[0],
-                               grid_size)
+    ts, vals = _circle_profile(
+        fam, sample_points(fam, _hypersurface_level(s), 1, seed)[0], grid_size)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["t", "V", "side"])
@@ -218,7 +217,8 @@ def export_focal_circle_csv(fam, s, seed, path, grid_size=720):
 
 def export_point_cloud_csv(fam, s, count, seed, pole, path):
     """Stereographic point cloud of M_s for families with no mesh support."""
-    pts = np.array([p.x.coords for p in sample_points(fam, s, count, seed)])
+    pts = np.array([p.x.coords for p in sample_points(
+        fam, _hypersurface_level(s), count, seed)])
     proj, _ = _stereo_rows(pts, tangent_basis(pole).vectors, pole.coords)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -310,8 +310,7 @@ def euclidean_taut_spot_check(fam, s, pole: SpherePoint, num_centers=25,
     if fam.label != "clifford" or fam.ambient_dim != 4:
         raise InputContractError(
             "the spot check needs the two-curvature family on the 3-sphere")
-    if not -1.0 < s < 1.0:
-        raise InputContractError("spot-check levels live in (-1, 1)")
+    s = _hypersurface_level(s)
     if num_centers < 1:
         raise InputContractError(
             f"the spot check needs at least one center, got {num_centers}")

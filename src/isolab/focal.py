@@ -8,9 +8,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputContractError, SamplingError
-from .families import _integer, seeded_rng
-from .levelset import SurfacePoint, _project_batch, project_to_level
+from .errors import SamplingError
+from .families import seeded_rng
+from .levelset import SurfacePoint, _project_batch, _side, project_to_level
 from .shape import PrincipalSpectrum, spectrum_at
 from .sphere import SpherePoint
 
@@ -110,9 +110,7 @@ def focal_dimension_estimate(fam, side, base_count=4, neighbor_radius=1e-3,
     fixed ratio threshold cleanly separates them for r <= 1e-3.  Estimates
     from several base points must agree.
     """
-    side = _integer("side", side)
-    if side not in (1, -1):
-        raise InputContractError("side must be +1 or -1")
+    side = _side(side)
     rng = seeded_rng(seed, 0xF0CA1)
     dim = fam.ambient_dim
     needed = 2 * (dim + 2)

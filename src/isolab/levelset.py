@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputContractError, SamplingError, StartAtFocalError
-from .families import IsoparametricFamily, seeded_rng
+from .families import IsoparametricFamily, _integer, seeded_rng
 from .sphere import SpherePoint, TangentFrame, tangent_basis
 
 _GRAD_FLOOR = 1e-8
@@ -66,8 +66,25 @@ def _normalize_rows(x):
 
 
 def _is_focal(s):
-    """Whether the level s is a focal sheet V = +/-1."""
+    """Whether the level s is a focal sheet V = +/-1: the one test of it."""
     return abs(abs(s) - 1.0) < 1e-14
+
+
+def _hypersurface_level(s):
+    """s, when it names a level hypersurface M_s: -1 < s < 1 and not a focal
+    sheet (`_is_focal`).  Otherwise InputContractError, also for NaN."""
+    if not -1.0 < s < 1.0 or _is_focal(s):
+        raise InputContractError(
+            f"hypersurface levels live in (-1, 1) off +/-1, got {s!r}")
+    return s
+
+
+def _side(side):
+    """The focal sheet `side`, an integer (`_integer`) +1 or -1."""
+    side = _integer("side", side)
+    if side not in (1, -1):
+        raise InputContractError("side must be +1 or -1")
+    return side
 
 
 def _project_batch(fam, s, points, tol=None, accept=None):
@@ -273,7 +290,7 @@ def surface_point(fam: IsoparametricFamily, x: SpherePoint, level=None) -> Surfa
     """Wrap a point already lying on a level into a framed SurfacePoint."""
     v = float(fam.polynomial.value(x.coords))
     s = v if level is None else float(level)
-    focal = abs(abs(s) - 1.0) < 1e-9
+    focal = _is_focal(s)
     if abs(v - s) > (1e-10 if not focal else 1e-8):
         raise InputContractError(f"point has V = {v!r}, not the level {s!r}")
     if focal:

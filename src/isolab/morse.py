@@ -31,9 +31,10 @@ from .errors import (InputContractError, NearFocalPoleError, PoleIsFocalError,
                      SamplingError, StartAtFocalError)
 from .families import Report, _integer, seeded_rng
 from .levelset import (_GRAD_FLOOR, SurfacePoint, _circle_tangency,
-                       _frames_batch, _householder_frames, _is_focal,
-                       _level_jet, _normalize_rows, _project_batch,
-                       _row_norms, surface_point)
+                       _frames_batch, _householder_frames,
+                       _hypersurface_level, _is_focal, _level_jet,
+                       _normalize_rows, _project_batch, _row_norms, _side,
+                       surface_point)
 from .shape import PrincipalSpectrum, _shape_operators, arccot
 from .sphere import SpherePoint
 
@@ -92,7 +93,7 @@ class TightnessReport(Report):
     index_histogram: dict = field(default_factory=dict)
     worst_match_distance: float = 0.0
     worst_level_residual: float = 0.0
-    min_hessian_margin: float = float("inf")
+    min_hessian_margin: float | None = None  # null over no point
     rejected_poles: int = 0
     failures: list = field(default_factory=list)
 
@@ -110,6 +111,8 @@ class TightnessReport(Report):
         histogram, and a pole entry with `points` and the `shown` checks.
         An infinite `checks["match_distance"]` (a count mismatch) stays out
         of the worst match and reads null, since JSON has no infinity."""
+        self.min_hessian_margin = _extreme(min, self.min_hessian_margin,
+                                           *margins)
         entry = {"pole": [float(v) for v in pole.coords],
                  "count_newton": counts[0], "count_circle": counts[1]}
         match = checks["match_distance"]
@@ -117,9 +120,8 @@ class TightnessReport(Report):
             self.passed = False
             self.failures.append({**entry, **checks, "match_distance":
                                   match if np.isfinite(match) else None})
-        for index, margin in zip(indices, margins):
+        for index in indices:
             self.index_histogram[index] = self.index_histogram.get(index, 0) + 1
-            self.min_hessian_margin = min(self.min_hessian_margin, margin)
         if np.isfinite(match):
             self.worst_match_distance = max(self.worst_match_distance, match)
         self.worst_level_residual = max(self.worst_level_residual,
@@ -129,6 +131,12 @@ class TightnessReport(Report):
 
 
 # -- shared internals --------------------------------------------------------
+
+def _extreme(pick, *margins):
+    """`pick` (min or max) of the margins that are not None, and None over
+    no margin, since JSON has no infinity."""
+    return pick([m for m in margins if m is not None], default=None)
+
 
 def _size(name, value, least):
     """The integer (`_integer`) size argument `name`, at least `least`."""
@@ -452,8 +460,7 @@ def critical_points_newton(fam, s, pole: SpherePoint, num_starts=None, seed=0,
     focal count, degeneracy flag from the relative smallest Hessian
     eigenvalue).
     """
-    if not -1.0 < s < 1.0:
-        raise InputContractError("levels of hypersurfaces live in (-1, 1)")
+    s = _hypersurface_level(s)
     num_starts = 60 * fam.g if num_starts is None else _size(
         "num_starts", num_starts, 1)
     rng = seeded_rng(seed, 0x5EED)
@@ -479,7 +486,7 @@ def _normal_circle(fam, s, pole: SpherePoint):
         raise PoleIsFocalError("the pole lies on the focal set")
     eta, g, beta = w[0] / wn, fam.g, float(np.arccos(s))
     psi0 = float(np.arccos(np.clip(v0[0], -1.0, 1.0))) / g
-    focal = abs(s) == 1.0
+    focal = _is_focal(s)
     taus = [psi0 - (offset + 2 * np.pi * j) / g for j in range(-g - 1, g + 2)
             for offset in ((beta,) if focal else (beta, -beta))]
     tau = np.array(sorted(set(np.round(
@@ -509,9 +516,7 @@ def normal_circle_critical_points(fam, s, pole: SpherePoint, classify=True):
     so the crossings of the level s sit at 2g closed-form arc positions
     (`_normal_circle`).
     """
-    if not -1.0 < s < 1.0:
-        raise InputContractError("levels of hypersurfaces live in (-1, 1)")
-    X = _normal_circle(fam, s, pole)[1]
+    X = _normal_circle(fam, _hypersurface_level(s), pole)[1]
     if classify:
         return _classify(fam, s, pole.coords, X)
     return [surface_point(fam, SpherePoint(row), level=s) for row in X]
@@ -612,8 +617,7 @@ def tightness_report(fam, s, num_poles=100, seed=0) -> TightnessReport:
 
 def _focal_sphere_hessian(fam, Y, vals=None):
     """The sphere frames and the sphere-frame Hessian of V at the rows of Y
-    (points with V = +/-1), which `_focal_sphere_projector` and `_focal_chart`
-    read.
+    (points with V = +/-1), which `_focal_sphere_projector` reads.
 
     With sph the Householder frames of the sphere's tangent spaces, the
     Hessian of V restricted to the sphere is bmat = sph (H - g F I) sph^T,
@@ -631,51 +635,25 @@ def _focal_sphere_hessian(fam, Y, vals=None):
     return sph, 0.5 * (bmat + np.swapaxes(bmat, 1, 2))
 
 
-def _focal_eigh_cut(fam, bmat):
-    """The tangent spaces of the focal submanifold from one eigh of the
-    sphere-frame Hessians bmat (`_focal_sphere_hessian`): the eigenvectors
-    with |lambda| < g^2 / 2, the kernel separated by an O(g^2) gap from the
-    transverse eigenvalues.  Returns (|lambda| (B, D-1), eigenvectors
-    (B, D-1, D-1) with the columns outside the cut set to zero, dims (B,))."""
-    eigval, eigvec = np.linalg.eigh(bmat)
-    mag = np.abs(eigval)
-    keep = mag < fam.g ** 2 / 2.0
-    return mag, eigvec * keep[:, None, :], keep.sum(axis=1)
-
-
-def _focal_chart(fam, Y):
-    """The index route's chart at the rows of Y (points with V = +/-1): the
-    kernel of `_focal_sphere_hessian`'s bmat from `_focal_eigh_cut`, mapped
-    to ambient vectors through the frame.  Returns (dims (B,), charts
-    (B, D-1, D)): the rows of charts[b] are the ambient eigenvectors ordered
-    by increasing |lambda|, those outside the tangent space set to zero, so
-    where dims == d_foc the rows of charts[:, :d_foc] are an orthonormal
-    basis of the tangent space."""
-    sph, bmat = _focal_sphere_hessian(fam, Y)
-    mag, vec, dims = _focal_eigh_cut(fam, bmat)
-    amb = np.swapaxes(sph, 1, 2) @ vec  # (B, D, d-1)
-    order = np.argsort(mag, axis=1, kind="stable")
-    charts = np.take_along_axis(np.swapaxes(amb, 1, 2), order[:, :, None], 1)
-    return dims, charts
-
-
 def _focal_sphere_projector(fam, side, Y, vals=None):
     """Tangent projectors of the focal submanifold V = side at the rows of Y,
-    in the sphere frame, by matrix products: the one focal tangent projector,
-    read by the Newton route (`_focal_newton`) and the index stencil.
+    in the sphere frame, by matrix products: the one focal tangent object,
+    read by the Newton route (`_focal_newton`) and the index route.
 
     bmat (`_focal_sphere_hessian`, from the values F at Y when given) has
     eigenvalues 0 on T_yM and -side g^2 on its normal space in the sphere,
     so P = I + (side / g^2) bmat is the tangent projector up to roundoff.
     A row keeps that P where max |P^2 - P| is at most _PROJECTOR_TOL (every
-    row of a genuine family), and takes `_focal_eigh_cut` of its bmat
-    otherwise.  Returns (sph (B, D-1, D), projectors (B, D-1, D-1), dims
-    (B,)), dims the rounded traces."""
+    row of a genuine family), and else the eigenvectors of one eigh of its
+    bmat with |lambda| < g^2 / 2, the kernel an O(g^2) gap below the rest.
+    Returns (sph (B, D-1, D), projectors (B, D-1, D-1), dims (B,)), dims
+    the rounded traces."""
     sph, bmat = _focal_sphere_hessian(fam, Y, vals)
     proj = np.eye(bmat.shape[1]) + (side / fam.g ** 2) * bmat
     slow = np.abs(proj @ proj - proj).max(axis=(1, 2)) > _PROJECTOR_TOL
     if slow.any():
-        _mag, vec, _dims = _focal_eigh_cut(fam, bmat[slow])
+        lam, vec = np.linalg.eigh(bmat[slow])
+        vec *= np.abs(lam)[:, None, :] < fam.g ** 2 / 2.0
         proj[slow] = vec @ np.swapaxes(vec, 1, 2)
     dims = np.rint(np.trace(proj, axis1=1, axis2=2)).astype(int)
     return sph, proj, dims
@@ -738,7 +716,7 @@ def _focal_newton(fam, side, p, starts):
     retraction (`_project_batch`) hands its values on to the next
     residual, so a step makes no value call, and the rank check reads the
     first residual's traces.  This route never reads the circle route's
-    points, the expected count or the index route's chart (`_focal_chart`).
+    points, the expected count or the index route's chart (`_focal_index`).
 
     The converged points then get up to _FOCAL_POLISH more steps, a second
     masked loop at tolerance 0 from the first one's last state: along nearly
@@ -781,23 +759,24 @@ def _focal_circle_points(fam, side, pole):
     return _normal_circle(fam, float(side), pole)
 
 
-def _focal_index(fam, side, p, Y):
-    """Height-function Hessian index at each row of Y, in the chart of the
-    first d_foc rows of `_focal_chart` at Y (the only eigendecomposition),
-    d_foc the focal tangent dimension there, from central differences of
-    P(y) p with the projectors of `_focal_sphere_projector` at the moved rows
-    from the values their retraction hands back (no value call and no
-    third-derivative bank).  Returns (indices, margins)."""
+def _focal_index(fam, side, p, Y, vals):
+    """Height-function Hessian index at each row of Y (values F = `vals`)
+    from central differences of P(y) p, every P from `_focal_sphere_projector`
+    (at the moved rows from the values their retraction hands back).  The
+    chart is the top d_foc eigenvectors of one eigh of P at Y, through the
+    sphere frame; d_foc = 0 takes no eigh.  No value call and no
+    third-derivative bank.  Returns (indices, margins)."""
     def gradient(rows, vals):
         return _sphere_tangent_part(
             p, *_focal_sphere_projector(fam, side, rows, vals)[:2])
 
-    dims, charts = _focal_chart(fam, Y)
+    sph, proj, dims = _focal_sphere_projector(fam, side, Y, vals)
     d_foc = _focal_rank(dims)
     if d_foc == 0:
         return [0] * len(Y), [1.0] * len(Y)
+    basis = np.linalg.eigh(proj)[1][:, :, -d_foc:]
     eig = np.linalg.eigvalsh(_chart_hessians(
-        fam, float(side), Y, charts[:, :d_foc], 1e-8, gradient))
+        fam, float(side), Y, np.swapaxes(basis, 1, 2) @ sph, 1e-8, gradient))
     abs_eig = np.abs(eig)
     top = abs_eig.max(axis=1)
     margins = np.divide(abs_eig.min(axis=1), top, out=np.zeros_like(top),
@@ -817,9 +796,7 @@ def focal_tautness_report(fam, side, num_poles=50, seed=0,
     additionally verifies that all critical points lie on one great circle
     through the pole (collinearity residual below 1e-8).
     """
-    side = _integer("side", side)
-    if side not in (1, -1):
-        raise InputContractError("side must be +1 or -1")
+    side = _side(side)
     num_poles = _size("num_poles", num_poles, 1)
     report = TightnessReport(
         family=fam.label, level=float(side), g=fam.g, m1=fam.m1, m2=fam.m2,
@@ -844,9 +821,9 @@ def focal_tautness_report(fam, side, num_poles=50, seed=0,
         colin = float(np.linalg.norm(unique - unique @ plane.T @ plane,
                                      axis=1).max(initial=0.0))
         match = _match_distance(unique, circle_x)
-        indices, margins = _focal_index(fam, side, pole.coords, circle_x)
-        level_res = float(np.abs(np.abs(np.atleast_1d(
-            fam.polynomial.value(circle_x))) - 1.0).max())
+        vals = np.atleast_1d(fam.polynomial.value(circle_x))
+        indices, margins = _focal_index(fam, side, pole.coords, circle_x, vals)
+        level_res = float(np.abs(np.abs(vals) - 1.0).max())
         report.record(
             pole, (len(unique), len(circle_x)),
             match < 10 * DEDUP_RADIUS and colin < 1e-8,
@@ -870,35 +847,37 @@ def totally_focal_probe(fam, s, seed=0, num_nonfocal=50, num_focal=10,
     continuum and shows up as a cloud of non-isolated solutions.
     A pole violating the dichotomy in either direction is a hard failure.
     Also reports (without asserting) the margin for a pole offset 1e-5 from
-    the focal set, to document boundary behavior.
+    the focal set, to document boundary behavior.  Each pole takes
+    `num_starts` Newton starts (default 60 g); a margin over no point is null.
     """
+    s = _hypersurface_level(s)
     num_nonfocal = _size("num_nonfocal", num_nonfocal, 0)
     num_focal = _size("num_focal", num_focal, 0)
     num_starts = 60 * fam.g if num_starts is None else _size(
         "num_starts", num_starts, 1)
     rng = seeded_rng(seed, 0x70FA)
     nonfocal = {"poles": 0, "points": 0, "degenerate_points": 0,
-                "min_margin": float("inf")}
+                "min_margin": None}
     mixed_failures = []
 
-    def tally(stats, cps, p, kind):
-        """Count one pole's points into `stats`; returns their margins."""
+    def tally(stats, pick, key, cps, p, kind):
+        """Count one pole's points and `pick` their margins into `stats`."""
         flags = [cp.degenerate for cp in cps]
         stats["poles"] += 1
         stats["points"] += len(cps)
         stats["degenerate_points"] += sum(flags)
         if any(flags) and not all(flags):
             mixed_failures.append({"pole": [float(v) for v in p], "kind": kind})
-        return [cp.hessian_margin for cp in cps]
+        stats[key] = _extreme(pick, stats[key],
+                              *(cp.hessian_margin for cp in cps))
 
     for i in range(num_nonfocal):
         pole = _draw_pole(fam, rng)
-        pts = critical_points_newton(fam, s, pole, seed=seed + i,
+        pts = critical_points_newton(fam, s, pole, num_starts, seed + i,
                                      degenerate_threshold=_DEGENERATE_PROBE)
-        nonfocal["min_margin"] = min(nonfocal["min_margin"], min(
-            tally(nonfocal, pts, pole.coords, "non-focal")))
+        tally(nonfocal, min, "min_margin", pts, pole.coords, "non-focal")
     focal = {"poles": 0, "points": 0, "degenerate_points": 0,
-             "max_margin": 0.0}
+             "max_margin": None}
     for i in range(num_focal):
         side = 1.0 if i % 2 == 0 else -1.0
         p = project_to_level_focal(fam, side,
@@ -906,8 +885,7 @@ def totally_focal_probe(fam, s, seed=0, num_nonfocal=50, num_focal=10,
         cps = _classify(fam, s, p, _newton_route(
             fam, s, p, rng.normal(size=(num_starts, fam.ambient_dim))),
             _DEGENERATE_PROBE)
-        focal["max_margin"] = max([focal["max_margin"],
-                                   *tally(focal, cps, p, "focal")])
+        tally(focal, max, "max_margin", cps, p, "focal")
     # boundary demonstration: a pole just off the focal set
     raw = rng.normal(size=fam.ambient_dim)
     base = project_to_level_focal(fam, 1.0, raw)
@@ -915,12 +893,12 @@ def totally_focal_probe(fam, s, seed=0, num_nonfocal=50, num_focal=10,
     w -= (w @ base.coords) * base.coords
     w /= np.linalg.norm(w)
     near = SpherePoint(np.cos(1e-5) * base.coords + np.sin(1e-5) * w)
-    near_pts = critical_points_newton(fam, s, near, seed=seed + 991,
+    near_pts = critical_points_newton(fam, s, near, num_starts, seed + 991,
                                       degenerate_threshold=_DEGENERATE_PROBE)
     boundary = {
         "offset": 1e-5,
         "min_margin": min((cp.hessian_margin for cp in near_pts),
-                          default=float("nan")),
+                          default=None),
         "count": len(near_pts),
     }
     passed = (nonfocal["degenerate_points"] == 0

@@ -19,7 +19,8 @@ import numpy as np
 
 from .errors import ClusteringError, FocalCrossingError, FocalDegeneracyError
 from .families import Report
-from .levelset import SurfacePoint, sample_points, spherical_gradient
+from .levelset import (SurfacePoint, _hypersurface_level, sample_points,
+                       spherical_gradient)
 
 _VALID_COUNTS = (1, 2, 3, 4, 6)
 _DEFAULT_CLUSTER_TOL = 1e-4
@@ -175,7 +176,7 @@ def isoparametric_check(fam, s, num_samples=100, seed=0,
     checks: identical cluster values across points (within tol), arccot
     spacing pi/g (within tol), and period-two multiplicity alternation.
     """
-    pts = sample_points(fam, s, num_samples, seed)
+    pts = sample_points(fam, _hypersurface_level(s), num_samples, seed)
     all_values = []
     failure = None
     mults = None

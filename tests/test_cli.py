@@ -166,11 +166,14 @@ def test_unknown_user_polynomial_parameter_is_usage_error(capsys):
                        "--params", '{"bogus": 1}')
 
 
-@pytest.mark.parametrize("level", ["nan", "inf", "2"])
+@pytest.mark.parametrize("level", ["nan", "inf", "2", "1",
+                                   "0.999999999999999", "-0.999999999999999"])
 @pytest.mark.parametrize("command", ["spectrum", "focal", "export-curves",
-                                     "export-mesh"])
+                                     "export-mesh", "tight", "totally-focal"])
 def test_level_outside_the_sphere_is_usage_error(tmp_path, capsys, command,
                                                  level):
+    # within 1e-14 of +/-1 a level is a focal sheet, which has no
+    # hypersurface to certify
     assert_usage_error(capsys, command, "--family", "cartan-cubic",
                        "--level", level, "--out", str(tmp_path / "out"))
 

@@ -3,13 +3,38 @@
 import numpy as np
 import pytest
 
-from isolab import (SpherePoint, StartAtFocalError, catalog,
+from isolab import (InputContractError, SpherePoint, StartAtFocalError,
+                    catalog, critical_points_newton,
+                    euclidean_taut_spot_check, export_mesh,
+                    isoparametric_check, normal_circle_critical_points,
                     project_to_level, sample_points, spherical_gradient,
-                    surface_point)
+                    surface_point, tightness_report, totally_focal_probe)
 from isolab import levelset
 from isolab.levelset import (_frames_batch, _householder_frames,
                              _normalize_rows, _project_batch, _row_norms)
 from isolab.polynomial import CMPolynomial
+
+
+HYPERSURFACE_POLE = SpherePoint(np.array([0.12, 0.23, 0.34, 0.90]))
+
+
+@pytest.mark.parametrize("call", [
+    lambda fam, s: critical_points_newton(fam, s, HYPERSURFACE_POLE),
+    lambda fam, s: normal_circle_critical_points(fam, s, HYPERSURFACE_POLE),
+    lambda fam, s: tightness_report(fam, s, num_poles=1),
+    lambda fam, s: totally_focal_probe(fam, s, num_nonfocal=0, num_focal=1),
+    lambda fam, s: isoparametric_check(fam, s, num_samples=1),
+    lambda fam, s: export_mesh(fam, s, HYPERSURFACE_POLE),
+    lambda fam, s: euclidean_taut_spot_check(fam, s, HYPERSURFACE_POLE,
+                                             num_centers=1)])
+@pytest.mark.parametrize("s", [1 - 1e-15, -1 + 1e-15])
+def test_hypersurface_entry_points_refuse_a_focal_sheet(fam_clifford, call,
+                                                        s):
+    # a level within 1e-14 of +/-1 is a focal sheet: the one decision of
+    # `_is_focal`, which every hypersurface entry point reads
+    assert levelset._is_focal(s)
+    with pytest.raises(InputContractError, match="levels live in"):
+        call(fam_clifford, s)
 
 
 def test_gradient_norm_identity(all_families):

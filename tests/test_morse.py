@@ -1,5 +1,7 @@
 """Critical-point machinery: both algorithms, both index computations."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -363,11 +365,10 @@ def test_exact_focal_jacobian_matches_finite_differences():
             Y = Y[ok]
             p = rng.normal(size=fam.ambient_dim)
             p /= np.linalg.norm(p)
-            dims, charts = morse._focal_chart(fam, Y)
-            d_foc = int(dims[0])
-            assert len(Y) >= 4 and (dims == d_foc).all() and d_foc > 0
-            chart = charts[:, :d_foc]
-            proj = loop_focal_tangent_projector(fam, Y)[0]
+            proj, dims = loop_focal_tangent_projector(fam, Y)
+            d_foc = dims[0]
+            assert len(Y) >= 4 and dims == [d_foc] * len(Y) and d_foc > 0
+            chart = projector_chart(proj, d_foc)
             q = np.einsum("bij,j->bi", proj, p)
             exact = morse._focal_jacobian(fam, side, p, Y, chart, q)
             oracle = fd_focal_jacobian(fam, side, p, Y, chart)
@@ -403,19 +404,33 @@ def loop_focal_tangent_projector(fam, Y):
     return proj, dims
 
 
-def test_focal_tangent_projector_matches_per_row_loop():
-    # the index route's tangent spaces, the leading rows of `_focal_chart`,
-    # are those of one eigh per row in another frame
-    rng = np.random.default_rng(59)
+def focal_index_chart(monkeypatch, fam, side, p, Y):
+    # the chart `_focal_index` hands its stencil at the rows Y: (B, d_foc, D)
+    charts = []
+    chart_hessians = morse._chart_hessians
+    with monkeypatch.context() as patch:
+        patch.setattr(morse, "_chart_hessians", lambda *args: (
+            charts.append(args[3]) or chart_hessians(*args)))
+        morse._focal_index(fam, side, p, Y, fam.polynomial.value(Y))
+    return charts[0]
+
+
+def test_focal_tangent_projector_matches_per_row_loop(monkeypatch):
+    # the index route's tangent spaces, spanned by the chart it takes from
+    # one eigh of the product projector, are those of one eigh per row in
+    # another frame
+    rng, poles = np.random.default_rng(59), np.random.default_rng(89)
     for fam in (catalog("cartan-cubic"), catalog("nomizu-quartic", n=2),
                 catalog("clifford", k=2, n=7)):
         for side in (1, -1):
             Y, ok = _project_batch(fam, float(side),
                                    rng.normal(size=(6, fam.ambient_dim)))[:2]
-            dims, charts = morse._focal_chart(fam, Y[ok])
+            p = morse._draw_pole(fam, poles).coords
+            chart = focal_index_chart(monkeypatch, fam, side, p, Y[ok])
             want, want_dims = loop_focal_tangent_projector(fam, Y[ok])
-            assert dims.tolist() == want_dims, (fam.label, side)
-            proj = np.stack([c[:d].T @ c[:d] for c, d in zip(charts, dims)])
+            assert [chart.shape[1]] * len(chart) == want_dims, (fam.label,
+                                                                side)
+            proj = np.swapaxes(chart, 1, 2) @ chart
             # the batched products sum in another order: roundoff only
             assert np.abs(proj - want).max() <= 1e-13, (fam.label, side)
 
@@ -464,10 +479,13 @@ def test_product_projector_falls_back_to_the_eigh_cut(fam_nomizu,
     eigh_rows = record_eigh(monkeypatch)
     _sph, proj, dims = morse._focal_sphere_projector(fam_nomizu, 1, Y)
     assert eigh_rows == [5]
-    # every row matches the eigh cut of the same bent Hessians
-    _mag, vec, want_dims = morse._focal_eigh_cut(fam_nomizu, bent)
+    # every row matches the eigh cut of the same bent Hessians: the
+    # eigenvectors with |lambda| < g^2 / 2
+    lam, vec = np.linalg.eigh(bent)
+    keep = np.abs(lam) < g2 / 2.0
+    vec = vec * keep[:, None, :]
     assert np.abs(proj - vec @ np.swapaxes(vec, 1, 2)).max() <= 1e-13
-    assert dims.tolist() == want_dims.tolist()
+    assert dims.tolist() == keep.sum(axis=1).tolist()
     assert dims[2] == dims[5] - 1
 
 
@@ -522,8 +540,9 @@ def test_focal_newton_makes_one_value_call(monkeypatch):
 
 
 def test_focal_index_takes_eigh_at_its_base_rows_only(monkeypatch):
-    # the stencil's moved rows read the product projector, so the only
-    # eigendecomposition is the chart's, one row per base point
+    # every row reads the product projector, so the only eigendecomposition
+    # is the chart's, one row per base point, and none where the focal set
+    # is a point (great-sphere) and has no tangent space
     eigh_rows = record_eigh(monkeypatch)
     rng = np.random.default_rng(83)
     for label, params in PROJECTOR_FAMILIES:
@@ -531,10 +550,13 @@ def test_focal_index_takes_eigh_at_its_base_rows_only(monkeypatch):
         pole = morse._draw_pole(fam, rng)
         for side in (1, -1):
             _eta, Y = morse._focal_circle_points(fam, side, pole)
+            vals = fam.polynomial.value(Y)
             eigh_rows.clear()
-            indices, _margins = morse._focal_index(fam, side, pole.coords, Y)
+            indices, _margins = morse._focal_index(fam, side, pole.coords, Y,
+                                                   vals)
             assert len(indices) == len(Y), (label, side)
-            assert eigh_rows == [len(Y)], (label, side, eigh_rows)
+            want = [] if label == "great-sphere" else [len(Y)]
+            assert eigh_rows == want, (label, side, eigh_rows)
 
 
 def projector_chart(proj, d_foc):
@@ -544,19 +566,19 @@ def projector_chart(proj, d_foc):
     return np.swapaxes(v[:, :, -d_foc:], 1, 2)
 
 
-def test_focal_charts_are_orthonormal_tangent_bases():
-    rng = np.random.default_rng(61)
+def test_focal_charts_are_orthonormal_tangent_bases(monkeypatch):
+    rng, poles = np.random.default_rng(61), np.random.default_rng(89)
     for fam in (catalog("cartan-cubic"), catalog("nomizu-quartic", n=2),
                 catalog("clifford", k=2, n=7)):
         for side in (1, -1):
             Y, ok = _project_batch(fam, float(side),
                                    rng.normal(size=(6, fam.ambient_dim)))[:2]
-            dims, charts = morse._focal_chart(fam, Y[ok])
-            proj = loop_focal_tangent_projector(fam, Y[ok])[0]
-            d_foc = int(dims[0])
-            assert (dims == d_foc).all() and d_foc > 0, (fam.label, side)
-            assert not charts[:, d_foc:].any(), (fam.label, side)
-            chart = charts[:, :d_foc]
+            p = morse._draw_pole(fam, poles).coords
+            chart = focal_index_chart(monkeypatch, fam, side, p, Y[ok])
+            proj, dims = loop_focal_tangent_projector(fam, Y[ok])
+            d_foc = chart.shape[1]
+            assert dims == [d_foc] * len(Y[ok]) and d_foc > 0, (fam.label,
+                                                                side)
             eye = np.eye(d_foc)
             gram = chart @ np.swapaxes(chart, 1, 2)
             assert np.abs(gram - eye).max() <= 1e-13, (fam.label, side)
@@ -570,8 +592,8 @@ def test_focal_charts_are_orthonormal_tangent_bases():
 
 
 def test_focal_newton_diagonalizes_no_ambient_matrix(fam_nomizu, monkeypatch):
-    # the chart comes from the sphere-frame eigenvectors the tangent
-    # projector already computed, never from an eigh of the D x D projector
+    # the index chart comes from an eigh of the sphere-frame projector,
+    # never from one of the D x D ambient projector
     shapes = []
     eigh = np.linalg.eigh
 
@@ -589,8 +611,9 @@ def test_focal_newton_diagonalizes_no_ambient_matrix(fam_nomizu, monkeypatch):
         sols, _rnorm = morse._focal_newton(fam_nomizu, side, pole.coords,
                                            starts[ok])
         _eta, Y = morse._focal_circle_points(fam_nomizu, side, pole)
-        morse._focal_index(fam_nomizu, side, pole.coords, Y)
-        d_foc = int(morse._focal_chart(fam_nomizu, Y)[0][0])
+        morse._focal_index(fam_nomizu, side, pole.coords, Y,
+                           fam_nomizu.polynomial.value(Y))
+        d_foc = loop_focal_tangent_projector(fam_nomizu, Y)[1][0]
         assert len(sols) and d_foc > 0, side
     assert shapes and (d, d) not in shapes, sorted(set(shapes))
 
@@ -640,7 +663,8 @@ def test_focal_newton_retracts_once_per_step(fam_nomizu, monkeypatch):
     assert counts["retract"] <= counts["step"] == counts["third"]
     counts["third"] = 0
     _eta, Y = morse._focal_circle_points(fam_nomizu, 1, pole)
-    indices, _margins = morse._focal_index(fam_nomizu, 1, pole.coords, Y)
+    indices, _margins = morse._focal_index(fam_nomizu, 1, pole.coords, Y,
+                                           fam_nomizu.polynomial.value(Y))
     assert counts["third"] == 0 and len(indices) == len(Y)
 
 
@@ -707,10 +731,10 @@ def test_chart_hessians_match_entrywise_loop(monkeypatch):
     # central differences of the Riemannian gradient give the old stencil's
     # indices, and both stencils stay within 1e-6 of the exact Riemannian
     # Hessians that steer the two Newton solvers
-    captured = []
+    captured = []  # (charts, hessians) of each stencil call
     chart_hessians = morse._chart_hessians
     monkeypatch.setattr(morse, "_chart_hessians", lambda *args: (
-        captured.append(chart_hessians(*args)) or captured[-1]))
+        captured.append((args[3], chart_hessians(*args))) or captured[-1][1]))
 
     def close(hessians, exact):
         err = np.abs(hessians - exact).max() / np.abs(exact).max()
@@ -734,14 +758,14 @@ def test_chart_hessians_match_entrywise_loop(monkeypatch):
         assert indices(hessians, -1) == indices(loop, -1), fam.label
         for side in (1, -1):
             _eta, Y = morse._focal_circle_points(fam, side, pole)
-            dims, charts = morse._focal_chart(fam, Y)
-            d_foc = int(dims[0])
-            chart = charts[:, :d_foc]
             captured.clear()
-            got, _margins = morse._focal_index(fam, side, p, Y)
+            got, _margins = morse._focal_index(fam, side, p, Y,
+                                               fam.polynomial.value(Y))
+            chart, focal_hessians = captured[0]
             proj = loop_focal_tangent_projector(fam, Y)[0]
             jac = morse._focal_jacobian(fam, side, p, Y, chart, proj @ p)
-            assert close(captured[0], 0.5 * (jac + np.swapaxes(jac, 1, 2))), \
+            assert close(focal_hessians,
+                         0.5 * (jac + np.swapaxes(jac, 1, 2))), \
                 (fam.label, side)
             loop = loop_chart_hessians(fam, side, p, Y, chart, accept=1e-8)
             assert got == indices(loop, 1), (fam.label, side)
@@ -760,9 +784,10 @@ def test_index_stencils_retract_two_moves_per_chart_vector(fam_nomizu,
     assert rows == [2 * (fam_nomizu.ambient_dim - 2) * len(X)]
     for side in (1, -1):
         _eta, Y = morse._focal_circle_points(fam_nomizu, side, pole)
-        d_foc = int(morse._focal_chart(fam_nomizu, Y)[0][0])
+        d_foc = loop_focal_tangent_projector(fam_nomizu, Y)[1][0]
         rows.clear()
-        morse._focal_index(fam_nomizu, side, pole.coords, Y)
+        morse._focal_index(fam_nomizu, side, pole.coords, Y,
+                           fam_nomizu.polynomial.value(Y))
         assert rows == [2 * d_foc * len(Y)], side
 
 
@@ -796,9 +821,9 @@ def test_hessian_stencil_reads_the_jet_of_its_retraction(fam_nomizu,
 
 def test_focal_index_reads_the_values_of_its_retraction(fam_nomizu,
                                                         monkeypatch):
-    # the projectors at the moved rows are built from the values the
-    # stencil's retraction hands back; the one value call left is the
-    # chart's, at the base rows
+    # the projectors at the base rows are built from the values handed in,
+    # and those at the moved rows from the values the stencil's retraction
+    # hands back: no value call
     rows = []
     value = CMPolynomial.value
     monkeypatch.setattr(CMPolynomial, "value", lambda self, x: (
@@ -806,11 +831,12 @@ def test_focal_index_reads_the_values_of_its_retraction(fam_nomizu,
     pole = morse._draw_pole(fam_nomizu, np.random.default_rng(59))
     for side in (1, -1):
         _eta, Y = morse._focal_circle_points(fam_nomizu, side, pole)
+        vals = fam_nomizu.polynomial.value(Y)
         rows.clear()
         indices, _margins = morse._focal_index(fam_nomizu, side, pole.coords,
-                                               Y)
+                                               Y, vals)
         assert len(indices) == len(Y)
-        assert rows == [len(Y)], (side, rows)
+        assert rows == [], (side, rows)
 
 
 @pytest.mark.parametrize("call", [
@@ -839,10 +865,10 @@ def test_focal_index_matches_per_point_loop(fam_cartan, fam_nomizu):
         pole = morse._draw_pole(fam, np.random.default_rng(37))
         for side in (1, -1):
             _eta, Y = morse._focal_circle_points(fam, side, pole)
-            dims, charts = morse._focal_chart(fam, Y)
-            d_foc = int(dims[0])
-            indices, margins = morse._focal_index(fam, side, pole.coords, Y)
-            chart = charts[:, :d_foc]
+            proj, dims = loop_focal_tangent_projector(fam, Y)
+            indices, margins = morse._focal_index(fam, side, pole.coords, Y,
+                                                  fam.polynomial.value(Y))
+            chart = projector_chart(proj, dims[0])
             want_i, want_m = [], []
             for k in range(len(Y)):  # one retraction batch per point
                 eig = np.linalg.eigvalsh(loop_chart_hessians(
@@ -1292,12 +1318,54 @@ def test_newton_entries_share_one_route(fam_clifford, monkeypatch):
     assert all(s == 0.3 for _v, _n, s in seen)
     assert abs(seen[0][0]) <= 1.0 - morse._POLE_MARGIN
     assert [abs(abs(v) - 1.0) <= 1e-12 for v, _n, _s in seen[1:3]] == [True] * 2
+    # every pole of the probe takes its num_starts starts
+    seen.clear()
+    totally_focal_probe(fam_clifford, 0.3, seed=4, num_nonfocal=2,
+                        num_focal=2, num_starts=12)
+    assert [n for _v, n, _s in seen] == [12] * 5
     # the focal report solves on the sheet through the same route
     for side in (1, -1):
         seen.clear()
         focal_tautness_report(fam_clifford, side, num_poles=2, seed=5,
                               starts_per_pole=12)
         assert [(n, s) for _v, n, s in seen] == [(12, float(side))] * 2
+
+
+def test_focal_report_evaluates_its_circle_points_once(fam_nomizu,
+                                                       monkeypatch):
+    # one value call per pole on the circle points serves both the index
+    # witness and the level residual
+    circles, calls = [], []
+    circle_points, value = morse._focal_circle_points, CMPolynomial.value
+    monkeypatch.setattr(morse, "_focal_circle_points", lambda *args: (
+        circles.append(circle_points(*args)) or circles[-1]))
+    monkeypatch.setattr(CMPolynomial, "value", lambda self, x: (
+        calls.append(np.array(x, copy=True)) or value(self, x)))
+    for side in (1, -1):
+        circles.clear()
+        calls.clear()
+        focal_tautness_report(fam_nomizu, side, num_poles=1, seed=3)
+        circle_x = circles[-1][1]
+        assert sum(np.array_equal(x, circle_x) for x in calls) == 1, side
+
+
+def test_probe_margins_over_no_point_are_null(fam_clifford, monkeypatch):
+    # a margin taken over no point is null, never inf or nan, so the probe
+    # stays JSON: no non-focal pole, then poles whose routes find nothing
+    probe = totally_focal_probe(fam_clifford, 0.3, num_nonfocal=0,
+                                num_focal=0)
+    assert probe["nonfocal"]["min_margin"] is None
+    assert probe["focal"]["max_margin"] is None
+    json.dumps(probe, allow_nan=False)
+    monkeypatch.setattr(morse, "_newton_route", lambda fam, s, p, raw: (
+        np.empty((0, fam.ambient_dim))))
+    probe = totally_focal_probe(fam_clifford, 0.3, num_nonfocal=1,
+                                num_focal=1)
+    assert [probe[k][m] for k, m in (("nonfocal", "min_margin"),
+                                     ("focal", "max_margin"),
+                                     ("boundary", "min_margin"))] == [None] * 3
+    assert not probe["pass"]
+    json.dumps(probe, allow_nan=False)
 
 
 def test_probe_without_usable_starts_is_a_sampling_error(fam_clifford,

@@ -65,11 +65,20 @@ def test_count_mismatch_is_a_null_match_in_both_reports(fam_clifford,
         json.dumps(out.to_dict(), allow_nan=False)
 
 
+def test_report_without_newton_points_has_a_null_margin(fam_clifford,
+                                                        monkeypatch):
+    # a margin taken over no point reads null, since JSON has no infinity
+    monkeypatch.setattr(morse, "critical_points_newton", lambda *a, **k: [])
+    report = tightness_report(fam_clifford, 0.3, num_poles=1, seed=3)
+    assert not report.passed and report.min_hessian_margin is None
+    json.dumps(report.to_dict(), allow_nan=False)
+
+
 def test_compare_reports_finds_no_difference_within_one_tree():
     proc = subprocess.run([sys.executable, str(COMPARE), str(ROOT), str(ROOT),
                            "--quick"], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert proc.stdout.splitlines() == ["0 of 44 reports differ"]
+    assert proc.stdout.splitlines() == ["0 of 52 reports differ"]
 
 
 def test_compare_reports_names_what_differs():
