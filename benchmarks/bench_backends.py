@@ -39,7 +39,8 @@ with its bank calls).  The last row times the residual sweep of the
 defining identities (`verify_munzner` on nomizu-quartic n=5 at 100 000
 points) stage by stage, in milliseconds: the ball sampling, the gradient
 bank, the Laplacian bank, the residual arithmetic alone, and the whole
-public call.
+public call; and the peak memory of one whole call as `tracemalloc` traces
+it, in MiB.
 
     python benchmarks/bench_backends.py [--quick]
 
@@ -51,6 +52,7 @@ import argparse
 import pathlib
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 
@@ -150,8 +152,9 @@ def interleaved_medians(fn, ref, count):
 def sweep_stages(quick):
     """The residual sweep (`verify_munzner`, nomizu-quartic n=5) stage by
     stage: the ball sampling, the gradient and Laplacian banks, and the
-    residual arithmetic alone (the sweep with the samples and both banks
-    handed in precomputed), then the whole public call."""
+    residual arithmetic alone (the sweep with the samples and both banks'
+    outputs for each of its chunks handed in precomputed), then the whole
+    public call and the peak traced memory of one call."""
     fam = catalog("nomizu-quartic", n=5)
     poly = fam.polynomial
     size = 2000 if quick else 100_000
@@ -162,17 +165,20 @@ def sweep_stages(quick):
                                       fam.ambient_dim, 2.0)
 
     X = sample()
-    G, L = poly.gradient(X), poly.laplacian(X)
     stages = {"sample": sample,
               "gradient": lambda: poly.gradient(X),
               "laplacian": lambda: poly.laplacian(X)}
     cells = {name: time_call(call, repeats) for name, call in stages.items()}
+    # the banks' outputs per chunk, keyed by the address of the chunk's rows
+    banks = {X[rows].ctypes.data: (poly.gradient(X[rows]),
+                                   poly.laplacian(X[rows]))
+             for rows in families._chunks(size)}
     saved = (families._ball_samples, CMPolynomial.gradient,
              CMPolynomial.laplacian)
     try:
         families._ball_samples = lambda *args: X
-        CMPolynomial.gradient = lambda self, x: G
-        CMPolynomial.laplacian = lambda self, x: L
+        CMPolynomial.gradient = lambda self, x: banks[x.ctypes.data][0]
+        CMPolynomial.laplacian = lambda self, x: banks[x.ctypes.data][1]
         cells["arithmetic"] = time_call(
             lambda: verify_munzner(fam, num_points=size, radius=2.0), repeats)
     finally:
@@ -180,9 +186,16 @@ def sweep_stages(quick):
          CMPolynomial.laplacian) = saved
     cells["total"] = time_call(
         lambda: verify_munzner(fam, num_points=size, radius=2.0), repeats)
+    tracemalloc.start()
+    try:
+        verify_munzner(fam, num_points=size, radius=2.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     print(f"{'residual sweep (ms)':<20}" + "".join(f"{k:>12}" for k in cells)
-          + f"   (d=12, N={size})")
-    print(f"{'':<20}" + "".join(f"{v * 1e3:>12.1f}" for v in cells.values()))
+          + f"{'peak MiB':>12}   (d=12, N={size})")
+    print(f"{'':<20}" + "".join(f"{v * 1e3:>12.1f}" for v in cells.values())
+          + f"{peak / 2 ** 20:>12.1f}")
 
 
 def divisor_widths(poly):

@@ -13,9 +13,12 @@ focal probe at the level 0.3, and the focal tautness reports on both sheets;
 plus the Euclidean spot check on clifford(1,2) at the level 0 at both seeds,
 from `SPOT_POLE` and from `DISTORTED_POLE`, whose image is stretched enough
 that Newton from the grid alone misses an extreme, so that only its
-gradient-flow starts find it.  Full runs take 10 poles per report, 40
-spectrum samples and 8 spot-check centers, and the probe takes 10 non-focal
-and 2 focal poles; `--quick` takes 1, 4 and 2, and 1 and 1.
+gradient-flow starts find it; and the residual sweep of the benchmark's
+`sweep` workload (nomizu-quartic n=5 at 100 000 points of the ball of
+radius 2) at both seeds, which the sweep takes in 25 chunks, the last one
+partial.  Full runs take 10 poles per report, 40 spectrum samples and 8
+spot-check centers, and the probe takes 10 non-focal and 2 focal poles;
+`--quick` takes 1, 4 and 2, and 1 and 1.
 
 One line is printed per report that differs or that one tree lacks.  It
 names the leaves that differ: how many float leaves move, with the largest
@@ -72,6 +75,11 @@ def _reports(quick):
             yield (f"clifford seed={seed} spot check{tag}",
                    euclidean_taut_spot_check(fam, 0.0, pole,
                                              num_centers=centers, seed=seed))
+    fam = catalog("nomizu-quartic", n=5)
+    name = "nomizu-quartic" + json.dumps({"n": 5})
+    for seed in SEEDS:
+        yield (f"{name} seed={seed} sweep",
+               verify_munzner(fam, num_points=100_000, radius=2.0, seed=seed))
 
 
 def _dump(root, quick):

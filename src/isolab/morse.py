@@ -271,7 +271,7 @@ def _level_flow(fam, s, X, value, gradient, sign):
     return X
 
 
-def _newton_multistart(fam, s, p, starts):
+def _newton_multistart(fam, s, p, starts, *jet):
     """Drive each start to a zero of the tangential residual on M_s.
 
     Newton in the chart spanned by the frame at the current iterate, with
@@ -279,9 +279,11 @@ def _newton_multistart(fam, s, p, starts):
     onto critical manifolds when the pole is focal), each move retracted to
     the level.  The residual builds its frames from the jet the retraction
     ends with, so a step makes one Hessian-bank call and one
-    gradient-bank call per retraction pass, and no value call.  The
-    Jacobian only steers: a start counts as converged by its residual
-    alone.  Returns (solutions, residual_norms, diagnostics).
+    gradient-bank call per retraction pass, and no value call; the first
+    residual reads the starts' jet (F, grad F) when it is handed in, and
+    else makes one gradient-bank call.  The Jacobian only steers: a start
+    counts as converged by its residual alone.  Returns (solutions,
+    residual_norms, diagnostics).
     """
     X = np.array(starts, dtype=np.float64)
 
@@ -295,8 +297,8 @@ def _newton_multistart(fam, s, p, starts):
         jac = _newton_jacobian(fam, p, rows, xi, frames, vals, wn)
         return _chart_step(fam, s, rows, frames, jac, q)
 
-    rnorm, _state = _masked_newton(X, residual(X), residual, step, NEWTON_TOL,
-                                   _NEWTON_MAX_ITER)
+    rnorm, _state = _masked_newton(X, residual(X, *jet), residual, step,
+                                   NEWTON_TOL, _NEWTON_MAX_ITER)
     converged = rnorm <= NEWTON_TOL
     diag = {"starts": int(X.shape[0]), "converged": int(converged.sum()),
             "discarded": int((~converged).sum())}
@@ -440,13 +442,14 @@ def _newton_route(fam, s, p, raw):
     """The Newton route from the ambient draws `raw`: project them to the
     level M_s or the focal sheet V = s, solve from the usable ones
     (`_focal_newton` on a sheet, `_newton_multistart` on a level;
-    SamplingError when there are none) and deduplicate.  Returns the
-    distinct critical points of d_p."""
-    starts, ok = _project_batch(fam, s, raw)[:2]
+    SamplingError when there are none) and deduplicate.  The solver's first
+    residual reads the values the projection ends with (F on a sheet, F
+    and grad F on a level).  Returns the distinct critical points of d_p."""
+    starts, ok, *handed = _project_batch(fam, s, raw)
     if not ok.any():
         raise SamplingError("no usable Newton starts")
     solve = _focal_newton if _is_focal(s) else _newton_multistart
-    sols, rnorm = solve(fam, s, p, starts[ok])[:2]
+    sols, rnorm = solve(fam, s, p, starts[ok], *(h[ok] for h in handed))[:2]
     return _dedup(fam, sols, rnorm)
 
 
@@ -688,7 +691,7 @@ def _focal_rank(dims):
     return d_foc
 
 
-def _focal_newton(fam, side, p, starts):
+def _focal_newton(fam, side, p, starts, vals=None):
     """Newton multistart for critical points of d_p on the focal submanifold
     M = {V = side}: zeros of the projection P(y) p of p onto the tangent
     spaces, each move retracted back to the focal level.
@@ -715,8 +718,10 @@ def _focal_newton(fam, side, p, starts):
     identity on the normal space, so the step moves along T_yM only.  The
     retraction (`_project_batch`) hands its values on to the next
     residual, so a step makes no value call, and the rank check reads the
-    first residual's traces.  This route never reads the circle route's
-    points, the expected count or the index route's chart (`_focal_index`).
+    first residual's traces; that residual reads the values F at the
+    starts when they are handed in as `vals`, and else makes one value
+    call.  This route never reads the circle route's points, the expected
+    count or the index route's chart (`_focal_index`).
 
     The converged points then get up to _FOCAL_POLISH more steps, a second
     masked loop at tolerance 0 from the first one's last state: along nearly
@@ -724,7 +729,7 @@ def _focal_newton(fam, side, p, starts):
     position error up to tol/|J|, and the polish pushes positions to the
     evaluation-noise floor instead."""
     Y = np.array(starts, dtype=np.float64)
-    first = _focal_sphere_projector(fam, side, Y)
+    first = _focal_sphere_projector(fam, side, Y, vals)
     d_foc = _focal_rank(first[2])
     if d_foc == 0:
         # the focal set is a point; every projected start already solves it
@@ -849,6 +854,8 @@ def totally_focal_probe(fam, s, seed=0, num_nonfocal=50, num_focal=10,
     Also reports (without asserting) the margin for a pole offset 1e-5 from
     the focal set, to document boundary behavior.  Each pole takes
     `num_starts` Newton starts (default 60 g); a margin over no point is null.
+    A pass needs at least one non-focal pole and one focal point, so a probe
+    with `num_nonfocal=0` runs but never passes.
     """
     s = _hypersurface_level(s)
     num_nonfocal = _size("num_nonfocal", num_nonfocal, 0)
@@ -901,7 +908,8 @@ def totally_focal_probe(fam, s, seed=0, num_nonfocal=50, num_focal=10,
                           default=None),
         "count": len(near_pts),
     }
-    passed = (nonfocal["degenerate_points"] == 0
+    passed = (nonfocal["poles"] > 0
+              and nonfocal["degenerate_points"] == 0
               and focal["points"] > 0
               and focal["degenerate_points"] == focal["points"]
               and not mixed_failures)

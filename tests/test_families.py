@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,8 +15,9 @@ from isolab import (FamilyIntegrityError, FamilyRejectedError,
                     munzner_residuals, orbit_level_check, restrict_V,
                     sample_points, tightness_report, totally_focal_probe,
                     verify_munzner)
-from isolab.families import (_ball_samples, ambient_to_sym3, sym3_basis,
-                             sym3_to_ambient)
+from isolab import _kernels_py
+from isolab.families import (_ball_samples, _chunks, ambient_to_sym3,
+                             seeded_rng, sym3_basis, sym3_to_ambient)
 from isolab.polynomial import CMPolynomial
 
 
@@ -67,19 +69,72 @@ def test_verifier_sweeps_pass(all_families):
         assert report.passed, (fam.label, report.worst_scaled_residual)
 
 
+def whole_matrix_ball_samples(rng, count, dim, radius):
+    # the sampler written with rng.normal, normalizing all rows at once;
+    # standard_normal draws the same stream as normal(0, 1)
+    x = rng.normal(size=(count, dim))
+    norms = np.linalg.norm(x, axis=1, keepdims=True)
+    norms[norms < 1e-12] = 1.0
+    radii = radius * rng.random(size=(count, 1)) ** (1.0 / dim)
+    return x / norms * np.maximum(radii, 1e-3)
+
+
 @pytest.mark.parametrize("seed", [0, 3, 2026])
 @pytest.mark.parametrize("dim", [6, 12])
 def test_ball_samples_match_the_normal_formula(seed, dim):
-    # standard_normal draws the same stream as normal(0, 1); the oracle is
-    # the sampler written with rng.normal
-    rng = np.random.default_rng(seed)
-    x = rng.normal(size=(500, dim))
-    norms = np.linalg.norm(x, axis=1, keepdims=True)
-    norms[norms < 1e-12] = 1.0
-    radii = np.maximum(2.0 * rng.random(size=(500, 1)) ** (1.0 / dim), 1e-3)
-    want = x / norms * radii
-    got = _ball_samples(np.random.default_rng(seed), 500, dim, 2.0)
-    assert np.array_equal(got, want)
+    # 10 000 rows take more than one chunk of the in-place normalization
+    for count in (500, 10_000):
+        want = whole_matrix_ball_samples(np.random.default_rng(seed), count,
+                                         dim, 2.0)
+        got = _ball_samples(np.random.default_rng(seed), count, dim, 2.0)
+        assert np.array_equal(got, want), count
+
+
+def test_sweep_chunks_start_on_kernel_blocks():
+    # the chunks tile the rows in order, each 16 kernel blocks but the last,
+    # so every chunk starts where a block of the whole batch starts
+    block = _kernels_py.BLOCK_ROWS
+    for count in (0, 1, 16 * block - 1, 16 * block, 16 * block + 1, 100_000):
+        rows = np.arange(count)
+        chunks = [rows[c] for c in _chunks(count)]
+        assert np.array_equal(np.concatenate([rows[:0], *chunks]), rows)
+        assert all(len(c) == 16 * block for c in chunks[:-1]), count
+        assert all(c[0] % block == 0 for c in chunks), count
+
+
+@pytest.mark.parametrize("num_points", [1, 4095, 4096, 4097, 10_000])
+@pytest.mark.parametrize("n", [2, 5])
+def test_verify_munzner_matches_the_whole_matrix_sweep(num_points, n):
+    # the chunked sweep against the residuals of all samples in one batch:
+    # chunks of whole kernel blocks keep every bit, at one point, at a
+    # chunk boundary and with a partial last chunk, in dimensions 6 and 12
+    fam = catalog("nomizu-quartic", n=n)
+    X = whole_matrix_ball_samples(seeded_rng(1234), num_points,
+                                  fam.ambient_dim, 2.0)
+    rho1, rho2 = munzner_residuals(fam, X)
+    scaled = (np.maximum(np.abs(rho1), np.abs(rho2))
+              / (1.0 + np.einsum("ij,ij->i", X, X) ** fam.g))
+    want = {"family": fam.label, "num_points": num_points, "radius": 2.0,
+            "seed": 1234, "max_rho1": float(np.abs(rho1).max()),
+            "max_rho2": float(np.abs(rho2).max()),
+            "worst_scaled_residual": float(scaled.max()), "tol_scale": 1e-9,
+            "pass": bool(scaled.max() < 1e-9)}
+    got = verify_munzner(fam, num_points=num_points, radius=2.0, seed=1234)
+    assert json.dumps(got.to_dict()) == json.dumps(want)
+
+
+def test_verify_munzner_holds_about_one_sample_matrix():
+    # beyond the samples the sweep holds their radii and one chunk's
+    # residuals and bank outputs, not whole-batch copies
+    fam = catalog("nomizu-quartic", n=5)
+    verify_munzner(fam, num_points=10, radius=2.0)
+    tracemalloc.start()
+    try:
+        verify_munzner(fam, num_points=100_000, radius=2.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * 100_000 * fam.ambient_dim * 8, peak
 
 
 def test_cartan_calibration_constant(fam_cartan):

@@ -539,6 +539,37 @@ def test_focal_newton_makes_one_value_call(monkeypatch):
             assert len(sols) and len(calls) == 1, (label, side, len(calls))
 
 
+def test_newton_route_hands_the_starts_values_to_the_solver(monkeypatch):
+    # the projection of the starts hands on what it evaluated there: on a
+    # level the starts' one jet call is the projection's, so no bank but
+    # the first Jacobian's Hessian runs before the first step, and on a
+    # sheet the route makes no value call at all
+    log = []
+    for kind in ("value", "gradient", "hessian"):
+        def logging(self, x, _bank=getattr(CMPolynomial, kind), _kind=kind):
+            log.append(_kind)
+            return _bank(self, x)
+        monkeypatch.setattr(CMPolynomial, kind, logging)
+    retract, chart_step = morse._project_batch, morse._chart_step
+    monkeypatch.setattr(morse, "_project_batch", lambda *a, **k: (
+        retract(*a, **k), log.append("projected"))[0])
+    monkeypatch.setattr(morse, "_chart_step", lambda *a: (
+        log.append("step"), chart_step(*a))[1])
+    rng = np.random.default_rng(89)
+    for label, params in PROJECTOR_FAMILIES:
+        fam = catalog(label, **params)
+        pole = morse._draw_pole(fam, rng)
+        raw = rng.normal(size=(12 * fam.g, fam.ambient_dim))
+        log.clear()
+        assert len(morse._newton_route(fam, 0.3, pole.coords, raw)), label
+        first = log[log.index("projected") + 1:log.index("step")]
+        assert first == ["hessian"], (label, first)
+        for side in (1.0, -1.0):
+            log.clear()
+            assert len(morse._newton_route(fam, side, pole.coords, raw))
+            assert "value" not in log, (label, side)
+
+
 def test_focal_index_takes_eigh_at_its_base_rows_only(monkeypatch):
     # every row reads the product projector, so the only eigendecomposition
     # is the chart's, one row per base point, and none where the focal set
@@ -1366,6 +1397,18 @@ def test_probe_margins_over_no_point_are_null(fam_clifford, monkeypatch):
                                      ("boundary", "min_margin"))] == [None] * 3
     assert not probe["pass"]
     json.dumps(probe, allow_nan=False)
+
+
+def test_probe_needs_a_nonfocal_pole_to_pass(fam_clifford):
+    # num_nonfocal=0 is allowed and its focal poles are all degenerate, but
+    # a probe that checked no non-focal pole does not pass
+    probe = totally_focal_probe(fam_clifford, 0.3, seed=4, num_nonfocal=0,
+                                num_focal=1)
+    assert probe["nonfocal"]["poles"] == 0
+    assert probe["focal"]["degenerate_points"] == probe["focal"]["points"] > 0
+    assert not probe["mixed_failures"] and not probe["pass"]
+    assert totally_focal_probe(fam_clifford, 0.3, seed=4, num_nonfocal=1,
+                               num_focal=1)["pass"]
 
 
 def test_probe_without_usable_starts_is_a_sampling_error(fam_clifford,
