@@ -35,7 +35,12 @@ V = +1 of the same two families, the microseconds per row of one
 `_chart_step` as the solver takes it (the step of P J P + (I - P) in the
 sphere frame and its retraction to the sheet), and of the tangent
 projector at the sheet rows (`_focal_sphere_projector`, matrix products
-with its bank calls).  The last row times the residual sweep of the
+with its bank calls).  The Newton-route row fits the time of one
+`_newton_route` call for one pole on the level 0.3 of nomizu-quartic n=2,
+over 60 to 960 start rows, as a fixed cost in ms per call plus a cost in
+us per start row; the fixed share is what solving a report's poles in one
+batch saves.  Below it, the median ms of one `tightness_report` there at 2,
+10 and 100 poles.  The last row times the residual sweep of the
 defining identities (`verify_munzner` on nomizu-quartic n=5 at 100 000
 points) stage by stage, in milliseconds: the ball sampling, the gradient
 bank, the Laplacian bank, the residual arithmetic alone, and the whole
@@ -45,7 +50,7 @@ it, in MiB.
     python benchmarks/bench_backends.py [--quick]
 
 `--quick` drops N = 24 000, takes 40 builds, the chain and block rows and
-the sweep at 2000 points.
+the sweep at 2000 points, and fewer Newton-route and report repeats.
 """
 
 import argparse
@@ -59,7 +64,7 @@ import numpy as np
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from isolab import (_kernels_py, catalog, families, morse,  # noqa: E402
-                    verify_munzner)
+                    tightness_report, verify_munzner)
 from isolab.polynomial import CMPolynomial  # noqa: E402
 
 KINDS = ("value", "gradient", "hessian", "laplacian", "third")
@@ -121,6 +126,7 @@ def bench(quick=False):
     newton_step(quick)
     newton_solve(quick)
     focal_newton_step(quick)
+    newton_route(quick)
 
     sweep_stages(quick)
 
@@ -342,6 +348,44 @@ def focal_newton_step(quick, rows=96):
         print(f"{name:<20}" + "".join(f"{c * 1e6 / rows:>16.2f}"
                                       for c in cells[:2])
               + f"{cells[2] * 1e6 / rows:>18.2f}")
+
+
+def newton_route(quick):
+    """One pole's `_newton_route` on the level 0.3 of nomizu-quartic n=2,
+    timed at 60 to 960 start rows and fitted as fixed + per-row cost, then
+    whole tightness reports at 2, 10 and 100 poles."""
+    fam = catalog("nomizu-quartic", n=2)
+    rng = np.random.default_rng(0)
+    pole = morse._draw_pole(fam, rng).coords[None, :]
+    sizes = (60, 120, 240, 480, 960)
+    # nested start sets, so that a larger call adds rows to a smaller one
+    raw = rng.normal(size=(1, sizes[-1], fam.ambient_dim))
+    repeats = 5 if quick else 30
+    for _ in range(3):  # warm-up: lazy banks, caches and clock ramp
+        morse._newton_route(fam, 0.3, pole, raw)
+    times = []
+    for rows in sizes:
+        runs = []
+        for _ in range(repeats):
+            t0 = time.perf_counter()
+            morse._newton_route(fam, 0.3, pole, raw[:, :rows])
+            runs.append(time.perf_counter() - t0)
+        times.append(float(np.median(runs)))
+    per_row, fixed = np.polyfit(sizes, times, 1)
+    print(f"{'Newton route, d=6':<20}{'fixed ms/call':>16}"
+          f"{'us/start row':>16}   (fit over {sizes[0]}-{sizes[-1]} rows)")
+    print(f"{'':<20}{fixed * 1e3:>16.2f}{per_row * 1e6:>16.2f}")
+    cells = []
+    for poles in (2, 10, 100):
+        runs = []
+        for seed in range(max(1, (3 if quick else 20) * 10 // poles)):
+            t0 = time.perf_counter()
+            tightness_report(fam, 0.3, num_poles=poles, seed=seed)
+            runs.append(time.perf_counter() - t0)
+        cells.append(float(np.median(runs)))
+    print(f"{'tightness (ms)':<20}" + "".join(f"{'%d poles' % n:>12}"
+                                            for n in (2, 10, 100)))
+    print(f"{'':<20}" + "".join(f"{c * 1e3:>12.1f}" for c in cells))
 
 
 if __name__ == "__main__":

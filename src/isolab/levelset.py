@@ -290,12 +290,20 @@ def surface_point(fam: IsoparametricFamily, x: SpherePoint, level=None) -> Surfa
     """Wrap a point already lying on a level into a framed SurfacePoint."""
     v = float(fam.polynomial.value(x.coords))
     s = v if level is None else float(level)
+    return _framed_point(fam, s, x, v, lambda: spherical_gradient(fam, x))
+
+
+def _framed_point(fam, s, x, v, gradient):
+    """The SurfacePoint at x on the level s, given the value v of V at x and
+    a callable for its spherical gradient there, which a focal sheet never
+    reads.  InputContractError when v is off the level, StartAtFocalError
+    when the gradient is below _GRAD_FLOOR."""
     focal = _is_focal(s)
     if abs(v - s) > (1e-10 if not focal else 1e-8):
         raise InputContractError(f"point has V = {v!r}, not the level {s!r}")
     if focal:
         return SurfacePoint(fam, s, x, None, tangent_basis(x))
-    w = spherical_gradient(fam, x)
+    w = gradient()
     wn = float(np.linalg.norm(w))
     if wn < _GRAD_FLOOR:
         raise StartAtFocalError("normal direction undefined at this point")
@@ -309,20 +317,22 @@ def project_to_level(fam: IsoparametricFamily, s, x0: SpherePoint) -> SurfacePoi
 
     Raises StartAtFocalError when x0 sits on the focal set with V(x0) != s,
     where the walking direction is undefined; callers restart with a
-    perturbed x0.
+    perturbed x0.  The guard reads one `jet` call at x0, and the point is
+    framed from the values the retraction hands back.
     """
     s = float(s)
     if not -1.0 <= s <= 1.0:
         raise InputContractError("levels live in [-1, 1]")
-    v0 = float(fam.polynomial.value(x0.coords))
-    w0 = spherical_gradient(fam, x0)
-    if float(np.linalg.norm(w0)) < _GRAD_FLOOR and abs(v0 - s) > 1e-10:
+    v0, w0 = _level_jet(fam, x0.coords[None, :])
+    if _row_norms(w0)[0] < _GRAD_FLOOR and abs(v0[0] - s) > 1e-10:
         raise StartAtFocalError(
             "projection started on the focal set; perturb the start point")
-    X, ok = _project_batch(fam, s, x0.coords[None, :])[:2]
+    X, ok, *jet = _project_batch(fam, s, x0.coords[None, :])
     if not ok[0]:
         raise StartAtFocalError("projection lost the normal direction")
-    return surface_point(fam, SpherePoint(X[0]), level=s)
+    # a focal sheet hands back F only, and its point has no normal
+    return _framed_point(fam, s, SpherePoint(X[0]), float(jet[0][0]),
+                         lambda: _level_jet(fam, X, jet)[1][0])
 
 
 def sample_points(fam: IsoparametricFamily, s, count, seed) -> list[SurfacePoint]:

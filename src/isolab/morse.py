@@ -52,6 +52,7 @@ _POLE_MARGIN = 1e-3
 _T_GUARD = 1e-8
 _PROJECTOR_TOL = 1e-13  # max |P^2 - P| of a focal tangent projector
 _FLOW_STEPS = 200   # cap on the steps of one `_level_flow`
+_ROUND_ROWS = 2 ** 20  # cap on start rows x D^2 in one Newton batch
 
 
 @dataclass(frozen=True)
@@ -146,10 +147,22 @@ def _size(name, value, least):
     return value
 
 
+def _pole_rows(p, n):
+    """The poles of n rows: p is one pole (D,) for every row or a pole per
+    row (n, D).  A read-only view when p is one pole."""
+    return np.broadcast_to(p, (n, p.shape[-1]))
+
+
+def _row_dots(a, b):
+    """<a_i, b_i> for the rows of a and b (B, D)."""
+    return np.einsum("ij,ij->i", a, b)
+
+
 def _tangential_residual(p, X, xi):
-    """Component of p orthogonal to both x and the normal, rowwise."""
-    return (p[None, :] - (X @ p)[:, None] * X
-            - np.einsum("ij,j->i", xi, p)[:, None] * xi)
+    """Component of the pole orthogonal to both x and the normal, rowwise;
+    p is one pole or a pole per row (`_pole_rows`)."""
+    P = _pole_rows(p, len(X))
+    return P - _row_dots(X, P)[:, None] * X - _row_dots(xi, P)[:, None] * xi
 
 
 def _newton_jacobian(fam, p, X, xi, frames, vals, wn):
@@ -159,12 +172,13 @@ def _newton_jacobian(fam, p, X, xi, frames, vals, wn):
         J = -<p, x> I + <p, xi> A,
 
     with A the shape operator of `_shape_operators`, batched over rows, from
-    the normals, frames, values and gradient norms of `_frames_batch` (Absil,
-    Mahony and Sepulchre, Optimization Algorithms on Matrix Manifolds,
-    2008)."""
+    the normals, frames, values and gradient norms of `_frames_batch`, and p
+    one pole or a pole per row (Absil, Mahony and Sepulchre, Optimization
+    Algorithms on Matrix Manifolds, 2008)."""
+    P = _pole_rows(p, len(X))
     shape_op = _shape_operators(fam, X, frames, vals, wn)
-    return (-(X @ p)[:, None, None] * np.eye(frames.shape[1])
-            + np.einsum("bd,d->b", xi, p)[:, None, None] * shape_op)
+    return (-_row_dots(X, P)[:, None, None] * np.eye(frames.shape[1])
+            + _row_dots(xi, P)[:, None, None] * shape_op)
 
 
 def _pinv_solve(jac, rhs):
@@ -229,8 +243,9 @@ def _masked_newton(X, first, residual, step, tol, max_iter):
     of X.  `step(rows, state)` returns (moved rows, ok, *handed) for the
     rows still above `tol`, and only the moved rows are evaluated again,
     each with its row of the per-row arrays `handed` that the step passes
-    on (the final values of `_project_batch`: F and grad F on a regular
-    level, F on a focal sheet).  A row whose move fails has lost the level
+    on (in the pole solvers each row's pole, then the final values of
+    `_project_batch`: F and grad F on a regular level, F on a focal sheet).
+    A row whose move fails has lost the level
     and leaves the loop.  Returns the residual norms and state at the final
     X, each row's from its last evaluation."""
     rnorm, state = first
@@ -272,7 +287,9 @@ def _level_flow(fam, s, X, value, gradient, sign):
 
 
 def _newton_multistart(fam, s, p, starts, *jet):
-    """Drive each start to a zero of the tangential residual on M_s.
+    """Drive each start to a zero of the tangential residual on M_s toward
+    its pole: p is one pole or a pole per start (`_pole_rows`), so one call
+    solves for many poles.
 
     Newton in the chart spanned by the frame at the current iterate, with
     the exact Jacobian of `_newton_jacobian` (so the same solver also walks
@@ -283,26 +300,26 @@ def _newton_multistart(fam, s, p, starts, *jet):
     residual reads the starts' jet (F, grad F) when it is handed in, and
     else makes one gradient-bank call.  The Jacobian only steers: a start
     counts as converged by its residual alone.  Returns (solutions,
-    residual_norms, diagnostics).
+    residual_norms, kept), kept the indices of the starts they came from.
     """
     X = np.array(starts, dtype=np.float64)
 
-    def residual(rows, *jet):
+    def residual(rows, poles, *jet):
         xi, frames, vals, wn = _frames_batch(fam, rows, jet or None)
-        q = _tangential_residual(p, rows, xi)
-        return np.abs(q).max(axis=1), [xi, frames, q, vals, wn]
+        q = _tangential_residual(poles, rows, xi)
+        return np.abs(q).max(axis=1), [poles, xi, frames, q, vals, wn]
 
     def step(rows, state):
-        xi, frames, q, vals, wn = state
-        jac = _newton_jacobian(fam, p, rows, xi, frames, vals, wn)
-        return _chart_step(fam, s, rows, frames, jac, q)
+        poles, xi, frames, q, vals, wn = state
+        jac = _newton_jacobian(fam, poles, rows, xi, frames, vals, wn)
+        moved, ok, *jet = _chart_step(fam, s, rows, frames, jac, q)
+        return moved, ok, poles, *jet
 
-    rnorm, _state = _masked_newton(X, residual(X, *jet), residual, step,
-                                   NEWTON_TOL, _NEWTON_MAX_ITER)
-    converged = rnorm <= NEWTON_TOL
-    diag = {"starts": int(X.shape[0]), "converged": int(converged.sum()),
-            "discarded": int((~converged).sum())}
-    return X[converged], rnorm[converged], diag
+    poles = np.array(_pole_rows(p, len(X)))
+    rnorm, _state = _masked_newton(X, residual(X, poles, *jet), residual,
+                                   step, NEWTON_TOL, _NEWTON_MAX_ITER)
+    kept = np.flatnonzero(rnorm <= NEWTON_TOL)
+    return X[kept], rnorm[kept], kept
 
 
 def _dedup(fam, X, rnorm):
@@ -351,30 +368,38 @@ def _chart_hessians(fam, level, X, charts, accept, gradient):
 
 def _hessian_stencil(fam, s, p, X, frames=None):
     """Finite-difference Hessians of the height function l_p on M_s at each
-    row of X (assumed critical), in the chart of the `_frames_batch` frames
-    (computed when not given), from the tangential residual with normals
-    from the jet its retraction hands back.  Returns (hessians, t)."""
-    def gradient(rows, *jet):
-        xi = _normalize_rows(_level_jet(fam, rows, jet or None)[1])
-        return _tangential_residual(p, rows, xi)
-
+    row of X (assumed critical), p one pole or a pole per row, in the chart
+    of the `_frames_batch` frames (computed when not given), from the
+    tangential residual with normals from the jet its retraction hands
+    back.  Returns (hessians, t)."""
+    P = _pole_rows(p, len(X))
     if frames is None:
         frames = _frames_batch(fam, X)[1]
+    # `_chart_hessians` moves each row to 2k stencil points, in row order
+    moved_poles = np.repeat(P, 2 * frames.shape[1], axis=0)
+
+    def gradient(rows, *jet):
+        xi = _normalize_rows(_level_jet(fam, rows, jet or None)[1])
+        return _tangential_residual(moved_poles, rows, xi)
+
     hessians = _chart_hessians(fam, s, X, frames, 1e-9, gradient)
-    return hessians, np.arccos(np.clip(X @ p, -1.0, 1.0))
+    return hessians, np.arccos(np.clip(_row_dots(X, P), -1.0, 1.0))
 
 
 def _classify(fam, s, p, X, degenerate_threshold=_DEGENERATE_REPORT):
-    """CriticalPoint records, sorted by t, for the rows of X (critical for
-    d_p on M_s), in one batch on the frames of one `_frames_batch` call (both
-    indices are frame-invariant): the stencil's distance Hessians -H / sin t
-    and the focal counts of the shape operators' eigenvalues.  A point with
+    """CriticalPoint records for the rows of X (critical for d_p on M_s), p
+    one pole or a pole per row, in one batch on the frames of one
+    `_frames_batch` call (both indices are frame-invariant): the stencil's
+    distance Hessians -H / sin t and the focal counts of the shape
+    operators' eigenvalues.  The records keep the rows' order of poles and
+    are sorted by t within each run of rows that share a pole.  A point with
     |V - s| > 1e-10 raises InputContractError, one with |grad_S V| < 1e-8
     StartAtFocalError; a near-focal point gets index_focal None and is
     degenerate."""
     if len(X) == 0:
         return []
     X = np.asarray(X, dtype=np.float64)
+    P = _pole_rows(p, len(X))
     xi, frames, vals, wn = _frames_batch(fam, X)
     shape_ops = _shape_operators(fam, X, frames, vals, wn)
     worst = np.abs(vals - s).max()
@@ -383,14 +408,16 @@ def _classify(fam, s, p, X, degenerate_threshold=_DEGENERATE_REPORT):
             f"a point lies {worst:.3e} off the level {float(s)!r}")
     if (wn < _GRAD_FLOOR).any():
         raise StartAtFocalError("normal direction undefined at this point")
-    hessians, ts = _hessian_stencil(fam, s, p, X, frames)
+    hessians, ts = _hessian_stencil(fam, s, P, X, frames)
     sin_t = np.maximum(np.sin(ts), 1e-12)
     eig = np.linalg.eigvalsh(-hessians / sin_t[:, None, None])
     max_abs, min_abs = np.abs(eig).max(axis=1), np.abs(eig).min(axis=1)
     margins = np.divide(min_abs, max_abs, out=np.zeros_like(min_abs),
                         where=max_abs > 0)
-    indices, near = _focal_counts(p, X, xi, np.linalg.eigvalsh(shape_ops),
+    indices, near = _focal_counts(P, X, xi, np.linalg.eigvalsh(shape_ops),
                                   np.ones(shape_ops.shape[:2], dtype=int))
+    # run k holds the rows of the k-th pole
+    runs = np.concatenate([[0], np.cumsum(np.any(P[1:] != P[:-1], axis=1))])
     degenerate = ((max_abs < _HESSIAN_FLOOR)
                   | (min_abs < degenerate_threshold * max_abs) | near)
     return [CriticalPoint(
@@ -399,18 +426,20 @@ def _classify(fam, s, p, X, degenerate_threshold=_DEGENERATE_REPORT):
         index_focal=None if near[k] else int(indices[k]),
         degenerate=bool(degenerate[k]), min_abs_hessian_eig=float(min_abs[k]),
         hessian_margin=float(margins[k]))
-        for k in np.argsort(ts, kind="stable")]
+        for k in np.lexsort((ts, runs))]
 
 
 def _focal_counts(p, X, xi, values, mults):
-    """Morse indices of d_p at the rows of X (unit normals xi): the summed
-    multiplicities `mults` (B, k) of the principal curvatures `values`
-    (B, k) whose focal points, at arccot of the curvatures measured toward
-    the pole, lie strictly between the row and p.  Returns (indices, near);
-    `near` marks rows with a focal parameter within 1e-8 of the pole
-    distance, where the index is undefined."""
-    px = X @ p
-    tangential = p[None, :] - px[:, None] * X
+    """Morse indices of d_p at the rows of X (unit normals xi), p one pole
+    or a pole per row: the summed multiplicities `mults` (B, k) of the
+    principal curvatures `values` (B, k) whose focal points, at arccot of
+    the curvatures measured toward the pole, lie strictly between the row
+    and p.  Returns (indices, near); `near` marks rows with a focal
+    parameter within 1e-8 of the pole distance, where the index is
+    undefined."""
+    P = _pole_rows(p, len(X))
+    px = _row_dots(X, P)
+    tangential = P - px[:, None] * X
     t = np.arccos(np.clip(px, -1.0, 1.0))
     # the pole on the normal line at distance ~0: nothing passed
     nothing = (np.linalg.norm(tangential, axis=1) < 1e-12) | (t <= _T_GUARD)
@@ -438,19 +467,54 @@ def index_via_focal_count(pole: SpherePoint, cp: SurfacePoint,
     return int(indices[0])
 
 
-def _newton_route(fam, s, p, raw):
-    """The Newton route from the ambient draws `raw`: project them to the
-    level M_s or the focal sheet V = s, solve from the usable ones
+def _newton_route(fam, s, poles, raw):
+    """The Newton route for the poles (K, D) from their ambient draws `raw`
+    (K, N, D), in one batch: project all the draws to the level M_s or the
+    focal sheet V = s, solve from the usable ones, each toward its own pole
     (`_focal_newton` on a sheet, `_newton_multistart` on a level;
-    SamplingError when there are none) and deduplicate.  The solver's first
-    residual reads the values the projection ends with (F on a sheet, F
-    and grad F on a level).  Returns the distinct critical points of d_p."""
-    starts, ok, *handed = _project_batch(fam, s, raw)
-    if not ok.any():
+    SamplingError when a pole has none), and deduplicate pole by pole.  The
+    solver's first residual reads the values the projection ends with (F on
+    a sheet, F and grad F on a level).  Returns a list of K arrays: the
+    distinct critical points of d_p for each pole p."""
+    raw = np.asarray(raw, dtype=np.float64)
+    count, num_starts, dim = raw.shape
+    starts, ok, *handed = _project_batch(fam, s, raw.reshape(-1, dim))
+    if not ok.reshape(count, num_starts).any(axis=1).all():
         raise SamplingError("no usable Newton starts")
+    owner = np.repeat(np.arange(count), num_starts)[ok]
     solve = _focal_newton if _is_focal(s) else _newton_multistart
-    sols, rnorm = solve(fam, s, p, starts[ok], *(h[ok] for h in handed))[:2]
-    return _dedup(fam, sols, rnorm)
+    sols, rnorm, kept = solve(fam, s, poles[owner], starts[ok],
+                              *(h[ok] for h in handed))
+    owner = owner[kept]
+    return [_dedup(fam, sols[owner == k], rnorm[owner == k])
+            for k in range(count)]
+
+
+def _newton_draws(fam, seed, num_starts):
+    """The ambient draws (num_starts, D) of one pole's Newton starts."""
+    return seeded_rng(seed, 0x5EED).normal(size=(num_starts, fam.ambient_dim))
+
+
+def _round_size(fam, num_starts):
+    """Poles per Newton batch: at most _ROUND_ROWS start rows x D^2, so that
+    a report's memory does not grow with its pole count, and at least one."""
+    return max(1, _ROUND_ROWS // (num_starts * fam.ambient_dim ** 2))
+
+
+def _split(items, sizes):
+    """Consecutive slices of `items` with the given sizes."""
+    ends = np.cumsum(sizes).tolist()
+    return [items[end - size:end] for size, end in zip(sizes, ends)]
+
+
+def _classify_poles(fam, s, poles, points,
+                    degenerate_threshold=_DEGENERATE_REPORT):
+    """`_classify` of the points of every pole in one call: poles (K, D)
+    and `points` K arrays.  Returns K lists of CriticalPoint records."""
+    sizes = [len(x) for x in points]
+    return _split(_classify(fam, s, np.repeat(poles, sizes, axis=0),
+                            np.concatenate(points), degenerate_threshold),
+                  sizes)
 
 
 def critical_points_newton(fam, s, pole: SpherePoint, num_starts=None, seed=0,
@@ -461,15 +525,14 @@ def critical_points_newton(fam, s, pole: SpherePoint, num_starts=None, seed=0,
     deduplicated at geodesic distance 1e-6 and classified (index via the
     Hessian from central differences of the Riemannian gradient and via the
     focal count, degeneracy flag from the relative smallest Hessian
-    eigenvalue).
+    eigenvalue).  A one-pole batch of the reports' Newton route.
     """
     s = _hypersurface_level(s)
     num_starts = 60 * fam.g if num_starts is None else _size(
         "num_starts", num_starts, 1)
-    rng = seeded_rng(seed, 0x5EED)
-    raw = rng.normal(size=(num_starts, fam.ambient_dim))
-    return _classify(fam, s, pole.coords,
-                     _newton_route(fam, s, pole.coords, raw),
+    (unique,) = _newton_route(fam, s, pole.coords[None, :],
+                              _newton_draws(fam, seed, num_starts)[None])
+    return _classify(fam, s, pole.coords, unique,
                      degenerate_threshold=degenerate_threshold)
 
 
@@ -536,6 +599,12 @@ def _draw_pole(fam, rng):
     raise SamplingError("could not draw a non-focal pole")
 
 
+def _at_pole_or_antipode(cps):
+    """Whether a critical point sits within _T_GUARD of t = 0 or pi, where
+    d_p is not smooth: such a pole is rejected."""
+    return any(cp.t > np.pi - _T_GUARD or cp.t < _T_GUARD for cp in cps)
+
+
 def _reject_pole(report, rejected, reason, num_poles):
     """Count one rejected pole under `reason`.  Once 100 * num_poles + 1000
     poles are rejected the report gives up with SamplingError, naming the
@@ -576,43 +645,63 @@ def tightness_report(fam, s, num_poles=100, seed=0) -> TightnessReport:
     every pole yields exactly 2g critical points from each, the two point
     sets agree within 1e-6, and the two index computations agree at every
     point.  Nothing is tolerated on the counts themselves.
+
+    The poles are solved in rounds of one Newton batch (`_newton_route`, at
+    most `_round_size` poles).  A round draws the poles still needed, checks
+    each on its normal circle first (a focal pole takes no Newton start),
+    gives the k-th the Newton seed seed + done + k, and classifies each
+    route's points in one call.  Its poles are then accepted in order; after
+    a "t at 0 or pi" rejection the later poles are solved again, with the
+    seeds a pole-by-pole loop would give them.
     """
     num_poles = _size("num_poles", num_poles, 1)
+    s = _hypersurface_level(s)
     report = TightnessReport(
         family=fam.label, level=float(s), g=fam.g, m1=fam.m1, m2=fam.m2,
         expected_count=fam.betti_sum_hypersurface, seed=seed)
     rng = seeded_rng(seed, 0x7161)
-    done = 0
+    num_starts, done = 60 * fam.g, 0
+    per_round = _round_size(fam, num_starts)
     rejected = {"focal pole": 0, "t at 0 or pi": 0}
+    pending = []  # (pole, circle points) drawn but not yet accepted
     while done < num_poles:
-        pole = _draw_pole(fam, rng)
-        try:
-            # the closed-form route first: a rejected pole skips the Newton solve
-            circle_pts = normal_circle_critical_points(fam, s, pole)
-            newton_pts = critical_points_newton(fam, s, pole, seed=seed + done)
-        except PoleIsFocalError:
-            _reject_pole(report, rejected, "focal pole", num_poles)
-            continue
-        ts = [cp.t for cp in newton_pts + circle_pts]
-        if any(t > np.pi - _T_GUARD or t < _T_GUARD for t in ts):
-            _reject_pole(report, rejected, "t at 0 or pi", num_poles)
-            continue
-        done += 1
-        match = _match_distance([cp.location.coords for cp in newton_pts],
-                                [cp.location.coords for cp in circle_pts])
-        level_res = float(np.abs(np.atleast_1d(fam.polynomial.value(
-            np.array([cp.location.coords for cp in newton_pts + circle_pts])))
-            - s).max())
-        index_ok = all(cp.index_focal == cp.index_hessian
-                       for cp in newton_pts + circle_pts
-                       if not cp.degenerate)
-        report.record(
-            pole, (len(newton_pts), len(circle_pts)),
-            match < DEDUP_RADIUS and index_ok,
-            {"match_distance": match, "index_agreement": index_ok}, level_res,
-            [cp.index_hessian for cp in newton_pts],
-            [cp.hessian_margin for cp in newton_pts],
-            [cp.to_dict() for cp in newton_pts])
+        while len(pending) < min(per_round, num_poles - done):
+            pole = _draw_pole(fam, rng)
+            try:
+                pending.append((pole, _normal_circle(fam, s, pole)[1]))
+            except PoleIsFocalError:
+                _reject_pole(report, rejected, "focal pole", num_poles)
+        poles = np.array([pole.coords for pole, _ in pending])
+        unique = _newton_route(fam, s, poles, [
+            _newton_draws(fam, seed + done + k, num_starts)
+            for k in range(len(pending))])
+        circles = [x for _, x in pending]
+        rounds = zip(pending, unique, _classify_poles(fam, s, poles, unique),
+                     _classify_poles(fam, s, poles, circles))
+        for k, ((pole, circle_x), found, newton_pts, circle_pts) in \
+                enumerate(rounds):
+            if _at_pole_or_antipode(newton_pts + circle_pts):
+                _reject_pole(report, rejected, "t at 0 or pi", num_poles)
+                pending = pending[k + 1:]
+                break
+            done += 1
+            match = _match_distance(
+                [cp.location.coords for cp in newton_pts],
+                [cp.location.coords for cp in circle_pts])
+            level_res = float(np.abs(np.atleast_1d(fam.polynomial.value(
+                np.concatenate([found, circle_x]))) - s).max())
+            index_ok = all(cp.index_focal == cp.index_hessian
+                           for cp in newton_pts + circle_pts
+                           if not cp.degenerate)
+            report.record(
+                pole, (len(newton_pts), len(circle_pts)),
+                match < DEDUP_RADIUS and index_ok,
+                {"match_distance": match, "index_agreement": index_ok},
+                level_res, [cp.index_hessian for cp in newton_pts],
+                [cp.hessian_margin for cp in newton_pts],
+                [cp.to_dict() for cp in newton_pts])
+        else:
+            pending = []
     return report
 
 
@@ -663,20 +752,23 @@ def _focal_sphere_projector(fam, side, Y, vals=None):
 
 
 def _sphere_tangent_part(p, sph, proj):
-    """q = sph^T P sph p: the tangent part of p, an ambient vector per row,
-    from `_focal_sphere_projector`'s frames sph and projectors P."""
-    coef = (proj @ (sph @ p)[:, :, None])[:, :, 0]
+    """q = sph^T P sph p: the tangent part of p (one pole or a pole per
+    row), an ambient vector per row, from `_focal_sphere_projector`'s
+    frames sph and projectors P."""
+    P = _pole_rows(p, len(sph))
+    coef = (proj @ (sph @ P[:, :, None]))[:, :, 0]
     return np.einsum("bi,bid->bd", coef, sph)
 
 
 def _focal_jacobian(fam, side, p, Y, chart, q):
     """The exact Jacobian of `_focal_newton` at the rows of Y, in the chart
-    rows `chart` (B, k, D), given q = P(y) p: orthonormal tangent vectors
-    (k = d_foc) give the tangent block itself, the sphere frame (k = D-1)
-    gives a matrix whose tangent block it is.  One third-derivative bank
-    call per batch."""
-    py = Y @ p
-    normal = p[None, :] - py[:, None] * Y - q
+    rows `chart` (B, k, D), given q = P(y) p, p one pole or a pole per row:
+    orthonormal tangent vectors (k = d_foc) give the tangent block itself,
+    the sphere frame (k = D-1) gives a matrix whose tangent block it is.
+    One third-derivative bank call per batch."""
+    P = _pole_rows(p, len(Y))
+    py = _row_dots(Y, P)
+    normal = P - py[:, None] * Y - q
     third = fam.polynomial.hessian_along(Y, normal)
     return (-py[:, None, None] * np.eye(chart.shape[1]) + side / fam.g ** 2
             * (chart @ third @ np.swapaxes(chart, 1, 2)))
@@ -694,7 +786,8 @@ def _focal_rank(dims):
 def _focal_newton(fam, side, p, starts, vals=None):
     """Newton multistart for critical points of d_p on the focal submanifold
     M = {V = side}: zeros of the projection P(y) p of p onto the tangent
-    spaces, each move retracted back to the focal level.
+    spaces, each move retracted back to the focal level; p is one pole or a
+    pole per start (`_pole_rows`).
 
     The Jacobian (`_focal_jacobian`) on orthonormal tangent vectors u_i of
     T_yM is exact, the Riemannian Hessian <II(u_i, u_j), p> of the height
@@ -727,34 +820,38 @@ def _focal_newton(fam, side, p, starts, vals=None):
     masked loop at tolerance 0 from the first one's last state: along nearly
     degenerate Hessian directions the residual tolerance alone leaves
     position error up to tol/|J|, and the polish pushes positions to the
-    evaluation-noise floor instead."""
+    evaluation-noise floor instead.  Returns (solutions, residual_norms,
+    kept), kept the indices of the starts they came from."""
     Y = np.array(starts, dtype=np.float64)
     first = _focal_sphere_projector(fam, side, Y, vals)
     d_foc = _focal_rank(first[2])
     if d_foc == 0:
         # the focal set is a point; every projected start already solves it
-        return Y, np.zeros(Y.shape[0])
+        return Y, np.zeros(Y.shape[0]), np.arange(Y.shape[0])
 
-    def tangent_part(sph, proj, _dims):
-        q = _sphere_tangent_part(p, sph, proj)
-        return _row_norms(q), [sph, proj, q]
+    def tangent_part(poles, sph, proj, _dims):
+        q = _sphere_tangent_part(poles, sph, proj)
+        return _row_norms(q), [poles, sph, proj, q]
 
-    def residual(rows, vals=None):
-        return tangent_part(*_focal_sphere_projector(fam, side, rows, vals))
+    def residual(rows, poles, vals):
+        return tangent_part(
+            poles, *_focal_sphere_projector(fam, side, rows, vals))
 
     def step(rows, state):
-        sph, proj, q = state
-        jac = _focal_jacobian(fam, side, p, rows, sph, q)
+        poles, sph, proj, q = state
+        jac = _focal_jacobian(fam, side, poles, rows, sph, q)
         jac = proj @ jac @ proj + (np.eye(proj.shape[1]) - proj)
-        return _chart_step(fam, float(side), rows, sph, jac, q)
+        moved, ok, vals = _chart_step(fam, float(side), rows, sph, jac, q)
+        return moved, ok, poles, vals
 
-    rnorm, state = _masked_newton(Y, tangent_part(*first), residual, step,
-                                  _FOCAL_TOL, _FOCAL_MAX_ITER)
-    done = rnorm <= _FOCAL_TOL
-    sols, polish = Y[done], (rnorm[done], [s[done] for s in state])
+    poles = np.array(_pole_rows(p, len(Y)))
+    rnorm, state = _masked_newton(Y, tangent_part(poles, *first), residual,
+                                  step, _FOCAL_TOL, _FOCAL_MAX_ITER)
+    kept = np.flatnonzero(rnorm <= _FOCAL_TOL)
+    sols, polish = Y[kept], (rnorm[kept], [s[kept] for s in state])
     rnorm, _state = _masked_newton(sols, polish, residual, step, 0.0,
                                    _FOCAL_POLISH)
-    return sols, rnorm
+    return sols, rnorm, kept
 
 
 def _focal_circle_points(fam, side, pole):
@@ -765,20 +862,24 @@ def _focal_circle_points(fam, side, pole):
 
 
 def _focal_index(fam, side, p, Y, vals):
-    """Height-function Hessian index at each row of Y (values F = `vals`)
-    from central differences of P(y) p, every P from `_focal_sphere_projector`
-    (at the moved rows from the values their retraction hands back).  The
-    chart is the top d_foc eigenvectors of one eigh of P at Y, through the
-    sphere frame; d_foc = 0 takes no eigh.  No value call and no
-    third-derivative bank.  Returns (indices, margins)."""
-    def gradient(rows, vals):
-        return _sphere_tangent_part(
-            p, *_focal_sphere_projector(fam, side, rows, vals)[:2])
-
+    """Height-function Hessian index at each row of Y (values F = `vals`),
+    p one pole or a pole per row, from central differences of P(y) p, every
+    P from `_focal_sphere_projector` (at the moved rows from the values
+    their retraction hands back).  The chart is the top d_foc eigenvectors
+    of one eigh of P at Y, through the sphere frame; d_foc = 0 takes no
+    eigh.  No value call and no third-derivative bank.  Returns (indices,
+    margins)."""
     sph, proj, dims = _focal_sphere_projector(fam, side, Y, vals)
     d_foc = _focal_rank(dims)
     if d_foc == 0:
         return [0] * len(Y), [1.0] * len(Y)
+    # `_chart_hessians` moves each row to 2 d_foc stencil points, in order
+    moved_poles = np.repeat(_pole_rows(p, len(Y)), 2 * d_foc, axis=0)
+
+    def gradient(rows, vals):
+        return _sphere_tangent_part(
+            moved_poles, *_focal_sphere_projector(fam, side, rows, vals)[:2])
+
     basis = np.linalg.eigh(proj)[1][:, :, -d_foc:]
     eig = np.linalg.eigvalsh(_chart_hessians(
         fam, float(side), Y, np.swapaxes(basis, 1, 2) @ sph, 1e-8, gradient))
@@ -800,6 +901,11 @@ def focal_tautness_report(fam, side, num_poles=50, seed=0,
     tangency condition by multistart on the focal submanifold.  The report
     additionally verifies that all critical points lie on one great circle
     through the pole (collinearity residual below 1e-8).
+
+    Every pole, its circle points and its start draws are drawn up front, in
+    the order the pole-by-pole loop drew them; then each round of at most
+    `_round_size` poles takes one Newton batch (`_newton_route`) and one
+    `_focal_index` call on all its circle points.
     """
     side = _side(side)
     num_poles = _size("num_poles", num_poles, 1)
@@ -809,35 +915,49 @@ def focal_tautness_report(fam, side, num_poles=50, seed=0,
     starts_per_pole = 24 * fam.g if starts_per_pole is None else _size(
         "starts_per_pole", starts_per_pole, 1)
     rng = seeded_rng(seed, 0xF0CA)
-    done = 0
     rejected = {"focal pole": 0}
-    while done < num_poles:
+    drawn = []  # (pole, eta, circle points, start draws)
+    while len(drawn) < num_poles:
         pole = _draw_pole(fam, rng)
         try:
             eta, circle_x = _focal_circle_points(fam, side, pole)
         except PoleIsFocalError:
             _reject_pole(report, rejected, "focal pole", num_poles)
             continue
-        done += 1
-        raw = rng.normal(size=(starts_per_pole, fam.ambient_dim))
-        unique = _newton_route(fam, float(side), pole.coords, raw)
-        # collinearity: independently found points must lie in span{p, eta}
-        plane = np.stack([pole.coords, eta])
-        colin = float(np.linalg.norm(unique - unique @ plane.T @ plane,
-                                     axis=1).max(initial=0.0))
-        match = _match_distance(unique, circle_x)
-        vals = np.atleast_1d(fam.polynomial.value(circle_x))
-        indices, margins = _focal_index(fam, side, pole.coords, circle_x, vals)
-        level_res = float(np.abs(np.abs(vals) - 1.0).max())
-        report.record(
-            pole, (len(unique), len(circle_x)),
-            match < 10 * DEDUP_RADIUS and colin < 1e-8,
-            {"match_distance": match, "collinearity": colin}, level_res,
-            indices, margins,
-            [{"coords": [float(v) for v in c],
-              "t": float(np.arccos(np.clip(pole.coords @ c, -1, 1))),
-              "index_hessian": int(iv)} for c, iv in zip(circle_x, indices)],
-            shown=("collinearity",))
+        drawn.append((pole, eta, circle_x, rng.normal(
+            size=(starts_per_pole, fam.ambient_dim))))
+    per_round = _round_size(fam, starts_per_pole)
+    for first in range(0, num_poles, per_round):
+        batch = drawn[first:first + per_round]
+        poles = np.array([pole.coords for pole, *_ in batch])
+        uniques = _newton_route(fam, float(side), poles,
+                                [raw for *_, raw in batch])
+        sizes = [len(circle_x) for _, _, circle_x, _ in batch]
+        circles = np.concatenate([circle_x for _, _, circle_x, _ in batch])
+        vals = np.atleast_1d(fam.polynomial.value(circles))
+        index_route = _focal_index(
+            fam, side, np.repeat(poles, sizes, axis=0), circles, vals)
+        # per pole: indices, margins and level residuals of its circle points
+        witness = zip(*(_split(a, sizes) for a in (
+            *index_route, np.abs(np.abs(vals) - 1.0))))
+        for (pole, eta, circle_x, _), unique, (indices, margins, off) in zip(
+                batch, uniques, witness):
+            # collinearity: independently found points must lie in
+            # span{p, eta}
+            plane = np.stack([pole.coords, eta])
+            colin = float(np.linalg.norm(unique - unique @ plane.T @ plane,
+                                         axis=1).max(initial=0.0))
+            match = _match_distance(unique, circle_x)
+            report.record(
+                pole, (len(unique), len(circle_x)),
+                match < 10 * DEDUP_RADIUS and colin < 1e-8,
+                {"match_distance": match, "collinearity": colin},
+                float(off.max()), indices, margins,
+                [{"coords": [float(v) for v in c],
+                  "t": float(np.arccos(np.clip(pole.coords @ c, -1, 1))),
+                  "index_hessian": int(iv)}
+                 for c, iv in zip(circle_x, indices)],
+                shown=("collinearity",))
     return report
 
 
@@ -856,6 +976,11 @@ def totally_focal_probe(fam, s, seed=0, num_nonfocal=50, num_focal=10,
     `num_starts` Newton starts (default 60 g); a margin over no point is null.
     A pass needs at least one non-focal pole and one focal point, so a probe
     with `num_nonfocal=0` runs but never passes.
+
+    Every pole and its start draws are drawn up front, in the order of the
+    pole-by-pole loop: the non-focal poles, the focal poles, the boundary
+    pole.  Each round of at most `_round_size` of them then takes one
+    Newton batch (`_newton_route`) and one `_classify` call.
     """
     s = _hypersurface_level(s)
     num_nonfocal = _size("num_nonfocal", num_nonfocal, 0)
@@ -878,30 +1003,35 @@ def totally_focal_probe(fam, s, seed=0, num_nonfocal=50, num_focal=10,
         stats[key] = _extreme(pick, stats[key],
                               *(cp.hessian_margin for cp in cps))
 
-    for i in range(num_nonfocal):
-        pole = _draw_pole(fam, rng)
-        pts = critical_points_newton(fam, s, pole, num_starts, seed + i,
-                                     degenerate_threshold=_DEGENERATE_PROBE)
-        tally(nonfocal, min, "min_margin", pts, pole.coords, "non-focal")
-    focal = {"poles": 0, "points": 0, "degenerate_points": 0,
-             "max_margin": None}
+    dim = fam.ambient_dim
+    poles = [_draw_pole(fam, rng).coords for _ in range(num_nonfocal)]
+    draws = [_newton_draws(fam, seed + i, num_starts)
+             for i in range(num_nonfocal)]
     for i in range(num_focal):
         side = 1.0 if i % 2 == 0 else -1.0
-        p = project_to_level_focal(fam, side,
-                                   rng.normal(size=fam.ambient_dim)).coords
-        cps = _classify(fam, s, p, _newton_route(
-            fam, s, p, rng.normal(size=(num_starts, fam.ambient_dim))),
-            _DEGENERATE_PROBE)
-        tally(focal, max, "max_margin", cps, p, "focal")
+        poles.append(project_to_level_focal(fam, side,
+                                            rng.normal(size=dim)).coords)
+        draws.append(rng.normal(size=(num_starts, dim)))
     # boundary demonstration: a pole just off the focal set
-    raw = rng.normal(size=fam.ambient_dim)
-    base = project_to_level_focal(fam, 1.0, raw)
-    w = rng.normal(size=fam.ambient_dim)
+    base = project_to_level_focal(fam, 1.0, rng.normal(size=dim))
+    w = rng.normal(size=dim)
     w -= (w @ base.coords) * base.coords
     w /= np.linalg.norm(w)
-    near = SpherePoint(np.cos(1e-5) * base.coords + np.sin(1e-5) * w)
-    near_pts = critical_points_newton(fam, s, near, num_starts, seed + 991,
-                                      degenerate_threshold=_DEGENERATE_PROBE)
+    poles.append(SpherePoint(np.cos(1e-5) * base.coords
+                             + np.sin(1e-5) * w).coords)
+    draws.append(_newton_draws(fam, seed + 991, num_starts))
+    per_round, cps = _round_size(fam, num_starts), []
+    for first in range(0, len(poles), per_round):
+        batch = np.array(poles[first:first + per_round])
+        cps += _classify_poles(fam, s, batch, _newton_route(
+            fam, s, batch, draws[first:first + per_round]), _DEGENERATE_PROBE)
+    for p, pts in zip(poles[:num_nonfocal], cps):
+        tally(nonfocal, min, "min_margin", pts, p, "non-focal")
+    focal = {"poles": 0, "points": 0, "degenerate_points": 0,
+             "max_margin": None}
+    for p, pts in zip(poles[num_nonfocal:-1], cps[num_nonfocal:-1]):
+        tally(focal, max, "max_margin", pts, p, "focal")
+    near_pts = cps[-1]
     boundary = {
         "offset": 1e-5,
         "min_margin": min((cp.hessian_margin for cp in near_pts),

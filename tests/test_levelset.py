@@ -106,6 +106,29 @@ def test_project_from_focal_start_raises(fam_clifford):
         project_to_level(fam_clifford, 0.3, focal)
 
 
+def test_project_to_level_makes_three_bank_calls(fam_nomizu, monkeypatch):
+    # the focal-start guard reads one jet at the start and the retraction
+    # one jet per pass (two on a genuine family); the point is framed from
+    # the retraction's last jet, with no bank call of its own
+    log = []
+    for kind in ("value", "gradient", "hessian", "laplacian",
+                 "hessian_along"):
+        def logging(self, *args, _bank=getattr(CMPolynomial, kind),
+                    _kind=kind):
+            log.append(_kind)
+            return _bank(self, *args)
+        monkeypatch.setattr(CMPolynomial, kind, logging)
+    rng = np.random.default_rng(5)
+    for _ in range(4):
+        log.clear()
+        x0 = SpherePoint(rng.normal(size=fam_nomizu.ambient_dim))
+        sp = project_to_level(fam_nomizu, 0.3, x0)
+        assert log == ["gradient"] * 3
+        ref = surface_point(fam_nomizu, sp.x, level=0.3)
+        assert np.abs(sp.xi - ref.xi).max() <= 1e-15
+        assert np.abs(sp.tangent_vectors - ref.tangent_vectors).max() <= 1e-15
+
+
 def test_focal_level_projection(all_families):
     rng = np.random.default_rng(4)
     for fam in all_families:

@@ -14,6 +14,7 @@ from isolab import (InputContractError, NearFocalPoleError, PoleIsFocalError,
 from isolab import levelset, morse, shape
 from isolab.levelset import (_frames_batch, _normalize_rows, _project_batch,
                              spherical_gradient, surface_point)
+from isolab.families import seeded_rng
 from isolab.morse import project_to_level_focal
 from isolab.polynomial import CMPolynomial
 from isolab.shape import spectrum_at
@@ -512,8 +513,8 @@ def test_focal_newton_takes_no_eigh(monkeypatch):
         for side in (1, -1):
             starts, ok = _project_batch(fam, float(side), rng.normal(
                 size=(12 * fam.g, fam.ambient_dim)))[:2]
-            sols, _rnorm = morse._focal_newton(fam, side, pole.coords,
-                                               starts[ok])
+            sols = morse._focal_newton(fam, side, pole.coords,
+                                       starts[ok])[0]
             assert len(sols), (label, side)
     assert eigh_rows == []
     assert counts["step"] > 0 and counts["retract"] == counts["step"]
@@ -534,8 +535,8 @@ def test_focal_newton_makes_one_value_call(monkeypatch):
             starts, ok = _project_batch(fam, float(side), rng.normal(
                 size=(12 * fam.g, fam.ambient_dim)))[:2]
             calls.clear()
-            sols, _rnorm = morse._focal_newton(fam, side, pole.coords,
-                                               starts[ok])
+            sols = morse._focal_newton(fam, side, pole.coords,
+                                       starts[ok])[0]
             assert len(sols) and len(calls) == 1, (label, side, len(calls))
 
 
@@ -558,15 +559,20 @@ def test_newton_route_hands_the_starts_values_to_the_solver(monkeypatch):
     rng = np.random.default_rng(89)
     for label, params in PROJECTOR_FAMILIES:
         fam = catalog(label, **params)
-        pole = morse._draw_pole(fam, rng)
-        raw = rng.normal(size=(12 * fam.g, fam.ambient_dim))
+        # two poles in one batch, each with its own draws
+        poles = np.array([morse._draw_pole(fam, rng).coords
+                          for _ in range(2)])
+        raw = rng.normal(size=(2, 12 * fam.g, fam.ambient_dim))
         log.clear()
-        assert len(morse._newton_route(fam, 0.3, pole.coords, raw)), label
+        found = morse._newton_route(fam, 0.3, poles, raw)
+        assert len(found) == 2 and all(map(len, found)), label
+        assert log.count("projected") == 1 + log.count("step"), label
         first = log[log.index("projected") + 1:log.index("step")]
         assert first == ["hessian"], (label, first)
         for side in (1.0, -1.0):
             log.clear()
-            assert len(morse._newton_route(fam, side, pole.coords, raw))
+            found = morse._newton_route(fam, side, poles, raw)
+            assert len(found) == 2 and all(map(len, found)), (label, side)
             assert "value" not in log, (label, side)
 
 
@@ -639,8 +645,8 @@ def test_focal_newton_diagonalizes_no_ambient_matrix(fam_nomizu, monkeypatch):
     for side in (1, -1):
         starts, ok = _project_batch(fam_nomizu, float(side),
                                     rng.normal(size=(48, d)))[:2]
-        sols, _rnorm = morse._focal_newton(fam_nomizu, side, pole.coords,
-                                           starts[ok])
+        sols = morse._focal_newton(fam_nomizu, side, pole.coords,
+                                   starts[ok])[0]
         _eta, Y = morse._focal_circle_points(fam_nomizu, side, pole)
         morse._focal_index(fam_nomizu, side, pole.coords, Y,
                            fam_nomizu.polynomial.value(Y))
@@ -689,7 +695,7 @@ def test_focal_newton_retracts_once_per_step(fam_nomizu, monkeypatch):
                         counting("step", morse._chart_step))
     monkeypatch.setattr(CMPolynomial, "hessian_along",
                         counting("third", CMPolynomial.hessian_along))
-    sols, _rnorm = morse._focal_newton(fam_nomizu, 1, pole.coords, starts[ok])
+    sols = morse._focal_newton(fam_nomizu, 1, pole.coords, starts[ok])[0]
     assert len(sols) > 0 and counts["step"] > 0
     assert counts["retract"] <= counts["step"] == counts["third"]
     counts["third"] = 0
@@ -704,8 +710,7 @@ def test_pole_loops_give_up_after_the_rejection_budget(fam_clifford,
     def focal(*args, **kwargs):
         raise PoleIsFocalError("every pole rejected")
 
-    monkeypatch.setattr(morse, "normal_circle_critical_points", focal)
-    monkeypatch.setattr(morse, "_focal_circle_points", focal)
+    monkeypatch.setattr(morse, "_normal_circle", focal)
     with pytest.raises(SamplingError, match=r"rejected 1100 poles .*"
                        r"\(focal pole: 1100, t at 0 or pi: 0\)"):
         tightness_report(fam_clifford, 0.3, num_poles=1, seed=24)
@@ -1173,9 +1178,9 @@ def test_newton_residual_reads_the_retraction_jet(fam_nomizu, monkeypatch):
     starts, ok = _project_batch(fam_nomizu, 0.3, rng.normal(
         size=(120, fam_nomizu.ambient_dim)))[:2]
     log.clear()
-    sols, _rnorm, diag = morse._newton_multistart(fam_nomizu, 0.3,
+    sols, _rnorm, kept = morse._newton_multistart(fam_nomizu, 0.3,
                                                   pole.coords, starts[ok])
-    assert diag["converged"] == diag["starts"] and len(sols)
+    assert kept.tolist() == list(range(ok.sum())) and len(sols)
     assert "value" not in log
     text = " ".join(log)
     steps = text.split(" framed ")
@@ -1329,37 +1334,49 @@ def test_focal_retraction_and_circle_share_one_tangency_newton(fam_nomizu,
 
 
 def test_newton_entries_share_one_route(fam_clifford, monkeypatch):
+    # every entry solves through `_newton_route`, one batch per call here;
+    # `seen` holds one list per call, one entry per pole
     seen = []
     route = morse._newton_route
 
-    def recording(fam, s, p, raw):
-        seen.append((float(fam.polynomial.value(p)), len(raw), s))
-        return route(fam, s, p, raw)
+    def recording(fam, s, poles, raw):
+        seen.append([(float(fam.polynomial.value(p)), len(r), s)
+                     for p, r in zip(poles, raw)])
+        return route(fam, s, poles, raw)
 
     monkeypatch.setattr(morse, "_newton_route", recording)
     pole = torus_pole(13)
     critical_points_newton(fam_clifford, 0.3, pole, seed=2)
-    assert seen == [(float(fam_clifford.polynomial.value(pole.coords)),
-                     120, 0.3)]
+    assert seen == [[(float(fam_clifford.polynomial.value(pole.coords)),
+                      120, 0.3)]]
     seen.clear()
     totally_focal_probe(fam_clifford, 0.3, seed=4, num_nonfocal=1,
                         num_focal=2)
-    # one non-focal pole, two focal poles, then the boundary pole
-    assert len(seen) == 4
-    assert all(s == 0.3 for _v, _n, s in seen)
-    assert abs(seen[0][0]) <= 1.0 - morse._POLE_MARGIN
-    assert [abs(abs(v) - 1.0) <= 1e-12 for v, _n, _s in seen[1:3]] == [True] * 2
+    # one batch: one non-focal pole, two focal poles, then the boundary pole
+    assert len(seen) == 1 and len(seen[0]) == 4
+    entries = seen[0]
+    assert all(s == 0.3 for _v, _n, s in entries)
+    assert abs(entries[0][0]) <= 1.0 - morse._POLE_MARGIN
+    assert [abs(abs(v) - 1.0) <= 1e-12
+            for v, _n, _s in entries[1:3]] == [True] * 2
+    assert 1e-12 < 1.0 - abs(entries[3][0]) < 1e-6
     # every pole of the probe takes its num_starts starts
     seen.clear()
     totally_focal_probe(fam_clifford, 0.3, seed=4, num_nonfocal=2,
                         num_focal=2, num_starts=12)
-    assert [n for _v, n, _s in seen] == [12] * 5
+    assert [[n for _v, n, _s in call] for call in seen] == [[12] * 5]
     # the focal report solves on the sheet through the same route
     for side in (1, -1):
         seen.clear()
         focal_tautness_report(fam_clifford, side, num_poles=2, seed=5,
                               starts_per_pole=12)
-        assert [(n, s) for _v, n, s in seen] == [(12, float(side))] * 2
+        assert [[(n, s) for _v, n, s in call] for call in seen] == [
+            [(12, float(side))] * 2]
+    # and the tightness report through one batch of its two poles
+    seen.clear()
+    tightness_report(fam_clifford, 0.3, num_poles=2, seed=5)
+    assert [[(n, s) for _v, n, s in call] for call in seen] == [
+        [(120, 0.3)] * 2]
 
 
 def test_focal_report_evaluates_its_circle_points_once(fam_nomizu,
@@ -1388,8 +1405,8 @@ def test_probe_margins_over_no_point_are_null(fam_clifford, monkeypatch):
     assert probe["nonfocal"]["min_margin"] is None
     assert probe["focal"]["max_margin"] is None
     json.dumps(probe, allow_nan=False)
-    monkeypatch.setattr(morse, "_newton_route", lambda fam, s, p, raw: (
-        np.empty((0, fam.ambient_dim))))
+    monkeypatch.setattr(morse, "_newton_route", lambda fam, s, poles, raw: (
+        [np.empty((0, fam.ambient_dim))] * len(poles)))
     probe = totally_focal_probe(fam_clifford, 0.3, num_nonfocal=1,
                                 num_focal=1)
     assert [probe[k][m] for k, m in (("nonfocal", "min_margin"),
@@ -1420,8 +1437,6 @@ def test_probe_without_usable_starts_is_a_sampling_error(fam_clifford,
         return X, ok & (abs(s) == 1.0), *handed
 
     monkeypatch.setattr(morse, "_project_batch", no_level_starts)
-    # the boundary pole's solve is not under test
-    monkeypatch.setattr(morse, "critical_points_newton", lambda *a, **k: [])
     with pytest.raises(SamplingError, match="no usable Newton starts"):
         totally_focal_probe(fam_clifford, 0.3, seed=4, num_nonfocal=0,
                             num_focal=1)
@@ -1469,3 +1484,159 @@ def test_level_flow_ends_at_the_extremes_of_a_height_function(label, params,
         assert np.abs(fam.polynomial.value(ends) - s).max() <= 1e-12, label
         assert np.linalg.norm(ends - target, axis=1).max() <= 1e-6, \
             (label, sign)
+
+
+# -- pole batches --------------------------------------------------------
+
+BATCH_FAMILIES = (("clifford", {"k": 1, "n": 2}), ("cartan-cubic", {}),
+                  ("nomizu-quartic", {"n": 2}))
+
+
+def batched_reports(fam, seed):
+    """The tightness report at the level 0.3, the focal reports on both
+    sheets, each at 3 poles, and the probe at 3 poles (non-focal, focal,
+    boundary), as JSON-ready dicts."""
+    return {"tight": tightness_report(fam, 0.3, num_poles=3,
+                                      seed=seed).to_dict(),
+            **{f"focal {side:+d}": focal_tautness_report(
+                fam, side, num_poles=3, seed=seed).to_dict()
+               for side in (1, -1)},
+            "probe": totally_focal_probe(fam, 0.3, seed=seed,
+                                         num_nonfocal=1, num_focal=1)}
+
+
+def leaves(obj, path=""):
+    if isinstance(obj, dict):
+        for key, value in obj.items():
+            yield from leaves(value, f"{path}.{key}")
+    elif isinstance(obj, list):
+        for i, value in enumerate(obj):
+            yield from leaves(value, f"{path}[{i}]")
+    else:
+        yield path, obj
+
+
+@pytest.mark.parametrize("label, params", BATCH_FAMILIES)
+def test_pole_batches_change_no_count(label, params, monkeypatch):
+    # the same draws solved as one 3-pole batch and as three one-pole
+    # batches: every count, index, flag, ladder and label is equal, points
+    # agree to 1e-12 and the other floats (margins, residuals) to 1e-9; a
+    # pole's last bits may depend on its batch, but a rerun is
+    # byte-identical
+    fam = catalog(label, **params)
+    batched = batched_reports(fam, 7)
+    assert json.dumps(batched_reports(fam, 7)) == json.dumps(batched)
+    routes = []
+    route = morse._newton_route
+    monkeypatch.setattr(morse, "_newton_route", lambda fam, s, poles, raw: (
+        routes.append(len(poles)) or route(fam, s, poles, raw)))
+    monkeypatch.setattr(morse, "_round_size", lambda fam, num_starts: 1)
+    single = batched_reports(fam, 7)
+    assert routes == [1] * 12
+    for name, report in batched.items():
+        got, want = list(leaves(report)), list(leaves(single[name]))
+        assert [p for p, _ in got] == [p for p, _ in want], name
+        for (path, a), (_, b) in zip(got, want):
+            if not isinstance(a, float):
+                assert a == b, (name, path)
+            elif ".coords[" in path:
+                assert abs(a - b) <= 1e-12, (name, path, a, b)
+            else:
+                assert abs(a - b) <= 1e-9 * max(1.0, abs(a)), (name, path)
+
+
+def serial_tightness(fam, s, num_poles, seed, reject_at):
+    """The pole-by-pole tightness loop over `critical_points_newton`, with
+    the `reject_at`-th pole that reaches the t check rejected there:
+    (accepted poles, their Newton seeds, rejected pole count)."""
+    rng = seeded_rng(seed, 0x7161)
+    poles, seeds = [], []
+    checked = rejected = 0
+    while len(poles) < num_poles:
+        pole = morse._draw_pole(fam, rng)
+        try:
+            circle = normal_circle_critical_points(fam, s, pole)
+        except PoleIsFocalError:
+            rejected += 1
+            continue
+        newton = critical_points_newton(fam, s, pole, seed=seed + len(poles))
+        checked += 1
+        if checked == reject_at or morse._at_pole_or_antipode(newton + circle):
+            rejected += 1
+            continue
+        poles.append(pole.coords.tolist())
+        seeds.append(seed + len(poles) - 1)
+    return poles, seeds, rejected
+
+
+def test_mid_round_rejection_keeps_the_serial_poles_and_seeds(fam_cartan,
+                                                             monkeypatch):
+    # the second pole of the first round is rejected: the report accepts the
+    # first, then solves the later poles again with the seeds that a
+    # pole-by-pole loop gives them
+    want = serial_tightness(fam_cartan, 0.2, 3, 11, reject_at=2)
+    checks, draws, solved = [], [], []
+    at_end, newton_draws = morse._at_pole_or_antipode, morse._newton_draws
+    route = morse._newton_route
+
+    def rejecting(cps):
+        checks.append(1)
+        return len(checks) == 2 or at_end(cps)
+
+    def drawing(fam, seed, num_starts):
+        draws.append(seed)
+        return newton_draws(fam, seed, num_starts)
+
+    def solving(fam, s, poles, raw):
+        # the draws of a round are made in pole order before its solve
+        solved.extend(zip(map(tuple, poles.tolist()), draws[-len(poles):]))
+        return route(fam, s, poles, raw)
+
+    monkeypatch.setattr(morse, "_at_pole_or_antipode", rejecting)
+    monkeypatch.setattr(morse, "_newton_draws", drawing)
+    monkeypatch.setattr(morse, "_newton_route", solving)
+    report = tightness_report(fam_cartan, 0.2, num_poles=3, seed=11)
+    poles = [entry["pole"] for entry in report.poles]
+    last_seed = dict(solved)
+    assert (poles, [last_seed[tuple(p)] for p in poles],
+            report.rejected_poles) == want
+    assert report.passed and len(solved) == 5
+
+
+def counting(monkeypatch, *names):
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        def wrapped(*args, _fn=getattr(morse, name), _name=name, **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(morse, name, wrapped)
+    return counts
+
+
+def test_each_report_makes_one_solve_per_round(fam_nomizu, monkeypatch):
+    # one Newton batch per round, all Newton points classified in one call
+    # and all circle points in another
+    counts = counting(monkeypatch, "_newton_multistart", "_focal_newton",
+                      "_classify", "_focal_index")
+    assert tightness_report(fam_nomizu, 0.3, num_poles=5, seed=3).passed
+    assert counts == {"_newton_multistart": 1, "_focal_newton": 0,
+                      "_classify": 2, "_focal_index": 0}
+    counts.update(dict.fromkeys(counts, 0))
+    assert totally_focal_probe(fam_nomizu, 0.3, seed=3, num_nonfocal=2,
+                               num_focal=2)["pass"]
+    assert counts == {"_newton_multistart": 1, "_focal_newton": 0,
+                      "_classify": 1, "_focal_index": 0}
+    counts.update(dict.fromkeys(counts, 0))
+    assert focal_tautness_report(fam_nomizu, 1, num_poles=3, seed=3).passed
+    assert counts == {"_newton_multistart": 0, "_focal_newton": 1,
+                      "_classify": 0, "_focal_index": 1}
+
+
+def test_rounds_cap_the_start_rows(fam_nomizu, monkeypatch):
+    # a round holds at most 2^20 start rows x D^2, and at least one pole
+    assert morse._round_size(fam_nomizu, 240) == 2 ** 20 // (240 * 36)
+    assert morse._round_size(fam_nomizu, 2 ** 20) == 1
+    monkeypatch.setattr(morse, "_ROUND_ROWS", 2 * 240 * 36)
+    counts = counting(monkeypatch, "_newton_multistart", "_classify")
+    assert tightness_report(fam_nomizu, 0.3, num_poles=5, seed=3).passed
+    assert counts == {"_newton_multistart": 3, "_classify": 6}

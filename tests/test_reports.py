@@ -38,28 +38,26 @@ def test_report_keys_are_the_field_names(fam_clifford):
 
 def test_count_mismatch_is_a_null_match_in_both_reports(fam_clifford,
                                                         monkeypatch):
-    # one route drops a point at the first pole: the match distance is
-    # infinite there, so it stays out of the worst match and reads null in
-    # the failure entry, and the report stays JSON (which has no infinity)
-    def dropping(fn):
-        def wrapped(*args, **kwargs):
-            out = fn(*args, **kwargs)
-            calls.append(1)
-            return out[:-1] if len(calls) == 1 else out
-        return wrapped
+    # the Newton route drops a point at the first pole: the match distance
+    # is infinite there, so it stays out of the worst match and reads null
+    # in the failure entry, and the report stays JSON (which has no
+    # infinity)
+    route = morse._newton_route
 
+    def dropping(*args):
+        out = route(*args)
+        out[0] = out[0][:-1]
+        return out
+
+    monkeypatch.setattr(morse, "_newton_route", dropping)
     for name, report in (
-            ("critical_points_newton",
-             lambda: tightness_report(fam_clifford, 0.3, num_poles=2,
-                                      seed=3)),
-            ("_newton_route",
-             lambda: focal_tautness_report(fam_clifford, 1, num_poles=2,
-                                           seed=3))):
-        calls = []
-        with monkeypatch.context() as patch:
-            patch.setattr(morse, name, dropping(getattr(morse, name)))
-            out = report()
+            ("tight", lambda: tightness_report(fam_clifford, 0.3,
+                                               num_poles=2, seed=3)),
+            ("focal", lambda: focal_tautness_report(fam_clifford, 1,
+                                                    num_poles=2, seed=3))):
+        out = report()
         assert not out.passed and len(out.failures) == 1, name
+        assert out.failures[0]["pole"] == out.poles[0]["pole"], name
         assert out.failures[0]["match_distance"] is None, name
         assert 0.0 < out.worst_match_distance < 1e-6, name
         json.dumps(out.to_dict(), allow_nan=False)
@@ -68,7 +66,8 @@ def test_count_mismatch_is_a_null_match_in_both_reports(fam_clifford,
 def test_report_without_newton_points_has_a_null_margin(fam_clifford,
                                                         monkeypatch):
     # a margin taken over no point reads null, since JSON has no infinity
-    monkeypatch.setattr(morse, "critical_points_newton", lambda *a, **k: [])
+    monkeypatch.setattr(morse, "_newton_route", lambda fam, s, poles, raw: (
+        [np.empty((0, fam.ambient_dim))] * len(poles)))
     report = tightness_report(fam_clifford, 0.3, num_poles=1, seed=3)
     assert not report.passed and report.min_hessian_margin is None
     json.dumps(report.to_dict(), allow_nan=False)
