@@ -17,11 +17,13 @@ the rows it reads, and its kernel cost in ns per point (the third-derivative
 bank, 750 MB of output there, is not timed); block rows give the gradient,
 Laplacian and value banks' ns per point there with `BLOCK_ROWS` set to 128,
 256 and 512 rows.  Classification rows give, on nomizu-quartic n=2, the rows
-retracted per critical point and the milliseconds per point for both index
-stencils (`_hessian_stencil` at the critical points of one pole on the level
-0.3, `_focal_index` at those on the focal sheet V = +1, given their
-values) and for the whole batched classifier `_classify` (both witnesses)
-at the level-0.3 points.
+retracted per critical point and the milliseconds per point for the index
+stencil on each sheet (`_hessian_stencil` at the critical points of one pole
+on the level 0.3, `_focal_index` at those on the focal sheet V = +1, given
+their values; both run the one stencil body `_index_stencil`) and for the
+whole batched classifier `_classify` (both witnesses) at the level-0.3
+points.  The rows are counted by patching `morse._project_batch`, the
+retraction that `_chart_hessians` looks up in morse for every sheet.
 Newton-step rows give, at 240 points of the level 0.3 of nomizu-quartic n=2
 and clifford(2,7), the microseconds per row of one `_frames_batch` call
 (normals and tangent frames) and of one hypersurface `_chart_step` (the

@@ -2,9 +2,15 @@
 and on focal submanifolds, found by two independent routes and classified by
 two independent index computations.
 
+A level V = s is resolved once (`_sheet`) into a sheet: the regular level
+M_s (`_Level`) or the focal submanifold V = +/-1 (`_FocalSheet`).  Each
+sheet carries its own Newton residual, exact Jacobian, stencil chart and
+gradient, and constants; one Newton body (`_newton`) and one index stencil
+(`_index_stencil`) serve both.
+
 Route one is a multistart Newton solve of the criticality condition: x is
-critical for d_p exactly when p lies in the plane spanned by x and the
-hypersurface normal at x, so the tangential component of p must vanish.
+critical for d_p exactly when the pole has no component in the tangent
+space at x (on a level: p lies in the plane spanned by x and the normal).
 Route two uses the normal great circle through p: it meets every level
 hypersurface 2g times (and each focal submanifold g times) at arc positions
 in closed form from the cosine profile of V, polished in one batch along
@@ -40,9 +46,6 @@ from .sphere import SpherePoint
 
 NEWTON_TOL = 1e-11
 _NEWTON_MAX_ITER = 40
-_FOCAL_TOL = 1e-13
-_FOCAL_MAX_ITER = 48
-_FOCAL_POLISH = 2
 DEDUP_RADIUS = 1e-6
 _H_HESSIAN = 1e-4
 _DEGENERATE_REPORT = 1e-6   # flag threshold in reports
@@ -243,11 +246,11 @@ def _masked_newton(X, first, residual, step, tol, max_iter):
     of X.  `step(rows, state)` returns (moved rows, ok, *handed) for the
     rows still above `tol`, and only the moved rows are evaluated again,
     each with its row of the per-row arrays `handed` that the step passes
-    on (in the pole solvers each row's pole, then the final values of
-    `_project_batch`: F and grad F on a regular level, F on a focal sheet).
-    A row whose move fails has lost the level
-    and leaves the loop.  Returns the residual norms and state at the final
-    X, each row's from its last evaluation."""
+    on (in the pole solver `_newton` each row's pole, then the values that
+    `_project_batch` ends with: F and grad F on a `_Level`, F on a
+    `_FocalSheet`).  A row whose move fails has lost the level and leaves
+    the loop.  Returns the residual norms and state at the final X, each
+    row's from its last evaluation."""
     rnorm, state = first
     idx = np.arange(X.shape[0])
     for _ in range(max_iter):
@@ -286,40 +289,164 @@ def _level_flow(fam, s, X, value, gradient, sign):
     return X
 
 
-def _newton_multistart(fam, s, p, starts, *jet):
-    """Drive each start to a zero of the tangential residual on M_s toward
-    its pole: p is one pole or a pole per start (`_pole_rows`), so one call
-    solves for many poles.
+def _sheet(fam, s):
+    """The sheet V = s: the focal submanifold when `_is_focal(s)`, else the
+    regular level M_s.  The one place that tells the two apart."""
+    return _FocalSheet(fam, s) if _is_focal(s) else _Level(fam, s)
 
-    Newton in the chart spanned by the frame at the current iterate, with
-    the exact Jacobian of `_newton_jacobian` (so the same solver also walks
-    onto critical manifolds when the pole is focal), each move retracted to
-    the level.  The residual builds its frames from the jet the retraction
-    ends with, so a step makes one Hessian-bank call and one
-    gradient-bank call per retraction pass, and no value call; the first
-    residual reads the starts' jet (F, grad F) when it is handed in, and
-    else makes one gradient-bank call.  The Jacobian only steers: a start
-    counts as converged by its residual alone.  Returns (solutions,
-    residual_norms, kept), kept the indices of the starts they came from.
-    """
-    X = np.array(starts, dtype=np.float64)
 
-    def residual(rows, poles, *jet):
-        xi, frames, vals, wn = _frames_batch(fam, rows, jet or None)
+class _Level:
+    """The regular level M_s.  Its Newton residual is the tangential part q
+    of p (`_tangential_residual`, max-norm) in the `_frames_batch` chart,
+    its Jacobian `_newton_jacobian`; its stencil differences q with normals
+    from the jet of the stencil's retraction, never the shape operator."""
+
+    tol, max_iter, polish, accept = NEWTON_TOL, _NEWTON_MAX_ITER, 0, 1e-9
+    crossings = (1, -1)  # the normal circle meets M_s at +/-arccos s
+
+    def __init__(self, fam, s):
+        self.fam, self.level = fam, s
+
+    def solve(self, p, starts, *jet):
+        return _newton_multistart(self.fam, self.level, p, starts, *jet)
+
+    def residual(self, rows, poles, *jet):
+        xi, frames, vals, wn = _frames_batch(self.fam, rows, jet or None)
         q = _tangential_residual(poles, rows, xi)
-        return np.abs(q).max(axis=1), [poles, xi, frames, q, vals, wn]
+        return np.abs(q).max(axis=1), [poles, q, frames, xi, vals, wn]
+
+    start = residual
+
+    def jacobian(self, rows, state):
+        poles, _q, frames, xi, vals, wn = state
+        return _newton_jacobian(self.fam, poles, rows, xi, frames, vals, wn)
+
+    def stencil_chart(self, rows, frames):
+        return _frames_batch(self.fam, rows)[1] if frames is None else frames
+
+    def stencil_gradient(self, poles, rows, *jet):
+        xi = _normalize_rows(_level_jet(self.fam, rows, jet or None)[1])
+        return _tangential_residual(poles, rows, xi)
+
+    def circle_polish(self, p, eta, tau):
+        """Two Newton steps on V - s along the circle cos(tau) p + sin(tau)
+        eta; a row stops once its slope is below 1e-9."""
+        poly, live = self.fam.polynomial, np.arange(len(tau))
+        for _ in range(2):
+            ct, st = np.cos(tau[live])[:, None], np.sin(tau[live])[:, None]
+            X = ct * p + st * eta
+            slope = np.einsum("ij,ij->i", poly.gradient(X), ct * eta - st * p)
+            move = np.abs(slope) >= 1e-9
+            tau[live[move]] -= (poly.value(X)[move] - self.level) / slope[move]
+            live = live[move]
+        return tau
+
+
+class _FocalSheet:
+    """The focal submanifold M = {V = side}.  Its Newton residual is the
+    tangent part q = sph^T P sph p of p (`_sphere_tangent_part`, 2-norm) in
+    the D-1 sphere frame sph, P the projector of `_focal_sphere_projector`;
+    its stencil differences q in the chart of the top d_foc eigenvectors of
+    P.  A focal set that is a point (d_foc = 0) takes no step and no
+    stencil."""
+
+    tol, max_iter, polish, accept = 1e-13, 48, 2, 1e-8
+    crossings = (1,)  # the normal circle touches M at arccos side
+
+    def __init__(self, fam, side):
+        self.fam, self.level = fam, float(side)
+
+    def solve(self, p, starts, *vals):
+        return _focal_newton(self.fam, self.level, p, starts, *vals)
+
+    def tangent(self, rows, vals):
+        """`_focal_sphere_projector` at the rows, its traces reduced to their
+        common rank d_foc: SamplingError if they differ."""
+        sph, proj, dims = _focal_sphere_projector(self.fam, self.level, rows,
+                                                  vals)
+        if np.any(dims != dims[0]):
+            raise SamplingError(
+                f"focal tangent ranks disagree: {sorted(set(dims.tolist()))}")
+        return sph, proj, int(dims[0])
+
+    def start(self, rows, poles, vals=None):
+        """The residual at the starts; 0 where d_foc = 0, since every start
+        on a focal point solves it."""
+        sph, proj, d_foc = self.tangent(rows, vals)
+        rnorm, state = self.residual(rows, poles, vals, (sph, proj))
+        return (rnorm if d_foc else np.zeros_like(rnorm)), state
+
+    def residual(self, rows, poles, vals, tangent=None):
+        sph, proj = tangent or _focal_sphere_projector(
+            self.fam, self.level, rows, vals)[:2]
+        q = _sphere_tangent_part(poles, sph, proj)
+        return _row_norms(q), [poles, q, sph, proj]
+
+    def jacobian(self, rows, state):
+        """P J P + (I - P), J `_focal_jacobian` on the sphere frame: J's
+        tangent block on T_yM and the identity across it, so the step moves
+        along T_yM only."""
+        poles, q, sph, proj = state
+        jac = _focal_jacobian(self.fam, self.level, poles, rows, sph, q)
+        return proj @ jac @ proj + (np.eye(proj.shape[1]) - proj)
+
+    def stencil_chart(self, rows, vals):
+        sph, proj, d_foc = self.tangent(rows, vals)
+        if d_foc:
+            basis = np.linalg.eigh(proj)[1][:, :, -d_foc:]
+            return np.swapaxes(basis, 1, 2) @ sph
+
+    def stencil_gradient(self, poles, rows, vals):
+        return _sphere_tangent_part(poles, *_focal_sphere_projector(
+            self.fam, self.level, rows, vals)[:2])
+
+    def circle_polish(self, p, eta, tau):
+        return _circle_tangency(self.fam, p, eta, tau)
+
+
+def _newton(sheet, p, starts, handed):
+    """Drive each start to a zero of the sheet's residual toward its pole
+    (one pole or a pole per start, `_pole_rows`): Newton steps
+    (`_chart_step`) in the sheet's chart with its exact Jacobian, each
+    retracted to the sheet, until the residual is at most `sheet.tol`; the
+    Jacobian only steers.  Each residual reads the values its retraction
+    handed on, the first those of the starts' projection (`handed`) when
+    given.  The converged rows then take up to `sheet.polish` steps at
+    tolerance 0, which push positions along nearly degenerate Hessian
+    directions (error up to tol/|J|) to the evaluation-noise floor.  Never
+    reads the circle route's points, the expected count or the index
+    chart.  Returns (solutions, residual_norms, kept), kept the indices of
+    the starts they came from."""
+    X = np.array(starts, dtype=np.float64)
+    poles = np.array(_pole_rows(p, len(X)))
 
     def step(rows, state):
-        poles, xi, frames, q, vals, wn = state
-        jac = _newton_jacobian(fam, poles, rows, xi, frames, vals, wn)
-        moved, ok, *jet = _chart_step(fam, s, rows, frames, jac, q)
-        return moved, ok, poles, *jet
+        poles, q, chart = state[:3]
+        moved, ok, *values = _chart_step(sheet.fam, sheet.level, rows, chart,
+                                         sheet.jacobian(rows, state), q)
+        return moved, ok, poles, *values
 
-    poles = np.array(_pole_rows(p, len(X)))
-    rnorm, _state = _masked_newton(X, residual(X, poles, *jet), residual,
-                                   step, NEWTON_TOL, _NEWTON_MAX_ITER)
-    kept = np.flatnonzero(rnorm <= NEWTON_TOL)
-    return X[kept], rnorm[kept], kept
+    rnorm, state = _masked_newton(X, sheet.start(X, poles, *handed),
+                                  sheet.residual, step, sheet.tol,
+                                  sheet.max_iter)
+    kept = np.flatnonzero(rnorm <= sheet.tol)
+    sols, rnorm = X[kept], rnorm[kept]
+    if sheet.polish:
+        rnorm = _masked_newton(sols, (rnorm, [s[kept] for s in state]),
+                               sheet.residual, step, 0.0, sheet.polish)[0]
+    return sols, rnorm, kept
+
+
+def _newton_multistart(fam, s, p, starts, *jet):
+    """`_newton` on the level M_s, from the starts' jet (F, grad F) when it
+    is handed in."""
+    return _newton(_Level(fam, s), p, starts, jet)
+
+
+def _focal_newton(fam, side, p, starts, vals=None):
+    """`_newton` on the focal submanifold V = side, from the values F at
+    the starts when they are handed in."""
+    return _newton(_FocalSheet(fam, side), p, starts, (vals,))
 
 
 def _dedup(fam, X, rnorm):
@@ -366,24 +493,49 @@ def _chart_hessians(fam, level, X, charts, accept, gradient):
     return (diff + np.swapaxes(diff, 1, 2)) / (4 * h)
 
 
-def _hessian_stencil(fam, s, p, X, frames=None):
-    """Finite-difference Hessians of the height function l_p on M_s at each
-    row of X (assumed critical), p one pole or a pole per row, in the chart
-    of the `_frames_batch` frames (computed when not given), from the
-    tangential residual with normals from the jet its retraction hands
-    back.  Returns (hessians, t)."""
-    P = _pole_rows(p, len(X))
-    if frames is None:
-        frames = _frames_batch(fam, X)[1]
+def _index_stencil(sheet, p, X, handed):
+    """Finite-difference Hessians of the height function l_p on the sheet
+    at each row of X (assumed critical), p one pole or a pole per row: the
+    sheet's stencil gradient differenced by `_chart_hessians` at the
+    sheet's `accept`, in the sheet's stencil chart at X (from `handed`, the
+    level's frames or the focal values).  None where the sheet has no
+    tangent space."""
+    charts = sheet.stencil_chart(X, handed)
+    if charts is None:
+        return None
     # `_chart_hessians` moves each row to 2k stencil points, in row order
-    moved_poles = np.repeat(P, 2 * frames.shape[1], axis=0)
+    moved_poles = np.repeat(_pole_rows(p, len(X)), 2 * charts.shape[1],
+                            axis=0)
+    return _chart_hessians(
+        sheet.fam, sheet.level, X, charts, sheet.accept,
+        lambda rows, *handed: sheet.stencil_gradient(moved_poles, rows,
+                                                     *handed))
 
-    def gradient(rows, *jet):
-        xi = _normalize_rows(_level_jet(fam, rows, jet or None)[1])
-        return _tangential_residual(moved_poles, rows, xi)
 
-    hessians = _chart_hessians(fam, s, X, frames, 1e-9, gradient)
-    return hessians, np.arccos(np.clip(_row_dots(X, P), -1.0, 1.0))
+def _hessian_stencil(fam, s, p, X, frames=None):
+    """`_index_stencil` on the level M_s, in the chart of the
+    `_frames_batch` frames (computed when not given).  Returns (hessians,
+    t)."""
+    hessians = _index_stencil(_Level(fam, s), p, X, frames)
+    return hessians, np.arccos(np.clip(_row_dots(X, _pole_rows(p, len(X))),
+                                       -1.0, 1.0))
+
+
+def _focal_index(fam, side, p, Y, vals):
+    """Height-function Hessian index at each row of Y (values F = `vals`)
+    on the focal submanifold V = side, p one pole or a pole per row, from
+    `_index_stencil`: no value call and no third-derivative bank, and
+    d_foc = 0 takes no eigh.  Returns (indices, margins)."""
+    hessians = _index_stencil(_FocalSheet(fam, side), p, Y, vals)
+    if hessians is None:
+        return [0] * len(Y), [1.0] * len(Y)
+    eig = np.linalg.eigvalsh(hessians)
+    abs_eig = np.abs(eig)
+    top = abs_eig.max(axis=1)
+    margins = np.divide(abs_eig.min(axis=1), top, out=np.zeros_like(top),
+                        where=top > _HESSIAN_FLOOR)
+    # index of d_p = number of positive eigenvalues of Hess l_p
+    return (eig > 0).sum(axis=1).tolist(), margins.tolist()
 
 
 def _classify(fam, s, p, X, degenerate_threshold=_DEGENERATE_REPORT):
@@ -457,8 +609,13 @@ def index_via_focal_count(pole: SpherePoint, cp: SurfacePoint,
     """Morse index of d_pole at the critical point cp, computed as the sum of
     multiplicities of the focal points lying strictly between cp and the pole
     on the connecting geodesic: the one-row case of `_focal_counts`, raising
-    NearFocalPoleError where that marks the row near-focal.
+    NearFocalPoleError where that marks the row near-focal.  A pole of the
+    wrong dimension, or a cp on a focal submanifold (no normal), raises
+    InputContractError.
     """
+    if cp.xi is None:
+        raise InputContractError("cp lies on a focal submanifold: no normal")
+    cp.family.polynomial._check_points(pole.coords)
     indices, near = _focal_counts(pole.coords, *map(np.atleast_2d, (
         cp.x.coords, cp.xi, spectrum.values, spectrum.multiplicities)))
     if near[0]:
@@ -469,22 +626,20 @@ def index_via_focal_count(pole: SpherePoint, cp: SurfacePoint,
 
 def _newton_route(fam, s, poles, raw):
     """The Newton route for the poles (K, D) from their ambient draws `raw`
-    (K, N, D), in one batch: project all the draws to the level M_s or the
-    focal sheet V = s, solve from the usable ones, each toward its own pole
-    (`_focal_newton` on a sheet, `_newton_multistart` on a level;
-    SamplingError when a pole has none), and deduplicate pole by pole.  The
-    solver's first residual reads the values the projection ends with (F on
-    a sheet, F and grad F on a level).  Returns a list of K arrays: the
-    distinct critical points of d_p for each pole p."""
+    (K, N, D), in one batch: project all the draws to the sheet V = s
+    (`_sheet`), solve from the usable ones with the sheet's solver, each
+    toward its own pole (SamplingError when a pole has none), and
+    deduplicate pole by pole.  The solver's first residual reads the values
+    the projection ends with.  Returns a list of K arrays: the distinct
+    critical points of d_p for each pole p."""
     raw = np.asarray(raw, dtype=np.float64)
     count, num_starts, dim = raw.shape
     starts, ok, *handed = _project_batch(fam, s, raw.reshape(-1, dim))
     if not ok.reshape(count, num_starts).any(axis=1).all():
         raise SamplingError("no usable Newton starts")
     owner = np.repeat(np.arange(count), num_starts)[ok]
-    solve = _focal_newton if _is_focal(s) else _newton_multistart
-    sols, rnorm, kept = solve(fam, s, poles[owner], starts[ok],
-                              *(h[ok] for h in handed))
+    sols, rnorm, kept = _sheet(fam, s).solve(poles[owner], starts[ok],
+                                             *(h[ok] for h in handed))
     owner = owner[kept]
     return [_dedup(fam, sols[owner == k], rnorm[owner == k])
             for k in range(count)]
@@ -525,9 +680,11 @@ def critical_points_newton(fam, s, pole: SpherePoint, num_starts=None, seed=0,
     deduplicated at geodesic distance 1e-6 and classified (index via the
     Hessian from central differences of the Riemannian gradient and via the
     focal count, degeneracy flag from the relative smallest Hessian
-    eigenvalue).  A one-pole batch of the reports' Newton route.
+    eigenvalue).  A one-pole batch of the reports' Newton route.  A pole of
+    the wrong dimension raises InputContractError.
     """
     s = _hypersurface_level(s)
+    fam.polynomial._check_points(pole.coords)
     num_starts = 60 * fam.g if num_starts is None else _size(
         "num_starts", num_starts, 1)
     (unique,) = _newton_route(fam, s, pole.coords[None, :],
@@ -540,11 +697,11 @@ def _normal_circle(fam, s, pole: SpherePoint):
     """The 2g points where the normal great circle cos(tau) p + sin(tau) eta
     through the pole meets the level V = s, or the g where it meets the
     focal sheet V = s = +/-1: V is cos(g (psi0 - tau)) along it, so they sit
-    at tau = psi0 - (+/-arccos s + 2 pi j) / g.  One batch polishes these
-    closed forms along the circle, keeping V at roundoff even for
-    polynomials that satisfy the identities only approximately: two Newton
-    steps on V - s on a level (a row stops once its slope is below 1e-9),
-    `_circle_tangency` on a sheet.  Returns (eta, points sorted by tau)."""
+    at tau = psi0 - (+/-arccos s + 2 pi j) / g, the signs the sheet's
+    `crossings`.  One batch polishes these closed forms along the circle
+    (the sheet's `circle_polish`), keeping V at roundoff even for
+    polynomials that satisfy the identities only approximately.  Returns
+    (eta, points sorted by tau)."""
     p = pole.coords
     v0, w = _level_jet(fam, p[None, :])
     wn = float(np.linalg.norm(w))
@@ -552,23 +709,11 @@ def _normal_circle(fam, s, pole: SpherePoint):
         raise PoleIsFocalError("the pole lies on the focal set")
     eta, g, beta = w[0] / wn, fam.g, float(np.arccos(s))
     psi0 = float(np.arccos(np.clip(v0[0], -1.0, 1.0))) / g
-    focal = _is_focal(s)
-    taus = [psi0 - (offset + 2 * np.pi * j) / g for j in range(-g - 1, g + 2)
-            for offset in ((beta,) if focal else (beta, -beta))]
-    tau = np.array(sorted(set(np.round(
-        [t for t in taus if -np.pi < t <= np.pi], 14))))
-    if focal:
-        tau = _circle_tangency(fam, p, eta, tau)
-    else:
-        live = np.arange(len(tau))
-        for _ in range(2):
-            ct, st = np.cos(tau[live])[:, None], np.sin(tau[live])[:, None]
-            X = ct * p + st * eta
-            slope = np.einsum("ij,ij->i", fam.polynomial.gradient(X),
-                              ct * eta - st * p)
-            move = np.abs(slope) >= 1e-9
-            tau[live[move]] -= (fam.polynomial.value(X)[move] - s) / slope[move]
-            live = live[move]
+    sheet = _sheet(fam, s)
+    taus = [psi0 - (sign * beta + 2 * np.pi * j) / g
+            for j in range(-g - 1, g + 2) for sign in sheet.crossings]
+    tau = sheet.circle_polish(p, eta, np.array(sorted(set(np.round(
+        [t for t in taus if -np.pi < t <= np.pi], 14)))))
     return eta, np.cos(tau)[:, None] * p + np.sin(tau)[:, None] * eta
 
 
@@ -730,7 +875,7 @@ def _focal_sphere_hessian(fam, Y, vals=None):
 def _focal_sphere_projector(fam, side, Y, vals=None):
     """Tangent projectors of the focal submanifold V = side at the rows of Y,
     in the sphere frame, by matrix products: the one focal tangent object,
-    read by the Newton route (`_focal_newton`) and the index route.
+    read by the Newton route and the index route (`_FocalSheet`).
 
     bmat (`_focal_sphere_hessian`, from the values F at Y when given) has
     eigenvalues 0 on T_yM and -side g^2 on its normal space in the sphere,
@@ -761,37 +906,14 @@ def _sphere_tangent_part(p, sph, proj):
 
 
 def _focal_jacobian(fam, side, p, Y, chart, q):
-    """The exact Jacobian of `_focal_newton` at the rows of Y, in the chart
-    rows `chart` (B, k, D), given q = P(y) p, p one pole or a pole per row:
-    orthonormal tangent vectors (k = d_foc) give the tangent block itself,
-    the sphere frame (k = D-1) gives a matrix whose tangent block it is.
-    One third-derivative bank call per batch."""
-    P = _pole_rows(p, len(Y))
-    py = _row_dots(Y, P)
-    normal = P - py[:, None] * Y - q
-    third = fam.polynomial.hessian_along(Y, normal)
-    return (-py[:, None, None] * np.eye(chart.shape[1]) + side / fam.g ** 2
-            * (chart @ third @ np.swapaxes(chart, 1, 2)))
+    """The exact Jacobian of the focal residual P(y) p at the rows of Y, in
+    the chart rows `chart` (B, k, D), given q = P(y) p, p one pole or a
+    pole per row: orthonormal tangent vectors (k = d_foc) give the tangent
+    block itself, the sphere frame (k = D-1) gives a matrix whose tangent
+    block it is.  One third-derivative bank call per batch.
 
-
-def _focal_rank(dims):
-    """The common dimension of the focal tangent spaces `dims` (B,);
-    SamplingError when the ranks disagree."""
-    d_foc = int(dims[0])
-    if not np.all(dims == d_foc):
-        raise SamplingError(f"focal tangent ranks disagree: {sorted(set(dims))}")
-    return d_foc
-
-
-def _focal_newton(fam, side, p, starts, vals=None):
-    """Newton multistart for critical points of d_p on the focal submanifold
-    M = {V = side}: zeros of the projection P(y) p of p onto the tangent
-    spaces, each move retracted back to the focal level; p is one pole or a
-    pole per start (`_pole_rows`).
-
-    The Jacobian (`_focal_jacobian`) on orthonormal tangent vectors u_i of
-    T_yM is exact, the Riemannian Hessian <II(u_i, u_j), p> of the height
-    function on M:
+    On orthonormal tangent vectors u_i of T_yM it is the Riemannian Hessian
+    <II(u_i, u_j), p> of the height function on M:
 
         J_ij = -<p, y> delta_ij + (side / g^2) D^3F(y)[u_i, u_j, p_N],
 
@@ -801,57 +923,13 @@ def _focal_newton(fam, side, p, starts, vals=None):
     -side g^2 on the normal space, so differentiating Hess V(v, nu) = 0
     along M gives <II(u, v), nu> = (side / g^2) nabla^3 V(u, v, nu), and at
     critical points of V that covariant derivative is D^3F on vectors
-    orthogonal to y.
-
-    The solve works in the D-1 sphere frame sph, never in a d_foc chart:
-    the residual takes the projector P of `_focal_sphere_projector` (no
-    eigendecomposition on a genuine family), q = sph^T P sph p, and the
-    step solves P J P + (I - P), J the Jacobian on the sphere frame,
-    against sph q.  That matrix is J's tangent block on T_yM and the
-    identity on the normal space, so the step moves along T_yM only.  The
-    retraction (`_project_batch`) hands its values on to the next
-    residual, so a step makes no value call, and the rank check reads the
-    first residual's traces; that residual reads the values F at the
-    starts when they are handed in as `vals`, and else makes one value
-    call.  This route never reads the circle route's points, the expected
-    count or the index route's chart (`_focal_index`).
-
-    The converged points then get up to _FOCAL_POLISH more steps, a second
-    masked loop at tolerance 0 from the first one's last state: along nearly
-    degenerate Hessian directions the residual tolerance alone leaves
-    position error up to tol/|J|, and the polish pushes positions to the
-    evaluation-noise floor instead.  Returns (solutions, residual_norms,
-    kept), kept the indices of the starts they came from."""
-    Y = np.array(starts, dtype=np.float64)
-    first = _focal_sphere_projector(fam, side, Y, vals)
-    d_foc = _focal_rank(first[2])
-    if d_foc == 0:
-        # the focal set is a point; every projected start already solves it
-        return Y, np.zeros(Y.shape[0]), np.arange(Y.shape[0])
-
-    def tangent_part(poles, sph, proj, _dims):
-        q = _sphere_tangent_part(poles, sph, proj)
-        return _row_norms(q), [poles, sph, proj, q]
-
-    def residual(rows, poles, vals):
-        return tangent_part(
-            poles, *_focal_sphere_projector(fam, side, rows, vals))
-
-    def step(rows, state):
-        poles, sph, proj, q = state
-        jac = _focal_jacobian(fam, side, poles, rows, sph, q)
-        jac = proj @ jac @ proj + (np.eye(proj.shape[1]) - proj)
-        moved, ok, vals = _chart_step(fam, float(side), rows, sph, jac, q)
-        return moved, ok, poles, vals
-
-    poles = np.array(_pole_rows(p, len(Y)))
-    rnorm, state = _masked_newton(Y, tangent_part(poles, *first), residual,
-                                  step, _FOCAL_TOL, _FOCAL_MAX_ITER)
-    kept = np.flatnonzero(rnorm <= _FOCAL_TOL)
-    sols, polish = Y[kept], (rnorm[kept], [s[kept] for s in state])
-    rnorm, _state = _masked_newton(sols, polish, residual, step, 0.0,
-                                   _FOCAL_POLISH)
-    return sols, rnorm, kept
+    orthogonal to y."""
+    P = _pole_rows(p, len(Y))
+    py = _row_dots(Y, P)
+    normal = P - py[:, None] * Y - q
+    third = fam.polynomial.hessian_along(Y, normal)
+    return (-py[:, None, None] * np.eye(chart.shape[1]) + side / fam.g ** 2
+            * (chart @ third @ np.swapaxes(chart, 1, 2)))
 
 
 def _focal_circle_points(fam, side, pole):
@@ -859,36 +937,6 @@ def _focal_circle_points(fam, side, pole):
     focal submanifold V = side (`_normal_circle`).  Returns (eta, points
     (g, D))."""
     return _normal_circle(fam, float(side), pole)
-
-
-def _focal_index(fam, side, p, Y, vals):
-    """Height-function Hessian index at each row of Y (values F = `vals`),
-    p one pole or a pole per row, from central differences of P(y) p, every
-    P from `_focal_sphere_projector` (at the moved rows from the values
-    their retraction hands back).  The chart is the top d_foc eigenvectors
-    of one eigh of P at Y, through the sphere frame; d_foc = 0 takes no
-    eigh.  No value call and no third-derivative bank.  Returns (indices,
-    margins)."""
-    sph, proj, dims = _focal_sphere_projector(fam, side, Y, vals)
-    d_foc = _focal_rank(dims)
-    if d_foc == 0:
-        return [0] * len(Y), [1.0] * len(Y)
-    # `_chart_hessians` moves each row to 2 d_foc stencil points, in order
-    moved_poles = np.repeat(_pole_rows(p, len(Y)), 2 * d_foc, axis=0)
-
-    def gradient(rows, vals):
-        return _sphere_tangent_part(
-            moved_poles, *_focal_sphere_projector(fam, side, rows, vals)[:2])
-
-    basis = np.linalg.eigh(proj)[1][:, :, -d_foc:]
-    eig = np.linalg.eigvalsh(_chart_hessians(
-        fam, float(side), Y, np.swapaxes(basis, 1, 2) @ sph, 1e-8, gradient))
-    abs_eig = np.abs(eig)
-    top = abs_eig.max(axis=1)
-    margins = np.divide(abs_eig.min(axis=1), top, out=np.zeros_like(top),
-                        where=top > _HESSIAN_FLOOR)
-    # index of d_p = number of positive eigenvalues of Hess l_p
-    return (eig > 0).sum(axis=1).tolist(), margins.tolist()
 
 
 def focal_tautness_report(fam, side, num_poles=50, seed=0,

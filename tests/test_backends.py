@@ -395,3 +395,9 @@ def test_benchmark_script_runs():
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert "residual sweep" in proc.stdout
+    # the stencil rows count the retractions through `morse._project_batch`:
+    # a stencil that looked its retraction up elsewhere would read 0
+    words = [line.split() for line in proc.stdout.splitlines()]
+    rows = {w[0]: float(w[1]) for w in words if w and w[0] in (
+        "_hessian_stencil", "_focal_index", "_classify")}
+    assert len(rows) == 3 and min(rows.values()) > 0, rows

@@ -156,6 +156,63 @@ def test_index_via_focal_count_limits(fam_clifford):
     assert index_via_focal_count(pole_mid, sp, spec) == spec.multiplicities[0]
 
 
+def test_focal_count_rejects_a_pole_of_the_wrong_dimension(fam_nomizu):
+    sp = sample_points(fam_nomizu, 0.3, 1, seed=6)[0]
+    with pytest.raises(InputContractError,
+                       match="point has dimension 4, expected 6"):
+        index_via_focal_count(SpherePoint(np.full(4, 0.5)), sp,
+                              spectrum_at(sp))
+
+
+def test_focal_count_rejects_a_point_of_a_focal_sheet(fam_nomizu):
+    # a point of V = +1 has no normal (its xi is None), so no focal count
+    spec = spectrum_at(sample_points(fam_nomizu, 0.3, 1, seed=6)[0])
+    on_sheet = sample_points(fam_nomizu, 1.0, 1, seed=6)[0]
+    pole = morse._draw_pole(fam_nomizu, np.random.default_rng(6))
+    with pytest.raises(InputContractError, match="focal"):
+        index_via_focal_count(pole, on_sheet, spec)
+
+
+def test_newton_rejects_a_pole_of_the_wrong_dimension(fam_nomizu,
+                                                      monkeypatch):
+    # the pole is checked before any start is projected
+    def projecting(*args, **kwargs):
+        raise AssertionError("a start was projected")
+
+    monkeypatch.setattr(morse, "_project_batch", projecting)
+    with pytest.raises(InputContractError,
+                       match="point has dimension 4, expected 6"):
+        critical_points_newton(fam_nomizu, 0.3, SpherePoint(np.full(4, 0.5)))
+
+
+def perturbed_quartic(eps):
+    """nomizu-quartic n=2 plus eps times 10 random degree-4 monomials: a
+    polynomial O(eps) off the family, taken unverified."""
+    base = catalog("nomizu-quartic", n=2)
+    d = base.ambient_dim
+    rng = np.random.default_rng(7)
+    monomials = [np.bincount(rng.integers(0, d, size=4), minlength=d)
+                 for _ in range(10)]
+    terms = list(base.polynomial.terms()) + list(zip(
+        eps * rng.normal(size=10), monomials))
+    return catalog("user-polynomial", terms=terms, ambient_dim=d, g=base.g,
+                   m1=base.m1, m2=base.m2, verify=False)
+
+
+def test_newton_route_does_not_copy_the_circle_route():
+    # negative control: off a genuine family the circle through the pole
+    # is no longer normal to the levels, so its closed-form points miss the
+    # critical points by O(eps), and the Newton route, which never reads
+    # them, must show that miss; a route that copied them would read 0
+    sizes = (1e-4, 1e-6)
+    reports = [tightness_report(perturbed_quartic(eps), 0.3, num_poles=4,
+                                seed=3) for eps in sizes]
+    assert not reports[0].passed
+    ratios = [r.worst_match_distance / eps for r, eps in zip(reports, sizes)]
+    assert min(ratios) > 0.1, ratios
+    assert abs(ratios[0] / ratios[1] - 1.0) < 0.01, ratios
+
+
 def test_tightness_small_runs(all_families):
     levels = {"great-sphere": 0.4, "clifford": 0.3, "cartan-cubic": 0.2,
               "nomizu-quartic": 0.3}
