@@ -651,9 +651,25 @@ def _newton_draws(fam, seed, num_starts):
 
 
 def _round_size(fam, num_starts):
-    """Poles per Newton batch: at most _ROUND_ROWS start rows x D^2, so that
-    a report's memory does not grow with its pole count, and at least one."""
+    """Poles per Newton batch: at most _ROUND_ROWS start rows x D^2, and at
+    least one.  Rounds bound the solver's D^2 memory (its Jacobians and
+    inverses), which would otherwise grow with a report's pole count.  The
+    start draws themselves, D floats a row, are held for every pole up
+    front: 1.15 MB per 100 poles on nomizu-quartic n=2."""
     return max(1, _ROUND_ROWS // (num_starts * fam.ambient_dim ** 2))
+
+
+def _rounds(fam, s, drawn):
+    """The Newton route (`_newton_route`) on the sheet V = s for the drawn
+    poles, items (pole, ..., start draws), in rounds of at most
+    `_round_size` poles.  Yields (the round's items, their poles (K, D), K
+    arrays of critical points) per round."""
+    per_round = _round_size(fam, len(drawn[0][-1]))
+    for first in range(0, len(drawn), per_round):
+        batch = drawn[first:first + per_round]
+        poles = np.array([pole.coords for pole, *_ in batch])
+        yield batch, poles, _newton_route(fam, s, poles,
+                                          [item[-1] for item in batch])
 
 
 def _split(items, sizes):
@@ -744,23 +760,40 @@ def _draw_pole(fam, rng):
     raise SamplingError("could not draw a non-focal pole")
 
 
-def _at_pole_or_antipode(cps):
-    """Whether a critical point sits within _T_GUARD of t = 0 or pi, where
-    d_p is not smooth: such a pole is rejected."""
-    return any(cp.t > np.pi - _T_GUARD or cp.t < _T_GUARD for cp in cps)
+def _draw_poles(fam, s, circle, report, rng, num_poles, draws):
+    """The report's num_poles poles, each decided before either route runs.
 
-
-def _reject_pole(report, rejected, reason, num_poles):
-    """Count one rejected pole under `reason`.  Once 100 * num_poles + 1000
-    poles are rejected the report gives up with SamplingError, naming the
-    count for each reason, instead of drawing poles forever."""
-    report.rejected_poles += 1
-    rejected[reason] += 1
-    if report.rejected_poles >= 100 * num_poles + 1000:
-        counts = ", ".join(f"{k}: {v}" for k, v in rejected.items())
-        raise SamplingError(
-            f"rejected {report.rejected_poles} poles before certifying "
-            f"{num_poles} ({counts})")
+    Each pole is `_draw_pole`'s from `rng`, with its circle route
+    `circle(fam, s, pole)` = (eta, points).  A focal pole is rejected, and
+    so is one with a circle point within _T_GUARD of t = 0 or pi, where d_p
+    is not smooth; that test reads the chords |x - p| and |x + p|, which
+    resolve such a point where arccos <x, p> cannot.  Rejections are
+    counted in the report; once 100 * num_poles + 1000 poles are rejected
+    the report gives up with SamplingError, naming the count for each
+    reason, instead of drawing poles forever.  The k-th accepted pole takes
+    the start draws `draws(k)` right after its circle.  Returns the list of
+    (pole, eta, circle points, start draws)."""
+    rejected, drawn = {"focal pole": 0, "t at 0 or pi": 0}, []
+    while len(drawn) < num_poles:
+        pole = _draw_pole(fam, rng)
+        try:
+            eta, circle_x = circle(fam, s, pole)
+        except PoleIsFocalError:
+            rejected["focal pole"] += 1
+        else:
+            chords = np.minimum(_row_norms(circle_x - pole.coords),
+                                _row_norms(circle_x + pole.coords))
+            if chords.min() >= 2 * np.sin(_T_GUARD / 2):
+                drawn.append((pole, eta, circle_x, draws(len(drawn))))
+                continue
+            rejected["t at 0 or pi"] += 1
+        report.rejected_poles += 1
+        if report.rejected_poles >= 100 * num_poles + 1000:
+            counts = ", ".join(f"{k}: {v}" for k, v in rejected.items())
+            raise SamplingError(
+                f"rejected {report.rejected_poles} poles before certifying "
+                f"{num_poles} ({counts})")
+    return drawn
 
 
 def _match_distance(A, B):
@@ -791,45 +824,25 @@ def tightness_report(fam, s, num_poles=100, seed=0) -> TightnessReport:
     sets agree within 1e-6, and the two index computations agree at every
     point.  Nothing is tolerated on the counts themselves.
 
-    The poles are solved in rounds of one Newton batch (`_newton_route`, at
-    most `_round_size` poles).  A round draws the poles still needed, checks
-    each on its normal circle first (a focal pole takes no Newton start),
-    gives the k-th the Newton seed seed + done + k, and classifies each
-    route's points in one call.  Its poles are then accepted in order; after
-    a "t at 0 or pi" rejection the later poles are solved again, with the
-    seeds a pole-by-pole loop would give them.
+    Every pole is decided on its normal circle before either route runs
+    (`_draw_poles`), so a rejected pole takes no Newton start, and the k-th
+    accepted pole takes the Newton seed seed + k.  The poles are then
+    solved in rounds of one Newton batch (`_rounds`), and each route's
+    points of a round are classified in one call.
     """
     num_poles = _size("num_poles", num_poles, 1)
     s = _hypersurface_level(s)
     report = TightnessReport(
         family=fam.label, level=float(s), g=fam.g, m1=fam.m1, m2=fam.m2,
         expected_count=fam.betti_sum_hypersurface, seed=seed)
-    rng = seeded_rng(seed, 0x7161)
-    num_starts, done = 60 * fam.g, 0
-    per_round = _round_size(fam, num_starts)
-    rejected = {"focal pole": 0, "t at 0 or pi": 0}
-    pending = []  # (pole, circle points) drawn but not yet accepted
-    while done < num_poles:
-        while len(pending) < min(per_round, num_poles - done):
-            pole = _draw_pole(fam, rng)
-            try:
-                pending.append((pole, _normal_circle(fam, s, pole)[1]))
-            except PoleIsFocalError:
-                _reject_pole(report, rejected, "focal pole", num_poles)
-        poles = np.array([pole.coords for pole, _ in pending])
-        unique = _newton_route(fam, s, poles, [
-            _newton_draws(fam, seed + done + k, num_starts)
-            for k in range(len(pending))])
-        circles = [x for _, x in pending]
-        rounds = zip(pending, unique, _classify_poles(fam, s, poles, unique),
-                     _classify_poles(fam, s, poles, circles))
-        for k, ((pole, circle_x), found, newton_pts, circle_pts) in \
-                enumerate(rounds):
-            if _at_pole_or_antipode(newton_pts + circle_pts):
-                _reject_pole(report, rejected, "t at 0 or pi", num_poles)
-                pending = pending[k + 1:]
-                break
-            done += 1
+    drawn = _draw_poles(fam, s, _normal_circle, report,
+                        seeded_rng(seed, 0x7161), num_poles,
+                        lambda k: _newton_draws(fam, seed + k, 60 * fam.g))
+    for batch, poles, unique in _rounds(fam, s, drawn):
+        circles = [circle_x for _, _, circle_x, _ in batch]
+        for (pole, _, circle_x, _), found, newton_pts, circle_pts in zip(
+                batch, unique, _classify_poles(fam, s, poles, unique),
+                _classify_poles(fam, s, poles, circles)):
             match = _match_distance(
                 [cp.location.coords for cp in newton_pts],
                 [cp.location.coords for cp in circle_pts])
@@ -845,8 +858,6 @@ def tightness_report(fam, s, num_poles=100, seed=0) -> TightnessReport:
                 level_res, [cp.index_hessian for cp in newton_pts],
                 [cp.hessian_margin for cp in newton_pts],
                 [cp.to_dict() for cp in newton_pts])
-        else:
-            pending = []
     return report
 
 
@@ -950,36 +961,23 @@ def focal_tautness_report(fam, side, num_poles=50, seed=0,
     additionally verifies that all critical points lie on one great circle
     through the pole (collinearity residual below 1e-8).
 
-    Every pole, its circle points and its start draws are drawn up front, in
-    the order the pole-by-pole loop drew them; then each round of at most
-    `_round_size` poles takes one Newton batch (`_newton_route`) and one
-    `_focal_index` call on all its circle points.
+    Every pole, its circle points and its start draws are drawn up front
+    (`_draw_poles`), in the order the pole-by-pole loop drew them; then each
+    round (`_rounds`) takes one Newton batch and one `_focal_index` call on
+    all its circle points.
     """
-    side = _side(side)
+    side = float(_side(side))
     num_poles = _size("num_poles", num_poles, 1)
     report = TightnessReport(
-        family=fam.label, level=float(side), g=fam.g, m1=fam.m1, m2=fam.m2,
+        family=fam.label, level=side, g=fam.g, m1=fam.m1, m2=fam.m2,
         expected_count=fam.betti_sum_focal, seed=seed)
     starts_per_pole = 24 * fam.g if starts_per_pole is None else _size(
         "starts_per_pole", starts_per_pole, 1)
     rng = seeded_rng(seed, 0xF0CA)
-    rejected = {"focal pole": 0}
-    drawn = []  # (pole, eta, circle points, start draws)
-    while len(drawn) < num_poles:
-        pole = _draw_pole(fam, rng)
-        try:
-            eta, circle_x = _focal_circle_points(fam, side, pole)
-        except PoleIsFocalError:
-            _reject_pole(report, rejected, "focal pole", num_poles)
-            continue
-        drawn.append((pole, eta, circle_x, rng.normal(
-            size=(starts_per_pole, fam.ambient_dim))))
-    per_round = _round_size(fam, starts_per_pole)
-    for first in range(0, num_poles, per_round):
-        batch = drawn[first:first + per_round]
-        poles = np.array([pole.coords for pole, *_ in batch])
-        uniques = _newton_route(fam, float(side), poles,
-                                [raw for *_, raw in batch])
+    drawn = _draw_poles(fam, side, _focal_circle_points, report, rng,
+                        num_poles, lambda k: rng.normal(
+                            size=(starts_per_pole, fam.ambient_dim)))
+    for batch, poles, uniques in _rounds(fam, side, drawn):
         sizes = [len(circle_x) for _, _, circle_x, _ in batch]
         circles = np.concatenate([circle_x for _, _, circle_x, _ in batch])
         vals = np.atleast_1d(fam.polynomial.value(circles))
@@ -1027,8 +1025,8 @@ def totally_focal_probe(fam, s, seed=0, num_nonfocal=50, num_focal=10,
 
     Every pole and its start draws are drawn up front, in the order of the
     pole-by-pole loop: the non-focal poles, the focal poles, the boundary
-    pole.  Each round of at most `_round_size` of them then takes one
-    Newton batch (`_newton_route`) and one `_classify` call.
+    pole.  Each round of them (`_rounds`) then takes one Newton batch and
+    one `_classify` call.
     """
     s = _hypersurface_level(s)
     num_nonfocal = _size("num_nonfocal", num_nonfocal, 0)
@@ -1052,33 +1050,30 @@ def totally_focal_probe(fam, s, seed=0, num_nonfocal=50, num_focal=10,
                               *(cp.hessian_margin for cp in cps))
 
     dim = fam.ambient_dim
-    poles = [_draw_pole(fam, rng).coords for _ in range(num_nonfocal)]
-    draws = [_newton_draws(fam, seed + i, num_starts)
+    # (pole, start draws)
+    drawn = [(_draw_pole(fam, rng), _newton_draws(fam, seed + i, num_starts))
              for i in range(num_nonfocal)]
     for i in range(num_focal):
         side = 1.0 if i % 2 == 0 else -1.0
-        poles.append(project_to_level_focal(fam, side,
-                                            rng.normal(size=dim)).coords)
-        draws.append(rng.normal(size=(num_starts, dim)))
+        drawn.append((project_to_level_focal(fam, side, rng.normal(size=dim)),
+                      rng.normal(size=(num_starts, dim))))
     # boundary demonstration: a pole just off the focal set
     base = project_to_level_focal(fam, 1.0, rng.normal(size=dim))
     w = rng.normal(size=dim)
     w -= (w @ base.coords) * base.coords
     w /= np.linalg.norm(w)
-    poles.append(SpherePoint(np.cos(1e-5) * base.coords
-                             + np.sin(1e-5) * w).coords)
-    draws.append(_newton_draws(fam, seed + 991, num_starts))
-    per_round, cps = _round_size(fam, num_starts), []
-    for first in range(0, len(poles), per_round):
-        batch = np.array(poles[first:first + per_round])
-        cps += _classify_poles(fam, s, batch, _newton_route(
-            fam, s, batch, draws[first:first + per_round]), _DEGENERATE_PROBE)
-    for p, pts in zip(poles[:num_nonfocal], cps):
-        tally(nonfocal, min, "min_margin", pts, p, "non-focal")
+    drawn.append((SpherePoint(np.cos(1e-5) * base.coords
+                              + np.sin(1e-5) * w),
+                   _newton_draws(fam, seed + 991, num_starts)))
+    cps = []
+    for _, poles, unique in _rounds(fam, s, drawn):
+        cps += _classify_poles(fam, s, poles, unique, _DEGENERATE_PROBE)
+    for (p, _), pts in zip(drawn[:num_nonfocal], cps):
+        tally(nonfocal, min, "min_margin", pts, p.coords, "non-focal")
     focal = {"poles": 0, "points": 0, "degenerate_points": 0,
              "max_margin": None}
-    for p, pts in zip(poles[num_nonfocal:-1], cps[num_nonfocal:-1]):
-        tally(focal, max, "max_margin", pts, p, "focal")
+    for (p, _), pts in zip(drawn[num_nonfocal:-1], cps[num_nonfocal:-1]):
+        tally(focal, max, "max_margin", pts, p.coords, "focal")
     near_pts = cps[-1]
     boundary = {
         "offset": 1e-5,

@@ -33,7 +33,9 @@ from .errors import InputContractError
 
 
 def _canonical_terms(ambient_dim, degree, terms):
-    """Combine duplicates, drop zeros, sort lexicographically by exponents."""
+    """Combine duplicates, drop zeros, sort lexicographically by exponents.
+    A NaN or infinite coefficient, or a sum of duplicates that overflows,
+    raises InputContractError."""
     merged = {}
     for coeff, exps in terms:
         exps = tuple(int(e) for e in exps)
@@ -48,6 +50,8 @@ def _canonical_terms(ambient_dim, degree, terms):
                 f"term {exps} has total degree {sum(exps)}, expected {degree}"
             )
         merged[exps] = merged.get(exps, 0.0) + float(coeff)
+    if not np.isfinite(list(merged.values())).all():
+        raise InputContractError("a term coefficient is not finite")
     ordered = sorted(e for e, c in merged.items() if c != 0.0)
     return [(merged[e], e) for e in ordered]
 

@@ -84,3 +84,13 @@ def test_level_stencil_gradient_reaches_no_hessian_and_no_shape_operator():
     assert "CMPolynomial.hessian" in reach(GRAPH,
                                            "_FocalSheet.stencil_gradient")
     assert not reach(GRAPH, "_Level.stencil_gradient") & banned
+
+
+def test_pole_draw_loop_reaches_no_witness():
+    # a pole's acceptance never reads the witness under test: neither the
+    # loop nor the circle routes and start draws it is handed reach a solve
+    banned = SOLVERS | {"_newton_route", "_dedup", "_classify"}
+    assert "_draw_pole" in reach(GRAPH, "_draw_poles")
+    for name in ("_draw_poles", "_normal_circle", "_focal_circle_points",
+                 "_newton_draws"):
+        assert not reach(GRAPH, name) & banned, name

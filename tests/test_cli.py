@@ -299,7 +299,9 @@ def test_bad_parameter_values_are_usage_errors(tmp_path, capsys):
                        '{"k": "a", "n": 2}')
     obj = family_to_json_obj(catalog("clifford", k=1, n=2))
     bad_exponent = [[c, ["a", *e[1:]]] for c, e in obj["terms"]]
-    for bad in ({**obj, "terms": "x"}, {**obj, "terms": bad_exponent}):
+    not_finite = [[float("nan"), e] for _c, e in obj["terms"]]
+    for bad in ({**obj, "terms": "x"}, {**obj, "terms": bad_exponent},
+                {**obj, "terms": not_finite}):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(bad))
         assert_usage_error(capsys, "tight", "--family", "user-polynomial",

@@ -1,5 +1,6 @@
 """Critical-point machinery: both algorithms, both index computations."""
 
+import itertools
 import json
 
 import numpy as np
@@ -13,7 +14,8 @@ from isolab import (InputContractError, NearFocalPoleError, PoleIsFocalError,
                     spherical_distance, tightness_report, totally_focal_probe)
 from isolab import levelset, morse, shape
 from isolab.levelset import (_frames_batch, _normalize_rows, _project_batch,
-                             spherical_gradient, surface_point)
+                             project_to_level, spherical_gradient,
+                             surface_point)
 from isolab.families import seeded_rng
 from isolab.morse import project_to_level_focal
 from isolab.polynomial import CMPolynomial
@@ -764,6 +766,16 @@ def test_focal_newton_retracts_once_per_step(fam_nomizu, monkeypatch):
 
 def test_pole_loops_give_up_after_the_rejection_budget(fam_clifford,
                                                        monkeypatch):
+    # every pole on M_s: each is rejected before any Newton start
+    monkeypatch.setattr(morse, "_draw_pole",
+                        level_poles(fam_clifford, 0.3, lambda k: True))
+    routes = counting(monkeypatch, "_newton_route")
+    with pytest.raises(SamplingError, match=r"rejected 1100 poles .*"
+                       r"\(focal pole: 0, t at 0 or pi: 1100\)"):
+        tightness_report(fam_clifford, 0.3, num_poles=1, seed=24)
+    assert routes["_newton_route"] == 0
+    monkeypatch.undo()
+
     def focal(*args, **kwargs):
         raise PoleIsFocalError("every pole rejected")
 
@@ -1602,62 +1614,95 @@ def test_pole_batches_change_no_count(label, params, monkeypatch):
                 assert abs(a - b) <= 1e-9 * max(1.0, abs(a)), (name, path)
 
 
-def serial_tightness(fam, s, num_poles, seed, reject_at):
-    """The pole-by-pole tightness loop over `critical_points_newton`, with
-    the `reject_at`-th pole that reaches the t check rejected there:
+def level_poles(fam, s, on_level):
+    """`morse._draw_pole` with its k-th draw (from 1) moved onto M_s by
+    `project_to_level` where `on_level(k)`: such a pole's normal circle
+    meets M_s at the pole itself, t = 0."""
+    draw, numbers = morse._draw_pole, itertools.count(1)
+
+    def drawing(fam_, rng):
+        pole = draw(fam_, rng)
+        return project_to_level(fam, s, pole).x if on_level(next(numbers)) \
+            else pole
+    return drawing
+
+
+def serial_tightness(fam, s, num_poles, seed):
+    """The pole-by-pole tightness loop, which decides each pole on its
+    normal circle before solving it: a focal pole, or one with a circle
+    point within 1e-8 of the pole or its antipode, is rejected.  Returns
     (accepted poles, their Newton seeds, rejected pole count)."""
     rng = seeded_rng(seed, 0x7161)
-    poles, seeds = [], []
-    checked = rejected = 0
+    poles, seeds, rejected = [], [], 0
     while len(poles) < num_poles:
         pole = morse._draw_pole(fam, rng)
         try:
-            circle = normal_circle_critical_points(fam, s, pole)
+            circle = normal_circle_critical_points(fam, s, pole,
+                                                   classify=False)
         except PoleIsFocalError:
             rejected += 1
             continue
-        newton = critical_points_newton(fam, s, pole, seed=seed + len(poles))
-        checked += 1
-        if checked == reject_at or morse._at_pole_or_antipode(newton + circle):
+        antipode = SpherePoint(-pole.coords)
+        if min(min(spherical_distance(pole, cp.x),
+                   spherical_distance(antipode, cp.x)) for cp in circle) < 1e-8:
             rejected += 1
             continue
+        seeds.append(seed + len(poles))
         poles.append(pole.coords.tolist())
-        seeds.append(seed + len(poles) - 1)
     return poles, seeds, rejected
 
 
 def test_mid_round_rejection_keeps_the_serial_poles_and_seeds(fam_cartan,
                                                              monkeypatch):
-    # the second pole of the first round is rejected: the report accepts the
-    # first, then solves the later poles again with the seeds that a
-    # pole-by-pole loop gives them
-    want = serial_tightness(fam_cartan, 0.2, 3, 11, reject_at=2)
-    checks, draws, solved = [], [], []
-    at_end, newton_draws = morse._at_pole_or_antipode, morse._newton_draws
-    route = morse._newton_route
+    # the second pole lies on M_s: it is rejected on its normal circle, and
+    # the report solves the other three once, in one Newton batch, with the
+    # poles and seeds of a pole-by-pole loop
+    def second_on_level(k):
+        return k == 2
 
-    def rejecting(cps):
-        checks.append(1)
-        return len(checks) == 2 or at_end(cps)
+    monkeypatch.setattr(morse, "_draw_pole",
+                        level_poles(fam_cartan, 0.2, second_on_level))
+    poles, seeds, rejected = serial_tightness(fam_cartan, 0.2, 3, 11)
+    assert rejected == 1
+    monkeypatch.setattr(morse, "_draw_pole",
+                        level_poles(fam_cartan, 0.2, second_on_level))
+    route, calls = morse._newton_route, []
 
-    def drawing(fam, seed, num_starts):
-        draws.append(seed)
-        return newton_draws(fam, seed, num_starts)
+    def solving(fam, s, batch, raw):
+        calls.append((batch.tolist(), raw))
+        return route(fam, s, batch, raw)
 
-    def solving(fam, s, poles, raw):
-        # the draws of a round are made in pole order before its solve
-        solved.extend(zip(map(tuple, poles.tolist()), draws[-len(poles):]))
-        return route(fam, s, poles, raw)
-
-    monkeypatch.setattr(morse, "_at_pole_or_antipode", rejecting)
-    monkeypatch.setattr(morse, "_newton_draws", drawing)
     monkeypatch.setattr(morse, "_newton_route", solving)
     report = tightness_report(fam_cartan, 0.2, num_poles=3, seed=11)
-    poles = [entry["pole"] for entry in report.poles]
-    last_seed = dict(solved)
-    assert (poles, [last_seed[tuple(p)] for p in poles],
-            report.rejected_poles) == want
-    assert report.passed and len(solved) == 5
+    assert [entry["pole"] for entry in report.poles] == poles
+    assert [batch for batch, _ in calls] == [poles]
+    for raw, seed in zip(calls[0][1], seeds, strict=True):
+        assert np.array_equal(raw, morse._newton_draws(
+            fam_cartan, seed, 60 * fam_cartan.g))
+    assert report.rejected_poles == 1 and report.passed
+
+
+def test_poles_on_the_level_are_rejected_on_their_circle(all_families,
+                                                         monkeypatch):
+    # every other drawn pole lies on M_s: none takes a Newton start, and
+    # only the others are certified
+    route = morse._newton_route
+    for fam in all_families:
+        routed = []
+
+        def solving(fam_, s, poles, raw):
+            routed.extend(poles)
+            return route(fam_, s, poles, raw)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(morse, "_draw_pole",
+                          level_poles(fam, 0.3, lambda k: k % 2))
+            patch.setattr(morse, "_newton_route", solving)
+            report = tightness_report(fam, 0.3, num_poles=3, seed=5)
+        assert report.passed and report.rejected_poles == 3, fam.label
+        assert len(routed) == 3, fam.label
+        assert (np.abs(fam.polynomial.value(np.array(routed)) - 0.3)
+                > 1e-3).all(), fam.label
 
 
 def counting(monkeypatch, *names):

@@ -49,6 +49,12 @@ def test_homogeneity_enforced():
         CMPolynomial(3, 2, [(1.0, (1, 1, 1))])
 
 
+def test_non_finite_coefficients_raise():
+    for coeff in (float("nan"), float("inf"), 1e308):
+        with pytest.raises(InputContractError, match="not finite"):
+            CMPolynomial(2, 2, [(coeff, (2, 0)), (coeff, (2, 0))])
+
+
 def test_dimension_mismatch_raises():
     f = CMPolynomial.from_dict(3, 2, {(2, 0, 0): 1.0})
     with pytest.raises(InputContractError):
