@@ -10,15 +10,17 @@ of key order counts as a difference.  For nomizu-quartic n=2, cartan-cubic,
 clifford(1,2) and great-sphere(n=3), at seeds 3 and 2026: the residual sweep
 (`verify_munzner`), the spectrum check, the tightness report and the totally
 focal probe at the level 0.3, and the focal tautness reports on both sheets;
-plus the Euclidean spot check on clifford(1,2) at the level 0 at both seeds,
+plus the Euclidean spot check on clifford(1,2) at both seeds: at the level 0
 from `SPOT_POLE` and from `DISTORTED_POLE`, whose image is stretched enough
 that Newton from the grid alone misses an extreme, so that only its
-gradient-flow starts find it; and the residual sweep of the benchmark's
-`sweep` workload (nomizu-quartic n=5 at 100 000 points of the ball of
-radius 2) at both seeds, which the sweep takes in 25 chunks, the last one
-partial.  Full runs take 10 poles per report, 40 spectrum samples and 8
-spot-check centers, and the probe takes 10 non-focal and 2 focal poles;
-`--quick` takes 1, 4 and 2, and 1 and 1.
+gradient-flow starts find it, and at `SPOT_LEVEL` = -0.5 from `SPOT_POLE`,
+a torus off the minimal one whose grid starts lie far from most critical
+points; and the residual sweep of the benchmark's `sweep` workload
+(nomizu-quartic n=5 at 100 000 points of the ball of radius 2) at both
+seeds, which the sweep takes in 25 chunks, the last one partial.  Full
+runs take 10 poles per report, 40 spectrum samples and 8 spot-check
+centers, and the probe takes 10 non-focal and 2 focal poles; `--quick`
+takes 1, 4 and 2, and 1 and 1.
 
 One line is printed per report that differs or that one tree lacks.  It
 names the leaves that differ: how many float leaves move, with the largest
@@ -39,6 +41,7 @@ SEEDS = (3, 2026)
 LEVEL = 0.3
 SPOT_POLE = (0.12, 0.23, 0.34, 0.90)
 DISTORTED_POLE = (0.5, -0.2, 0.1, 0.8)
+SPOT_LEVEL = -0.5
 
 
 def _reports(quick):
@@ -69,11 +72,14 @@ def _reports(quick):
                        focal_tautness_report(fam, side, num_poles=poles,
                                              seed=seed))
     fam = catalog("clifford", k=1, n=2)
-    for tag, coords in (("", SPOT_POLE), (" distorted", DISTORTED_POLE)):
+    for tag, coords, level in (("", SPOT_POLE, 0.0),
+                               (" distorted", DISTORTED_POLE, 0.0),
+                               (f" level={SPOT_LEVEL}", SPOT_POLE,
+                                SPOT_LEVEL)):
         pole = SpherePoint(np.array(coords))
         for seed in SEEDS:
             yield (f"clifford seed={seed} spot check{tag}",
-                   euclidean_taut_spot_check(fam, 0.0, pole,
+                   euclidean_taut_spot_check(fam, level, pole,
                                              num_centers=centers, seed=seed))
     fam = catalog("nomizu-quartic", n=5)
     name = "nomizu-quartic" + json.dumps({"n": 5})

@@ -6,6 +6,14 @@ surfaces in 3-space); higher-dimensional families export point clouds as CSV
 instead.  OBJ output uses a consistent winding so compact images are
 watertight: every edge is shared by exactly two triangles in opposite
 directions.
+
+The spot check is a height-function certificate with a moving pole.  The
+squared distance L(x) = |sigma(x) - c|^2 = (a0 + <x, w>) / (1 - <x, q>) is
+critical at x with value lam exactly when x is critical for the height
+function toward p(lam) = (w + lam q) / |w + lam q|, and there Hess L is a
+positive multiple of that height function's Hessian (`_StereoLevel`).  So
+the certificates' one Newton body (`morse._newton`) and one classifier
+(`morse._classify`) find the points and read both index witnesses.
 """
 
 from __future__ import annotations
@@ -16,12 +24,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputContractError, MeshExportError
-from .families import Report, seeded_rng
+from .families import Report, _integer, seeded_rng
 from .focal import _circle_profile
-from .levelset import (_frames_batch, _hypersurface_level, _level_jet,
-                       _normalize_rows, _row_norms, sample_points)
-from .morse import (_NEWTON_MAX_ITER, _chart_hessians, _chart_step, _dedup,
-                    _level_flow, _masked_newton)
+from .levelset import _hypersurface_level, _normalize_rows, sample_points
+from .morse import _Level, _classify, _dedup, _level_flow, _newton
 from .shape import spectrum_at
 from .sphere import SpherePoint, tangent_basis
 
@@ -125,6 +131,7 @@ def export_mesh(fam, s, pole: SpherePoint, resolution=64, path=None) -> MeshData
             "mesh export needs ambient dimension 4; export a CSV point cloud "
             "for higher-dimensional families")
     s = _hypersurface_level(s)
+    resolution = _integer("resolution", resolution)
     if resolution < 3:
         # the smallest grids that close up: a watertight torus (chi 0) and
         # sphere (chi 2) need 3 vertices around each circle
@@ -243,56 +250,61 @@ class SpotCheckReport(Report):
     passed: bool
 
 
-def _distance_gradient(X, basis, q, center, xi):
-    """The Riemannian gradient of L = |sigma(x) - c|^2 on the level through
-    the rows of X, sigma(x) = Bx / (1 - <x, q>) the projection from the pole
-    q with `tangent_basis` rows B: the ambient gradient
-    2 (B^T r + <r, y> q) / (1 - <x, q>), y = sigma(x) and r = y - c, less
-    its parts along x and along the level's unit normals xi at X."""
-    y, dots = _stereo_rows(X, basis, q)
-    r = y - center
-    grad = 2 * (r @ basis + np.einsum("ij,ij->i", r, y)[:, None] * q)
-    grad /= (1.0 - dots)[:, None]
-    return (grad - np.einsum("ij,ij->i", grad, X)[:, None] * X
-            - np.einsum("ij,ij->i", grad, xi)[:, None] * xi)
+class _StereoLevel(_Level):
+    """The level M_s carrying L(x) = |sigma(x) - c|^2, sigma the projection
+    from the pole q with `tangent_basis` rows B.  On the sphere
+
+        L = (a0 + <x, w>) / (1 - <x, q>),  a0 = 1 + |c|^2,
+        w = (1 - |c|^2) q - 2 B^T c,
+
+    with ambient gradient (w + L q) / (1 - <x, q>), so x is critical for L
+    with value lam exactly when it is critical for the height function
+    toward p(lam) = (w + lam q) / |w + lam q|, and there
+    Hess L = |w + lam q| / (1 - <x, q>) Hess l_p, a positive multiple.  The
+    residual is `_Level.residual` toward the moving poles `poles(X)`; the
+    Jacobian leaves out the pole's motion, (grad L . v) T_x q / |w + L q|,
+    which vanishes at a critical point, so each step is still a Newton step
+    to first order."""
+
+    def __init__(self, fam, s, basis, q, center):
+        super().__init__(fam, s)
+        c2 = center @ center
+        self.q, self.a0 = q, 1.0 + c2
+        self.w = (1.0 - c2) * q - 2.0 * (center @ basis)
+
+    def value(self, X):
+        return (self.a0 + X @ self.w) / (1.0 - X @ self.q)
+
+    def poles(self, X):
+        """p(L(x)), one row per row of X."""
+        return _normalize_rows(self.w + self.value(X)[:, None] * self.q)
+
+    def residual(self, rows, _poles, *jet):
+        return super().residual(rows, self.poles(rows), *jet)
+
+    start = residual
 
 
-def _distance_critical_points(fam, s, grid, basis, q, center, tol):
-    """Hessian eigenvalues (K, 2) of L = |sigma(x) - c|^2 at its K critical
-    points on M_s, in the frames of `_frames_batch`.
+def _distance_critical_points(sheet, grid):
+    """The critical points of L on the `_StereoLevel` sheet, as the
+    CriticalPoint records of `_classify` toward each point's pole p(L(x)):
+    L's index there is n - index_hessian.
 
-    Newton (`_masked_newton`, steps by `_chart_step` with the Jacobian from
-    the `_chart_hessians` stencil) runs from the rows of `grid` and from the
-    ends of two `_level_flow`s, a descent from the grid's argmin of L and an
-    ascent from its argmax: where the pole stretches the image, the grid
-    alone misses the minimum or the maximum.  A start counts as converged
-    once its Riemannian gradient is below `tol`; `_dedup` merges them."""
-    def value(X):
-        return np.sum((_stereo_rows(X, basis, q)[0] - center) ** 2, axis=1)
-
-    def gradient(X, *jet):
-        xi = _normalize_rows(_level_jet(fam, X, jet or None)[1])
-        return _distance_gradient(X, basis, q, center, xi)
-
-    def residual(rows, *jet):
-        xi, frames, _vals, _wn = _frames_batch(fam, rows, jet or None)
-        grad = _distance_gradient(rows, basis, q, center, xi)
-        return _row_norms(grad), [frames, grad]
-
-    def step(rows, state):
-        frames, grad = state
-        jac = _chart_hessians(fam, s, rows, frames, 1e-9, gradient)
-        return _chart_step(fam, s, rows, frames, jac, grad)
-
-    ell = value(grid)
-    ends = _level_flow(fam, s, grid[[np.argmin(ell), np.argmax(ell)]], value,
-                       gradient, np.array([-1.0, 1.0]))
+    One `_newton` toward the moving poles runs from the rows of `grid` and
+    from the ends of two `_level_flow`s, a descent from the grid's argmin
+    of L and an ascent from its argmax: where the pole stretches the image,
+    the grid alone misses the minimum or the maximum.  The flows step along
+    the tangent part of p(L(x)), which points along grad L.  `_dedup`
+    merges the solutions."""
+    fam, s = sheet.fam, sheet.level
+    ell = sheet.value(grid)
+    ends = _level_flow(fam, s, grid[[np.argmin(ell), np.argmax(ell)]],
+                       sheet.value,
+                       lambda X: sheet.stencil_gradient(sheet.poles(X), X),
+                       np.array([-1.0, 1.0]))
     X = np.concatenate([grid, ends])
-    rnorm = _masked_newton(X, residual(X), residual, step, tol,
-                           _NEWTON_MAX_ITER)[0]
-    sols = _dedup(fam, X[rnorm <= tol], rnorm[rnorm <= tol])
-    return np.linalg.eigvalsh(_chart_hessians(
-        fam, s, sols, _frames_batch(fam, sols)[1], 1e-9, gradient))
+    sols = _dedup(fam, *_newton(sheet, sheet.poles(X), X, ())[:2])
+    return _classify(fam, s, sheet.poles(sols), sols)
 
 
 def euclidean_taut_spot_check(fam, s, pole: SpherePoint, num_centers=25,
@@ -304,13 +316,16 @@ def euclidean_taut_spot_check(fam, s, pole: SpherePoint, num_centers=25,
     tautness in Euclidean space, so every non-degenerate center must see
     exactly 4 critical points with index multiset {0, 1, 1, 2}.  The points
     are found on M_s itself, as critical points of the squared distance
-    pulled back through the projection (`_distance_critical_points`).
-    Centers with near-singular Hessians are resampled and counted.
+    pulled back through the projection (`_distance_critical_points`), and
+    each index is read twice, from the Hessian stencil and from the focal
+    count; the check passes only if the two agree at every point.  Centers
+    with a degenerate critical point are resampled and counted.
     """
     if fam.label != "clifford" or fam.ambient_dim != 4:
         raise InputContractError(
             "the spot check needs the two-curvature family on the 3-sphere")
     s = _hypersurface_level(s)
+    num_centers = _integer("num_centers", num_centers)
     if num_centers < 1:
         raise InputContractError(
             f"the spot check needs at least one center, got {num_centers}")
@@ -323,23 +338,27 @@ def euclidean_taut_spot_check(fam, s, pole: SpherePoint, num_centers=25,
     center_mid = ysamp.mean(axis=0)
     scale = np.linalg.norm(ysamp - center_mid, axis=1).max()
     counts, multisets = [], []
-    resampled = 0
+    resampled, agree = 0, True
     while len(counts) < num_centers:
         center = center_mid + scale * rng.normal(size=3)
-        eig = _distance_critical_points(fam, s, grid, basis, q, center,
-                                        1e-9 * max(1.0, scale ** 2))
+        cps = _distance_critical_points(
+            _StereoLevel(fam, s, basis, q, center), grid)
         # no critical point at all counts as a failure, not as degenerate
-        mags = np.abs(eig)
-        if mags.min(initial=np.inf) < 1e-6 * mags.max(initial=0.0):
+        if any(cp.degenerate for cp in cps):
             resampled += 1
             if resampled > 20 * num_centers:
                 raise InputContractError("could not find non-degenerate centers")
             continue
-        counts.append(len(eig))
-        multisets.append(sorted((eig < 0).sum(axis=1).tolist()))
+        counts.append(len(cps))
+        # Hess L is a positive multiple of Hess l_p, and d_p's index_hessian
+        # counts Hess l_p's positive eigenvalues
+        multisets.append(sorted(fam.hypersurface_dim - cp.index_hessian
+                                for cp in cps))
+        agree = agree and all(cp.index_focal == cp.index_hessian
+                              for cp in cps)
     return SpotCheckReport(
         family=fam.label, level=float(s),
         pole=[float(v) for v in pole.coords], num_centers=num_centers,
         seed=seed, counts=counts, index_multisets=multisets,
         resampled_centers=resampled,
-        passed=all(m == [0, 1, 1, 2] for m in multisets))
+        passed=agree and all(m == [0, 1, 1, 2] for m in multisets))

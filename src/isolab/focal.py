@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SamplingError
-from .families import seeded_rng
+from .families import _integer, seeded_rng
 from .levelset import SurfacePoint, _project_batch, _side, project_to_level
 from .shape import PrincipalSpectrum, spectrum_at
 from .sphere import SpherePoint
@@ -111,6 +111,7 @@ def focal_dimension_estimate(fam, side, base_count=4, neighbor_radius=1e-3,
     from several base points must agree.
     """
     side = _side(side)
+    base_count = _integer("base_count", base_count)
     rng = seeded_rng(seed, 0xF0CA1)
     dim = fam.ambient_dim
     needed = 2 * (dim + 2)

@@ -341,6 +341,7 @@ def sample_points(fam: IsoparametricFamily, s, count, seed) -> list[SurfacePoint
     retried with fresh draws, up to a budget of 10x count."""
     if not -1.0 <= s <= 1.0:  # also rejects NaN
         raise InputContractError(f"levels live in [-1, 1], got {s!r}")
+    count = _integer("count", count)
     if count < 1:
         raise InputContractError("count must be at least 1")
     rng = seeded_rng(seed, 0xA11CE)

@@ -6,7 +6,8 @@ A level V = s is resolved once (`_sheet`) into a sheet: the regular level
 M_s (`_Level`) or the focal submanifold V = +/-1 (`_FocalSheet`).  Each
 sheet carries its own Newton residual, exact Jacobian, stencil chart and
 gradient, and constants; one Newton body (`_newton`) and one index stencil
-(`_index_stencil`) serve both.
+(`_index_stencil`) serve both, and the Euclidean spot check's level with a
+moving pole (`export._StereoLevel`) runs on the same body and classifier.
 
 Route one is a multistart Newton solve of the criticality condition: x is
 critical for d_p exactly when the pole has no component in the tangent
@@ -44,8 +45,6 @@ from .levelset import (_GRAD_FLOOR, SurfacePoint, _circle_tangency,
 from .shape import PrincipalSpectrum, _shape_operators, arccot
 from .sphere import SpherePoint
 
-NEWTON_TOL = 1e-11
-_NEWTON_MAX_ITER = 40
 DEDUP_RADIUS = 1e-6
 _H_HESSIAN = 1e-4
 _DEGENERATE_REPORT = 1e-6   # flag threshold in reports
@@ -301,7 +300,7 @@ class _Level:
     its Jacobian `_newton_jacobian`; its stencil differences q with normals
     from the jet of the stencil's retraction, never the shape operator."""
 
-    tol, max_iter, polish, accept = NEWTON_TOL, _NEWTON_MAX_ITER, 0, 1e-9
+    tol, max_iter, polish, accept = 1e-11, 40, 0, 1e-9
     crossings = (1, -1)  # the normal circle meets M_s at +/-arccos s
 
     def __init__(self, fam, s):

@@ -94,3 +94,12 @@ def test_pole_draw_loop_reaches_no_witness():
     for name in ("_draw_poles", "_normal_circle", "_focal_circle_points",
                  "_newton_draws"):
         assert not reach(GRAPH, name) & banned, name
+
+
+def test_every_certificate_runs_the_one_newton_body_and_classifier():
+    # the Euclidean spot check solves and classifies on the shared body,
+    # with no Newton driver of its own
+    assert [name for name, said in GRAPH.items()
+            if "_masked_newton" in said] == ["_newton"]
+    assert {"_newton", "_classify"} <= reach(GRAPH,
+                                             "euclidean_taut_spot_check")

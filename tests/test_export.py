@@ -5,8 +5,8 @@ import pytest
 
 from isolab import (InputContractError, MeshExportError, SpherePoint,
                     euclidean_taut_spot_check, export_mesh, sample_points)
-from isolab.export import (_CLIP_RADIUS, MeshData, _distance_gradient,
-                           _grid_faces, _stereo_rows, _torus_grid,
+from isolab.export import (_CLIP_RADIUS, MeshData, _grid_faces,
+                           _StereoLevel, _stereo_rows, _torus_grid,
                            export_point_cloud_csv, write_obj)
 from isolab.levelset import _frames_batch, _normalize_rows, _project_batch
 from isolab.sphere import tangent_basis
@@ -105,6 +105,25 @@ def test_spot_check_far_center_indices(fam_clifford):
     assert report.passed
 
 
+def test_spot_check_fails_when_the_index_witnesses_disagree(fam_clifford,
+                                                          monkeypatch):
+    # the focal count is the second index witness: shifting it by one at
+    # every point must fail a check whose counts and multisets still pass
+    from isolab import morse
+    focal_counts = morse._focal_counts
+
+    def shifted(*args):
+        indices, near = focal_counts(*args)
+        return indices + 1, near
+
+    monkeypatch.setattr(morse, "_focal_counts", shifted)
+    report = euclidean_taut_spot_check(fam_clifford, 0.0, POLE,
+                                       num_centers=2, seed=1)
+    assert report.counts == [4] * 2
+    assert all(m == [0, 1, 1, 2] for m in report.index_multisets)
+    assert not report.passed
+
+
 def test_spot_check_requires_torus(fam_cartan):
     from isolab import InputContractError
     with pytest.raises(InputContractError):
@@ -149,9 +168,11 @@ def test_spot_check_levels_live_in_the_open_interval(fam_clifford, s):
 
 @pytest.mark.parametrize("s", [0.0, 0.3])
 def test_distance_gradient_matches_central_differences(fam_clifford, s):
-    # the Riemannian gradient of L = |sigma(x) - c|^2 against central
-    # differences of L along the tangent frames, each move retracted to the
-    # level; the retraction's second-order term cancels between +h and -h
+    # L = |sigma(x) - c|^2 in the closed form of `_StereoLevel`, and its
+    # Riemannian gradient, the tangent part of (w + L q) / (1 - <x, q>),
+    # against central differences of L along the tangent frames, each move
+    # retracted to the level; the retraction's second-order term cancels
+    # between +h and -h
     rng = np.random.default_rng(19)
     X = np.array([sp.x.coords for sp in sample_points(fam_clifford, s, 6, 4)])
     xi, frames, _vals, _wn = _frames_batch(fam_clifford, X)
@@ -161,14 +182,17 @@ def test_distance_gradient_matches_central_differences(fam_clifford, s):
         pole = SpherePoint(np.array(raw))
         basis, q = tangent_basis(pole).vectors, pole.coords
         center = rng.normal(size=3)
+        sheet = _StereoLevel(fam_clifford, s, basis, q, center)
 
         def squared_distance(rows):
             return np.sum((_stereo_rows(rows, basis, q)[0] - center) ** 2, 1)
 
-        grad = _distance_gradient(X, basis, q, center, xi)
+        assert np.allclose(sheet.value(X), squared_distance(X), rtol=1e-12,
+                           atol=0)
+        grad = (sheet.w + sheet.value(X)[:, None] * q) / (1 - X @ q)[:, None]
+        grad -= (np.einsum("ij,ij->i", grad, X)[:, None] * X
+                 + np.einsum("ij,ij->i", grad, xi)[:, None] * xi)
         scale = np.abs(grad).max()
-        assert np.abs(np.einsum("ij,ij->i", grad, X)).max() <= 1e-12 * scale
-        assert np.abs(np.einsum("ij,ij->i", grad, xi)).max() <= 1e-12 * scale
         for i in range(frames.shape[1]):
             plus, minus = (_project_batch(fam_clifford, s, _normalize_rows(
                 X + sign * h * frames[:, i]))[0] for sign in (1, -1))

@@ -10,8 +10,9 @@ import pytest
 from isolab import (FamilyIntegrityError, FamilyRejectedError,
                     InputContractError, IsoparametricFamily, SpherePoint,
                     catalog, critical_points_newton, euclidean_taut_spot_check,
-                    family_from_json, family_to_json, focal_dimension_estimate,
-                    focal_tautness_report, isoparametric_check,
+                    export_mesh, family_from_json, family_to_json,
+                    focal_dimension_estimate, focal_tautness_report,
+                    isoparametric_check,
                     munzner_residuals, orbit_level_check, restrict_V,
                     sample_points, tightness_report, totally_focal_probe,
                     verify_munzner)
@@ -289,6 +290,31 @@ def test_negative_seed_is_an_input_contract_error(fam_clifford, name):
     # point must say so in the library's own terms
     with pytest.raises(InputContractError, match="seed must be non-negative"):
         SEEDED_CALLS[name](fam_clifford, -1)
+
+
+SIZED_CALLS = {
+    "euclidean_taut_spot_check": lambda fam: euclidean_taut_spot_check(
+        fam, 0.0, SpherePoint(np.array([0.5, -0.2, 0.1, 0.8])),
+        num_centers=1.5),
+    "export_mesh": lambda fam: export_mesh(
+        fam, 0.0, SpherePoint(np.array([0.5, -0.2, 0.1, 0.8])),
+        resolution=3.5),
+    "sample_points": lambda fam: sample_points(fam, 0.3, 2.5, 0),
+    "isoparametric_check": lambda fam: isoparametric_check(
+        fam, 0.3, num_samples=2.5),
+    "focal_dimension_estimate": lambda fam: focal_dimension_estimate(
+        fam, 1, base_count=1.5),
+    "orbit_level_check": lambda fam: orbit_level_check(
+        0.3, num_rotations=2.5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SIZED_CALLS))
+def test_fractional_size_is_an_input_contract_error(fam_clifford, name):
+    # a count that int() would truncate is refused in the library's terms,
+    # not rounded, sliced or passed on to range()
+    with pytest.raises(InputContractError, match="must be an integer"):
+        SIZED_CALLS[name](fam_clifford)
 
 
 @pytest.mark.parametrize("name, params", [

@@ -77,7 +77,7 @@ def test_compare_reports_finds_no_difference_within_one_tree():
     proc = subprocess.run([sys.executable, str(COMPARE), str(ROOT), str(ROOT),
                            "--quick"], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert proc.stdout.splitlines() == ["0 of 54 reports differ"]
+    assert proc.stdout.splitlines() == ["0 of 56 reports differ"]
 
 
 def test_compare_reports_names_what_differs():
