@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FamilyIntegrityError, InputContractError
-from .families import _integer, catalog, seeded_rng, sym3_to_ambient
+from .families import _size, catalog, seeded_rng, sym3_to_ambient
 from .sphere import SpherePoint
 
 
@@ -68,7 +68,7 @@ def orbit_level_check(t, num_rotations=100, seed=0, fam=None):
     orbit at parameter t.  Orbits are level sets, so the spread must be at
     roundoff scale; a larger spread means the catalog polynomial and the
     orbit construction disagree.  Returns (mean V, spread)."""
-    num_rotations = _integer("num_rotations", num_rotations)
+    num_rotations = _size("num_rotations", num_rotations, 1)
     if fam is None:
         fam = catalog("cartan-cubic")
     rng = seeded_rng(seed, 0x0B17)

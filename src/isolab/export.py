@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputContractError, MeshExportError
-from .families import Report, _integer, seeded_rng
+from .families import Report, _size, seeded_rng
 from .focal import _circle_profile
 from .levelset import _hypersurface_level, _normalize_rows, sample_points
 from .morse import _Level, _classify, _dedup, _level_flow, _newton
@@ -131,12 +131,9 @@ def export_mesh(fam, s, pole: SpherePoint, resolution=64, path=None) -> MeshData
             "mesh export needs ambient dimension 4; export a CSV point cloud "
             "for higher-dimensional families")
     s = _hypersurface_level(s)
-    resolution = _integer("resolution", resolution)
-    if resolution < 3:
-        # the smallest grids that close up: a watertight torus (chi 0) and
-        # sphere (chi 2) need 3 vertices around each circle
-        raise InputContractError(
-            f"mesh resolution must be at least 3, got {resolution}")
+    # the smallest grids that close up: a watertight torus (chi 0) and
+    # sphere (chi 2) need 3 vertices around each circle
+    resolution = _size("resolution", resolution, 3)
     warnings = []
     if abs(float(fam.polynomial.value(pole.coords))) > 1.0 - _FOCAL_POLE_TOL:
         warnings.append(
@@ -193,7 +190,8 @@ def write_obj(mesh: MeshData, path):
 
 def export_spectrum_csv(fam, s, num_samples, seed, path):
     """Rows: level, point index, the g distinct curvatures, multiplicities."""
-    pts = sample_points(fam, _hypersurface_level(s), num_samples, seed)
+    pts = sample_points(fam, _hypersurface_level(s),
+                        _size("num_samples", num_samples, 1), seed)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         header = (["level", "point"]
@@ -325,10 +323,7 @@ def euclidean_taut_spot_check(fam, s, pole: SpherePoint, num_centers=25,
         raise InputContractError(
             "the spot check needs the two-curvature family on the 3-sphere")
     s = _hypersurface_level(s)
-    num_centers = _integer("num_centers", num_centers)
-    if num_centers < 1:
-        raise InputContractError(
-            f"the spot check needs at least one center, got {num_centers}")
+    num_centers = _size("num_centers", num_centers, 1)
     if abs(float(fam.polynomial.value(pole.coords)) - s) < 1e-3:
         raise InputContractError("projection pole too close to the surface")
     rng = seeded_rng(seed, 0xC9C)

@@ -156,11 +156,13 @@ class VerificationReport(Report):
 def seeded_rng(seed, *tags):
     """The generator of the seeded entry points: numpy's default generator
     on the entropy (seed, *tags), the tags keeping their streams apart.  A
-    negative seed raises InputContractError, since numpy's SeedSequence
-    takes no negative entropy."""
-    if int(seed) < 0:
+    seed that is not an integer (`_integer`) raises InputContractError, and
+    so does a negative one, since numpy's SeedSequence takes no negative
+    entropy."""
+    seed = _integer("seed", seed)
+    if seed < 0:
         raise InputContractError(f"seed must be non-negative, got {seed!r}")
-    return np.random.default_rng(np.random.SeedSequence((int(seed), *tags)))
+    return np.random.default_rng(np.random.SeedSequence((seed, *tags)))
 
 
 def _chunks(count):
@@ -197,6 +199,7 @@ def verify_munzner(fam: IsoparametricFamily, num_points=_VERIFY_POINTS,
     radius.  Passes when max(|rho1|, |rho2|) < tol_scale * (1 + |x|^{2g})
     at every sample.  The residuals are taken a chunk of `_chunks` at a
     time, so beyond the samples the sweep holds one chunk's banks."""
+    num_points = _size("num_points", num_points, 1)
     rng = seeded_rng(seed)
     pts = _ball_samples(rng, num_points, fam.ambient_dim, radius)
     peaks = []  # per chunk: max |rho1|, max |rho2|, max scaled residual
@@ -245,6 +248,14 @@ def _integer(name, value):
     if not exact:
         raise InputContractError(f"{name} must be an integer, got {value!r}")
     return int(value)
+
+
+def _size(name, value, least):
+    """The integer (`_integer`) size argument `name`, at least `least`."""
+    value = _integer(name, value)
+    if value < least:
+        raise InputContractError(f"{name} must be at least {least}")
+    return value
 
 
 def _ambient(dim):

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SamplingError
-from .families import _integer, seeded_rng
+from .families import _size, seeded_rng
 from .levelset import SurfacePoint, _project_batch, _side, project_to_level
 from .shape import PrincipalSpectrum, spectrum_at
 from .sphere import SpherePoint
@@ -64,6 +64,7 @@ def _circle_profile(fam, sp: SurfacePoint, grid_size, spectrum=None):
     on it, where E is the offset normal exponential map at sp with the
     offset theta taken from the spectrum at sp (computed unless given).
     Returns (ts, values)."""
+    grid_size = _size("grid_size", grid_size, 1)
     if spectrum is None:
         spectrum = spectrum_at(sp)
     ts = -np.pi + 2 * np.pi * (np.arange(1, grid_size + 1) / grid_size)
@@ -111,7 +112,7 @@ def focal_dimension_estimate(fam, side, base_count=4, neighbor_radius=1e-3,
     from several base points must agree.
     """
     side = _side(side)
-    base_count = _integer("base_count", base_count)
+    base_count = _size("base_count", base_count, 1)
     rng = seeded_rng(seed, 0xF0CA1)
     dim = fam.ambient_dim
     needed = 2 * (dim + 2)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputContractError, SamplingError, StartAtFocalError
-from .families import IsoparametricFamily, _integer, seeded_rng
+from .families import IsoparametricFamily, _integer, _size, seeded_rng
 from .sphere import SpherePoint, TangentFrame, tangent_basis
 
 _GRAD_FLOOR = 1e-8
@@ -341,9 +341,7 @@ def sample_points(fam: IsoparametricFamily, s, count, seed) -> list[SurfacePoint
     retried with fresh draws, up to a budget of 10x count."""
     if not -1.0 <= s <= 1.0:  # also rejects NaN
         raise InputContractError(f"levels live in [-1, 1], got {s!r}")
-    count = _integer("count", count)
-    if count < 1:
-        raise InputContractError("count must be at least 1")
+    count = _size("count", count, 1)
     rng = seeded_rng(seed, 0xA11CE)
     out = []
     budget = 10 * count

@@ -36,14 +36,14 @@ import numpy as np
 
 from .errors import (InputContractError, NearFocalPoleError, PoleIsFocalError,
                      SamplingError, StartAtFocalError)
-from .families import Report, _integer, seeded_rng
+from .families import Report, _size, seeded_rng
 from .levelset import (_GRAD_FLOOR, SurfacePoint, _circle_tangency,
                        _frames_batch, _householder_frames,
                        _hypersurface_level, _is_focal, _level_jet,
                        _normalize_rows, _project_batch, _row_norms, _side,
                        surface_point)
 from .shape import PrincipalSpectrum, _shape_operators, arccot
-from .sphere import SpherePoint
+from .sphere import SpherePoint, geodesic
 
 DEDUP_RADIUS = 1e-6
 _H_HESSIAN = 1e-4
@@ -141,14 +141,6 @@ def _extreme(pick, *margins):
     return pick([m for m in margins if m is not None], default=None)
 
 
-def _size(name, value, least):
-    """The integer (`_integer`) size argument `name`, at least `least`."""
-    value = _integer(name, value)
-    if value < least:
-        raise InputContractError(f"{name} must be at least {least}")
-    return value
-
-
 def _pole_rows(p, n):
     """The poles of n rows: p is one pole (D,) for every row or a pole per
     row (n, D).  A read-only view when p is one pole."""
@@ -237,31 +229,34 @@ def _chart_step(fam, level, X, chart, jac, resid):
     return _project_batch(fam, level, moved, 1e-15, 1e-11)
 
 
-def _masked_newton(X, first, residual, step, tol, max_iter):
-    """Masked Newton loop, updating the rows of X in place.
+def _masked_newton(sheet, X, first, tol, max_iter):
+    """Masked Newton loop on the sheet, updating the rows of X in place.
 
-    `residual(rows, *handed)` returns (residual norms, state) at the given
-    rows, the state a list of per-row arrays; `first` is its result at all
-    of X.  `step(rows, state)` returns (moved rows, ok, *handed) for the
-    rows still above `tol`, and only the moved rows are evaluated again,
-    each with its row of the per-row arrays `handed` that the step passes
-    on (in the pole solver `_newton` each row's pole, then the values that
-    `_project_batch` ends with: F and grad F on a `_Level`, F on a
-    `_FocalSheet`).  A row whose move fails has lost the level and leaves
-    the loop.  Returns the residual norms and state at the final X, each
-    row's from its last evaluation."""
+    `first` is (residual norms, state) at all of X, as the sheet's `start`
+    and `residual` return them: the state a list of per-row arrays, each
+    row's pole, residual vector and chart first.  Every row still above
+    `tol` takes one `_chart_step` with `sheet.jacobian`, and only the moved
+    rows are evaluated again (`sheet.residual`), each with its pole and the
+    values that `_project_batch` ends with (F and grad F on a `_Level`, F
+    on a `_FocalSheet`).  A row whose move fails has lost the level and
+    leaves the loop.  Returns the residual norms and state at the final X,
+    each row's from its last evaluation."""
     rnorm, state = first
     idx = np.arange(X.shape[0])
     for _ in range(max_iter):
         idx = idx[rnorm[idx] > tol]
         if not len(idx):
             break
-        moved, ok, *handed = step(X[idx], [s[idx] for s in state])
+        rows, part = X[idx], [s[idx] for s in state]
+        poles, q, chart = part[:3]
+        moved, ok, *values = _chart_step(sheet.fam, sheet.level, rows, chart,
+                                         sheet.jacobian(rows, part), q)
         idx = idx[ok]
         X[idx] = moved[ok]
-        rnorm[idx], fresh = residual(X[idx], *(h[ok] for h in handed))
-        for full, part in zip(state, fresh):
-            full[idx] = part
+        rnorm[idx], fresh = sheet.residual(X[idx], poles[ok],
+                                           *(v[ok] for v in values))
+        for full, new in zip(state, fresh):
+            full[idx] = new
     return rnorm, state
 
 
@@ -418,21 +413,13 @@ def _newton(sheet, p, starts, handed):
     the starts they came from."""
     X = np.array(starts, dtype=np.float64)
     poles = np.array(_pole_rows(p, len(X)))
-
-    def step(rows, state):
-        poles, q, chart = state[:3]
-        moved, ok, *values = _chart_step(sheet.fam, sheet.level, rows, chart,
-                                         sheet.jacobian(rows, state), q)
-        return moved, ok, poles, *values
-
-    rnorm, state = _masked_newton(X, sheet.start(X, poles, *handed),
-                                  sheet.residual, step, sheet.tol,
-                                  sheet.max_iter)
+    rnorm, state = _masked_newton(sheet, X, sheet.start(X, poles, *handed),
+                                  sheet.tol, sheet.max_iter)
     kept = np.flatnonzero(rnorm <= sheet.tol)
     sols, rnorm = X[kept], rnorm[kept]
     if sheet.polish:
-        rnorm = _masked_newton(sols, (rnorm, [s[kept] for s in state]),
-                               sheet.residual, step, 0.0, sheet.polish)[0]
+        rnorm = _masked_newton(sheet, sols, (rnorm, [s[kept] for s in state]),
+                               0.0, sheet.polish)[0]
     return sols, rnorm, kept
 
 
@@ -1022,10 +1009,11 @@ def totally_focal_probe(fam, s, seed=0, num_nonfocal=50, num_focal=10,
     A pass needs at least one non-focal pole and one focal point, so a probe
     with `num_nonfocal=0` runs but never passes.
 
-    Every pole and its start draws are drawn up front, in the order of the
-    pole-by-pole loop: the non-focal poles, the focal poles, the boundary
-    pole.  Each round of them (`_rounds`) then takes one Newton batch and
-    one `_classify` call.
+    Every pole and its start draws are drawn up front into one list, in the
+    order of the pole-by-pole loop: the non-focal poles, the focal poles on
+    alternating sheets, the boundary pole.  Each round of them (`_rounds`)
+    then takes one Newton batch and one `_classify` call, and each pole
+    kind is summarized in one pass over its slice of the list.
     """
     s = _hypersurface_level(s)
     num_nonfocal = _size("num_nonfocal", num_nonfocal, 0)
@@ -1033,52 +1021,49 @@ def totally_focal_probe(fam, s, seed=0, num_nonfocal=50, num_focal=10,
     num_starts = 60 * fam.g if num_starts is None else _size(
         "num_starts", num_starts, 1)
     rng = seeded_rng(seed, 0x70FA)
-    nonfocal = {"poles": 0, "points": 0, "degenerate_points": 0,
-                "min_margin": None}
-    mixed_failures = []
-
-    def tally(stats, pick, key, cps, p, kind):
-        """Count one pole's points and `pick` their margins into `stats`."""
-        flags = [cp.degenerate for cp in cps]
-        stats["poles"] += 1
-        stats["points"] += len(cps)
-        stats["degenerate_points"] += sum(flags)
-        if any(flags) and not all(flags):
-            mixed_failures.append({"pole": [float(v) for v in p], "kind": kind})
-        stats[key] = _extreme(pick, stats[key],
-                              *(cp.hessian_margin for cp in cps))
-
     dim = fam.ambient_dim
+
+    def focal_pole(side):
+        """A pole projected to the focal sheet V = side from a fresh draw."""
+        X, ok = _project_batch(fam, side, rng.normal(size=(1, dim)))[:2]
+        if not ok[0]:
+            raise SamplingError(
+                "failed to reach the focal level from this seed")
+        return SpherePoint(X[0])
+
     # (pole, start draws)
     drawn = [(_draw_pole(fam, rng), _newton_draws(fam, seed + i, num_starts))
              for i in range(num_nonfocal)]
-    for i in range(num_focal):
-        side = 1.0 if i % 2 == 0 else -1.0
-        drawn.append((project_to_level_focal(fam, side, rng.normal(size=dim)),
-                      rng.normal(size=(num_starts, dim))))
+    drawn += [(focal_pole((1.0, -1.0)[i % 2]),
+               rng.normal(size=(num_starts, dim))) for i in range(num_focal)]
     # boundary demonstration: a pole just off the focal set
-    base = project_to_level_focal(fam, 1.0, rng.normal(size=dim))
+    base = focal_pole(1.0)
     w = rng.normal(size=dim)
     w -= (w @ base.coords) * base.coords
-    w /= np.linalg.norm(w)
-    drawn.append((SpherePoint(np.cos(1e-5) * base.coords
-                              + np.sin(1e-5) * w),
-                   _newton_draws(fam, seed + 991, num_starts)))
-    cps = []
-    for _, poles, unique in _rounds(fam, s, drawn):
-        cps += _classify_poles(fam, s, poles, unique, _DEGENERATE_PROBE)
-    for (p, _), pts in zip(drawn[:num_nonfocal], cps):
-        tally(nonfocal, min, "min_margin", pts, p.coords, "non-focal")
-    focal = {"poles": 0, "points": 0, "degenerate_points": 0,
-             "max_margin": None}
-    for (p, _), pts in zip(drawn[num_nonfocal:-1], cps[num_nonfocal:-1]):
-        tally(focal, max, "max_margin", pts, p.coords, "focal")
-    near_pts = cps[-1]
+    drawn.append((geodesic(base, w / np.linalg.norm(w), 1e-5),
+                  _newton_draws(fam, seed + 991, num_starts)))
+    cps = [pts for _, poles, unique in _rounds(fam, s, drawn)
+           for pts in _classify_poles(fam, s, poles, unique,
+                                      _DEGENERATE_PROBE)]
+    summaries, mixed_failures = [], []
+    for kind, part, key, pick in (
+            ("non-focal", slice(num_nonfocal), "min_margin", min),
+            ("focal", slice(num_nonfocal, -1), "max_margin", max)):
+        points = [cp for pts in cps[part] for cp in pts]
+        summaries.append({
+            "poles": len(cps[part]), "points": len(points),
+            "degenerate_points": sum(cp.degenerate for cp in points),
+            key: _extreme(pick, *(cp.hessian_margin for cp in points))})
+        # a pole with both degenerate and non-degenerate points
+        mixed_failures += [
+            {"pole": [float(v) for v in pole.coords], "kind": kind}
+            for (pole, _), pts in zip(drawn[part], cps[part])
+            if len({cp.degenerate for cp in pts}) == 2]
+    nonfocal, focal = summaries
     boundary = {
         "offset": 1e-5,
-        "min_margin": min((cp.hessian_margin for cp in near_pts),
-                          default=None),
-        "count": len(near_pts),
+        "min_margin": _extreme(min, *(cp.hessian_margin for cp in cps[-1])),
+        "count": len(cps[-1]),
     }
     passed = (nonfocal["poles"] > 0
               and nonfocal["degenerate_points"] == 0
@@ -1095,12 +1080,3 @@ def totally_focal_probe(fam, s, seed=0, num_nonfocal=50, num_focal=10,
         "mixed_failures": mixed_failures,
         "pass": passed,
     }
-
-
-def project_to_level_focal(fam, side, raw) -> SpherePoint:
-    """Project an ambient seed onto the focal submanifold V = side."""
-    X, ok = _project_batch(fam, float(side),
-                           np.asarray(raw, float)[None, :])[:2]
-    if not ok[0]:
-        raise SamplingError("failed to reach the focal level from this seed")
-    return SpherePoint(X[0])

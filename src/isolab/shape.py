@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ClusteringError, FocalCrossingError, FocalDegeneracyError
-from .families import Report, _integer
+from .families import Report, _size
 from .levelset import (SurfacePoint, _hypersurface_level, sample_points,
                        spherical_gradient)
 
@@ -176,7 +176,7 @@ def isoparametric_check(fam, s, num_samples=100, seed=0,
     checks: identical cluster values across points (within tol), arccot
     spacing pi/g (within tol), and period-two multiplicity alternation.
     """
-    num_samples = _integer("num_samples", num_samples)
+    num_samples = _size("num_samples", num_samples, 1)
     pts = sample_points(fam, _hypersurface_level(s), num_samples, seed)
     all_values = []
     failure = None

@@ -155,7 +155,8 @@ def test_spot_check_finds_the_extremes_on_a_distorted_cyclide(fam_clifford):
 @pytest.mark.parametrize("num_centers", [0, -3])
 def test_spot_check_needs_a_center(fam_clifford, num_centers):
     # a check over no centers certifies nothing
-    with pytest.raises(InputContractError, match="at least one center"):
+    with pytest.raises(InputContractError,
+                       match="num_centers must be at least 1"):
         euclidean_taut_spot_check(fam_clifford, 0.0, POLE,
                                   num_centers=num_centers)
 

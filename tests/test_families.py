@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 import tracemalloc
 
 import numpy as np
@@ -10,13 +11,15 @@ import pytest
 from isolab import (FamilyIntegrityError, FamilyRejectedError,
                     InputContractError, IsoparametricFamily, SpherePoint,
                     catalog, critical_points_newton, euclidean_taut_spot_check,
-                    export_mesh, family_from_json, family_to_json,
+                    exp_param_check, export_mesh, family_from_json,
+                    family_to_json,
                     focal_dimension_estimate, focal_tautness_report,
                     isoparametric_check,
                     munzner_residuals, orbit_level_check, restrict_V,
                     sample_points, tightness_report, totally_focal_probe,
                     verify_munzner)
 from isolab import _kernels_py
+from isolab.export import export_spectrum_csv
 from isolab.families import (_ball_samples, _chunks, ambient_to_sym3,
                              seeded_rng, sym3_basis, sym3_to_ambient)
 from isolab.polynomial import CMPolynomial
@@ -292,20 +295,39 @@ def test_negative_seed_is_an_input_contract_error(fam_clifford, name):
         SEEDED_CALLS[name](fam_clifford, -1)
 
 
+@pytest.mark.parametrize("name", sorted(SEEDED_CALLS))
+def test_fractional_seed_is_an_input_contract_error(fam_clifford, name):
+    # a seed that int() would truncate is refused, not read as its floor
+    with pytest.raises(InputContractError, match="seed must be an integer"):
+        SEEDED_CALLS[name](fam_clifford, 1.5)
+
+
+# each entry: the name of the function's count, and a call with that count
 SIZED_CALLS = {
-    "euclidean_taut_spot_check": lambda fam: euclidean_taut_spot_check(
+    "euclidean_taut_spot_check": ("num_centers", lambda fam, size:
+                                  euclidean_taut_spot_check(
+                                      fam, 0.0, SpherePoint(np.array(
+                                          [0.5, -0.2, 0.1, 0.8])),
+                                      num_centers=size)),
+    "export_mesh": ("resolution", lambda fam, size: export_mesh(
         fam, 0.0, SpherePoint(np.array([0.5, -0.2, 0.1, 0.8])),
-        num_centers=1.5),
-    "export_mesh": lambda fam: export_mesh(
-        fam, 0.0, SpherePoint(np.array([0.5, -0.2, 0.1, 0.8])),
-        resolution=3.5),
-    "sample_points": lambda fam: sample_points(fam, 0.3, 2.5, 0),
-    "isoparametric_check": lambda fam: isoparametric_check(
-        fam, 0.3, num_samples=2.5),
-    "focal_dimension_estimate": lambda fam: focal_dimension_estimate(
-        fam, 1, base_count=1.5),
-    "orbit_level_check": lambda fam: orbit_level_check(
-        0.3, num_rotations=2.5),
+        resolution=size)),
+    "sample_points": ("count", lambda fam, size: sample_points(
+        fam, 0.3, size, 0)),
+    "isoparametric_check": ("num_samples", lambda fam, size:
+                            isoparametric_check(fam, 0.3, num_samples=size)),
+    "focal_dimension_estimate": ("base_count", lambda fam, size:
+                                 focal_dimension_estimate(
+                                     fam, 1, base_count=size)),
+    "orbit_level_check": ("num_rotations", lambda fam, size:
+                          orbit_level_check(0.3, num_rotations=size)),
+    "verify_munzner": ("num_points", lambda fam, size: verify_munzner(
+        fam, num_points=size)),
+    "exp_param_check": ("grid_size", lambda fam, size: exp_param_check(
+        fam, sample_points(fam, 0.3, 1, 0)[0], grid_size=size)),
+    "export_spectrum_csv": ("num_samples", lambda fam, size:
+                            export_spectrum_csv(fam, 0.3, size, 0,
+                                                os.devnull)),
 }
 
 
@@ -313,8 +335,22 @@ SIZED_CALLS = {
 def test_fractional_size_is_an_input_contract_error(fam_clifford, name):
     # a count that int() would truncate is refused in the library's terms,
     # not rounded, sliced or passed on to range()
-    with pytest.raises(InputContractError, match="must be an integer"):
-        SIZED_CALLS[name](fam_clifford)
+    count, call = SIZED_CALLS[name]
+    with pytest.raises(InputContractError,
+                       match=f"^{count} must be an integer"):
+        call(fam_clifford, 3.5)
+
+
+@pytest.mark.parametrize("size", [0, -2])
+@pytest.mark.parametrize("name", sorted(SIZED_CALLS))
+def test_size_below_its_minimum_is_an_input_contract_error(fam_clifford,
+                                                           name, size):
+    # every count is an integer of at least its stated minimum, and the
+    # error names the function's own count
+    count, call = SIZED_CALLS[name]
+    with pytest.raises(InputContractError,
+                       match=f"^{count} must be at least"):
+        call(fam_clifford, size)
 
 
 @pytest.mark.parametrize("name, params", [

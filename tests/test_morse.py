@@ -1,5 +1,6 @@
 """Critical-point machinery: both algorithms, both index computations."""
 
+import dataclasses
 import itertools
 import json
 
@@ -17,7 +18,6 @@ from isolab.levelset import (_frames_batch, _normalize_rows, _project_batch,
                              project_to_level, spherical_gradient,
                              surface_point)
 from isolab.families import seeded_rng
-from isolab.morse import project_to_level_focal
 from isolab.polynomial import CMPolynomial
 from isolab.shape import spectrum_at
 
@@ -289,8 +289,8 @@ def test_totally_focal_probe(fam_clifford):
 def test_focal_pole_critical_set_is_continuum(fam_clifford):
     # distance from a core-circle point is constant along the second factor,
     # so Newton finds many distinct, all-degenerate solutions
-    pole = project_to_level_focal(fam_clifford, 1.0,
-                                  np.array([0.3, 0.9, 0.0, 0.0]))
+    pole = project_to_level(fam_clifford, 1.0,
+                            SpherePoint(np.array([0.3, 0.9, 0.0, 0.0]))).x
     assert abs(pole.coords[2]) < 1e-12 and abs(pole.coords[3]) < 1e-12
     from isolab.morse import (_classify, _dedup, _newton_multistart,
                               _DEGENERATE_PROBE)
@@ -331,7 +331,8 @@ def test_dedup_compares_the_gram_matrix_with_cos_radius(fam_nomizu):
     # a degenerate-probe cloud from a focal pole, and pairs just inside and
     # just outside the radius, merge as the arccos oracle merges them
     rng = np.random.default_rng(83)
-    pole = project_to_level_focal(fam_nomizu, 1.0, rng.normal(size=6))
+    pole = project_to_level(fam_nomizu, 1.0,
+                            SpherePoint(rng.normal(size=6))).x
     starts, ok = _project_batch(fam_nomizu, 0.3, rng.normal(size=(240, 6)))[:2]
     sols, rnorm, _diag = morse._newton_multistart(fam_nomizu, 0.3,
                                                   pole.coords, starts[ok])
@@ -1037,8 +1038,8 @@ def test_classify_matches_per_point_loop():
             assert fields(got) == fields(loop_classify(fam, s, pole.coords, X))
             assert all(cp.index_focal == cp.index_hessian for cp in got)
         # a focal pole: a cloud of degenerate critical points
-        p = project_to_level_focal(fam, 1.0,
-                                   rng.normal(size=fam.ambient_dim)).coords
+        p = project_to_level(fam, 1.0, SpherePoint(
+            rng.normal(size=fam.ambient_dim))).x.coords
         starts, ok = _project_batch(fam, s,
                                     rng.normal(size=(24, fam.ambient_dim)))[:2]
         sols, rnorm, _diag = morse._newton_multistart(fam, s, p, starts[ok])
@@ -1495,6 +1496,33 @@ def test_probe_needs_a_nonfocal_pole_to_pass(fam_clifford):
     assert not probe["mixed_failures"] and not probe["pass"]
     assert totally_focal_probe(fam_clifford, 0.3, seed=4, num_nonfocal=1,
                                num_focal=1)["pass"]
+
+
+def test_probe_names_each_mixed_pole_by_kind(fam_clifford, monkeypatch):
+    # one point flipped on the first non-focal pole and one on the focal
+    # pole: each pole then mixes degenerate and non-degenerate points, and
+    # both are named, non-focal first
+    classify, seen = morse._classify_poles, []
+
+    def flip_one(fam, s, poles, points, threshold):
+        seen.append(poles)
+        out = classify(fam, s, poles, points, threshold)
+        for k in (0, 2):  # the first non-focal pole, the focal pole
+            out[k][0] = dataclasses.replace(
+                out[k][0], degenerate=not out[k][0].degenerate)
+        return out
+
+    monkeypatch.setattr(morse, "_classify_poles", flip_one)
+    probe = totally_focal_probe(fam_clifford, 0.3, seed=4, num_nonfocal=2,
+                                num_focal=1)
+    (poles,) = seen
+    assert probe["mixed_failures"] == [
+        {"pole": poles[0].tolist(), "kind": "non-focal"},
+        {"pole": poles[2].tolist(), "kind": "focal"}]
+    assert probe["nonfocal"]["degenerate_points"] == 1
+    assert (probe["focal"]["points"], probe["focal"]["degenerate_points"]) == (
+        120, 119)
+    assert not probe["pass"]
 
 
 def test_probe_without_usable_starts_is_a_sampling_error(fam_clifford,

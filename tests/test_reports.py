@@ -90,3 +90,45 @@ def test_compare_reports_names_what_differs():
                              '{"x": [1.0, 2.5], "n": 3, "pass": false}') == (
         "1 floats move, by up to 5.00e-01 (.x[1]) and 2.00e-01 relative "
         "(.x[1]); 2 other leaves differ: .n, .pass")
+
+
+CODE_LINES = ROOT / "benchmarks" / "code_lines.py"
+SYNTHETIC = '''"""A module docstring
+over two lines."""
+
+import os  # a trailing comment
+
+
+# a comment line
+def join(a, b):
+    """One line."""
+    return os.path.join(a,
+                        b)
+
+
+class Box:
+    """A class
+    docstring."""
+
+    label = """a string
+    that is not a docstring"""
+'''
+
+
+def test_code_lines_counts_code_only(tmp_path, capsys):
+    # import, def, the two lines of the call, class and the two lines of
+    # the assignment; blank lines, comments and docstrings do not count
+    spec = importlib.util.spec_from_file_location("code_lines", CODE_LINES)
+    code_lines = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(code_lines)
+    assert code_lines.code_lines(SYNTHETIC) == 7
+    (tmp_path / "a.py").write_text(SYNTHETIC)
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "sub" / "b.py").write_text("x = 1\n\n# done\n")
+    code_lines.main([str(tmp_path)])
+    *rows, (total, count) = [line.split() for line in
+                             capsys.readouterr().out.splitlines()]
+    assert [(pathlib.Path(name).name, int(code)) for name, code in
+            rows] == [("a.py", 7), ("b.py", 1)]
+    assert total == "total"
+    assert int(count) == sum(int(code) for _, code in rows)
