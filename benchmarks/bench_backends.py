@@ -23,7 +23,7 @@ on the level 0.3, `_focal_index` at those on the focal sheet V = +1, given
 their values; both run the one stencil body `_index_stencil`) and for the
 whole batched classifier `_classify` (both witnesses) at the level-0.3
 points.  The rows are counted by patching `morse._project_batch`, the
-retraction that `_chart_hessians` looks up in morse for every sheet.
+retraction that `_index_stencil` looks up in morse for every sheet.
 Newton-step rows give, at 240 points of the level 0.3 of nomizu-quartic n=2
 and clifford(2,7), the microseconds per row of one `_frames_batch` call
 (normals and tangent frames) and of one hypersurface `_chart_step` (the

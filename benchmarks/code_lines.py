@@ -34,13 +34,18 @@ def docstring_lines(tree):
     return lines
 
 
-def code_lines(text):
-    """The number of code lines of the module source `text`."""
+def code_line_numbers(text):
+    """The line numbers of the code lines of the module source `text`."""
     lines = set()
     for tok in tokenize.generate_tokens(io.StringIO(text).readline):
         if tok.type not in _LAYOUT:
             lines.update(range(tok.start[0], tok.end[0] + 1))
-    return len(lines - docstring_lines(ast.parse(text)))
+    return lines - docstring_lines(ast.parse(text))
+
+
+def code_lines(text):
+    """The number of code lines of the module source `text`."""
+    return len(code_line_numbers(text))
 
 
 def modules(paths):

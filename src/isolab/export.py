@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InputContractError, MeshExportError
+from .errors import InputContractError, MeshExportError, SamplingError
 from .families import Report, _size, seeded_rng
 from .focal import _circle_profile
 from .levelset import _hypersurface_level, _normalize_rows, sample_points
@@ -221,7 +221,10 @@ def export_focal_circle_csv(fam, s, seed, path, grid_size=720):
 
 
 def export_point_cloud_csv(fam, s, count, seed, pole, path):
-    """Stereographic point cloud of M_s for families with no mesh support."""
+    """Stereographic point cloud of M_s for families with no mesh support.
+    A pole of the wrong dimension raises InputContractError before any
+    sample is drawn or the file is opened."""
+    fam.polynomial._check_points(pole.coords)
     pts = np.array([p.x.coords for p in sample_points(
         fam, _hypersurface_level(s), count, seed)])
     proj, _ = _stereo_rows(pts, tangent_basis(pole).vectors, pole.coords)
@@ -280,8 +283,6 @@ class _StereoLevel(_Level):
     def residual(self, rows, _poles, *jet):
         return super().residual(rows, self.poles(rows), *jet)
 
-    start = residual
-
 
 def _distance_critical_points(sheet, grid):
     """The critical points of L on the `_StereoLevel` sheet, as the
@@ -317,7 +318,8 @@ def euclidean_taut_spot_check(fam, s, pole: SpherePoint, num_centers=25,
     pulled back through the projection (`_distance_critical_points`), and
     each index is read twice, from the Hessian stencil and from the focal
     count; the check passes only if the two agree at every point.  Centers
-    with a degenerate critical point are resampled and counted.
+    with a degenerate critical point are resampled and counted; after
+    20 * num_centers resamples the check gives up with SamplingError.
     """
     if fam.label != "clifford" or fam.ambient_dim != 4:
         raise InputContractError(
@@ -342,7 +344,7 @@ def euclidean_taut_spot_check(fam, s, pole: SpherePoint, num_centers=25,
         if any(cp.degenerate for cp in cps):
             resampled += 1
             if resampled > 20 * num_centers:
-                raise InputContractError("could not find non-degenerate centers")
+                raise SamplingError("could not find non-degenerate centers")
             continue
         counts.append(len(cps))
         # Hess L is a positive multiple of Hess l_p, and d_p's index_hessian

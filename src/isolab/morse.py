@@ -232,9 +232,9 @@ def _chart_step(fam, level, X, chart, jac, resid):
 def _masked_newton(sheet, X, first, tol, max_iter):
     """Masked Newton loop on the sheet, updating the rows of X in place.
 
-    `first` is (residual norms, state) at all of X, as the sheet's `start`
-    and `residual` return them: the state a list of per-row arrays, each
-    row's pole, residual vector and chart first.  Every row still above
+    `first` is (residual norms, state) at all of X, as the sheet's
+    `residual` returns them: the state a list of per-row arrays, each row's
+    pole, residual vector and chart first.  Every row still above
     `tol` takes one `_chart_step` with `sheet.jacobian`, and only the moved
     rows are evaluated again (`sheet.residual`), each with its pole and the
     values that `_project_batch` ends with (F and grad F on a `_Level`, F
@@ -309,8 +309,6 @@ class _Level:
         q = _tangential_residual(poles, rows, xi)
         return np.abs(q).max(axis=1), [poles, q, frames, xi, vals, wn]
 
-    start = residual
-
     def jacobian(self, rows, state):
         poles, _q, frames, xi, vals, wn = state
         return _newton_jacobian(self.fam, poles, rows, xi, frames, vals, wn)
@@ -355,26 +353,21 @@ class _FocalSheet:
 
     def tangent(self, rows, vals):
         """`_focal_sphere_projector` at the rows, its traces reduced to their
-        common rank d_foc: SamplingError if they differ."""
+        common rank d_foc (0 over no row): SamplingError if they differ."""
         sph, proj, dims = _focal_sphere_projector(self.fam, self.level, rows,
                                                   vals)
-        if np.any(dims != dims[0]):
-            raise SamplingError(
-                f"focal tangent ranks disagree: {sorted(set(dims.tolist()))}")
-        return sph, proj, int(dims[0])
+        ranks = sorted(set(dims.tolist()))
+        if len(ranks) > 1:
+            raise SamplingError(f"focal tangent ranks disagree: {ranks}")
+        return sph, proj, int(dims.max(initial=0))
 
-    def start(self, rows, poles, vals=None):
-        """The residual at the starts; 0 where d_foc = 0, since every start
-        on a focal point solves it."""
+    def residual(self, rows, poles, vals):
+        """The residual at the rows, through `tangent` (so SamplingError
+        when their ranks differ); its norms are 0 where d_foc = 0, since
+        every row on a focal point solves it."""
         sph, proj, d_foc = self.tangent(rows, vals)
-        rnorm, state = self.residual(rows, poles, vals, (sph, proj))
-        return (rnorm if d_foc else np.zeros_like(rnorm)), state
-
-    def residual(self, rows, poles, vals, tangent=None):
-        sph, proj = tangent or _focal_sphere_projector(
-            self.fam, self.level, rows, vals)[:2]
         q = _sphere_tangent_part(poles, sph, proj)
-        return _row_norms(q), [poles, q, sph, proj]
+        return np.where(d_foc, _row_norms(q), 0.0), [poles, q, sph, proj]
 
     def jacobian(self, rows, state):
         """P J P + (I - P), J `_focal_jacobian` on the sphere frame: J's
@@ -402,18 +395,19 @@ def _newton(sheet, p, starts, handed):
     """Drive each start to a zero of the sheet's residual toward its pole
     (one pole or a pole per start, `_pole_rows`): Newton steps
     (`_chart_step`) in the sheet's chart with its exact Jacobian, each
-    retracted to the sheet, until the residual is at most `sheet.tol`; the
-    Jacobian only steers.  Each residual reads the values its retraction
-    handed on, the first those of the starts' projection (`handed`) when
-    given.  The converged rows then take up to `sheet.polish` steps at
-    tolerance 0, which push positions along nearly degenerate Hessian
-    directions (error up to tol/|J|) to the evaluation-noise floor.  Never
-    reads the circle route's points, the expected count or the index
-    chart.  Returns (solutions, residual_norms, kept), kept the indices of
-    the starts they came from."""
+    retracted to the sheet, until the residual (`sheet.residual`, the
+    first at the starts) is at most `sheet.tol`; the Jacobian only steers.
+    Each residual reads the values its retraction handed on, the first
+    those of the starts' projection (`handed`) when given.  The converged
+    rows then take up to `sheet.polish` steps at tolerance 0, which push
+    positions along nearly degenerate Hessian directions (error up to
+    tol/|J|) to the evaluation-noise floor.  Never reads the circle
+    route's points, the expected count or the index chart.  Returns
+    (solutions, residual_norms, kept), kept the indices of the starts they
+    came from."""
     X = np.array(starts, dtype=np.float64)
     poles = np.array(_pole_rows(p, len(X)))
-    rnorm, state = _masked_newton(sheet, X, sheet.start(X, poles, *handed),
+    rnorm, state = _masked_newton(sheet, X, sheet.residual(X, poles, *handed),
                                   sheet.tol, sheet.max_iter)
     kept = np.flatnonzero(rnorm <= sheet.tol)
     sols, rnorm = X[kept], rnorm[kept]
@@ -438,8 +432,6 @@ def _focal_newton(fam, side, p, starts, vals=None):
 def _dedup(fam, X, rnorm):
     """Merge solutions within geodesic distance DEDUP_RADIUS, keeping the
     best residual."""
-    if len(X) == 0:
-        return X
     ordered = X[np.argsort(rnorm)]
     # arccos <a, b> < r exactly when <a, b> > cos r: no N^2 arccos
     near = ordered @ ordered.T > np.cos(DEDUP_RADIUS)
@@ -454,57 +446,42 @@ def _dedup(fam, X, rnorm):
     return ordered[keep]
 
 
-def _chart_hessians(fam, level, X, charts, accept, gradient):
-    """Hessians of a function on the level at each row of X (assumed
-    critical) in the chart spanned by the rows of charts[k]: symmetrized
-    central differences of the Riemannian gradient along the chart vectors,
+def _index_stencil(sheet, p, X, handed):
+    """Finite-difference Hessians of the height function l_p on the sheet
+    at each row of X (assumed critical), p one pole or a pole per row, in
+    the sheet's stencil chart at X (from `handed`, the level's frames or
+    the focal values): symmetrized central differences of the sheet's
+    stencil gradient along the chart vectors t_i,
 
         H_ij = <grad(x + h t_i) - grad(x - h t_i), t_j> / 2h.
 
-    The moves X +/- h t_i are retracted in one `_project_batch` call, and
-    `gradient(rows, *handed)` (ambient vectors) reads the values it hands
-    back.  The gradient vanishes at a critical point, so the part of its
+    The moves X +/- h t_i are retracted in one `_project_batch` call at
+    the sheet's `accept`, and the gradient reads the values it hands back.
+    The gradient vanishes at a critical point, so the part of its
     derivative that leaves the tangent space, and with it the chart's
     curvature, drops out: H is the chart-invariant Riemannian Hessian.
-    Returns (M, k, k)."""
+    Returns (M, k, k), or None where the sheet has no tangent space."""
+    charts = sheet.stencil_chart(X, handed)
+    if charts is None:
+        return None
     m, k, d = charts.shape
     h = _H_HESSIAN
     step = h * charts
-    plus, minus = X[:, None, :] + step, X[:, None, :] - step
-    moves = np.stack([plus, minus], axis=2).reshape(-1, d)
-    moved, _ok, *handed = _project_batch(fam, level, _normalize_rows(moves),
-                                         tol=1e-16, accept=accept)
-    grad = gradient(moved, *handed).reshape(m, k, 2, d)
+    moves = np.stack([X[:, None, :] + step, X[:, None, :] - step], axis=2)
+    moved, _ok, *values = _project_batch(
+        sheet.fam, sheet.level, _normalize_rows(moves.reshape(-1, d)),
+        tol=1e-16, accept=sheet.accept)
+    # each row moves to its 2k stencil points, in row order
+    poles = np.repeat(_pole_rows(p, m), 2 * k, axis=0)
+    grad = sheet.stencil_gradient(poles, moved, *values).reshape(m, k, 2, d)
     diff = (grad[:, :, 0] - grad[:, :, 1]) @ np.swapaxes(charts, 1, 2)
     return (diff + np.swapaxes(diff, 1, 2)) / (4 * h)
 
 
-def _index_stencil(sheet, p, X, handed):
-    """Finite-difference Hessians of the height function l_p on the sheet
-    at each row of X (assumed critical), p one pole or a pole per row: the
-    sheet's stencil gradient differenced by `_chart_hessians` at the
-    sheet's `accept`, in the sheet's stencil chart at X (from `handed`, the
-    level's frames or the focal values).  None where the sheet has no
-    tangent space."""
-    charts = sheet.stencil_chart(X, handed)
-    if charts is None:
-        return None
-    # `_chart_hessians` moves each row to 2k stencil points, in row order
-    moved_poles = np.repeat(_pole_rows(p, len(X)), 2 * charts.shape[1],
-                            axis=0)
-    return _chart_hessians(
-        sheet.fam, sheet.level, X, charts, sheet.accept,
-        lambda rows, *handed: sheet.stencil_gradient(moved_poles, rows,
-                                                     *handed))
-
-
 def _hessian_stencil(fam, s, p, X, frames=None):
     """`_index_stencil` on the level M_s, in the chart of the
-    `_frames_batch` frames (computed when not given).  Returns (hessians,
-    t)."""
-    hessians = _index_stencil(_Level(fam, s), p, X, frames)
-    return hessians, np.arccos(np.clip(_row_dots(X, _pole_rows(p, len(X))),
-                                       -1.0, 1.0))
+    `_frames_batch` frames (computed when not given)."""
+    return _index_stencil(_Level(fam, s), p, X, frames)
 
 
 def _focal_index(fam, side, p, Y, vals):
@@ -546,7 +523,8 @@ def _classify(fam, s, p, X, degenerate_threshold=_DEGENERATE_REPORT):
             f"a point lies {worst:.3e} off the level {float(s)!r}")
     if (wn < _GRAD_FLOOR).any():
         raise StartAtFocalError("normal direction undefined at this point")
-    hessians, ts = _hessian_stencil(fam, s, P, X, frames)
+    hessians = _hessian_stencil(fam, s, P, X, frames)
+    ts = np.arccos(np.clip(_row_dots(X, P), -1.0, 1.0))
     sin_t = np.maximum(np.sin(ts), 1e-12)
     eig = np.linalg.eigvalsh(-hessians / sin_t[:, None, None])
     max_abs, min_abs = np.abs(eig).max(axis=1), np.abs(eig).min(axis=1)

@@ -193,11 +193,11 @@ def isoparametric_check(fam, s, num_samples=100, seed=0,
             all_values.append(spec.values)
     except ClusteringError as exc:
         failure = f"clustering failed at sample {len(all_values)}: {exc}"
-    if failure is not None or not all_values:
+    if failure is not None:
         return SpectrumReport(
             family=fam.label, level=float(s), num_samples=num_samples,
             seed=seed, cluster_tol=cluster_tol, tol=tol,
-            multiplicities=mults or (), failure=failure or "no samples")
+            multiplicities=mults or (), failure=failure)
     vals = np.array(all_values)
     spread = float((vals.max(axis=0) - vals.min(axis=0)).max())
     mean_vals = vals.mean(axis=0)

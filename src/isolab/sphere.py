@@ -10,7 +10,6 @@ import numpy as np
 
 from .errors import InputContractError, StereographicPoleError
 
-_UNIT_TOL = 1e-12
 _MIN_NORM = 1e-8
 
 

@@ -31,7 +31,7 @@ def call_graph():
                         nodes[f"{top.name}.{item.name}"] = [item]
                     elif (isinstance(item, ast.Assign)
                           and isinstance(item.value, ast.Name)):
-                        # a method alias, `start = residual`
+                        # a method alias, such as `b = a`
                         for target in item.targets:
                             nodes[f"{top.name}.{target.id}"] = [item.value]
     by_name = {}
@@ -75,7 +75,7 @@ def test_circle_route_reaches_no_solver():
 
 
 def test_focal_count_reaches_no_stencil():
-    assert "_chart_hessians" not in reach(GRAPH, "_focal_counts")
+    assert "_index_stencil" not in reach(GRAPH, "_focal_counts")
 
 
 def test_level_stencil_gradient_reaches_no_hessian_and_no_shape_operator():

@@ -1,10 +1,13 @@
 """Mesh export, OBJ structure, point clouds, and the Euclidean spot check."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from isolab import (InputContractError, MeshExportError, SpherePoint,
-                    euclidean_taut_spot_check, export_mesh, sample_points)
+from isolab import (InputContractError, MeshExportError, SamplingError,
+                    SpherePoint, euclidean_taut_spot_check, export_mesh,
+                    sample_points)
 from isolab.export import (_CLIP_RADIUS, MeshData, _grid_faces,
                            _StereoLevel, _stereo_rows, _torus_grid,
                            export_point_cloud_csv, write_obj)
@@ -244,3 +247,68 @@ def test_mesh_faces_edges_and_flags_match_loops(fam_clifford):
         assert mesh.euler_characteristic() == (
             len(mesh.vertices) - len(counts) + len(mesh.faces))
         assert mesh.is_watertight() == all(c == 2 for c in counts.values())
+
+
+def test_unparametrized_family_exports_a_vertex_cloud(fam_clifford,
+                                                       tmp_path):
+    # a D = 4 user polynomial under no catalog label has no grid: its
+    # resolution^2 level samples are written as vertices with no face
+    from isolab.families import family_from_json_obj, family_to_json_obj
+    obj = family_to_json_obj(fam_clifford)
+    del obj["label"]
+    fam = family_from_json_obj(obj)
+    assert fam.label == "user-polynomial"
+    path = tmp_path / "cloud.obj"
+    mesh = export_mesh(fam, 0.0, POLE, resolution=5, path=str(path))
+    assert any(w.startswith("no parametrization") for w in mesh.warnings)
+    assert mesh.vertices.shape == (25, 3) and mesh.faces.shape == (0, 3)
+    lines = path.read_text().splitlines()
+    assert sum(l.startswith("v ") for l in lines) == 25
+    assert not [l for l in lines if l.startswith("f ")]
+
+
+def test_point_cloud_refuses_a_pole_of_the_wrong_dimension(fam_cartan,
+                                                           tmp_path):
+    path = tmp_path / "cloud.csv"
+    with pytest.raises(InputContractError, match="dimension 4, expected 5"):
+        export_point_cloud_csv(fam_cartan, 0.2, 10, 0,
+                               SpherePoint(np.array([1.0, 0, 0, 0])),
+                               str(path))
+    assert not path.exists()
+
+
+def degenerate_at(monkeypatch, first_calls):
+    # `export._classify` marking every point of its first `first_calls`
+    # calls (one per center) degenerate
+    from isolab import export
+    calls, classify = [], export._classify
+
+    def marking(*args):
+        calls.append(1)
+        cps = classify(*args)
+        if len(calls) <= first_calls:
+            cps = [dataclasses.replace(cp, degenerate=True) for cp in cps]
+        return cps
+
+    monkeypatch.setattr(export, "_classify", marking)
+
+
+def test_spot_check_resamples_a_degenerate_center(fam_clifford,
+                                                  monkeypatch):
+    # the first center is resampled; the report then holds the next ones
+    want = euclidean_taut_spot_check(fam_clifford, 0.0, POLE,
+                                     num_centers=3, seed=5)
+    degenerate_at(monkeypatch, 1)
+    got = euclidean_taut_spot_check(fam_clifford, 0.0, POLE,
+                                    num_centers=2, seed=5)
+    assert got.resampled_centers == 1 and got.passed
+    assert got.counts == want.counts[1:]
+    assert got.index_multisets == want.index_multisets[1:]
+
+
+def test_spot_check_gives_up_after_the_resample_budget(fam_clifford,
+                                                       monkeypatch):
+    degenerate_at(monkeypatch, 10 ** 6)
+    with pytest.raises(SamplingError, match="non-degenerate centers"):
+        euclidean_taut_spot_check(fam_clifford, 0.0, POLE, num_centers=1,
+                                  seed=5)

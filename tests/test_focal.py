@@ -121,3 +121,17 @@ def test_profile_check_and_csv_read_one_profile(tmp_path, fam_cartan):
     base = sample_points(fam_cartan, 0.2, 1, 9)[0]
     assert exp_param_check(fam_cartan, base) == \
         float(np.abs(vs - np.cos(fam_cartan.g * ts)).max())
+
+
+def test_focal_points_snap_to_the_focal_sets(fam_nomizu):
+    # another level's spectrum puts every circle point off |V| = 1 by more
+    # than the tagging tolerance; each is snapped to its nearest focal set
+    sp = sample_points(fam_nomizu, 0.3, 1, seed=5)[0]
+    other = spectrum_at(sample_points(fam_nomizu, -0.4, 1, seed=5)[0])
+    pts = focal_points_along_normal(sp, other)
+    assert len(pts) == 2 * fam_nomizu.g
+    for f in pts:
+        probe = np.cos(f.t) * sp.x.coords + np.sin(f.t) * np.asarray(sp.xi)
+        assert abs(abs(float(fam_nomizu.polynomial.value(probe))) - 1) > 1e-6
+        v = float(fam_nomizu.polynomial.value(f.location.coords))
+        assert abs(abs(v) - 1.0) <= 1e-10 and f.side == np.sign(v)

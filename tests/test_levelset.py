@@ -349,3 +349,17 @@ def test_project_batch_takes_its_final_test_from_the_loop(monkeypatch):
             assert ok.all(), (label, side)
             assert np.abs(vals - fam.polynomial.jet(Y)[0]).max() <= 1e-15, \
                 (label, side)
+
+
+def test_project_batch_refuses_a_start_on_the_focal_set(fam_nomizu):
+    # a focal row has no normal direction toward a regular level: it is not
+    # ok, alone or with rows beside it, and those still land on the level
+    rng = np.random.default_rng(43)
+    focal, ok = _project_batch(fam_nomizu, 1.0, rng.normal(size=(1, 6)))[:2]
+    assert ok.all()
+    assert _project_batch(fam_nomizu, 0.3, focal)[1].tolist() == [False]
+    starts = np.vstack([rng.normal(size=(2, 6)), focal])
+    X, ok, vals, _grads = _project_batch(fam_nomizu, 0.3, starts)
+    assert ok.tolist() == [True, True, False]
+    assert np.abs(vals[:2] - 0.3).max() <= 1e-12
+    assert np.abs(fam_nomizu.polynomial.value(X[:2]) - 0.3).max() <= 1e-12

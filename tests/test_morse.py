@@ -468,10 +468,10 @@ def loop_focal_tangent_projector(fam, Y):
 def focal_index_chart(monkeypatch, fam, side, p, Y):
     # the chart `_focal_index` hands its stencil at the rows Y: (B, d_foc, D)
     charts = []
-    chart_hessians = morse._chart_hessians
+    stencil_chart = morse._FocalSheet.stencil_chart
     with monkeypatch.context() as patch:
-        patch.setattr(morse, "_chart_hessians", lambda *args: (
-            charts.append(args[3]) or chart_hessians(*args)))
+        patch.setattr(morse._FocalSheet, "stencil_chart", lambda *args: (
+            charts.append(stencil_chart(*args)) or charts[-1]))
         morse._focal_index(fam, side, p, Y, fam.polynomial.value(Y))
     return charts[0]
 
@@ -730,9 +730,9 @@ def test_hessian_stencil_never_uses_the_hessian_bank(fam_nomizu, monkeypatch):
         return hessian(self, x)
 
     monkeypatch.setattr(CMPolynomial, "hessian", counting_hessian)
-    hessians, ts = morse._hessian_stencil(fam_nomizu, 0.3, pole.coords, X)
+    hessians = morse._hessian_stencil(fam_nomizu, 0.3, pole.coords, X)
     assert calls == []
-    assert np.isfinite(hessians).all() and len(ts) == len(X)
+    assert np.isfinite(hessians).all() and len(hessians) == len(X)
 
 
 def test_focal_newton_retracts_once_per_step(fam_nomizu, monkeypatch):
@@ -833,14 +833,19 @@ def loop_chart_hessians(fam, level, p, X, charts, accept):
     return out
 
 
-def test_chart_hessians_match_entrywise_loop(monkeypatch):
+def test_index_stencil_matches_entrywise_loop(monkeypatch):
     # central differences of the Riemannian gradient give the old stencil's
     # indices, and both stencils stay within 1e-6 of the exact Riemannian
     # Hessians that steer the two Newton solvers
-    captured = []  # (charts, hessians) of each stencil call
-    chart_hessians = morse._chart_hessians
-    monkeypatch.setattr(morse, "_chart_hessians", lambda *args: (
-        captured.append((args[3], chart_hessians(*args))) or captured[-1][1]))
+    captured = []  # (chart, hessians) of each stencil call
+    index_stencil = morse._index_stencil
+
+    def recording(sheet, p, X, handed):
+        hessians = index_stencil(sheet, p, X, handed)
+        captured.append((sheet.stencil_chart(X, handed), hessians))
+        return hessians
+
+    monkeypatch.setattr(morse, "_index_stencil", recording)
 
     def close(hessians, exact):
         err = np.abs(hessians - exact).max() / np.abs(exact).max()
@@ -857,7 +862,7 @@ def test_chart_hessians_match_entrywise_loop(monkeypatch):
         X = np.array([sp.x.coords for sp in normal_circle_critical_points(
             fam, s, pole, classify=False)])
         xi, frames, vals, wn = _frames_batch(fam, X)
-        hessians, _ts = morse._hessian_stencil(fam, s, p, X)
+        hessians = morse._hessian_stencil(fam, s, p, X)
         assert close(hessians, morse._newton_jacobian(
             fam, p, X, xi, frames, vals, wn)), fam.label
         loop = loop_chart_hessians(fam, s, p, X, frames, accept=1e-9)
@@ -919,8 +924,8 @@ def test_hessian_stencil_reads_the_jet_of_its_retraction(fam_nomizu,
 
     monkeypatch.setattr(CMPolynomial, "gradient", counting_gradient)
     monkeypatch.setattr(levelset, "_normalize_rows", counting_pass)
-    hessians, _ts = morse._hessian_stencil(fam_nomizu, 0.3, pole.coords, X,
-                                           frames)
+    hessians = morse._hessian_stencil(fam_nomizu, 0.3, pole.coords, X,
+                                      frames)
     assert calls["pass"] > 0 and calls["gradient"] == calls["pass"], calls
     assert np.isfinite(hessians).all()
 
@@ -992,7 +997,9 @@ def loop_classify(fam, s, p, X, degenerate_threshold=morse._DEGENERATE_REPORT):
     # the former per-point classifier, kept as an oracle for `_classify`:
     # surface_point with its Gram-Schmidt frame, the clustered spectrum_at,
     # index_via_focal_count and one eigvalsh per point
-    hessians, ts = morse._hessian_stencil(fam, s, p, X)
+    hessians = morse._hessian_stencil(fam, s, p, X)
+    ts = np.arccos(np.clip(np.einsum("ij,ij->i", X, np.broadcast_to(
+        p, X.shape)), -1.0, 1.0))
     out = []
     for k in range(len(X)):
         t = float(ts[k])
@@ -1770,3 +1777,30 @@ def test_rounds_cap_the_start_rows(fam_nomizu, monkeypatch):
     counts = counting(monkeypatch, "_newton_multistart", "_classify")
     assert tightness_report(fam_nomizu, 0.3, num_poles=5, seed=3).passed
     assert counts == {"_newton_multistart": 3, "_classify": 6}
+
+
+def test_focal_residual_checks_one_rank_and_takes_zero_rows(
+        fam_clifford_asym):
+    # the residual reduces its rows' tangent ranks to one d_foc: a row on
+    # each sheet of clifford(1, 3), whose focal submanifolds have the
+    # dimensions m1 = 1 and m2 = 2, disagree; a batch of no row (every
+    # moved row lost its retraction) gives no norm
+    fam, rng = fam_clifford_asym, np.random.default_rng(71)
+    rows = []
+    for side in (1.0, -1.0):
+        Y, ok = _project_batch(fam, side, rng.normal(
+            size=(1, fam.ambient_dim)))[:2]
+        assert ok.all(), side
+        rows.append(Y[0])
+    sheet = morse._FocalSheet(fam, 1)
+    p = morse._draw_pole(fam, rng).coords
+    with pytest.raises(SamplingError, match=r"ranks disagree: \[1, 2\]"):
+        sheet.residual(np.array(rows), p, None)
+    none = np.empty((0, fam.ambient_dim))
+    rnorm, state = sheet.residual(none, none, np.empty(0))
+    assert rnorm.shape == (0,) and state[1].shape == (0, fam.ambient_dim)
+
+
+def test_dedup_of_no_solution_is_no_solution(fam_nomizu):
+    assert morse._dedup(fam_nomizu, np.empty((0, 6)),
+                        np.empty(0)).shape == (0, 6)

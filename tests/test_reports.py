@@ -132,3 +132,46 @@ def test_code_lines_counts_code_only(tmp_path, capsys):
             rows] == [("a.py", 7), ("b.py", 1)]
     assert total == "total"
     assert int(count) == sum(int(code) for _, code in rows)
+
+
+LINE_HITS = ROOT / "benchmarks" / "line_hits.py"
+BRANCH = '''"""A module with one branch that a call does not take."""
+
+import functools
+
+
+@functools.cache
+def sign(x):
+    """One line."""
+    if x >= 0:
+        return (1 +
+                0)
+    else:
+        raise ValueError(
+            "negative")
+'''
+
+
+def test_line_hits_lists_the_branch_not_taken(tmp_path, monkeypatch):
+    # the else keyword, the raise and its continuation never run; the
+    # continuation of the return runs with its statement
+    monkeypatch.syspath_prepend(str(ROOT / "benchmarks"))
+    spec = importlib.util.spec_from_file_location("line_hits", LINE_HITS)
+    line_hits = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(line_hits)
+    path = tmp_path / "branch.py"
+    path.write_text(BRANCH)
+
+    def run():
+        module_spec = importlib.util.spec_from_file_location("branch", path)
+        module = importlib.util.module_from_spec(module_spec)
+        module_spec.loader.exec_module(module)
+        assert module.sign(2) == 1
+
+    hits = line_hits.record(tmp_path, run)
+    assert list(hits) == [str(path.resolve())]
+    assert line_hits.missed_lines(path, hits[str(path.resolve())]) == [
+        12, 13, 14]
+    assert line_hits.missed_lines(path, set()) == [
+        3, 6, 7, 9, 10, 11, 12, 13, 14]
+    assert line_hits._ranges([3, 7, 8, 9, 12]) == "3, 7-9, 12"

@@ -190,3 +190,10 @@ def test_spectrum_csv_roundtrip(tmp_path, fam_cartan):
     rows = path.read_text().strip().splitlines()
     assert rows[0] == "level,point,lambda1,lambda2,lambda3,mult1,mult2,mult3"
     assert len(rows) == 6
+
+
+def test_alternation_needs_period_two(fam_clifford_asym):
+    # the family's pair {1, 2} in both orders, but not with period two
+    assert shape._alternation_ok((1, 2, 1, 2), fam_clifford_asym)
+    assert shape._alternation_ok((2, 1, 2, 1), fam_clifford_asym)
+    assert not shape._alternation_ok((1, 2, 2, 1), fam_clifford_asym)
